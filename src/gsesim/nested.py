@@ -229,26 +229,29 @@ def eigen_traces(q, f_o_sweep, ep_tol=None):
     if ep_tol is None:
         ep_tol = 1e-9 * max(abs(coupling), 1.0)
 
-    eigs = np.empty((f_o_sweep.size, 2), dtype=complex)
-    flags = np.zeros(f_o_sweep.size, dtype=bool)
-    prev_vecs = None
-    for n, f_o in enumerate(f_o_sweep):
-        h = np.array(
-            [
-                [q.f_i - 1j * (q.kappa_i_g + q.beta_i), coupling],
-                [coupling, f_o - 1j * (q.kappa_o_g + q.beta_o)],
-            ]
-        )
-        vals, vecs = np.linalg.eig(h)
-        if prev_vecs is not None:
-            # permute so each branch overlaps most with its predecessor
-            overlap = np.abs(prev_vecs.conj().T @ vecs)
-            if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
-                vals = vals[::-1]
-                vecs = vecs[:, ::-1]
-        eigs[n] = vals
-        flags[n] = abs(vals[0] - vals[1]) < ep_tol
-        prev_vecs = vecs
+    h = np.empty((f_o_sweep.size, 2, 2), dtype=complex)
+    h[:, 0, 0] = q.f_i - 1j * (q.kappa_i_g + q.beta_i)
+    h[:, 0, 1] = h[:, 1, 0] = coupling
+    h[:, 1, 1] = f_o_sweep - 1j * (q.kappa_o_g + q.beta_o)
+    vals, vecs = np.linalg.eig(h)
+
+    # Each branch keeps to the eigenvector it overlaps most with at the
+    # previous sweep point. Between adjacent raw eigenvector sets the
+    # branches cross when the off-diagonal overlaps win; a swap carried
+    # from the previous point flips that test, so the swap state is the
+    # running parity of crossings. A tie keeps the raw order and restarts
+    # the parity.
+    overlap = np.abs(vecs[:-1].conj().transpose(0, 2, 1) @ vecs[1:])
+    straight = overlap[:, 0, 0] + overlap[:, 1, 1]
+    crossed = overlap[:, 0, 1] + overlap[:, 1, 0]
+    cross = np.concatenate(([False], straight < crossed))
+    tie = np.concatenate(([True], ~(straight < crossed) & ~(crossed < straight)))
+    parity = np.cumsum(cross)
+    restart = np.maximum.accumulate(np.where(tie, np.arange(tie.size), 0))
+    swapped = (parity - parity[restart]) % 2 == 1
+
+    eigs = np.where(swapped[:, None], vals[:, ::-1], vals)
+    flags = np.abs(vals[:, 0] - vals[:, 1]) < ep_tol
     return eigs, flags
 
 

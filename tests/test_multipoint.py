@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gsesim.multipoint as mp
 from gsesim.core import Emitter, FrequencyGrid, ModelError, Topology, Waveguide
 from gsesim.multipoint import (
     EffectiveModel,
@@ -13,7 +15,12 @@ from gsesim.multipoint import (
     pair_sums,
     s_matrix,
 )
-from gsesim.nested import NestedParams, coupling_strengths, s21_nested_matrix
+from gsesim.nested import (
+    NestedParams,
+    complex_frequencies,
+    coupling_strengths,
+    s21_nested_matrix,
+)
 from gsesim.single import SingleGseParams, giant_decay, lamb_shift, s21_single
 from conftest import (
     BETA_INNER,
@@ -25,6 +32,110 @@ from conftest import (
     SPEED,
     grid_around,
 )
+
+
+CONVENTIONS = ("resonance", "mixed", "probe")
+
+
+def reference_h(t, f_ref, lamb_sign=1):
+    """H - diag(f_res) from the pair_sums double loop, block (a, b) at f_ref(a, b)."""
+    ems = t.emitters
+    h = np.zeros(np.shape(f_ref(ems[0], ems[0])) + (len(ems), len(ems)), dtype=complex)
+    for j, a in enumerate(ems):
+        for l, b in enumerate(ems):
+            jj, gg = pair_sums(a.positions, a.kappa_points, b.positions, b.kappa_points, f_ref(a, b), SPEED)
+            h[..., j, l] = (lamb_sign if j == l else 1) * jj - 1j * gg
+    return h - 1j * np.diag([e.beta for e in ems])
+
+
+def mean_resonance(a, b):
+    return 0.5 * (a.f_res + b.f_res)
+
+
+def reference_s_matrix(t, grid, convention):
+    """(S21, reflection, (f - H)^-1 w) of the reference model by np.linalg.solve."""
+    ems, f = t.emitters, grid.frequencies
+    if convention == "probe":
+        h = reference_h(t, lambda a, b: f)
+    else:
+        h = reference_h(t, mean_resonance, -1 if convention == "mixed" else 1)
+    if convention == "resonance":
+        u = np.array([drive_vector(e, e.f_res, SPEED) for e in ems]) * np.ones((f.size, 1))
+    else:
+        u = np.stack([drive_vector(e, f, SPEED) for e in ems], axis=-1)
+    if convention == "probe":
+        # dissipative sums from the drive amplitudes, as in the engine
+        h = h.real - 1j * (np.real(u[:, :, None] * np.conj(u[:, None, :])) + np.diag([e.beta for e in ems]))
+    detuning = f[:, None] - np.array([e.f_res for e in ems])
+    gw = np.linalg.solve(detuning[:, :, None] * np.eye(len(ems)) - h, np.conj(u)[..., None])[..., 0]
+    return 1.0 - 1j * np.sum(u * gw, axis=-1), -1j * np.sum(np.conj(u) * gw, axis=-1), gw
+
+
+@st.composite
+def topologies(draw):
+    """Up to 6 emitters with up to 4 interleaved points each, up to 50 m from the origin."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.floats(1e-3, 0.1), min_size=sum(sizes), max_size=sum(sizes)))
+    positions = draw(st.floats(0.0, 50.0)) + np.cumsum(gaps)
+    owner = np.array(draw(st.permutations([j for j, m in enumerate(sizes) for _ in range(m)])))
+    rate = st.floats(1e5, 2e6)
+    emitters = [
+        Emitter(
+            f"e{j}",
+            draw(st.floats(4.33e9, 4.37e9)),
+            draw(st.one_of(st.just(0.0), rate)),
+            tuple(draw(st.lists(rate, min_size=m, max_size=m))),
+            tuple(positions[owner == j]),
+        )
+        for j, m in enumerate(sizes)
+    ]
+    return Topology(tuple(emitters))
+
+
+def interleaved(rng, n, m, lossless=False, f_res=(4.33e9, 4.37e9), kappa_max=6e5):
+    """n emitters with m points each at random interleaved positions."""
+    positions = np.sort(rng.uniform(0.0, 0.3, n * m))
+    owner = rng.permutation(n * m).reshape(n, m)
+    return Topology(tuple(
+        Emitter(f"e{j}", rng.uniform(*f_res), 0.0 if lossless else rng.uniform(3e5, 1.5e6),
+                tuple(rng.uniform(1e5, kappa_max, m)), tuple(positions[np.sort(owner[j])]))
+        for j in range(n)
+    ))
+
+
+def exceptional_pair(rng, waveguide):
+    """Symmetric nested pair tuned so its 2x2 mixed-convention model is defective.
+
+    With H = [[A, c], [c, D]] (outer first, c = J - iG) the eigenvalues
+    coalesce when A - D = 2ic; the outer resonance and the inner intrinsic
+    rate are solved for that, re-evaluating the phases, which depend on
+    the pair's mean resonance.
+    """
+    k_i, k_o = rng.uniform(0.6e6, 0.9e6, 2)
+    l_i = rng.uniform(0.07, 0.09)
+    l_o = 2.0 * l_i + rng.uniform(-0.01, 0.01)
+    f_i = rng.uniform(4.33e9, 4.37e9)
+    beta_o = rng.uniform(3.7e6, 4.5e6)
+    f_o, beta_i = f_i, beta_o
+
+    def params():
+        return NestedParams.from_geometry(
+            SingleGseParams(k_i, beta_i, l_i, f_i, waveguide),
+            SingleGseParams(k_o, beta_o, l_o, f_o, waveguide),
+        )
+
+    for _ in range(8):
+        j, gamma = coupling_strengths(params())
+        d, a = complex_frequencies(params(), lamb_sign=-1)
+        delta = d + 2j * math.copysign(1.0, j) * (j - 1j * gamma) - a
+        f_o += delta.real
+        beta_i += delta.imag
+    gap = 0.5 * (l_o - l_i)
+    topology = Topology((
+        Emitter("outer", f_o, beta_o, (k_o, k_o), (0.0, l_o)),
+        Emitter("inner", f_i, beta_i, (k_i, k_i), (gap, gap + l_i)),
+    ))
+    return topology, params()
 
 
 def random_two_point(rng, name, x0=0.0):
@@ -107,6 +218,42 @@ class TestEffectiveModel:
         with pytest.warns(MarkovWarning):
             build_effective(t, wg)
 
+    def test_markov_warning_raised_once_per_call(self):
+        wg = Waveguide(SPEED)
+        t = Topology((
+            Emitter("a", 4.35e9, 1e6, (1e8, 1e8), (0.0, 3.0)),
+            Emitter("b", 4.36e9, 1e6, (1e8,), (1.0,)),
+        ))
+        grid = grid_around(4.35e9, 5e6, 11)
+        calls = [lambda: build_effective(t, wg)]
+        calls += [lambda c=c: s_matrix(t, wg, grid, convention=c) for c in CONVENTIONS]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [MarkovWarning]
+
+    @given(t=topologies(), lamb_sign=st.sampled_from((1, -1)), at_f=st.sampled_from((None, 4.32e9)))
+    @settings(max_examples=40, deadline=None)
+    def test_build_matches_pair_sums_reference(self, t, lamb_sign, at_f):
+        wg = Waveguide(SPEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MarkovWarning)
+            model = build_effective(t, wg, lamb_sign=lamb_sign, at_f=at_f)
+        f_res = np.array([e.f_res for e in t.emitters])
+        if at_f is None:
+            h = reference_h(t, mean_resonance, lamb_sign)
+            u = np.array([drive_vector(e, e.f_res, SPEED) for e in t.emitters])
+        else:
+            h = reference_h(t, lambda a, b: at_f, lamb_sign)
+            u = np.array([drive_vector(e, at_f, SPEED) for e in t.emitters])
+        scale = sum(sum(e.kappa_points) for e in t.emitters)
+        off = ~np.eye(len(f_res), dtype=bool)
+        assert np.max(np.abs(model.coupling[off] - h[off]), initial=0.0) < 1e-12 * scale
+        # adding f_res rounds the self-energy to the spacing of doubles at f_res
+        assert np.all(np.abs(model.diag - f_res - np.diagonal(h)) <= np.spacing(f_res) + 1e-12 * scale)
+        assert np.max(np.abs(model.drive - u)) < 1e-12 * math.sqrt(scale)
+
 
 class TestSMatrix:
     def test_single_emitter_matches_closed_form(self, waveguide):
@@ -157,6 +304,96 @@ class TestSMatrix:
     def test_unknown_convention_rejected(self, waveguide, nested_topology):
         with pytest.raises(ModelError):
             s_matrix(nested_topology, waveguide, grid_around(4.35e9, 5e6, 11), convention="bogus")
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_pole_on_the_grid_raises(self, waveguide, convention):
+        # a lossless, uncoupled emitter is a real pole; 4.35 GHz is a grid point
+        t = Topology((Emitter("e", 4.35e9, 0.0, (0.0, 0.0), (0.0, 0.1)),))
+        grid = FrequencyGrid(4.3e9, 4.4e9, 3)
+        assert grid.frequencies[1] == 4.35e9
+        with pytest.raises(ModelError):
+            s_matrix(t, waveguide, grid, convention=convention)
+
+    @given(t=topologies())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pair_sums_reference(self, t):
+        # Unitarity cannot detect a wrong real-symmetric J; the loop can.
+        # Both sides round the rate sums differently, by about eps * sum(kappa)
+        # per entry of f - H, and the resolvent scales that into S by
+        # |(f - H)^-1 w|^2. Lossless layouts can sit next to a dark state,
+        # where that factor reaches 1e3 and the reference itself is 1e-12
+        # from a 40-digit solution, so the bound grows with it.
+        wg = Waveguide(SPEED)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 201)
+        rates = sum(sum(e.kappa_points) for e in t.emitters)
+        for convention in CONVENTIONS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", MarkovWarning)
+                res = s_matrix(t, wg, grid, convention=convention)
+            s21, refl, gw = reference_s_matrix(t, grid, convention)
+            bound = 1e-12 + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1)
+            assert np.all(np.abs(res.transmission.s21 - s21) < bound)
+            assert np.all(np.abs(res.reflection - refl) < bound)
+
+
+def _forbid_solve(*args):
+    raise AssertionError("the batched solve ran")
+
+
+class TestPoleResidues:
+    """Frequency-independent H: eigenexpansion with a batched-solve fallback."""
+
+    @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
+    def test_agrees_with_batched_solve(self, monkeypatch, waveguide):
+        rng = np.random.default_rng(21)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 1001)
+        layouts = [interleaved(rng, n, m) for n, m in ((1, 2), (2, 4), (5, 3), (8, 4), (16, 4))]
+        layouts += [interleaved(rng, n, 4, lossless=True) for n in (2, 8)]
+        # a wide resonance spread and strong coupling: without its refinement
+        # step the expansion is 3e-12 off the solve on one of these
+        rng = np.random.default_rng(8)
+        layouts += [
+            interleaved(rng, n, m, lossless, f_res=(4.30e9, 4.40e9), kappa_max=2e6)
+            for n, m in ((4, 3), (6, 4)) for lossless in (False, True)
+        ]
+        for t in layouts:
+            for convention in ("resonance", "mixed"):
+                with monkeypatch.context() as m:
+                    m.setattr(mp, "_solve", _forbid_solve)
+                    fast = s_matrix(t, waveguide, grid, convention=convention)
+                with monkeypatch.context() as m:
+                    m.setattr(mp, "_MIN_PAIRING", np.inf)
+                    solved = s_matrix(t, waveguide, grid, convention=convention)
+                assert np.max(np.abs(fast.transmission.s21 - solved.transmission.s21)) < 1e-12
+                assert np.max(np.abs(fast.reflection - solved.reflection)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exceptional_point_takes_the_fallback(self, monkeypatch, waveguide, seed):
+        t, params = exceptional_pair(np.random.default_rng(seed), waveguide)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        solves = []
+        solve = mp._solve
+        monkeypatch.setattr(mp, "_solve", lambda *a: solves.append(1) or solve(*a))
+        engine = s_matrix(t, waveguide, grid, convention="mixed").transmission.s21
+        assert solves == [1]
+        assert np.max(np.abs(engine - s21_nested_matrix(params, grid).s21)) < 1e-12
+
+    @pytest.mark.parametrize("convention", ["resonance", "mixed"])
+    def test_degenerate_eigenvalues_take_the_fallback(self, monkeypatch, waveguide, convention):
+        # three identical point emitters one wavelength apart: H = a + c*(1 1^T - 1)
+        # has a doubly degenerate eigenvalue a - c
+        f_res = 4.35e9
+        step = SPEED / f_res
+        t = Topology(tuple(Emitter(f"e{j}", f_res, 1e6, (5e5,), (j * step,)) for j in range(3)))
+        grid = grid_around(f_res, 10e6)
+        solves = []
+        solve = mp._solve
+        monkeypatch.setattr(mp, "_solve", lambda *a: solves.append(1) or solve(*a))
+        res = s_matrix(t, waveguide, grid, convention=convention)
+        assert solves == [1]
+        s21, refl, _ = reference_s_matrix(t, grid, convention)
+        assert np.max(np.abs(res.transmission.s21 - s21)) < 1e-12
+        assert np.max(np.abs(res.reflection - refl)) < 1e-12
 
 
 class TestDriveVector:

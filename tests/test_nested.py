@@ -151,7 +151,86 @@ class TestFitForm:
             FitFormParams(4e9, 4e9, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def eigen_traces_loop(q, f_o_sweep, ep_tol):
+    """One 2x2 eig per sweep point, branches permuted by maximal overlap."""
+    coupling = q.j - 1j * q.gamma
+    eigs = np.empty((len(f_o_sweep), 2), dtype=complex)
+    flags = np.zeros(len(f_o_sweep), dtype=bool)
+    prev_vecs = None
+    for n, f_o in enumerate(f_o_sweep):
+        h = np.array([
+            [q.f_i - 1j * (q.kappa_i_g + q.beta_i), coupling],
+            [coupling, f_o - 1j * (q.kappa_o_g + q.beta_o)],
+        ])
+        vals, vecs = np.linalg.eig(h)
+        if prev_vecs is not None:
+            overlap = np.abs(prev_vecs.conj().T @ vecs)
+            if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
+                vals, vecs = vals[::-1], vecs[:, ::-1]
+        eigs[n] = vals
+        flags[n] = abs(vals[0] - vals[1]) < ep_tol
+        prev_vecs = vecs
+    return eigs, flags
+
+
+EIGEN_SWEEPS = [
+    (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.5 * MHZ, 0.5 * MHZ, 1.01 * MHZ, 0.0),
+     np.linspace(4.34e9, 4.36e9, 81)),
+    (FitFormParams(4.35e9, 4.35e9, 1.15 * MHZ, 1.26e2, 1.54 * MHZ, 0.86 * MHZ, 1.01 * MHZ, 3.28e2),
+     np.linspace(4.34e9, 4.36e9, 801)),
+    (FitFormParams(4.96e9, 4.96e9, 0.5 * MHZ, 0.5 * MHZ, 0.0, 0.0, 0.0, 1.0 * MHZ),
+     4.96e9 + np.linspace(-2, 2, 40001) * 2 * MHZ),
+    # equal damping, no coupling: exactly degenerate at zero detuning
+    (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.0, 0.0, 0.0, 0.0),
+     np.linspace(4.34e9, 4.36e9, 101)),
+    (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.0, 0.0, 1.0 * MHZ, 0.0), np.full(5, 4.35e9)),
+    # back and forth through the avoided crossing, and out of order: many swaps
+    (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.5 * MHZ, 0.5 * MHZ, 1.01 * MHZ, 0.0),
+     4.35e9 + 5 * MHZ * np.sin(np.linspace(0, 6 * np.pi, 301))),
+    (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.5 * MHZ, 0.5 * MHZ, 1.01 * MHZ, 0.0),
+     np.random.default_rng(3).uniform(4.34e9, 4.36e9, 200)),
+]
+
+
 class TestEigenTraces:
+    @pytest.mark.parametrize("q, sweep", EIGEN_SWEEPS)
+    def test_batched_equals_per_point_loop(self, q, sweep):
+        ep_tol = 1e-9 * max(abs(q.j - 1j * q.gamma), 1.0)
+        eigs, flags = eigen_traces(q, sweep)
+        ref_eigs, ref_flags = eigen_traces_loop(q, sweep, ep_tol)
+        assert np.array_equal(eigs, ref_eigs)
+        assert np.array_equal(flags, ref_flags)
+
+    def test_overlap_ties_and_crossings_follow_the_loop(self, monkeypatch):
+        # exact ties between the two overlap sums do not come out of real
+        # 2x2 spectra; a stub eig returning fixed bases by outer frequency
+        # (identity, swapped identity, Hadamard) makes crossings and ties
+        bases = {0.0: np.eye(2), 1.0: np.eye(2)[:, ::-1], 2.0: np.array([[1, 1], [1, -1]]) / math.sqrt(2)}
+
+        def stub_eig(h):
+            h = np.asarray(h)
+            vecs = np.array([bases[f_o] for f_o in np.ravel(h[..., 1, 1].real)], dtype=complex)
+            return np.stack([h[..., 0, 0], h[..., 1, 1]], axis=-1), vecs.reshape(h.shape)
+
+        monkeypatch.setattr(np.linalg, "eig", stub_eig)
+        q = FitFormParams(10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        # swapped at 1 and 4 only: each tie (2, 3, 7, 9) drops a carried swap
+        sweep = np.array([0, 1, 2, 1, 0, 1, 1, 2, 2, 0], dtype=float)
+        eigs, flags = eigen_traces(q, sweep)
+        ref_eigs, ref_flags = eigen_traces_loop(q, sweep, 1e-9)
+        assert np.array_equal(eigs, ref_eigs) and np.array_equal(flags, ref_flags)
+        assert np.array_equal(eigs[:, 0] != q.f_i, [0, 1, 0, 0, 1, 0, 0, 0, 0, 0])
+
+    def test_batched_equals_loop_on_random_sweeps(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            f_i = rng.uniform(4e9, 5e9)
+            q = FitFormParams(f_i, f_i, *rng.uniform(0, 3e6, 4), rng.uniform(-2e6, 2e6), rng.uniform(-3e6, 3e6))
+            sweep = f_i + np.linspace(-1, 1, int(rng.integers(1, 500))) * rng.uniform(1e5, 2e7)
+            eigs, flags = eigen_traces(q, sweep)
+            ref_eigs, ref_flags = eigen_traces_loop(q, sweep, 1e-9 * max(abs(q.j - 1j * q.gamma), 1.0))
+            assert np.array_equal(eigs, ref_eigs) and np.array_equal(flags, ref_flags)
+
     def test_repulsion_splitting_equals_2j(self):
         # equal dampings: at zero detuning the real-part splitting is 2J
         j = 1.01 * MHZ
