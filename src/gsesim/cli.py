@@ -3,8 +3,8 @@
 The only module with side effects. Every run emits its data files plus a
 manifest JSON recording the resolved inputs and sha256 checksums of the
 outputs; identical inputs and seed produce identical bytes regardless of
-the worker count. Exit codes: 0 success, 2 configuration error, 3 numeric
-failure, 4 I/O error.
+the pv-check worker count. Exit codes: 0 success, 2 configuration error,
+3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -74,22 +74,6 @@ def parse_range(text, scalar=float):
     if count < 1:
         raise ConfigError(f"range {text!r}: count must be >= 1")
     return np.linspace(start, stop, count)
-
-
-def _thread_count(cli_value):
-    env = os.environ.get("GSE_THREADS")
-    n = int(env) if env else int(cli_value)
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def _ordered_map(fn, values, threads):
-    # ordered merge keeps emitted bytes independent of the worker count
-    if threads <= 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, values))
 
 
 def _grid_from_arg(text):
@@ -210,25 +194,26 @@ def _cmd_simulate_general(args):
 
 
 def _cmd_map(args):
-    threads = _thread_count(args.threads)
     outputs = [args.output]
     if args.sweep == "detuning":
+        needed = ("grid", "f_i", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma")
+        missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+        if missing:
+            raise ConfigError(f"map --sweep detuning needs {', '.join(missing)}")
         q = _fitform_from_args(args)
         detunings = parse_range(args.values, parse_frequency)
         grid = _grid_from_arg(args.grid)
         f_o_values = q.f_i + detunings
-
-        def column(f_o):
-            return map_nested_vs_detuning(q, [f_o], grid)[0][1]
-
-        spectra = _ordered_map(column, list(f_o_values), threads)
-        gio.write_map_csv(args.output, list(zip(detunings, spectra)))
+        columns = map_nested_vs_detuning(q, f_o_values, grid)
+        gio.write_map_csv(args.output, [(d, s) for d, (_, s) in zip(detunings, columns)])
         if args.eigen_output:
             eigs, _ = eigen_traces(q, f_o_values)
             gio.write_eigen_csv(args.eigen_output, detunings, eigs)
             outputs.append(args.eigen_output)
         config = {"command": "map", "sweep": "detuning", "values": args.values}
     else:
+        if args.config is None:
+            raise ConfigError("map --sweep field needs --config")
         waveguide, topology, grid = gio.load_config(args.config)
         p = _single_from_topology(waveguide, topology)
         fields = parse_range(args.values)
@@ -281,7 +266,6 @@ def _cmd_anisotropy(args):
 
 def _cmd_pv_check(args):
     xs = parse_range(args.x)
-    threads = _thread_count(args.threads)
 
     def row(x):
         closed = pv_closed(x, args.branch)
@@ -291,7 +275,10 @@ def _cmd_pv_check(args):
             abs(closed.a_value - quad.a_value), abs(closed.b_value - quad.b_value),
         )
 
-    rows = _ordered_map(row, list(xs), threads)
+    threads = args.threads if args.threads > 0 else os.cpu_count()
+    # pool.map keeps input order, so the bytes do not depend on the worker count
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(row, xs))
     gio.write_pv_csv(args.output, rows)
     worst = max(max(r[5], r[6]) for r in rows)
     print(f"pv-check: {len(rows)} points, branch {args.branch!r}, worst |closed - quad| = {worst:.3e}")
@@ -322,7 +309,6 @@ def build_parser():
             p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--output", required=True, help="output data file")
         p.add_argument("--manifest", default=None, help="manifest path (default: OUTPUT.manifest.json)")
-        p.add_argument("--threads", default=1, type=int, help="worker count, 0 = auto (GSE_THREADS overrides)")
 
     p = sub.add_parser("simulate-single", help="single two-point ensemble spectrum")
     common(p)
@@ -351,6 +337,7 @@ def build_parser():
     p.add_argument("--grid", default=None, help="probe grid f_start:f_stop:n (detuning sweep)")
     p.add_argument("--h-a", type=float, default=0.0, help="anisotropy-equivalent field, tesla (field sweep)")
     p.add_argument("--eigen-output", default=None, help="also emit eigenvalue traces (detuning sweep)")
+    p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
     # two-mode parameters for the detuning sweep, frequencies with unit suffix
     p.add_argument("--f-i", help="inner-mode frequency")
     p.add_argument("--f-o", default=None, help="outer-mode frequency (default: --f-i)")
@@ -371,7 +358,6 @@ def build_parser():
     p.add_argument("--db", action="store_true", help="fit magnitude data on a dB scale")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", default=1, type=int)
     p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("fit-geometry", help="joint geometry/speed fit across spectra")
@@ -381,7 +367,6 @@ def build_parser():
     p.add_argument("--fixed", action="append", default=[])
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", default=1, type=int)
     p.set_defaults(run=_cmd_fit_geometry)
 
     p = sub.add_parser("anisotropy", help="crystal-angle to frequency curve")
@@ -392,7 +377,6 @@ def build_parser():
     p.add_argument("--gamma", default=None, help="gyromagnetic ratio over 2*pi per tesla, with frequency suffix")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", default=1, type=int)
     p.set_defaults(run=_cmd_anisotropy)
 
     p = sub.add_parser("pv-check", help="closed-form vs quadrature check of the self-energy integrals")
@@ -400,7 +384,7 @@ def build_parser():
     p.add_argument("--branch", choices=("+", "-"), default="-")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", default=1, type=int)
+    p.add_argument("--threads", default=1, type=int, help="worker count, 0 = one per CPU")
     p.set_defaults(run=_cmd_pv_check)
 
     p = sub.add_parser("synth", help="synthetic noisy spectrum for fit round-trips")

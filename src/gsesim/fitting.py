@@ -163,10 +163,10 @@ def _sigma_from_jacobian(jac, residual, n_free, names):
 
 
 def fit(problem, max_nfev=20000):
-    """Local least-squares fit; falls back to Nelder-Mead if the trust-
-    region step cannot make progress.
+    """Local bounded least-squares fit (trust-region reflective).
 
-    Returns a FitResult; raises FitError on non-convergence.
+    Returns a FitResult; raises FitError when the optimizer stops without
+    meeting a tolerance, including when it runs out of evaluations.
     """
     names = list(problem.free)
     x0 = np.array([problem.free[n][0] for n in names], dtype=float)
@@ -182,17 +182,7 @@ def fit(problem, max_nfev=20000):
         xtol=1e-14, ftol=1e-14, gtol=1e-14,
     )
     if res.status <= 0:
-        nm = optimize.minimize(
-            lambda x: float(np.sum(fun(x) ** 2)), x0, method="Nelder-Mead",
-            options={"maxiter": max_nfev, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        if not nm.success:
-            raise FitError(f"fit did not converge: {res.message}; fallback: {nm.message}")
-        x = np.clip(nm.x, lo, hi)
-        r = fun(x)
-        sigmas = {n: math.inf for n in names}
-        return FitResult(dict(zip(names, x)), sigmas, float(np.linalg.norm(r)), int(nm.nit), True)
-
+        raise FitError(f"fit did not converge: {res.message}")
     sigmas = _sigma_from_jacobian(res.jac, res.fun, len(names), names)
     return FitResult(
         dict(zip(names, res.x)), sigmas, float(np.linalg.norm(res.fun)),

@@ -8,8 +8,10 @@ a JSON-pointer path to the bad key.
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
+import itertools
 import json
 import math
 
@@ -26,27 +28,41 @@ class DataFormatError(ValueError):
     """Malformed data file; the message carries the line number."""
 
 
-def fmt(x):
-    """Shortest decimal representation that round-trips the double."""
-    return repr(float(x))
-
-
 def _db(mag):
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(mag)
 
 
+def _column_text(column):
+    # repr of a Python float is the shortest string that round-trips the
+    # double; a scalar column repeats one value down the block
+    values = np.asarray(column, dtype=float)
+    if values.ndim == 0:
+        return itertools.repeat(repr(float(values)))
+    return map(repr, values.tolist())
+
+
+def _write_table(path, header, blocks):
+    """Write a CSV table block by block; each block is a sequence of columns.
+
+    Lines end with CRLF, as csv.writer's default dialect does. Only one
+    block is formatted at a time, so a map is never held as text in full.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            rows = zip(*(_column_text(c) for c in columns))
+            fh.write("".join(",".join(row) + "\r\n" for row in rows))
+
+
 def write_spectrum_csv(path, spectrum):
     """Emit `frequency_hz,s21_re,s21_im,s21_mag,s21_db` rows."""
-    f = spectrum.frequencies
     s = spectrum.s21
     mag = np.abs(s)
-    db = _db(mag)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frequency_hz", "s21_re", "s21_im", "s21_mag", "s21_db"])
-        for k in range(f.size):
-            w.writerow([fmt(f[k]), fmt(s[k].real), fmt(s[k].imag), fmt(mag[k]), fmt(db[k])])
+    _write_table(
+        path, ["frequency_hz", "s21_re", "s21_im", "s21_mag", "s21_db"],
+        [(spectrum.frequencies, s.real, s.imag, mag, _db(mag))],
+    )
 
 
 def read_spectrum_csv(path):
@@ -98,60 +114,60 @@ def read_spectrum_csv(path):
 
 def write_map_csv(path, columns):
     """Emit `sweep_value,frequency_hz,s21_mag,s21_db` for (value, Spectrum) columns."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sweep_value", "frequency_hz", "s21_mag", "s21_db"])
-        for value, spectrum in columns:
-            f = spectrum.frequencies
-            mag = spectrum.magnitude
-            db = _db(mag)
-            for k in range(f.size):
-                w.writerow([fmt(value), fmt(f[k]), fmt(mag[k]), fmt(db[k])])
+    blocks = ((v, s.frequencies, s.magnitude, _db(s.magnitude)) for v, s in columns)
+    _write_table(path, ["sweep_value", "frequency_hz", "s21_mag", "s21_db"], blocks)
 
 
 def read_map_csv(path):
-    """Parse a map file back into (sweep_values, freqs, |S21| matrix)."""
+    """Parse a map file back into (sweep_values, freqs, |S21| matrix).
+
+    Cells the file does not list read as NaN. An empty file, a short row or
+    a non-numeric cell raises DataFormatError with the line number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
         if [c.strip().lower() for c in header[:3]] != ["sweep_value", "frequency_hz", "s21_mag"]:
-            raise DataFormatError(f"{path}: unexpected map header {header!r}")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    sweep = sorted({r[0] for r in rows})
-    freqs = sorted({r[1] for r in rows})
-    mag = np.full((len(sweep), len(freqs)), np.nan)
-    si = {v: i for i, v in enumerate(sweep)}
-    fi = {v: i for i, v in enumerate(freqs)}
-    for v, f, m in rows:
-        mag[si[v], fi[f]] = m
-    return np.asarray(sweep), np.asarray(freqs), mag
+            raise DataFormatError(f"{path}:1: unexpected map header {header!r}")
+        # 8 bytes a cell, where a list would hold one float object per cell
+        cells = array.array("d")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                cells.extend((float(row[0]), float(row[1]), float(row[2])))
+            except (ValueError, IndexError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
+    table = np.frombuffer(cells, dtype=float).reshape(-1, 3)
+    sweep, si = np.unique(table[:, 0], return_inverse=True)
+    freqs, fi = np.unique(table[:, 1], return_inverse=True)
+    mag = np.full((sweep.size, freqs.size), np.nan)
+    mag[si, fi] = table[:, 2]
+    return sweep, freqs, mag
 
 
 def write_eigen_csv(path, sweep_values, eigs):
     """Emit `sweep_value,re1_hz,im1_hz,re2_hz,im2_hz` eigenvalue traces."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sweep_value", "re1_hz", "im1_hz", "re2_hz", "im2_hz"])
-        for v, (e1, e2) in zip(sweep_values, eigs):
-            w.writerow([fmt(v), fmt(e1.real), fmt(e1.imag), fmt(e2.real), fmt(e2.imag)])
+    eigs = np.asarray(eigs, dtype=complex).reshape(-1, 2)
+    _write_table(
+        path, ["sweep_value", "re1_hz", "im1_hz", "re2_hz", "im2_hz"],
+        [(sweep_values, eigs[:, 0].real, eigs[:, 0].imag, eigs[:, 1].real, eigs[:, 1].imag)],
+    )
 
 
 def write_anisotropy_csv(path, thetas, freqs):
     """Emit `theta_rad,frequency_hz` rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_rad", "frequency_hz"])
-        for th, f in zip(thetas, freqs):
-            w.writerow([fmt(th), fmt(f)])
+    _write_table(path, ["theta_rad", "frequency_hz"], [(thetas, freqs)])
 
 
 def write_pv_csv(path, rows):
     """Emit `x,a_closed,a_quad,b_closed,b_quad,abs_err_a,abs_err_b` rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "a_closed", "a_quad", "b_closed", "b_quad", "abs_err_a", "abs_err_b"])
-        for r in rows:
-            w.writerow([fmt(v) for v in r])
+    _write_table(
+        path, ["x", "a_closed", "a_quad", "b_closed", "b_quad", "abs_err_a", "abs_err_b"],
+        [np.asarray(rows, dtype=float).reshape(-1, 7).T],
+    )
 
 
 def write_fit_report(path, result):

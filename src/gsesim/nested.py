@@ -109,7 +109,7 @@ def _self_energy(gse, phi, lamb_sign):
     )
 
 
-def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance", det_guard=1e-300):
+def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     """Matrix transmission of the nested pair on a frequency grid.
 
     Couples the 2x2 effective model through phase-dressed drive vectors
@@ -118,7 +118,8 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance", det_guard=1e
     convention is what `phase_ref='resonance'` selects). With
     phase_ref='probe' the diagonals and the coupling are re-evaluated at
     each probe frequency, making the model fully self-consistent.
-    Near-singular resolvent points (|det| < det_guard) raise ModelError.
+    A singular resolvent or a non-finite result on the grid raises
+    ModelError.
     """
     if phase_ref not in ("resonance", "probe"):
         raise ModelError(f"phase_ref must be 'resonance' or 'probe', got {phase_ref!r}")
@@ -156,7 +157,7 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance", det_guard=1e
     a = (f - p.outer.f_res) - self_o
     d = (f - p.inner.f_res) - self_i
     det = a * d - off * off
-    if np.any(np.abs(det) < det_guard):
+    if np.any(det == 0):
         raise ModelError("singular resolvent on the frequency grid")
 
     # S21 = 1 - i * u . (f*I - H)^-1 . conj(u), solved in closed 2x2 form
@@ -164,6 +165,8 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance", det_guard=1e
     s21 = 1.0 - 1j * (
         u_o * (d * w_o - off * w_i) + u_i * (-off * w_o + a * w_i)
     ) / det
+    if not np.all(np.isfinite(s21)):
+        raise ModelError("singular resolvent on the frequency grid")
     return Spectrum(grid, s21)
 
 

@@ -15,6 +15,12 @@ BETA_OUTER = 1.39e6
 
 MHZ = 1e6
 
+# two-mode rates for `map --sweep detuning`, as in the README example
+TWO_MODE = [
+    "--f-i", "4.35GHz", "--kappa-i-g", "1.15MHz", "--kappa-o-g", "0.000126MHz",
+    "--beta-i", "1.54MHz", "--beta-o", "0.86MHz", "--j", "1.01MHz", "--gamma", "0.000328MHz",
+]
+
 
 @pytest.fixture(scope="session")
 def waveguide():

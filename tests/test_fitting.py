@@ -1,9 +1,11 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+from gsesim import fitting
 from gsesim.core import Waveguide
 from gsesim.fitting import (
     DegeneracyWarning,
@@ -175,6 +177,23 @@ class TestProblemValidation:
         f = np.linspace(4.3e9, 4.4e9, 100)
         with pytest.raises(FitError):
             initial_guess_single(f, np.ones(100))
+
+
+class TestConvergence:
+    def test_optimizer_stop_raises(self, monkeypatch):
+        # status 0: trf ran out of evaluations without meeting a tolerance
+        stopped = types.SimpleNamespace(status=0, message="max_nfev reached")
+        monkeypatch.setattr(fitting.optimize, "least_squares", lambda *a, **k: stopped)
+        # unit-scale data on which an unbounded Nelder-Mead would converge
+        f = np.linspace(-20.0, 20.0, 201)
+        truth = {"f_res": 0.0, "kappa_g": 1.0, "beta": 1.0}
+        problem = FitProblem(
+            f, single_giant_model(f, truth), "single_giant",
+            free={"kappa_g": (0.9, 0.0, 10.0), "beta": (1.1, 0.0, 10.0)},
+            fixed={"f_res": 0.0},
+        )
+        with pytest.raises(FitError, match="max_nfev reached"):
+            fit(problem)
 
 
 class TestGeometryFit:

@@ -19,7 +19,7 @@ from gsesim.io import (
     write_map_csv,
     write_spectrum_csv,
 )
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE
 
 
 def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6):
@@ -51,9 +51,15 @@ class TestSpectrumCsv:
     def test_round_trip_to_last_ulp(self, tmp_path):
         grid = FrequencyGrid(4.3e9, 4.4e9, 257)
         rng = np.random.default_rng(1)
-        s = Spectrum(grid, rng.normal(size=257) + 1j * rng.normal(size=257))
+        values = rng.normal(size=257) + 1j * rng.normal(size=257)
+        values[100] = 0.0
+        s = Spectrum(grid, values)
         path = tmp_path / "s.csv"
         write_spectrum_csv(path, s)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"frequency_hz,s21_re,s21_im,s21_mag,s21_db"
+        assert lines[101].endswith(b",0.0,0.0,0.0,-inf")
+        assert lines[-1] == b"" and len(lines) == 259
         freqs, data, magnitude_only = read_spectrum_csv(path)
         assert not magnitude_only
         assert np.array_equal(freqs, grid.frequencies)
@@ -102,6 +108,21 @@ class TestSpectrumCsv:
         assert sweep.tolist() == [0.0, 1.0, 2.0]
         assert mag.shape == (3, 11)
         assert mag[2, 0] == abs(0.5 + 0.2j)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("", "empty file"),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n0.0,2e9\r\n", ":3:"),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,oops,-6.0\r\n", ":2:"),
+        ],
+        ids=["empty", "short-row", "non-numeric"],
+    )
+    def test_malformed_map_rejected(self, tmp_path, text, where):
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=where):
+            read_map_csv(path)
 
 
 class TestConfig:
@@ -266,6 +287,21 @@ class TestCli:
         lines = open(eig).read().strip().splitlines()
         assert lines[0] == "sweep_value,re1_hz,im1_hz,re2_hz,im2_hz"
         assert len(lines) == 12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sweep", "field", "--values", "0.15:0.16:3"],
+            ["--sweep", "detuning", "--values=-5MHz:5MHz:3", *TWO_MODE],
+            ["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
+             *TWO_MODE[:-2]],
+        ],
+        ids=["field-without-config", "detuning-without-grid", "detuning-without-gamma"],
+    )
+    def test_map_missing_arguments_exit_2(self, tmp_path, argv):
+        out, eig = tmp_path / "map.csv", tmp_path / "eig.csv"
+        assert main(["map", *argv, "--output", str(out), "--eigen-output", str(eig)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_anisotropy_output(self, tmp_path):
         out = str(tmp_path / "angles.csv")

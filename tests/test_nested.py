@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsesim.core import ModelError, Waveguide
+from gsesim.core import FrequencyGrid, ModelError, Waveguide
 from gsesim.nested import (
     FitFormParams,
     NestedParams,
@@ -112,6 +112,19 @@ class TestMatrixTransmission:
         # differencing two ~4.35 GHz doubles leaves ~1e-6 Hz of rounding
         assert plus[0].real - minus[0].real == pytest.approx(2 * shift, abs=1e-5)
         assert plus[0].imag == minus[0].imag
+
+    @pytest.mark.parametrize("phase_ref", ["resonance", "probe"])
+    def test_pole_on_grid_raises(self, phase_ref):
+        # kappa = beta = 0 on both ensembles puts both poles on the real
+        # axis at f_res, and the grid's middle point is exactly f_res
+        wg = Waveguide(SPEED)
+        inner = SingleGseParams(0.0, 0.0, L_INNER, 4.35e9, wg)
+        outer = SingleGseParams(0.0, 0.0, L_OUTER, 4.35e9, wg)
+        p = NestedParams.from_geometry(inner, outer)
+        grid = FrequencyGrid(4.34e9, 4.36e9, 3)
+        assert grid.frequencies[1] == 4.35e9
+        with pytest.raises(ModelError, match="singular"):
+            s21_nested_matrix(p, grid, phase_ref=phase_ref)
 
     def test_geometry_invariants(self):
         wg = Waveguide(SPEED)
