@@ -20,7 +20,7 @@ import numpy as np
 from . import io as gio
 from .anisotropy import AnisotropyParams, angle_sweep
 from .core import FrequencyGrid, ModelError, Spectrum
-from .fitting import FitProblem, MODELS, fit, fit_global_geometry
+from .fitting import FitProblem, MODELS, ParameterNameError, fit, fit_global_geometry
 from .io import ConfigError, DataFormatError
 from .lambpv import pv_closed, pv_quadrature
 from .multipoint import s_matrix
@@ -80,7 +80,11 @@ def _grid_from_arg(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must be f_start:f_stop:n_points")
-    return FrequencyGrid(parse_frequency(parts[0]), parse_frequency(parts[1]), int(parts[2]))
+    f_start, f_stop = parse_frequency(parts[0]), parse_frequency(parts[1])
+    try:
+        return FrequencyGrid(f_start, f_stop, int(parts[2]))
+    except (ValueError, ModelError) as exc:
+        raise ConfigError(f"grid {text!r}: {exc}") from None
 
 
 def _single_from_topology(waveguide, topology):
@@ -415,7 +419,7 @@ def main(argv=None):
     try:
         args.run(args)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ParameterNameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
     except ModelError as exc:

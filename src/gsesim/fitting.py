@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import optimize
 
 from .core import ModelError, TWO_PI
 from .nested import FitFormParams, s21_fitform_values
@@ -26,6 +25,10 @@ class FitError(ModelError):
 
 class DegeneracyWarning(UserWarning):
     """The datasets cannot separate the requested parameters."""
+
+
+class ParameterNameError(ModelError):
+    """The free and fixed parameters do not name exactly a model's parameters."""
 
 
 def single_model(f, q):
@@ -62,6 +65,25 @@ MODELS = {
     "single_giant": single_giant_model,
     "nested_fitform": nested_fitform_model,
 }
+
+# the names each model reads; free and fixed together must give exactly these
+MODEL_PARAMS = {
+    "single": ("f_res", "kappa", "beta", "length", "speed"),
+    "single_giant": ("f_res", "kappa_g", "beta"),
+    "nested_fitform": tuple(f.name for f in fields(FitFormParams)),
+}
+# the geometry fit takes f_res from each dataset
+GEOMETRY_PARAMS = MODEL_PARAMS["single"][1:]
+
+
+def _check_names(expected, free, fixed):
+    given = set(free) | set(fixed)
+    missing = [n for n in expected if n not in given]
+    unknown = sorted(given.difference(expected))
+    if missing or unknown:
+        raise ParameterNameError(
+            f"parameters missing {missing}, unknown {unknown}; expected {list(expected)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,6 +122,7 @@ class FitProblem:
         for name, (guess, lo, hi) in self.free.items():
             if not (lo <= guess <= hi):
                 raise ModelError(f"initial guess for {name!r} outside bounds")
+        _check_names(MODEL_PARAMS[self.model], self.free, self.fixed)
 
     def evaluate(self, values):
         q = dict(self.fixed)
@@ -168,6 +191,8 @@ def fit(problem, max_nfev=20000):
     Returns a FitResult; raises FitError when the optimizer stops without
     meeting a tolerance, including when it runs out of evaluations.
     """
+    from scipy import optimize  # deferred: only fits pay the scipy import
+
     names = list(problem.free)
     x0 = np.array([problem.free[n][0] for n in names], dtype=float)
     lo = np.array([problem.free[n][1] for n in names], dtype=float)
@@ -225,9 +250,12 @@ def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
     issued when the resonances span less than one interference period of
     the initial guess.
     """
+    from scipy import optimize
+
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")
     fixed = dict(fixed or {})
+    _check_names(GEOMETRY_PARAMS, free, fixed)
     names = list(free)
     f_res_values = np.array([d[0] for d in datasets], dtype=float)
     if np.ptp(f_res_values) == 0:
@@ -296,6 +324,8 @@ def avoided_crossing_splitting(sweep_values, freqs, mag):
     mag is the (n_sweep, n_freq) magnitude matrix; sweep_values are
     detunings in Hz.
     """
+    from scipy import optimize
+
     sweep_values = np.asarray(sweep_values, dtype=float)
     lo, hi, dets = [], [], []
     for d, column in zip(sweep_values, mag):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import ModelError
 
@@ -179,6 +178,8 @@ def _regularized_integrals(x, branch, alpha):
     # I(alpha) = int_0^inf w*trig(w*x)*exp(-alpha*w)/(w +- 1) dw; the pole
     # of the '-' branch is taken as a Cauchy principal value on [0, 2] and
     # the oscillatory tail uses Fourier-weight quadrature
+    from scipy import integrate  # deferred: only the quadrature oracle needs scipy
+
     if branch == "+":
         env = lambda w: w * math.exp(-alpha * w) / (w + 1.0)
         a = integrate.quad(env, 0, np.inf, weight="cos", wvar=x, limit=400)[0]

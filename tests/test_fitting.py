@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from gsesim import fitting
 from gsesim.core import Waveguide
 from gsesim.fitting import (
     DegeneracyWarning,
     FitError,
     FitProblem,
+    ParameterNameError,
     avoided_crossing_splitting,
     dip_positions,
     extract_decay_curve,
@@ -149,6 +150,21 @@ class TestProblemValidation:
             FitProblem(f, np.ones(100, dtype=complex), "single_giant",
                        free={"kappa_g": (1e6, 2e6, 1e8)})
 
+    @pytest.mark.parametrize(
+        "free, fixed, message",
+        [
+            ({"f_res": (4.35e9, 4.3e9, 4.4e9)}, {},
+             r"missing \['kappa_g', 'beta'\], unknown \[\]; expected"),
+            ({"foo": (1.0, 0.0, 2.0)}, {"f_res": 4.35e9, "beta": 1e6},
+             r"missing \['kappa_g'\], unknown \['foo'\]"),
+        ],
+        ids=["missing", "missing-and-unknown"],
+    )
+    def test_parameter_names_must_match_the_model(self, free, fixed, message):
+        f = np.linspace(4.3e9, 4.4e9, 100)
+        with pytest.raises(ParameterNameError, match=message):
+            FitProblem(f, np.ones(100, dtype=complex), "single_giant", free=free, fixed=fixed)
+
     def test_magnitude_only_and_db(self):
         q = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.0 * MHZ}
         f = 4.35e9 + np.linspace(-20, 20, 801) * MHZ
@@ -183,7 +199,7 @@ class TestConvergence:
     def test_optimizer_stop_raises(self, monkeypatch):
         # status 0: trf ran out of evaluations without meeting a tolerance
         stopped = types.SimpleNamespace(status=0, message="max_nfev reached")
-        monkeypatch.setattr(fitting.optimize, "least_squares", lambda *a, **k: stopped)
+        monkeypatch.setattr(scipy.optimize, "least_squares", lambda *a, **k: stopped)
         # unit-scale data on which an unbounded Nelder-Mead would converge
         f = np.linspace(-20.0, 20.0, 201)
         truth = {"f_res": 0.0, "kappa_g": 1.0, "beta": 1.0}
@@ -256,6 +272,17 @@ class TestGeometryFit:
         same = [(ds[0][0], f, d) for _, f, d in ds[:3]]
         with pytest.raises(FitError):
             fit_global_geometry(same, free=self.FREE_TRUE)
+
+    @pytest.mark.parametrize(
+        "drop, extra, message",
+        [("speed", {}, r"missing \['speed'\]"),
+         (None, {"f_res": 4.35e9}, r"missing \[\], unknown \['f_res'\]")],
+        ids=["missing-speed", "f_res-fixed"],
+    )
+    def test_parameter_names_must_match_the_model(self, drop, extra, message):
+        free = {n: v for n, v in self.FREE_TRUE.items() if n != drop}
+        with pytest.raises(ParameterNameError, match=message):
+            fit_global_geometry(self.datasets(), free=free, fixed=extra)
 
     def test_narrow_span_warns(self):
         ds = []

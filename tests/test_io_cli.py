@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gsesim
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, Spectrum
 from gsesim.io import (
@@ -295,13 +298,39 @@ class TestCli:
             ["--sweep", "detuning", "--values=-5MHz:5MHz:3", *TWO_MODE],
             ["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
              *TWO_MODE[:-2]],
+            ["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:abc",
+             *TWO_MODE],
+            ["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.36GHz:4.34GHz:11",
+             *TWO_MODE],
         ],
-        ids=["field-without-config", "detuning-without-grid", "detuning-without-gamma"],
+        ids=["field-without-config", "detuning-without-grid", "detuning-without-gamma",
+             "grid-count-not-integer", "grid-reversed"],
     )
     def test_map_missing_arguments_exit_2(self, tmp_path, argv):
         out, eig = tmp_path / "map.csv", tmp_path / "eig.csv"
         assert main(["map", *argv, "--output", str(out), "--eigen-output", str(eig)]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "{d}", "--model", "single_giant", "--free", "f_res=4.35e9"],
+            ["fit", "--data", "{d}", "--model", "single_giant", "--free", "f_res=4.35e9",
+             "--free", "kappa_g=1e6", "--free", "beta=1e6", "--free", "foo=1"],
+            ["fit-geometry", "--dataset", "4.2GHz={d}", "--dataset", "4.3GHz={d}",
+             "--dataset", "4.4GHz={d}", "--free", "kappa=7.6e5:0:1e8",
+             "--free", "beta=1.6e6:0:1e8", "--free", "length=0.083:0.01:0.5"],
+        ],
+        ids=["fit-missing", "fit-unknown", "fit-geometry-without-speed"],
+    )
+    def test_fit_parameter_names_exit_2(self, tmp_path, argv, capsys):
+        data = tmp_path / "data.csv"
+        write_spectrum_csv(str(data), Spectrum(FrequencyGrid(4.3e9, 4.4e9, 64), np.ones(64)))
+        report = tmp_path / "fit.json"
+        argv = [a.format(d=data) for a in argv] + ["--output", str(report)]
+        assert main(argv) == 2
+        assert "config error: parameters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
     def test_anisotropy_output(self, tmp_path):
         out = str(tmp_path / "angles.csv")
@@ -320,3 +349,32 @@ class TestCli:
         body = np.genfromtxt(out, delimiter=",", names=True)
         assert body["abs_err_a"].max() <= 1e-6
         assert body["abs_err_b"].max() <= 1e-6
+
+
+def _fresh_python(*args):
+    src = os.path.dirname(os.path.dirname(gsesim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        proc = _fresh_python("-c", (
+            "import gsesim.cli, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_pv_check_threads_import_scipy_in_pool(self, tmp_path):
+        # in a fresh process the first scipy.integrate import runs inside
+        # the pool threads; the bytes must not depend on the worker count
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"pv{threads}.csv"
+            proc = _fresh_python("-m", "gsesim.cli", "pv-check", "--x", "0.5:20:12",
+                                 "--branch", "-", "--threads", threads, "--output", str(out))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
