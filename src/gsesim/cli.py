@@ -2,9 +2,9 @@
 
 The only module with side effects. Every run emits its data files plus a
 manifest JSON recording the resolved inputs and sha256 checksums of the
-outputs; identical inputs and seed produce identical bytes regardless of
-the pv-check worker count. Exit codes: 0 success, 2 configuration error,
-3 numeric failure, 4 I/O error.
+outputs; identical inputs and seed produce identical bytes. Every command
+runs on one thread. Exit codes: 0 success, 2 configuration error, 3 numeric
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,7 +123,7 @@ def _nested_from_topology(waveguide, topology):
 def _fitform_from_args(args):
     return FitFormParams(
         parse_frequency(args.f_i),
-        parse_frequency(args.f_o if args.f_o else args.f_i),
+        parse_frequency(args.f_i),  # the sweep sets f_o
         parse_frequency(args.kappa_i_g),
         parse_frequency(args.kappa_o_g),
         parse_frequency(args.beta_i),
@@ -238,7 +237,10 @@ def _cmd_fit(args):
     )
     result = fit(problem)
     gio.write_fit_report(args.output, result)
-    return _emit(args, [args.output], {"command": "fit", "model": args.model, "data": args.data})
+    return _emit(args, [args.output], {
+        "command": "fit", "model": args.model, "data": args.data,
+        "free": args.free, "fixed": args.fixed, "db": args.db,
+    })
 
 
 def _cmd_fit_geometry(args):
@@ -253,7 +255,9 @@ def _cmd_fit_geometry(args):
         datasets.append((parse_frequency(f_res_text), freqs, data))
     result = fit_global_geometry(datasets, free=_parse_free(args.free), fixed=_parse_fixed(args.fixed))
     gio.write_fit_report(args.output, result)
-    return _emit(args, [args.output], {"command": "fit-geometry", "datasets": args.dataset})
+    return _emit(args, [args.output], {
+        "command": "fit-geometry", "datasets": args.dataset, "free": args.free, "fixed": args.fixed,
+    })
 
 
 def _cmd_anisotropy(args):
@@ -269,20 +273,14 @@ def _cmd_anisotropy(args):
 
 
 def _cmd_pv_check(args):
-    xs = parse_range(args.x)
-
-    def row(x):
+    rows = []
+    for x in parse_range(args.x):
         closed = pv_closed(x, args.branch)
         quad = pv_quadrature(x, args.branch)
-        return (
+        rows.append((
             x, closed.a_value, quad.a_value, closed.b_value, quad.b_value,
             abs(closed.a_value - quad.a_value), abs(closed.b_value - quad.b_value),
-        )
-
-    threads = args.threads if args.threads > 0 else os.cpu_count()
-    # pool.map keeps input order, so the bytes do not depend on the worker count
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(row, xs))
+        ))
     gio.write_pv_csv(args.output, rows)
     worst = max(max(r[5], r[6]) for r in rows)
     print(f"pv-check: {len(rows)} points, branch {args.branch!r}, worst |closed - quad| = {worst:.3e}")
@@ -344,7 +342,6 @@ def build_parser():
     p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
     # two-mode parameters for the detuning sweep, frequencies with unit suffix
     p.add_argument("--f-i", help="inner-mode frequency")
-    p.add_argument("--f-o", default=None, help="outer-mode frequency (default: --f-i)")
     p.add_argument("--kappa-i-g", help="inner radiative rate")
     p.add_argument("--kappa-o-g", help="outer radiative rate")
     p.add_argument("--beta-i", help="inner intrinsic rate")
@@ -388,7 +385,7 @@ def build_parser():
     p.add_argument("--branch", choices=("+", "-"), default="-")
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", default=1, type=int, help="worker count, 0 = one per CPU")
+    p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(run=_cmd_pv_check)
 
     p = sub.add_parser("synth", help="synthetic noisy spectrum for fit round-trips")

@@ -84,6 +84,9 @@ def _check_names(expected, free, fixed):
         raise ParameterNameError(
             f"parameters missing {missing}, unknown {unknown}; expected {list(expected)}"
         )
+    both = sorted(set(free) & set(fixed))
+    if both:
+        raise ParameterNameError(f"parameters {both} are given both free and fixed")
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def _sigma_from_jacobian(jac, residual, n_free, names):
         warnings.warn(
             f"singular Jacobian: parameters {culprits} are unidentifiable",
             DegeneracyWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     inv_sv = np.where(bad_sv, 0.0, 1.0 / np.where(bad_sv, 1.0, sv))
     cov = (vt.T * inv_sv**2) @ vt * s2
@@ -185,26 +188,21 @@ def _sigma_from_jacobian(jac, residual, n_free, names):
     }
 
 
-def fit(problem, max_nfev=20000):
-    """Local bounded least-squares fit (trust-region reflective).
+def _least_squares(fun, free, tol, max_nfev):
+    """Minimize the residuals fun(x) over free: name -> (guess, lower, upper).
 
-    Returns a FitResult; raises FitError when the optimizer stops without
-    meeting a tolerance, including when it runs out of evaluations.
+    The convergence policy of fit and fit_global_geometry lives here.
     """
     from scipy import optimize  # deferred: only fits pay the scipy import
 
-    names = list(problem.free)
-    x0 = np.array([problem.free[n][0] for n in names], dtype=float)
-    lo = np.array([problem.free[n][1] for n in names], dtype=float)
-    hi = np.array([problem.free[n][2] for n in names], dtype=float)
-    fun = _residuals(problem, names)
+    names = list(free)
+    x0, lo, hi = (np.array([free[n][k] for n in names], dtype=float) for k in range(3))
     if not np.all(np.isfinite(fun(x0))):
         raise FitError("model is not finite at the initial guess")
-
-    scale = np.where(np.abs(x0) > 0, np.abs(x0), 1.0)
     res = optimize.least_squares(
-        fun, x0, bounds=(lo, hi), method="trf", x_scale=scale, max_nfev=max_nfev,
-        xtol=1e-14, ftol=1e-14, gtol=1e-14,
+        fun, x0, bounds=(lo, hi), method="trf",
+        x_scale=np.where(np.abs(x0) > 0, np.abs(x0), 1.0),
+        max_nfev=max_nfev, xtol=tol, ftol=tol, gtol=tol,
     )
     if res.status <= 0:
         raise FitError(f"fit did not converge: {res.message}")
@@ -213,6 +211,15 @@ def fit(problem, max_nfev=20000):
         dict(zip(names, res.x)), sigmas, float(np.linalg.norm(res.fun)),
         int(res.nfev), bool(res.success),
     )
+
+
+def fit(problem, max_nfev=20000):
+    """Local bounded least-squares fit (trust-region reflective).
+
+    Returns a FitResult; raises FitError when the optimizer stops without
+    meeting a tolerance, including when it runs out of evaluations.
+    """
+    return _least_squares(_residuals(problem, list(problem.free)), problem.free, 1e-14, max_nfev)
 
 
 def initial_guess_single(freqs, magnitude, kappa_over_total=0.5):
@@ -250,8 +257,6 @@ def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
     issued when the resonances span less than one interference period of
     the initial guess.
     """
-    from scipy import optimize
-
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")
     fixed = dict(fixed or {})
@@ -284,21 +289,7 @@ def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
             parts.append(r.imag)
         return np.concatenate(parts)
 
-    x0 = np.array([free[n][0] for n in names], dtype=float)
-    lo = np.array([free[n][1] for n in names], dtype=float)
-    hi = np.array([free[n][2] for n in names], dtype=float)
-    res = optimize.least_squares(
-        fun, x0, bounds=(lo, hi), method="trf",
-        x_scale=np.where(np.abs(x0) > 0, np.abs(x0), 1.0),
-        max_nfev=max_nfev, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    if res.status <= 0:
-        raise FitError(f"geometry fit did not converge: {res.message}")
-    sigmas = _sigma_from_jacobian(res.jac, res.fun, len(names), names)
-    return FitResult(
-        dict(zip(names, res.x)), sigmas, float(np.linalg.norm(res.fun)),
-        int(res.nfev), bool(res.success),
-    )
+    return _least_squares(fun, free, 1e-15, max_nfev)
 
 
 def dip_positions(freqs, magnitude, max_dips=2):

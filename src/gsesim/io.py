@@ -8,12 +8,11 @@ a JSON-pointer path to the bad key.
 
 from __future__ import annotations
 
-import array
-import csv
 import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -65,6 +64,41 @@ def write_spectrum_csv(path, spectrum):
     )
 
 
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+
+
+def _read_table(path, pick):
+    """Parse a CSV table into an (n_rows, k) array of doubles.
+
+    pick maps the header's stripped, unquoted, lower-cased names to the k
+    column indices to read. Blank lines are skipped; a bad row raises
+    DataFormatError with its line number.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise DataFormatError(f"{path}: empty file")
+        usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported by the caller, not as a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(fh, usecols=usecols, **_LOADTXT)
+        except ValueError as exc:
+            error = exc
+    # error path only: loadtxt's row numbers skip blank lines and start at
+    # 0 or 1 by error kind, so parse line by line to find the bad one
+    with open(path) as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if line != "\n":
+                try:
+                    np.loadtxt([line], usecols=usecols, **_LOADTXT)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+    raise DataFormatError(f"{path}: malformed table ({error})")
+
+
 def read_spectrum_csv(path):
     """Parse a spectrum file; returns (freqs, data, magnitude_only).
 
@@ -72,44 +106,24 @@ def read_spectrum_csv(path):
     column (s21_mag). Rejects missing headers, malformed rows (with line
     numbers), and unsorted or duplicate frequencies.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
+    def pick(cols):
         if "frequency_hz" not in cols:
             raise DataFormatError(f"{path}: missing header with a frequency_hz column")
-        i_f = cols.index("frequency_hz")
-        complex_pair = "s21_re" in cols and "s21_im" in cols
-        if complex_pair:
-            i_re, i_im = cols.index("s21_re"), cols.index("s21_im")
-        elif "s21_mag" in cols:
-            i_mag = cols.index("s21_mag")
-        else:
-            raise DataFormatError(
-                f"{path}: need either s21_re/s21_im or s21_mag columns"
-            )
-        freqs, data = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                freqs.append(float(row[i_f]))
-                if complex_pair:
-                    data.append(complex(float(row[i_re]), float(row[i_im])))
-                else:
-                    data.append(float(row[i_mag]))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-    freqs = np.asarray(freqs, dtype=float)
+        for names in (("frequency_hz", "s21_re", "s21_im"), ("frequency_hz", "s21_mag")):
+            if set(names) <= set(cols):
+                return [cols.index(c) for c in names]
+        raise DataFormatError(f"{path}: need either s21_re/s21_im or s21_mag columns")
+
+    table = _read_table(path, pick)
+    freqs = table[:, 0].copy()
     if freqs.size < 2:
         raise DataFormatError(f"{path}: need at least 2 data rows")
-    if np.any(np.diff(freqs) <= 0):
+    if np.any(freqs[1:] <= freqs[:-1]):
         raise DataFormatError(f"{path}: frequencies must be strictly increasing")
-    dtype = complex if complex_pair else float
-    return freqs, np.asarray(data, dtype=dtype), not complex_pair
+    if table.shape[1] == 2:
+        return freqs, table[:, 1].copy(), True
+    # a view keeps -0.0 real parts and infinite imaginary parts, re + 1j*im does not
+    return freqs, np.ascontiguousarray(table[:, 1:]).view(complex).ravel(), False
 
 
 def write_map_csv(path, columns):
@@ -124,23 +138,12 @@ def read_map_csv(path):
     Cells the file does not list read as NaN. An empty file, a short row or
     a non-numeric cell raises DataFormatError with the line number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        if [c.strip().lower() for c in header[:3]] != ["sweep_value", "frequency_hz", "s21_mag"]:
-            raise DataFormatError(f"{path}:1: unexpected map header {header!r}")
-        # 8 bytes a cell, where a list would hold one float object per cell
-        cells = array.array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                cells.extend((float(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed row ({exc})") from None
-    table = np.frombuffer(cells, dtype=float).reshape(-1, 3)
+    def pick(cols):
+        if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
+            raise DataFormatError(f"{path}:1: unexpected map header {cols!r}")
+        return [0, 1, 2]
+
+    table = _read_table(path, pick)
     sweep, si = np.unique(table[:, 0], return_inverse=True)
     freqs, fi = np.unique(table[:, 1], return_inverse=True)
     mag = np.full((sweep.size, freqs.size), np.nan)

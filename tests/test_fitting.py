@@ -157,8 +157,11 @@ class TestProblemValidation:
              r"missing \['kappa_g', 'beta'\], unknown \[\]; expected"),
             ({"foo": (1.0, 0.0, 2.0)}, {"f_res": 4.35e9, "beta": 1e6},
              r"missing \['kappa_g'\], unknown \['foo'\]"),
+            ({"f_res": (4.35e9, 4.3e9, 4.4e9), "kappa_g": (1.2e6, 0.0, 1e8),
+              "beta": (0.9e6, 0.0, 1e8)}, {"kappa_g": 5e6},
+             r"\['kappa_g'\] are given both free and fixed"),
         ],
-        ids=["missing", "missing-and-unknown"],
+        ids=["missing", "missing-and-unknown", "free-and-fixed"],
     )
     def test_parameter_names_must_match_the_model(self, free, fixed, message):
         f = np.linspace(4.3e9, 4.4e9, 100)
@@ -276,8 +279,10 @@ class TestGeometryFit:
     @pytest.mark.parametrize(
         "drop, extra, message",
         [("speed", {}, r"missing \['speed'\]"),
-         (None, {"f_res": 4.35e9}, r"missing \[\], unknown \['f_res'\]")],
-        ids=["missing-speed", "f_res-fixed"],
+         (None, {"f_res": 4.35e9}, r"missing \[\], unknown \['f_res'\]"),
+         (None, {"kappa": 7.6e5, "speed": SPEED},
+          r"\['kappa', 'speed'\] are given both free and fixed")],
+        ids=["missing-speed", "f_res-fixed", "free-and-fixed"],
     )
     def test_parameter_names_must_match_the_model(self, drop, extra, message):
         free = {n: v for n, v in self.FREE_TRUE.items() if n != drop}

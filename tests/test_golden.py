@@ -1,9 +1,12 @@
 """Golden sha256 values of CLI outputs and manifests.
 
-Each run below exercises one CSV writer. The digests were recorded from
-the row-by-row csv.writer implementation; any change to the bytes a
-command emits, including its manifest, fails here. Runs use relative
-paths, because manifests record the paths they were given.
+Each run below exercises one CSV writer, and the fit reads synth.csv
+back through the spectrum reader. The CSV digests were recorded from the
+row-by-row csv.writer implementation and fit.json from the row-by-row
+csv.reader one; fit.json.manifest.json was recorded once the fit manifest
+recorded --free, --fixed and --db. Any change to the bytes a command
+emits, including its manifest, fails here. Runs use relative paths,
+because manifests record the paths they were given.
 """
 
 import hashlib
@@ -41,12 +44,16 @@ RUNS = [
     ["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "0deg:180deg:13",
      "--which", "full", "--output", "anisotropy.csv"],
     ["pv-check", "--x", "0.5:20:5", "--branch", "+", "--output", "pv.csv"],
+    ["fit", "--data", "synth.csv", "--model", "single_giant", "--free", "f_res=4.3309e9:4.32e9:4.34e9",
+     "--free", "kappa_g=2e6:0:2e7", "--free", "beta=2e6:0:2e7", "--output", "fit.json"],
 ]
 
 GOLDEN = {
     "anisotropy.csv": "8f4e3dbbf20399bcf7b43a73f7e1b80d28a22eadb13200cde92765bf76aa1699",
     "anisotropy.csv.manifest.json": "3280570569440d895e1d6c8e91d066826c76c9f751b8ce6e59e2dd44806a17d1",
     "eigen.csv": "0694b66e06277d7d8348b2e3aec7a84ed14d4e51b049f72eb11aa50fdb296f50",
+    "fit.json": "55e54e52798e5535d91454ed62e877d6f78d6cf0dd125b806d472d67516c13c4",
+    "fit.json.manifest.json": "8d1b73dbd37bf8183b54c8d46ec7193f5d7ab8beeb2912f0dcc74e328e7af008",
     "map_detuning.csv": "1b55abdb3ec40dc61db128a74a58909564e68587438e3f227a627c5626cf1cf6",
     "map_detuning.csv.manifest.json": "04facf7b1fa789b19ca71f227a6a93c4aff232d97f6d576bda68600b1cae676b",
     "map_field.csv": "8165f9f1a85eb9b98ab00d0a35cef223625b656e12f855c6c48bcbdf6a0c8281",

@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gsesim
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
@@ -23,6 +26,16 @@ from gsesim.io import (
     write_spectrum_csv,
 )
 from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE
+
+# any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGE = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1.7976931348623157e308, -3.0] * 3
+
+
+def same_doubles(a, b):
+    """Bitwise equality, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6):
@@ -99,6 +112,50 @@ class TestSpectrumCsv:
         with pytest.raises(DataFormatError):
             read_spectrum_csv(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(freqs=st.lists(FINITE, min_size=2, max_size=12, unique=True).map(sorted),
+           cells=st.lists(FINITE, min_size=24, max_size=24))
+    @example(freqs=[-1.7976931348623157e308, -1e-300, -2.5e-310, -0.0, 5e-324, 1e300],
+             cells=EDGE)
+    def test_round_trip_any_finite_double(self, tmp_path_factory, freqs, cells):
+        n = len(freqs)
+        s21 = np.empty(n, dtype=complex)
+        s21.real, s21.imag = cells[:n], cells[n:2 * n]
+        path = tmp_path_factory.mktemp("spectrum") / "s.csv"
+        with np.errstate(over="ignore"):  # |s21| of the largest doubles is inf
+            write_spectrum_csv(path, SimpleNamespace(frequencies=np.array(freqs), s21=s21))
+        got_freqs, data, magnitude_only = read_spectrum_csv(path)
+        assert not magnitude_only
+        assert same_doubles(got_freqs, freqs)
+        assert same_doubles(data.real, cells[:n]) and same_doubles(data.imag, cells[n:2 * n])
+
+    def test_quoted_cells_parse_as_before(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('"frequency_hz","s21_re","s21_im"\r\n'
+                        '"1000000000.0","0.5",-0.25\r\n1000001000.0,"-0.0"," 1e-310"\r\n')
+        freqs, data, magnitude_only = read_spectrum_csv(path)
+        assert not magnitude_only
+        assert same_doubles(freqs, [1e9, 1.000001e9])
+        assert same_doubles(data.real, [0.5, -0.0]) and same_doubles(data.imag, [-0.25, 1e-310])
+
+    @pytest.mark.parametrize("row", ["1000002000.0,oops", "1000002000.0"],
+                             ids=["non-numeric", "short-row"])
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "frequency_hz,s21_mag\n1000000000.0,0.9\n\n1000001000.0,0.8\n\n" + row + "\n"
+        )
+        with pytest.raises(DataFormatError, match=":6: "):
+            read_spectrum_csv(path)
+
+    def test_header_only_file_raises_without_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("frequency_hz,s21_re,s21_im,s21_mag,s21_db\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="at least 2 data rows"):
+                read_spectrum_csv(path)
+
     def test_map_round_trip(self, tmp_path):
         grid = FrequencyGrid(4.3e9, 4.4e9, 11)
         cols = [
@@ -111,6 +168,25 @@ class TestSpectrumCsv:
         assert sweep.tolist() == [0.0, 1.0, 2.0]
         assert mag.shape == (3, 11)
         assert mag[2, 0] == abs(0.5 + 0.2j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep=st.lists(FINITE, min_size=1, max_size=4, unique=True),
+           freqs=st.lists(FINITE, min_size=1, max_size=6, unique=True),
+           cells=st.lists(FINITE, min_size=24, max_size=24))
+    @example(sweep=[1e300, -0.0, -5e-324], freqs=[1.7976931348623157e308, -2.5e-310, 0.0, -1e-300],
+             cells=EDGE)
+    def test_map_round_trip_any_finite_double(self, tmp_path_factory, sweep, freqs, cells):
+        mags = np.array(cells[:len(sweep) * len(freqs)]).reshape(len(sweep), len(freqs))
+        columns = [(v, SimpleNamespace(frequencies=np.array(freqs), magnitude=m))
+                   for v, m in zip(sweep, mags)]
+        path = tmp_path_factory.mktemp("map") / "map.csv"
+        with np.errstate(invalid="ignore"):  # the dB of a negative cell is nan
+            write_map_csv(path, columns)
+        got_sweep, got_freqs, got_mag = read_map_csv(path)
+        i, j = np.argsort(sweep), np.argsort(freqs)
+        assert same_doubles(got_sweep, np.array(sweep)[i])
+        assert same_doubles(got_freqs, np.array(freqs)[j])
+        assert same_doubles(got_mag, mags[i][:, j])
 
     @pytest.mark.parametrize(
         "text, where",
@@ -320,8 +396,11 @@ class TestCli:
             ["fit-geometry", "--dataset", "4.2GHz={d}", "--dataset", "4.3GHz={d}",
              "--dataset", "4.4GHz={d}", "--free", "kappa=7.6e5:0:1e8",
              "--free", "beta=1.6e6:0:1e8", "--free", "length=0.083:0.01:0.5"],
+            ["fit", "--data", "{d}", "--model", "single_giant",
+             "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1.2e6:0:1e8",
+             "--free", "beta=0.9e6:0:1e8", "--fixed", "kappa_g=5e6"],
         ],
-        ids=["fit-missing", "fit-unknown", "fit-geometry-without-speed"],
+        ids=["fit-missing", "fit-unknown", "fit-geometry-without-speed", "fit-free-and-fixed"],
     )
     def test_fit_parameter_names_exit_2(self, tmp_path, argv, capsys):
         data = tmp_path / "data.csv"
@@ -331,6 +410,31 @@ class TestCli:
         assert main(argv) == 2
         assert "config error: parameters" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
+
+    def test_fit_manifests_record_inputs(self, tmp_path):
+        datasets = []
+        for k, f_res in enumerate((4.0e9, 4.4e9, 4.8e9)):
+            data = str(tmp_path / f"d{k}.csv")
+            assert main(["synth", "--config", make_config(tmp_path, f_res=f_res),
+                         "--output", data]) == 0
+            datasets.append(f"{f_res:.1f}Hz={data}")
+        free = ["kappa_g=2e6:0:2e7", "beta=2e6:0:2e7"]
+        fixed = ["f_res=4.0e9"]
+        report = str(tmp_path / "fit.json")
+        assert main(["fit", "--data", datasets[0].partition("=")[2], "--model", "single_giant",
+                     *(f"--free={v}" for v in free), *(f"--fixed={v}" for v in fixed),
+                     "--output", report]) == 0
+        config = json.loads(open(report + ".manifest.json").read())["config"]
+        assert config["free"] == free and config["fixed"] == fixed and config["db"] is False
+        free = [f"kappa={KAPPA_INNER!r}:0:1e8", f"beta={BETA_INNER!r}:0:1e8",
+                f"length={L_INNER!r}:0.01:0.5"]
+        fixed = [f"speed={SPEED!r}"]
+        report = str(tmp_path / "geometry.json")
+        assert main(["fit-geometry", *(f"--dataset={d}" for d in datasets),
+                     *(f"--free={v}" for v in free), *(f"--fixed={v}" for v in fixed),
+                     "--output", report]) == 0
+        config = json.loads(open(report + ".manifest.json").read())["config"]
+        assert config["free"] == free and config["fixed"] == fixed
 
     def test_anisotropy_output(self, tmp_path):
         out = str(tmp_path / "angles.csv")
@@ -368,8 +472,7 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
 
     def test_pv_check_threads_import_scipy_in_pool(self, tmp_path):
-        # in a fresh process the first scipy.integrate import runs inside
-        # the pool threads; the bytes must not depend on the worker count
+        # --threads is accepted and ignored; the bytes must not depend on it
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"pv{threads}.csv"
