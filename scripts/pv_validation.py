@@ -2,7 +2,7 @@
 """Validate the closed-form principal-value integrals against quadrature.
 
 Evaluates both self-energy integrals on both sign branches over a log-spaced
-argument grid, compares the closed forms with the adaptive PV quadrature
+argument grid, compares the closed forms with the contour quadrature
 oracle, and prints the worst absolute error per branch.
 
 Usage:

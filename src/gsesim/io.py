@@ -74,28 +74,31 @@ def _read_table(path, pick):
     column indices to read. Blank lines are skipped; a bad row raises
     DataFormatError with its line number.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DataFormatError(f"{path}: empty file")
-        usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported by the caller, not as a warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                return np.loadtxt(fh, usecols=usecols, **_LOADTXT)
-        except ValueError as exc:
-            error = exc
-    # error path only: loadtxt's row numbers skip blank lines and start at
-    # 0 or 1 by error kind, so parse line by line to find the bad one
-    with open(path) as fh:
-        next(fh)
-        for lineno, line in enumerate(fh, start=2):
-            if line != "\n":
-                try:
-                    np.loadtxt([line], usecols=usecols, **_LOADTXT)
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise DataFormatError(f"{path}: empty file")
+            usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported by the caller, not as a warning
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(fh, usecols=usecols, **_LOADTXT)
+            except ValueError as exc:
+                error = exc
+        # error path only: loadtxt's row numbers skip blank lines and start at
+        # 0 or 1 by error kind, so parse line by line to find the bad one
+        with open(path, encoding="utf-8") as fh:
+            next(fh)
+            for lineno, line in enumerate(fh, start=2):
+                if line != "\n":
+                    try:
+                        np.loadtxt([line], usecols=usecols, **_LOADTXT)
+                    except ValueError:
+                        raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raise DataFormatError(f"{path}: malformed table ({error})")
 
 
@@ -290,9 +293,9 @@ def parse_config(doc):
 
 def load_config(path):
     """Read and validate a JSON run configuration from disk."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return parse_config(doc)

@@ -4,7 +4,10 @@ Each run below exercises one CSV writer, and the fit reads synth.csv
 back through the spectrum reader. The CSV digests were recorded from the
 row-by-row csv.writer implementation and fit.json from the row-by-row
 csv.reader one; fit.json.manifest.json was recorded once the fit manifest
-recorded --free, --fixed and --db. Any change to the bytes a command
+recorded --free, --fixed and --db. pv.csv and its manifest were recorded
+once the quadrature oracle became the contour rule: its a_quad, b_quad and
+abs_err columns moved in their last digits, while the x, a_closed and
+b_closed columns stayed byte-identical. Any change to the bytes a command
 emits, including its manifest, fails here. Runs use relative paths,
 because manifests record the paths they were given.
 """
@@ -58,8 +61,8 @@ GOLDEN = {
     "map_detuning.csv.manifest.json": "04facf7b1fa789b19ca71f227a6a93c4aff232d97f6d576bda68600b1cae676b",
     "map_field.csv": "8165f9f1a85eb9b98ab00d0a35cef223625b656e12f855c6c48bcbdf6a0c8281",
     "map_field.csv.manifest.json": "c12341b5932ff23f1ff971f5327a1c04c2a76425dfd02662b0be983d0f44cfef",
-    "pv.csv": "57ea6c2170ad7138a81fc6ae0a2769ad25a3cc5bff96f52d83f5bba6bc7948a3",
-    "pv.csv.manifest.json": "098cae5568cba2ceea6a06836a7b22a2c92bf512e70a2aae66b3cb7a80933586",
+    "pv.csv": "cb3f8e0a9147aba8e368c44f59faf087bac7fec4ba61664de3d0453aaa93f809",
+    "pv.csv.manifest.json": "2deb75db98a8205e668cc56cf57f47bbe03eb5ac47a63f4039b506bea8970d07",
     "single.csv": "d91138ed0982bb397ba933b5bcb454ff3f45e9f2b473ea83433a3904278fe448",
     "single.csv.manifest.json": "0ac6475d6e7a7f05353a7bb9024ce6d0ed9606a014a825b2ffdd58f07244bc10",
     "synth.csv": "c95a17935c51e672e7ce4c509fa263d033f7ebf6680ac7b1b7e83fb07bd51c3c",

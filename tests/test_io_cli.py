@@ -447,6 +447,30 @@ class TestCli:
         assert rows[0] == "theta_rad,frequency_hz"
         assert len(rows) == 20
 
+    @pytest.mark.parametrize("bad_row", [1, 3000], ids=["in-first-block", "past-first-block"])
+    def test_non_utf8_data_file_exits_4(self, tmp_path, capsys, bad_row):
+        # a bad byte near the top fails the header read, one further down
+        # fails inside the parser
+        rows = [b"%d,0.5,0\r\n" % (4300000000 + k) for k in range(4000)]
+        rows[bad_row] = rows[bad_row].replace(b"0.5", b"0.\xff5")
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"frequency_hz,s21_re,s21_im\r\n" + b"".join(rows))
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data), "--model", "single_giant",
+                     "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1e6:0:1e8",
+                     "--free", "beta=1e6:0:1e8", "--output", str(report)]) == 4
+        assert f"i/o error: {data}: not UTF-8 text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        make_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes().replace(b'"inner"', b'"in\xffner"'))
+        out = tmp_path / "spec.csv"
+        assert main(["simulate-single", "--config", str(cfg), "--output", str(out)]) == 2
+        assert f"config error: {cfg}: invalid JSON" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_pv_check_rows_within_tolerance(self, tmp_path):
         out = str(tmp_path / "pv.csv")
         assert main(["pv-check", "--x", "0.5:50:20", "--branch", "-", "--output", out]) == 0
@@ -471,8 +495,19 @@ class TestColdStart:
         ))
         assert proc.returncode == 0, proc.stderr
 
-    def test_pv_check_threads_import_scipy_in_pool(self, tmp_path):
-        # --threads is accepted and ignored; the bytes must not depend on it
+    def test_pv_check_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "pv.csv"
+        proc = _fresh_python("-c", (
+            "import sys; from gsesim.cli import main; "
+            f"assert main(['pv-check', '--x', '0.5:50:40', '--output', {str(out)!r}]) == 0; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
+    def test_pv_check_threads_flag_is_ignored(self, tmp_path):
+        # --threads is accepted for compatibility and starts no threads; the
+        # bytes of a fresh process must not depend on it
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"pv{threads}.csv"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gsesim.multipoint as mp
 from gsesim.core import Emitter, FrequencyGrid, ModelError, Topology, Waveguide
@@ -71,20 +71,26 @@ def reference_s_matrix(t, grid, convention):
     return 1.0 - 1j * np.sum(u * gw, axis=-1), -1j * np.sum(np.conj(u) * gw, axis=-1), gw
 
 
+RATE = st.floats(1e5, 2e6)
+
+
 @st.composite
-def topologies(draw):
-    """Up to 6 emitters with up to 4 interleaved points each, up to 50 m from the origin."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def topologies(draw, sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+               beta=st.one_of(st.just(0.0), RATE)):
+    """Up to 6 emitters with up to 4 interleaved points each, up to 50 m from the origin.
+
+    sizes draws the number of points of each emitter and beta each intrinsic rate.
+    """
+    sizes = draw(sizes)
     gaps = draw(st.lists(st.floats(1e-3, 0.1), min_size=sum(sizes), max_size=sum(sizes)))
     positions = draw(st.floats(0.0, 50.0)) + np.cumsum(gaps)
     owner = np.array(draw(st.permutations([j for j, m in enumerate(sizes) for _ in range(m)])))
-    rate = st.floats(1e5, 2e6)
     emitters = [
         Emitter(
             f"e{j}",
             draw(st.floats(4.33e9, 4.37e9)),
-            draw(st.one_of(st.just(0.0), rate)),
-            tuple(draw(st.lists(rate, min_size=m, max_size=m))),
+            draw(beta),
+            tuple(draw(st.lists(RATE, min_size=m, max_size=m))),
             tuple(positions[owner == j]),
         )
         for j, m in enumerate(sizes)
@@ -334,6 +340,81 @@ class TestSMatrix:
             bound = 1e-12 + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1)
             assert np.all(np.abs(res.transmission.s21 - s21) < bound)
             assert np.all(np.abs(res.reflection - refl) < bound)
+
+
+def two_point(e, positions):
+    """Emitter e as a two-point ensemble at positions, both at e's first rate."""
+    return Emitter(e.name, e.f_res, e.beta, (e.kappa_points[0],) * 2, positions)
+
+
+@st.composite
+def nested_pairs(draw):
+    """Two emitters of topologies() as two-point ensembles, the shorter centred in the longer.
+
+    Each keeps its resonance, intrinsic rate, first point rate and length.
+    """
+    pair = draw(topologies(sizes=st.just([2, 2]))).emitters
+    inner, outer = sorted(pair, key=lambda e: e.positions[1] - e.positions[0])
+    l_i, l_o = (e.positions[1] - e.positions[0] for e in (inner, outer))
+    assume(l_o - l_i > 1e-4)
+    x0 = outer.positions[0]
+    return Topology((
+        two_point(outer, (x0, x0 + l_o)),
+        two_point(inner, (x0 + (l_o - l_i) / 2, x0 + (l_o + l_i) / 2)),
+    ))
+
+
+def two_point_params(e, waveguide):
+    """Closed-form parameters of a two-point emitter with equal rates."""
+    return SingleGseParams(e.kappa_points[0], e.beta, e.positions[1] - e.positions[0], e.f_res,
+                           waveguide)
+
+
+def quiet_s_matrix(t, grid, convention):
+    with warnings.catch_warnings():
+        # wide random layouts can sit outside the Markov regime; these
+        # properties are algebraic and must hold anyway
+        warnings.simplefilter("ignore", MarkovWarning)
+        return s_matrix(t, Waveguide(SPEED), grid, convention=convention)
+
+
+PROPERTY_GRID = FrequencyGrid(4.3e9, 4.4e9, 201)
+
+
+class TestPhysicsProperties:
+    """Invariants of the N-emitter engine over random topologies (N <= 6, M <= 4)."""
+
+    @given(t=topologies(beta=st.just(0.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_lossless_probe_is_unitary(self, t):
+        res = quiet_s_matrix(t, PROPERTY_GRID, "probe")
+        total = np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2
+        assert np.max(np.abs(total - 1.0)) < 1e-10
+
+    @given(t=topologies(beta=RATE))
+    @settings(max_examples=40, deadline=None)
+    def test_loss_is_passive(self, t):
+        # only under probe are the rates and the drive taken at one frequency;
+        # hypothesis finds layouts above 1 under resonance (by 7 %) and mixed
+        res = quiet_s_matrix(t, PROPERTY_GRID, "probe")
+        total = np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2
+        assert np.max(total) <= 1.0 + 1e-10
+
+    @given(t=topologies(sizes=st.just([2])).map(
+        lambda t: Topology((two_point(t.emitters[0], t.emitters[0].positions),))))
+    @settings(max_examples=40, deadline=None)
+    def test_one_emitter_reduces_to_single_closed_form(self, t):
+        engine = quiet_s_matrix(t, PROPERTY_GRID, "resonance").transmission.s21
+        closed = s21_single(two_point_params(t.emitters[0], Waveguide(SPEED)), PROPERTY_GRID).s21
+        assert np.max(np.abs(engine - closed)) < 1e-10
+
+    @given(t=nested_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_nested_pair_reduces_to_matrix_closed_form(self, t):
+        outer, inner = (two_point_params(e, Waveguide(SPEED)) for e in t.emitters)
+        engine = quiet_s_matrix(t, PROPERTY_GRID, "mixed").transmission.s21
+        closed = s21_nested_matrix(NestedParams.from_geometry(inner, outer), PROPERTY_GRID).s21
+        assert np.max(np.abs(engine - closed)) < 1e-10
 
 
 def _forbid_solve(*args):
