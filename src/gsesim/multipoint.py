@@ -163,9 +163,13 @@ class _Points:
         """Sum per-point values over each emitter's points (contraction with E)."""
         return np.add.reduceat(a, self.starts, axis=axis)
 
-    def drives(self, f, speed):
-        """drive_vector of every emitter; f is per point (P,) or a column (nf, 1)."""
-        theta = TWO_PI * (f * self.x) / speed
+    def drives(self, f, speed, origin=0.0):
+        """drive_vector of every emitter; f is per point (P,) or a column (nf, 1).
+
+        Positions are taken from origin, which multiplies every amplitude
+        by exp(i*2*pi*f*origin/v).
+        """
+        theta = TWO_PI * (f * (self.x - origin)) / speed
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 
 
@@ -326,7 +330,12 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     if convention == "resonance":
         hrel, u = _assemble(pts, v, 1, None)
     else:
-        u = pts.drives(f[:, None], v)
+        # one phase common to every drive cancels from S21 and enters the
+        # reflection twice: drives taken from the first point keep the
+        # phases between points exact however far the layout sits from 0,
+        # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
+        x0 = pts.x.min()
+        u = pts.drives(f[:, None], v, x0)
     w = np.conj(u)
 
     if convention == "probe":
@@ -344,4 +353,6 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             np.einsum("fii->fi", a)[...] += f[:, None] - pts.f_res
             result = _solve(a, u, w)
         s21, refl = result
+    if convention != "resonance":
+        refl = refl * np.exp(2j * (TWO_PI * (f * x0) / v))
     return SMatrixResult(Spectrum(grid, s21), refl)
