@@ -33,8 +33,11 @@ with an owner index:
   antisymmetric in (j, l) while J is symmetric, so J is the symmetric part
   of the first. One pass along the guide accumulates it, vectorized over
   frequency and emitters: O(P*N) per frequency instead of O(P^2) of
-  trigonometry. -J, Gamma + beta and the detuning go straight into one
-  nf x N x N buffer holding f - H, which one batched call solves.
+  trigonometry. -J, Gamma + beta and the detuning go straight into a
+  buffer holding f - H for one block of frequencies, which one batched
+  call solves before the next block is assembled. A block holds as many
+  frequencies as fit in _BLOCK_BYTES, so these buffers do not grow with
+  the grid; every frequency's arithmetic is independent of the blocking.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -44,7 +47,8 @@ with an owner index:
   the error at the level of the solve. Near an exceptional point
   r_k^T r_k -> 0 and the residues lose their accuracy; there, and whenever
   the eigenvectors are not mutually orthogonal in this sense (a
-  degenerate eigenvalue), it falls back to the batched solve.
+  degenerate eigenvalue), it falls back to the batched solve, in the same
+  blocks of frequencies.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ TWO_PI = 2.0 * math.pi
 # a basis that is not orthogonal under r^T r, and the expansion is wrong.
 _MIN_PAIRING = 1e-2
 _MAX_CROSS_PAIRING = 1e-10
+
+# Bytes of f - H held at once by the batched solve: a block holds
+# max(1, _BLOCK_BYTES // (16 * N^2)) frequencies. The probe assembly's own
+# temporaries per block are a fraction of this.
+_BLOCK_BYTES = 4 << 20
 
 
 class MarkovWarning(UserWarning):
@@ -216,14 +225,22 @@ def build_effective(t, waveguide, lamb_sign=1, at_f=None):
 
 @dataclass(frozen=True)
 class SMatrixResult:
-    """Transmission spectrum plus the co-computed reflection channel."""
+    """Transmission spectrum plus the co-computed reflection channel.
+
+    path:        "pole-residues" or "solve", the way (f - H)^-1 was applied
+    min_pairing: min_k |r_k^T r_k| over the unit eigenvectors of H under
+                 'resonance' and 'mixed' (below _MIN_PAIRING the expansion
+                 is not trusted); None under 'probe', where H depends on f
+    """
 
     transmission: Spectrum
     reflection: np.ndarray = field(repr=False)
+    path: str
+    min_pairing: float | None
 
 
 def _probe_resolvent(pts, f, speed, u):
-    """f*I - H at every probe frequency, shape (nf, N, N).
+    """f*I - H at the probe frequencies f, shape (nf, N, N).
 
     The couplings J come from the prefix-sum identity of the module
     docstring; the dissipative sums factor through the drive amplitudes,
@@ -266,29 +283,52 @@ def _scattering(u, w, gw):
     return s21, refl
 
 
-def _solve(a, u, w):
-    """Scattering from f*I - H, shape (nf, N, N), by one batched solve."""
-    rhs = np.broadcast_to(w, a.shape[:2])[..., None]
-    try:
-        gw = np.linalg.solve(a, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ModelError("singular resolvent on the frequency grid") from exc
+def _shifted(hrel, detuning):
+    """f*I - H for a frequency-independent hrel = H - diag(f_res).
+
+    detuning = f - f_res, shape (nf, N); returns shape (nf, N, N).
+    """
+    a = np.empty(detuning.shape[:1] + hrel.shape, dtype=complex)
+    a[:] = -hrel
+    np.einsum("fii->fi", a)[...] += detuning
+    return a
+
+
+def _solve(resolvent, nf, u, w):
+    """Scattering on nf frequencies by batched solves, one block at a time.
+
+    resolvent(sl) returns f*I - H at the frequencies sl of the grid; w is
+    (N,) or (nf, N). Each block is solved before the next is assembled.
+    """
+    n = w.shape[-1]
+    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    gw = np.empty((nf, n), dtype=complex)
+    for start in range(0, nf, step):
+        sl = slice(start, start + step)
+        rhs = np.broadcast_to(w, (nf, n))[sl, :, None]
+        try:
+            # no name holds the block, so it is freed before the next one
+            gw[sl] = np.linalg.solve(resolvent(sl), rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ModelError("singular resolvent on the frequency grid") from exc
     return _scattering(u, w, gw)
 
 
 def _pole_residues(hrel, detuning, z, u, w):
     """Scattering from the eigenexpansion of H - f0 = hrel + diag(detuning).
 
-    z = f - f0 on the grid and detuning = f_res - f0. Returns None when the
-    expansion is not accurate (see _MIN_PAIRING); raises ModelError when a
-    grid point sits exactly on a pole.
+    z = f - f0 on the grid and detuning = f_res - f0. Returns the minimum
+    |r_k^T r_k| and the scattering, or None in its place when the expansion
+    is not accurate (see _MIN_PAIRING); raises ModelError when a grid point
+    sits exactly on a pole.
     """
     lam, r = np.linalg.eig(hrel + np.diag(detuning))
     gram = r.T @ r
     pairing = np.diagonal(gram).copy()
     np.fill_diagonal(gram, 0.0)
-    if np.min(np.abs(pairing)) < _MIN_PAIRING or np.max(np.abs(gram)) > _MAX_CROSS_PAIRING:
-        return None
+    min_pairing = float(np.min(np.abs(pairing)))
+    if min_pairing < _MIN_PAIRING or np.max(np.abs(gram)) > _MAX_CROSS_PAIRING:
+        return min_pairing, None
     den = (z[:, None] - lam) * pairing
     if np.any(den == 0):
         raise ModelError("singular resolvent on the frequency grid")
@@ -302,7 +342,7 @@ def _pole_residues(hrel, detuning, z, u, w):
     # refinement against f - H in exact detuning coordinates (z - detuning
     # is f - f_res to the last bit) brings the error down to the solve's.
     gw += resolve(w - (z[:, None] - detuning) * gw + gw @ hrel)
-    return _scattering(u, w, gw)
+    return min_pairing, _scattering(u, w, gw)
 
 
 def s_matrix(t, waveguide, grid, convention="resonance"):
@@ -318,7 +358,17 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
                    model with the printed diagonal shift sign (reduces
                    exactly to the nested matrix transmission).
 
+    Only 'probe' is passive with intrinsic loss (|S21|^2 + |S11|^2 <= 1).
+    'resonance' and 'mixed' take the dissipative rates at the mean
+    resonance but the drives at each emitter's resonance or at the probe
+    frequency, so the in/out coupling no longer matches the decay and
+    lossy layouts can exceed 1 (up to 1.65 under 'resonance' and 1.87
+    under 'mixed' on random interleaved layouts of 32 emitters). Nothing
+    warns when that happens.
+
     A resolvent that is singular somewhere on the grid raises ModelError.
+    The result records whether the pole-residue expansion or the batched
+    solve produced it.
     """
     if convention not in ("resonance", "probe", "mixed"):
         raise ModelError(f"unknown convention {convention!r}")
@@ -338,21 +388,21 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         u = pts.drives(f[:, None], v, x0)
     w = np.conj(u)
 
+    path, min_pairing = "solve", None
     if convention == "probe":
-        s21, refl = _solve(_probe_resolvent(pts, f, v, u), u, w)
+        s21, refl = _solve(lambda sl: _probe_resolvent(pts, f[sl], v, u[sl]), f.size, u, w)
     else:
         if convention == "mixed":
             hrel, _ = _assemble(pts, v, -1, None)
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()
-        result = _pole_residues(hrel, pts.f_res - f0, f - f0, u, w)
+        min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u, w)
         if result is None:
-            a = np.empty((f.size,) + hrel.shape, dtype=complex)
-            a[:] = -hrel
-            np.einsum("fii->fi", a)[...] += f[:, None] - pts.f_res
-            result = _solve(a, u, w)
+            result = _solve(lambda sl: _shifted(hrel, f[sl, None] - pts.f_res), f.size, u, w)
+        else:
+            path = "pole-residues"
         s21, refl = result
     if convention != "resonance":
         refl = refl * np.exp(2j * (TWO_PI * (f * x0) / v))
-    return SMatrixResult(Spectrum(grid, s21), refl)
+    return SMatrixResult(Spectrum(grid, s21), refl, path, min_pairing)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -461,6 +462,8 @@ class TestPoleResidues:
                     solved = s_matrix(t, waveguide, grid, convention=convention)
                 assert np.max(np.abs(fast.transmission.s21 - solved.transmission.s21)) < 1e-12
                 assert np.max(np.abs(fast.reflection - solved.reflection)) < 1e-12
+                assert (fast.path, solved.path) == ("pole-residues", "solve")
+                assert fast.min_pairing == solved.min_pairing >= mp._MIN_PAIRING
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exceptional_point_takes_the_fallback(self, monkeypatch, waveguide, seed):
@@ -469,9 +472,11 @@ class TestPoleResidues:
         solves = []
         solve = mp._solve
         monkeypatch.setattr(mp, "_solve", lambda *a: solves.append(1) or solve(*a))
-        engine = s_matrix(t, waveguide, grid, convention="mixed").transmission.s21
+        res = s_matrix(t, waveguide, grid, convention="mixed")
         assert solves == [1]
-        assert np.max(np.abs(engine - s21_nested_matrix(params, grid).s21)) < 1e-12
+        assert res.path == "solve"
+        assert res.min_pairing < mp._MIN_PAIRING
+        assert np.max(np.abs(res.transmission.s21 - s21_nested_matrix(params, grid).s21)) < 1e-12
 
     @pytest.mark.parametrize("convention", ["resonance", "mixed"])
     def test_degenerate_eigenvalues_take_the_fallback(self, monkeypatch, waveguide, convention):
@@ -486,9 +491,53 @@ class TestPoleResidues:
         monkeypatch.setattr(mp, "_solve", lambda *a: solves.append(1) or solve(*a))
         res = s_matrix(t, waveguide, grid, convention=convention)
         assert solves == [1]
+        assert res.path == "solve"
+        assert 0.0 <= res.min_pairing <= 1.0
         s21, refl, _ = reference_s_matrix(t, grid, convention)
         assert np.max(np.abs(res.transmission.s21 - s21)) < 1e-12
         assert np.max(np.abs(res.reflection - refl)) < 1e-12
+
+
+class TestFrequencyBlocks:
+    """f - H is assembled and solved in blocks of at most _BLOCK_BYTES."""
+
+    @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_outputs_do_not_depend_on_the_blocking(self, monkeypatch, waveguide, convention):
+        t = interleaved(np.random.default_rng(5), 5, 3)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 201)
+        per_frequency = 16 * 5 * 5
+        with monkeypatch.context() as m:
+            if convention != "probe":
+                m.setattr(mp, "_MIN_PAIRING", np.inf)
+            default = s_matrix(t, waveguide, grid, convention=convention)
+            assert default.path == "solve"
+            assert (default.min_pairing is None) == (convention == "probe")
+            # one frequency per block, then blocks of 7 with a last one of 5
+            assert grid.n_points % 7 == 5
+            for budget in (1, 7 * per_frequency):
+                m.setattr(mp, "_BLOCK_BYTES", budget)
+                blocked = s_matrix(t, waveguide, grid, convention=convention)
+                assert np.array_equal(blocked.transmission.s21, default.transmission.s21)
+                assert np.array_equal(blocked.reflection, default.reflection)
+
+    @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, waveguide, convention):
+        # N = 32 x 4 on 2001 points: f - H on the whole grid alone is 33 MB,
+        # and probe's sums over it another 16 MB
+        t = interleaved(np.random.default_rng(6), 32, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        if convention != "probe":
+            monkeypatch.setattr(mp, "_MIN_PAIRING", np.inf)
+        tracemalloc.start()
+        try:
+            res = s_matrix(t, waveguide, grid, convention=convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.path == "solve"
+        assert peak <= 16e6
 
 
 class TestDriveVector:
