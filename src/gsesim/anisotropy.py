@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GAMMA_2PI, ModelError
+from .core import GAMMA_2PI, ModelError, _require_finite
 
 QUARTER_PI = 0.25 * math.pi
 
@@ -35,24 +35,22 @@ class AnisotropyRegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class AnisotropyParams:
-    """Bias field, anisotropy field, and crystal-frame parameters.
+    """Bias field, anisotropy field and gyromagnetic ratio.
 
     H_e0:  bias field, tesla
     H_A:   first-order anisotropy field, tesla (signed)
     gamma: gyromagnetic ratio over 2*pi, Hz/T
-    phi0:  azimuth of the magnetization, rad (pi/4 keeps the rotation in
-           the {110} plane)
-    M0:    saturation magnetization, A/m (only enters the demagnetization
-           tensor components, never the frequencies)
+
+    The magnetization azimuth is fixed at QUARTER_PI, which keeps the
+    rotation in the {110} plane.
     """
 
     H_e0: float
     H_A: float
     gamma: float = GAMMA_2PI
-    phi0: float = QUARTER_PI
-    M0: float = 1.0
 
     def __post_init__(self):
+        _require_finite("anisotropy parameters", self.H_e0, self.H_A, self.gamma)
         if self.H_e0 <= 0:
             raise ModelError("H_e0 must be > 0")
         if self.gamma <= 0:
@@ -88,12 +86,13 @@ def resonance_full(p, theta_h):
     """Resonance frequency from the full quadratic law, Hz.
 
     Keeps every angle term including the sin^2(theta)*sin^2(2*theta)*
-    sin^2(4*phi0) cross term; rejects parameter sets with a negative
-    radicand (unsaturated or unphysical regime).
+    sin^2(4*phi0) cross term, at the azimuth phi0 = QUARTER_PI; rejects
+    parameter sets with a negative radicand (unsaturated or unphysical
+    regime).
     """
     c2 = math.cos(2.0 * theta_h)
     c4 = math.cos(4.0 * theta_h)
-    s2p = math.sin(2.0 * p.phi0) ** 2
+    s2p = math.sin(2.0 * QUARTER_PI) ** 2
     first = p.H_e0 + p.H_A * (
         1.5 + 0.5 * c4 + (-15.0 / 8.0 + 2.0 * c2 - c4 / 8.0) * s2p
     )
@@ -103,7 +102,7 @@ def resonance_full(p, theta_h):
         * p.H_A ** 2
         * math.sin(theta_h) ** 2
         * math.sin(2.0 * theta_h) ** 2
-        * math.sin(4.0 * p.phi0) ** 2
+        * math.sin(4.0 * QUARTER_PI) ** 2
     )
     radicand = first * second - cross
     if radicand <= 0:

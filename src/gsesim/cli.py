@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as gio
 from .anisotropy import AnisotropyParams, angle_sweep
-from .core import FrequencyGrid, ModelError, Spectrum
+from .core import MAX_POINTS, FrequencyGrid, ModelError, Spectrum
 from .fitting import FitProblem, MODELS, ParameterNameError, fit, fit_global_geometry
 from .io import ConfigError, DataFormatError
 from .lambpv import pv_closed, pv_quadrature
@@ -70,8 +70,8 @@ def parse_range(text, scalar=float):
         start, stop, count = scalar(parts[0]), scalar(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"range {text!r}: {exc}") from None
-    if count < 1:
-        raise ConfigError(f"range {text!r}: count must be >= 1")
+    if not 1 <= count <= MAX_POINTS:
+        raise ConfigError(f"range {text!r}: count must be between 1 and {MAX_POINTS}")
     return np.linspace(start, stop, count)
 
 
@@ -288,6 +288,8 @@ def _cmd_pv_check(args):
 
 
 def _cmd_synth(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be >= 0")
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     spectrum = s21_single(p, grid)
@@ -351,40 +353,36 @@ def build_parser():
     p.set_defaults(run=_cmd_map)
 
     p = sub.add_parser("fit", help="least-squares fit of one spectrum file")
+    common(p, config=False)
     p.add_argument("--data", required=True, help="spectrum CSV (complex pair or magnitude)")
     p.add_argument("--model", choices=sorted(MODELS), required=True)
     p.add_argument("--free", action="append", default=[], required=True,
                    help="name=guess or name=guess:lo:hi (repeatable; values in Hz)")
     p.add_argument("--fixed", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--db", action="store_true", help="fit magnitude data on a dB scale")
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest", default=None)
     p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("fit-geometry", help="joint geometry/speed fit across spectra")
+    common(p, config=False)
     p.add_argument("--dataset", action="append", required=True,
                    help="F_RES=PATH with a frequency suffix on F_RES (repeatable, >= 3)")
     p.add_argument("--free", action="append", default=[], required=True)
     p.add_argument("--fixed", action="append", default=[])
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest", default=None)
     p.set_defaults(run=_cmd_fit_geometry)
 
     p = sub.add_parser("anisotropy", help="crystal-angle to frequency curve")
+    common(p, config=False)
     p.add_argument("--h-e0", type=float, required=True, help="bias field, tesla")
     p.add_argument("--h-a", type=float, required=True, help="anisotropy field, tesla")
     p.add_argument("--theta", required=True, help="angle range start:stop:count with deg/rad suffixes")
     p.add_argument("--which", choices=("simple", "full"), default="simple")
     p.add_argument("--gamma", default=None, help="gyromagnetic ratio over 2*pi per tesla, with frequency suffix")
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest", default=None)
     p.set_defaults(run=_cmd_anisotropy)
 
     p = sub.add_parser("pv-check", help="closed-form vs quadrature check of the self-energy integrals")
+    common(p, config=False)
     p.add_argument("--x", required=True, help="dimensionless range start:stop:count")
     p.add_argument("--branch", choices=("+", "-"), default="-")
-    p.add_argument("--output", required=True)
-    p.add_argument("--manifest", default=None)
     p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
     p.set_defaults(run=_cmd_pv_check)
 
@@ -419,7 +417,7 @@ def main(argv=None):
     except (ConfigError, ParameterNameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
-    except ModelError as exc:
+    except (ModelError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         code = 3
     except (DataFormatError, OSError) as exc:

@@ -18,6 +18,9 @@ GAMMA_2PI = 28.0e9
 
 TWO_PI = 2.0 * math.pi
 
+# the most values numpy can size as one complex array
+MAX_POINTS = np.iinfo(np.intp).max // 16
+
 
 class ModelError(ValueError):
     """Invalid physical parameters or inconsistent model input."""
@@ -127,6 +130,8 @@ class FrequencyGrid:
             raise ModelError("grid requires f_stop > f_start > 0")
         if self.n_points < 2:
             raise ModelError("grid requires n_points >= 2")
+        if self.n_points > MAX_POINTS:
+            raise ModelError(f"grid requires n_points <= {MAX_POINTS}")
 
     @property
     def frequencies(self):
@@ -157,10 +162,6 @@ class Spectrum:
     @property
     def magnitude(self):
         return np.abs(self.s21)
-
-    @property
-    def db(self):
-        return 20.0 * np.log10(np.abs(self.s21))
 
     @property
     def reflection(self):

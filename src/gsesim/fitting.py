@@ -35,6 +35,8 @@ def single_model(f, q):
     """One-pole single-GSE transmission; needs f_res, kappa, beta, length, speed."""
     f = np.asarray(f, dtype=float)
     phi = TWO_PI * q["f_res"] * q["length"] / q["speed"]
+    if not math.isfinite(phi):
+        raise ModelError(f"interference phase {phi!r} is not finite")
     kappa_g = 2.0 * q["kappa"] * (1.0 + math.cos(phi))
     shift = q["kappa"] * math.sin(phi)
     return 1.0 + kappa_g / (1j * (f - q["f_res"] - shift) - kappa_g - q["beta"])
@@ -76,7 +78,8 @@ MODEL_PARAMS = {
 GEOMETRY_PARAMS = MODEL_PARAMS["single"][1:]
 
 
-def _check_names(expected, free, fixed):
+def _check_params(expected, free, fixed):
+    """Free and fixed must name exactly `expected`, with finite values in bounds."""
     given = set(free) | set(fixed)
     missing = [n for n in expected if n not in given]
     unknown = sorted(given.difference(expected))
@@ -87,6 +90,12 @@ def _check_names(expected, free, fixed):
     both = sorted(set(free) & set(fixed))
     if both:
         raise ParameterNameError(f"parameters {both} are given both free and fixed")
+    for name, (guess, lo, hi) in free.items():
+        if not (lo <= guess <= hi and lo < hi and math.isfinite(guess)):
+            raise ModelError(f"initial guess for {name!r} must be finite and inside bounds lo < hi")
+    bad = sorted(n for n, v in fixed.items() if not math.isfinite(v))
+    if bad:
+        raise ModelError(f"fixed parameters {bad} must be finite")
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,7 @@ class FitProblem:
 
     data may be complex S21 values or real magnitudes (set magnitude_only).
     free maps parameter name -> (guess, lower, upper); fixed holds the
-    remaining model parameters. sigmas, when given, are per-point noise
-    weights (uniform weighting otherwise).
+    remaining model parameters.
     """
 
     freqs: np.ndarray = field(repr=False)
@@ -106,7 +114,6 @@ class FitProblem:
     fixed: dict = field(default_factory=dict)
     magnitude_only: bool = False
     db_scale: bool = False
-    sigmas: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
@@ -122,10 +129,7 @@ class FitProblem:
             )
         if self.db_scale and not self.magnitude_only:
             raise ModelError("db_scale applies to magnitude-only data")
-        for name, (guess, lo, hi) in self.free.items():
-            if not (lo <= guess <= hi):
-                raise ModelError(f"initial guess for {name!r} outside bounds")
-        _check_names(MODEL_PARAMS[self.model], self.free, self.fixed)
+        _check_params(MODEL_PARAMS[self.model], self.free, self.fixed)
 
     def evaluate(self, values):
         q = dict(self.fixed)
@@ -145,18 +149,14 @@ class FitResult:
 
 
 def _residuals(problem, names):
-    sig = problem.sigmas
-    weight = 1.0 if sig is None else 1.0 / np.asarray(sig, dtype=float)
-
     def fun(x):
         model = problem.evaluate(dict(zip(names, x)))
         if problem.magnitude_only:
             mag = np.abs(model)
             if problem.db_scale:
                 mag = 20.0 * np.log10(np.maximum(mag, 1e-300))
-            r = (mag - problem.data) * weight
-            return np.asarray(r, dtype=float)
-        r = (model - problem.data) * weight
+            return np.asarray(mag - problem.data, dtype=float)
+        r = model - problem.data
         return np.concatenate([r.real, r.imag])
 
     return fun
@@ -188,7 +188,7 @@ def _sigma_from_jacobian(jac, residual, n_free, names):
     }
 
 
-def _least_squares(fun, free, tol, max_nfev):
+def _least_squares(fun, free, tol):
     """Minimize the residuals fun(x) over free: name -> (guess, lower, upper).
 
     The convergence policy of fit and fit_global_geometry lives here.
@@ -202,7 +202,7 @@ def _least_squares(fun, free, tol, max_nfev):
     res = optimize.least_squares(
         fun, x0, bounds=(lo, hi), method="trf",
         x_scale=np.where(np.abs(x0) > 0, np.abs(x0), 1.0),
-        max_nfev=max_nfev, xtol=tol, ftol=tol, gtol=tol,
+        max_nfev=20000, xtol=tol, ftol=tol, gtol=tol,
     )
     if res.status <= 0:
         raise FitError(f"fit did not converge: {res.message}")
@@ -213,20 +213,20 @@ def _least_squares(fun, free, tol, max_nfev):
     )
 
 
-def fit(problem, max_nfev=20000):
+def fit(problem):
     """Local bounded least-squares fit (trust-region reflective).
 
     Returns a FitResult; raises FitError when the optimizer stops without
     meeting a tolerance, including when it runs out of evaluations.
     """
-    return _least_squares(_residuals(problem, list(problem.free)), problem.free, 1e-14, max_nfev)
+    return _least_squares(_residuals(problem, list(problem.free)), problem.free, 1e-14)
 
 
-def initial_guess_single(freqs, magnitude, kappa_over_total=0.5):
+def initial_guess_single(freqs, magnitude):
     """Heuristic starting point for single-GSE lineshape fits.
 
     Dip location gives f_res; full width at half depth gives the total
-    rate, split between radiative and intrinsic by kappa_over_total.
+    rate, split equally between radiative and intrinsic.
     """
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
@@ -242,12 +242,12 @@ def initial_guess_single(freqs, magnitude, kappa_over_total=0.5):
     total = fwhm / 2.0
     return {
         "f_res": f0,
-        "kappa_g": kappa_over_total * total,
-        "beta": (1.0 - kappa_over_total) * total,
+        "kappa_g": 0.5 * total,
+        "beta": 0.5 * total,
     }
 
 
-def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
+def fit_global_geometry(datasets, free, fixed=None):
     """Joint single-GSE fit across spectra taken at known resonances.
 
     datasets: list of (f_res_hz, freqs, complex_s21). free/fixed follow
@@ -260,9 +260,11 @@ def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")
     fixed = dict(fixed or {})
-    _check_names(GEOMETRY_PARAMS, free, fixed)
+    _check_params(GEOMETRY_PARAMS, free, fixed)
     names = list(free)
     f_res_values = np.array([d[0] for d in datasets], dtype=float)
+    if not np.all(np.isfinite(f_res_values)):
+        raise FitError("dataset resonances must be finite")
     if np.ptp(f_res_values) == 0:
         raise FitError("all datasets share one resonance; length and speed degenerate")
 
@@ -289,11 +291,11 @@ def fit_global_geometry(datasets, free, fixed=None, max_nfev=20000):
             parts.append(r.imag)
         return np.concatenate(parts)
 
-    return _least_squares(fun, free, 1e-15, max_nfev)
+    return _least_squares(fun, free, 1e-15)
 
 
-def dip_positions(freqs, magnitude, max_dips=2):
-    """Frequencies of the deepest local minima of one |S21| column."""
+def dip_positions(freqs, magnitude):
+    """Frequencies of the (at most) two deepest local minima of one |S21| column."""
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
     interior = np.where(
@@ -301,7 +303,7 @@ def dip_positions(freqs, magnitude, max_dips=2):
     )[0] + 1
     if interior.size == 0:
         return np.array([])
-    keep = interior[np.argsort(magnitude[interior])][:max_dips]
+    keep = interior[np.argsort(magnitude[interior])][:2]
     return np.sort(freqs[keep])
 
 

@@ -280,12 +280,13 @@ def parse_config(doc):
         raise ConfigError(f"/emitters: {exc}") from None
 
     pr = _get(doc, "probe", "", dict)
+    f_start = float(_get(pr, "f_start_hz", "/probe", _NUM))
+    f_stop = float(_get(pr, "f_stop_hz", "/probe", _NUM))
+    n_points = _get(pr, "n_points", "/probe", _NUM)
+    if isinstance(n_points, float) and not n_points.is_integer():
+        raise ConfigError(f"/probe/n_points: expected an integer, got {n_points!r}")
     try:
-        grid = FrequencyGrid(
-            float(_get(pr, "f_start_hz", "/probe", _NUM)),
-            float(_get(pr, "f_stop_hz", "/probe", _NUM)),
-            int(_get(pr, "n_points", "/probe", _NUM)),
-        )
+        grid = FrequencyGrid(f_start, f_stop, int(n_points))
     except ModelError as exc:
         raise ConfigError(f"/probe: {exc}") from None
     return waveguide, topology, grid

@@ -67,7 +67,7 @@ def _sici_series(x):
     return si_val, ci_val
 
 
-def _e1_imag_axis(x, maxiter=20000):
+def _e1_imag_axis(x):
     # modified Lentz continued fraction for E1(i*x), x real > 0
     tiny = 1e-300
     z = 1j * x
@@ -75,7 +75,7 @@ def _e1_imag_axis(x, maxiter=20000):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, maxiter):
+    for i in range(1, 20000):
         a = -float(i * i)
         b += 2.0
         d = 1.0 / (a * d + b)
@@ -127,14 +127,6 @@ class PvResult:
     branch: str
     a_value: float
     b_value: float
-
-    @property
-    def a_over_pi(self):
-        return self.a_value / math.pi
-
-    @property
-    def b_over_pi(self):
-        return self.b_value / math.pi
 
 
 def _check_branch(x, branch):

@@ -58,14 +58,13 @@ class NestedParams:
         return self.inner.waveguide
 
     @classmethod
-    def from_geometry(cls, inner, outer, f_ref=None):
-        """Build phases from the two lengths at a reference frequency.
+    def from_geometry(cls, inner, outer):
+        """Build phases from the two lengths at the mean of the two resonances.
 
-        f_ref defaults to the mean of the two resonances; at degeneracy
-        this is the published convention and phi1 == phi3 holds exactly.
+        At degeneracy this is the published convention; phi1 == phi3 holds
+        exactly.
         """
-        if f_ref is None:
-            f_ref = 0.5 * (inner.f_res + outer.f_res)
+        f_ref = 0.5 * (inner.f_res + outer.f_res)
         wg = inner.waveguide
         gap = 0.5 * (outer.length - inner.length)
         phi1 = phase(f_ref, gap, wg)[0]

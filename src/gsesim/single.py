@@ -105,16 +105,15 @@ def s21_single(p, grid, self_consistent_phase=False):
     return Spectrum(grid, s21_values(p, grid.frequencies, self_consistent_phase))
 
 
-def map_single_vs_field(p, fields, H_A, grid, gamma_2pi=None):
+def map_single_vs_field(p, fields, H_A, grid):
     """Bias-field transmission map: one spectrum column per field value.
 
     Each field sets f_res through the Kittel relation; returns a list of
     (field_tesla, Spectrum) pairs in input order.
     """
-    kwargs = {} if gamma_2pi is None else {"gamma_2pi": gamma_2pi}
     columns = []
     for b in fields:
-        f_res = field_to_frequency(b, H_A, **kwargs)
+        f_res = field_to_frequency(b, H_A)
         pb = SingleGseParams(p.kappa, p.beta, p.length, f_res, p.waveguide)
         columns.append((b, s21_single(pb, grid)))
     return columns

@@ -1,0 +1,221 @@
+"""Fuzz of the CLI contract: `cli.main(argv)` over all nine subcommands.
+
+Every example runs in process in a fresh directory that holds a few valid
+and invalid input files. Arguments are drawn from small pools that mix
+valid values with malformed ones: missing unit suffixes, reversed ranges,
+counts of 0 or 1, negative, NaN and infinite numbers, negative seeds,
+fractional grid sizes, missing paths and non-UTF-8 files. Whatever the
+arguments, main returns 0, 2, 3 or 4 (argparse's own exits count as their
+code), no other exception escapes, and a failed run leaves only the inputs
+behind. Grids stay at most a few hundred points so an example runs in
+milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from gsesim.cli import main
+from gsesim.core import FrequencyGrid, Waveguide
+from gsesim.single import SingleGseParams, s21_values
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED
+
+F_RES = 4.35e9
+
+
+def _emitter(name, beta, kappa, positions):
+    return {"name": name, "f_res_hz": F_RES, "beta_hz": beta,
+            "points": [{"position_m": x, "kappa_hz": kappa} for x in positions]}
+
+
+def _config(emitters, n_points=101):
+    return json.dumps({
+        "waveguide": {"speed_mps": SPEED},
+        "emitters": emitters,
+        "probe": {"f_start_hz": F_RES - 20e6, "f_stop_hz": F_RES + 20e6, "n_points": n_points},
+    })
+
+
+def _inputs():
+    gap = (L_OUTER - L_INNER) / 2
+    inner = _emitter("inner", BETA_INNER, KAPPA_INNER, (gap, gap + L_INNER))
+    single = _emitter("inner", BETA_INNER, KAPPA_INNER, (0.0, L_INNER))
+    files = {
+        "single.json": _config([single]),
+        "nested.json": _config([_emitter("outer", 1.39e6, 0.70e6, (0.0, L_OUTER)), inner]),
+        "braided.json": _config([_emitter("a", 1.4e6, 0.7e6, (0.0, 0.1)),
+                                 _emitter("b", 1.6e6, 0.8e6, (0.05, 0.15))]),
+        "frac.json": _config([single], n_points=2.7),
+        # 10**17 doubles exceed any address space: the request fails at once
+        "huge.json": _config([single], n_points=10**17),
+        "bad.json": b'{"waveguide": {"speed_mps": 3.26e7}, "in\xffvalid": 1}',
+        "bad.csv": b"frequency_hz,s21_re,s21_im\r\n4.3e9,0.\xff5,0\r\n4.4e9,0.5,0\r\n",
+    }
+    freqs = FrequencyGrid(F_RES - 20e6, F_RES + 20e6, 101).frequencies
+    s21 = s21_values(SingleGseParams(KAPPA_INNER, BETA_INNER, L_INNER, F_RES, Waveguide(SPEED)), freqs)
+    files["synth.csv"] = "frequency_hz,s21_re,s21_im\n" + "".join(
+        f"{f!r},{v.real!r},{v.imag!r}\n" for f, v in zip(freqs.tolist(), s21.tolist()))
+    files["mag.csv"] = "frequency_hz,s21_mag\n" + "".join(
+        f"{f!r},{abs(v)!r}\n" for f, v in zip(freqs.tolist(), s21.tolist()))
+    return {k: v.encode() if isinstance(v, str) else v for k, v in files.items()}
+
+
+INPUTS = _inputs()
+
+CONFIGS = ["single.json", "nested.json", "braided.json", "frac.json", "huge.json",
+           "bad.json", "missing.json"]
+DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json"]
+OUTPUTS = ["out.csv", "out.json", "nodir/out.csv"]
+FREQS = ["1.15MHz", "0.000126MHz", "0Hz", "-1MHz", "1.15", "nanMHz", "infMHz", "4.35GHz"]
+FLOATS = ["0.155", "0.0035", "0", "-0.1", "nan", "inf", "-inf", "1e-9", "x"]
+FREE = {
+    "single_giant": ["f_res=4.35e9:4.3e9:4.4e9", "kappa_g=2e6:0:2e7", "beta=2e6:0:2e7",
+                     "kappa_g=2e6", "beta=-1:0:1", "kappa_g=nan:0:1e7",
+                     "f_res=4.35e9:4.4e9:4.3e9", "kappa_g=1e6:1e6:1e6", "bogus=1", "kappa_g"],
+    "single": ["f_res=4.35e9:4.3e9:4.4e9", "kappa=7.6e5:0:1e8", "beta=1.6e6:0:1e8",
+               "length=0.083:0.01:0.5", "speed=3.26e7:1e6:1e9", "length=inf"],
+    "nested_fitform": ["f_i=4.35e9:4.3e9:4.4e9", "j=1e6:0:1e7", "gamma=0:-1e6:1e6"],
+}
+FIXED = ["f_res=4.35e9", "kappa_g=1e6", "speed=3.26e7", "length=0.0828", "beta=nan",
+         "length=inf", "speed=0", "kappa=", "speed=x"]
+DATASETS = ["4.2GHz=synth.csv", "4.3GHz=synth.csv", "4.4GHz=synth.csv", "4.5GHz=synth.csv",
+            "4.2=synth.csv", "4.2GHz", "4.3GHz=missing.csv", "4.4GHz=bad.csv",
+            "4.5GHz=mag.csv", "infGHz=synth.csv"]
+DETUNINGS = ["-5MHz:5MHz:5", "5MHz:-5MHz:3", "-5MHz:5MHz:0", "0MHz:0MHz:1", "-5:5:3",
+             "nanMHz:1MHz:3", "infMHz:1MHz:2", "1MHz:2MHz", "a:b:c"]
+FIELDS = ["0.154:0.156:3", "0.156:0.154:2", "0.155:0.155:1", "-0.1:0.1:3", "0:0:2",
+          "nan:1:2", "0.1:inf:2", "0.1:0.2:0"]
+GRIDS = ["4.34GHz:4.36GHz:51", "4.36GHz:4.34GHz:51", "4.34GHz:4.36GHz:1",
+         "4.34GHz:4.36GHz:0", "4.34:4.36:51", "-1GHz:4GHz:11", "nanGHz:4GHz:11",
+         "4GHz:infGHz:11", "4GHz:5GHz:2.5"]
+THETAS = ["0deg:180deg:13", "180deg:0deg:2", "0deg:0deg:1", "0:180:13", "0deg:180deg:0",
+          "nandeg:1deg:3", "0rad:infrad:3"]
+XS = ["0.5:20:5", "20:0.5:3", "0:1:3", "-1:1:3", "nan:1:2", "0.5:inf:2", "1:2:0", "1:2",
+      "1e3:2e3:2", "2:2:1"]
+
+
+def _arg(flag, values, required=False, good=1):
+    """`flag=value` or nothing; a required flag is left out one time in ten.
+
+    The first `good` values are valid and drawn more often than the rest,
+    so that whole valid command lines come up too.
+    """
+    value = st.one_of(*map(st.just, values[:good]), st.sampled_from(values))
+    present = st.integers(0, 9).map(lambda k: k > 0) if required else st.booleans()
+    return st.tuples(present, value).map(lambda t: [f"{flag}={t[1]}"] if t[0] else [])
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _repeat(flag, values, valid_sets=([],)):
+    """A few `flag=value` items: a random pick, or a valid set with a few
+    random items after it (a later value of a name replaces an earlier one)."""
+    items = st.lists(st.sampled_from(values), max_size=2)
+    picks = st.one_of(st.lists(st.sampled_from(values), max_size=4),
+                      st.tuples(st.sampled_from(valid_sets), items).map(lambda t: t[0] + t[1]))
+    return picks.map(lambda vs: [f"{flag}={v}" for v in vs])
+
+
+def _common(config=True):
+    parts = [_arg("--output", OUTPUTS, required=True),
+             _arg("--manifest", ["man.json", "nodir/man.json"])]
+    if config:
+        parts.insert(0, _arg("--config", CONFIGS, required=True, good=3))
+    return parts
+
+
+TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in (
+    ("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g", "0.000126MHz"),
+    ("--beta-i", "1.54MHz"), ("--beta-o", "0.86MHz"), ("--j", "1.01MHz"),
+    ("--gamma", "0.000328MHz"))]
+
+SUBCOMMANDS = {
+    "simulate-single": [*_common(), _flag("--self-consistent-phase")],
+    "simulate-nested": [*_common(), _arg("--lamb-sign", ["-1", "1", "0", "x"], good=2),
+                        _arg("--phase-ref", ["resonance", "probe", "bogus"], good=2)],
+    "simulate-general": [*_common(), _arg("--convention", ["resonance", "probe", "mixed", "x"], good=3),
+                         _arg("--reflection-output", ["refl.csv", "nodir/refl.csv"])],
+    "map": [*_common(config=False), _arg("--sweep", ["detuning", "field", "bogus"], True, 2),
+            _arg("--values", [DETUNINGS[0], FIELDS[0], *DETUNINGS, *FIELDS], True, 2),
+            _arg("--config", CONFIGS), _arg("--grid", GRIDS),
+            _arg("--h-a", FLOATS), _arg("--threads", ["1", "2", "0", "-1"]),
+            _arg("--eigen-output", ["eigen.csv", "nodir/eigen.csv"]), *TWO_MODE],
+    "fit": [*_common(config=False), _arg("--data", DATA, required=True, good=2),
+            _arg("--model", ["single_giant", "single", "nested_fitform", "bogus"], required=True),
+            _repeat("--free", sum(FREE.values(), []), [FREE["single_giant"][:3]]),
+            _repeat("--fixed", FIXED), _flag("--db")],
+    "fit-geometry": [*_common(config=False), _repeat("--dataset", DATASETS, [DATASETS[:3]]),
+                     _repeat("--free", FREE["single"], [FREE["single"][1:4]]),
+                     _repeat("--fixed", FIXED, [["speed=3.26e7"]])],
+    "anisotropy": [*_common(config=False), _arg("--h-e0", FLOATS, required=True),
+                   _arg("--h-a", FLOATS[1:], required=True), _arg("--theta", THETAS, required=True),
+                   _arg("--which", ["simple", "full", "bogus"], good=2),
+                   _arg("--gamma", ["28GHz", "28", "-28GHz", "nanGHz", "0Hz"])],
+    "pv-check": [*_common(config=False), _arg("--x", XS, required=True),
+                 _arg("--branch", ["+", "-", "*"], good=2),
+                 _arg("--threads", ["1", "4", "-2", "x"], good=2)],
+    "synth": [*_common(), _arg("--noise-sigma", ["0.01", *FLOATS]),
+              _arg("--seed", ["5", "0", "-1", "x"], good=2)],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for part in SUBCOMMANDS[command]:
+        argv += draw(part)
+    if draw(st.integers(0, 49)) == 0:
+        argv.append("--help")
+    return argv
+
+
+def run_in_fresh_dir(argv):
+    """main(argv) in a new directory holding INPUTS; returns (code, names left)."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in INPUTS.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: 2 on bad usage, 0 on --help
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        return code, sorted(os.listdir(tmp))
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+@example(["synth", "--config=single.json", "--noise-sigma=0.01", "--seed=-1", "--output=out.csv"])
+@example(["simulate-single", "--config=frac.json", "--output=out.csv"])
+@example(["simulate-single", "--config=huge.json", "--output=out.csv"])
+@example(["fit", "--data=synth.csv", "--model=single_giant", "--free=f_res=4.35e9:4.3e9:4.4e9",
+          "--free=kappa_g=1e6:1e6:1e6", "--free=beta=2e6:0:2e7", "--output=out.json"])
+@example(["fit-geometry", "--dataset=4.2GHz=synth.csv", "--dataset=4.3GHz=synth.csv",
+          "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
+          "--free=speed=3e7:1e6:1e9", "--fixed=length=inf", "--output=out.json"])
+@example(["fit-geometry", "--dataset=4.2GHz=synth.csv", "--dataset=4.3GHz=synth.csv",
+          "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
+          "--free=length=0.083:0.01:0.5", "--fixed=speed=0", "--output=out.json"])
+@example(["fit-geometry", "--dataset=infGHz=synth.csv", "--dataset=4.3GHz=synth.csv",
+          "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
+          "--free=length=0.083:0.01:0.5", "--fixed=speed=3.26e7", "--output=out.json"])
+def test_cli_main_exits_with_a_documented_code(argv):
+    code, left = run_in_fresh_dir(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    if code != 0:
+        assert left == sorted(INPUTS), (argv, code, left)

@@ -242,6 +242,18 @@ class TestConfig:
         assert topo.classification == "single"
         assert grid.n_points == 801
 
+    @pytest.mark.parametrize("n_points", [2.7, 101.5, float("nan"), float("inf")])
+    def test_non_integral_n_points_rejected(self, tmp_path, n_points):
+        doc = json.loads(open(make_config(tmp_path)).read())
+        doc["probe"]["n_points"] = n_points
+        with pytest.raises(ConfigError, match="/probe/n_points"):
+            parse_config(doc)
+
+    def test_integral_float_n_points_accepted(self, tmp_path):
+        doc = json.loads(open(make_config(tmp_path)).read())
+        doc["probe"]["n_points"] = 101.0
+        assert parse_config(doc)[2].n_points == 101
+
 
 class TestSynthNoise:
     def test_seed_reproducibility(self):
@@ -477,6 +489,57 @@ class TestCli:
         body = np.genfromtxt(out, delimiter=",", names=True)
         assert body["abs_err_a"].max() <= 1e-6
         assert body["abs_err_b"].max() <= 1e-6
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        out = tmp_path / "noisy.csv"
+        assert main(["synth", "--config", cfg, "--noise-sigma", "0.01", "--seed=-1",
+                     "--output", str(out)]) == 2
+        assert "config error: --seed -1: must be >= 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_fractional_n_points_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        make_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"n_points": 801', '"n_points": 2.7'))
+        out = tmp_path / "spec.csv"
+        assert main(["simulate-single", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "/probe/n_points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["simulate-single", "simulate-general", "synth"])
+    def test_unallocatable_grid_exits_3(self, tmp_path, capsys, command):
+        # 10**17 doubles exceed any address space, so the request fails at
+        # once whatever the overcommit policy; nothing is ever allocated
+        cfg = tmp_path / "config.json"
+        make_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"n_points": 801', '"n_points": 100000000000000000'))
+        out = tmp_path / "spec.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+        assert "numeric failure: Unable to allocate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("flag, value", [("--h-e0", "nan"), ("--h-e0", "inf"), ("--h-a", "nan"),
+                                             ("--gamma", "infGHz")])
+    def test_anisotropy_non_finite_input_exits_3(self, tmp_path, capsys, flag, value):
+        # these used to write a curve of nan or inf frequencies and exit 0
+        argv = {"--h-e0": "0.155", "--h-a": "0.0035", flag: value}
+        out = tmp_path / "angles.csv"
+        assert main(["anisotropy", *(f"{k}={v}" for k, v in argv.items()),
+                     "--theta", "0deg:180deg:7", "--output", str(out)]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["pv-check", "--x", "1:2:10000000000000000000"],
+        ["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "0deg:1deg:10000000000000000000"],
+        ["map", "--sweep", "detuning", "--values=-5MHz:5MHz:5", "--grid",
+         "4.34GHz:4.36GHz:10000000000000000000", *TWO_MODE],
+    ], ids=["pv-check", "anisotropy", "map-grid"])
+    def test_count_beyond_array_limit_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _fresh_python(*args):
