@@ -67,12 +67,13 @@ def write_spectrum_csv(path, spectrum):
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
-def _read_table(path, pick):
+def _read_table(path, pick, coordinates):
     """Parse a CSV table into an (n_rows, k) array of doubles.
 
     pick maps the header's stripped, unquoted, lower-cased names to the k
-    column indices to read. Blank lines are skipped; a bad row raises
-    DataFormatError with its line number.
+    column indices to read; the first `coordinates` of them must be finite.
+    Blank lines are skipped; a bad row raises DataFormatError with its
+    line number.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -84,7 +85,10 @@ def _read_table(path, pick):
                 with warnings.catch_warnings():
                     # a header-only file is reported by the caller, not as a warning
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    return np.loadtxt(fh, usecols=usecols, **_LOADTXT)
+                    table = np.loadtxt(fh, usecols=usecols, **_LOADTXT)
+                if np.all(np.isfinite(table[:, :coordinates])):
+                    return table
+                error = "non-finite coordinate"
             except ValueError as exc:
                 error = exc
         # error path only: loadtxt's row numbers skip blank lines and start at
@@ -94,9 +98,11 @@ def _read_table(path, pick):
             for lineno, line in enumerate(fh, start=2):
                 if line != "\n":
                     try:
-                        np.loadtxt([line], usecols=usecols, **_LOADTXT)
+                        row = np.loadtxt([line], usecols=usecols, **_LOADTXT)
                     except ValueError:
                         raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+                    if not np.all(np.isfinite(row[:, :coordinates])):
+                        raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {line.rstrip()!r}")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raise DataFormatError(f"{path}: malformed table ({error})")
@@ -107,7 +113,7 @@ def read_spectrum_csv(path):
 
     Auto-detects a complex pair (s21_re, s21_im) versus a magnitude-only
     column (s21_mag). Rejects missing headers, malformed rows (with line
-    numbers), and unsorted or duplicate frequencies.
+    numbers), non-finite, unsorted or duplicate frequencies.
     """
     def pick(cols):
         if "frequency_hz" not in cols:
@@ -117,7 +123,7 @@ def read_spectrum_csv(path):
                 return [cols.index(c) for c in names]
         raise DataFormatError(f"{path}: need either s21_re/s21_im or s21_mag columns")
 
-    table = _read_table(path, pick)
+    table = _read_table(path, pick, 1)
     freqs = table[:, 0].copy()
     if freqs.size < 2:
         raise DataFormatError(f"{path}: need at least 2 data rows")
@@ -138,15 +144,16 @@ def write_map_csv(path, columns):
 def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
-    Cells the file does not list read as NaN. An empty file, a short row or
-    a non-numeric cell raises DataFormatError with the line number.
+    Cells the file does not list read as NaN. An empty file, a short row,
+    a non-numeric cell or a non-finite sweep value or frequency raises
+    DataFormatError with the line number.
     """
     def pick(cols):
         if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
             raise DataFormatError(f"{path}:1: unexpected map header {cols!r}")
         return [0, 1, 2]
 
-    table = _read_table(path, pick)
+    table = _read_table(path, pick, 2)
     sweep, si = np.unique(table[:, 0], return_inverse=True)
     freqs, fi = np.unique(table[:, 1], return_inverse=True)
     mag = np.full((sweep.size, freqs.size), np.nan)

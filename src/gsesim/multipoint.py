@@ -38,6 +38,17 @@ with an owner index:
   call solves before the next block is assembled. A block holds as many
   frequencies as fit in _BLOCK_BYTES, so these buffers do not grow with
   the grid; every frequency's arithmetic is independent of the blocking.
+  The f - H buffer and the prefix-sum buffers are allocated once per call
+  and refilled block by block, so their pages are mapped and faulted in
+  once per call instead of once per block: the allocator can hand arrays of
+  this size straight back to the system when they are freed.
+- Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
+  exp(-i*2*pi*f_m*d/v) on every grid frequency f_m = f_0 + m*df. With
+  b = isqrt(nf) and m = a*b + c this is a coarse table at f_0 + a*b*df
+  times a fine one at c*df: about 2*sqrt(nf) exponentials per distance
+  instead of nf, and one complex product per entry, as accurate as one
+  exponential per entry. Row m depends on m alone, so blocks of rows
+  agree whatever the blocking.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -77,9 +88,18 @@ _MAX_CROSS_PAIRING = 1e-10
 # temporaries per block are a fraction of this.
 _BLOCK_BYTES = 4 << 20
 
+# 'resonance' and 'mixed' emit PassivityWarning when |S21|^2 + |S11|^2
+# exceeds 1 + _PASSIVITY_TOL anywhere on the grid: rounding alone stays
+# below it, lossless 'probe' layouts meet 1 to about 1e-12
+_PASSIVITY_TOL = 1e-10
+
 
 class MarkovWarning(UserWarning):
     """Propagation delay is not negligible against the linewidths."""
+
+
+class PassivityWarning(UserWarning):
+    """A lossy layout scatters more power than it receives somewhere on the grid."""
 
 
 def pair_sums(pos_j, kap_j, pos_l, kap_l, f, speed):
@@ -172,14 +192,27 @@ class _Points:
         """Sum per-point values over each emitter's points (contraction with E)."""
         return np.add.reduceat(a, self.starts, axis=axis)
 
-    def drives(self, f, speed, origin=0.0):
-        """drive_vector of every emitter; f is per point (P,) or a column (nf, 1).
-
-        Positions are taken from origin, which multiplies every amplitude
-        by exp(i*2*pi*f*origin/v).
-        """
-        theta = TWO_PI * (f * (self.x - origin)) / speed
+    def drives(self, f, speed):
+        """drive_vector of every emitter, each point's phase at its own f (P,)."""
+        theta = TWO_PI * (f * self.x) / speed
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
+
+
+def _phasors(grid, d, speed, rows=slice(None)):
+    """exp(-i*2*pi*f_m*d/v) at the rows m of a uniform grid, shape (rows, d.size).
+
+    The coarse and fine tables of the module docstring, with the coarse
+    frequencies formed as np.linspace forms the grid, f_0 + (a*b)*df.
+    """
+    nf = grid.n_points
+    start, stop, _ = rows.indices(nf)
+    b = math.isqrt(nf)
+    df = (grid.f_stop - grid.f_start) / (nf - 1)
+    a = np.arange(start // b, (stop - 1) // b + 1)
+    coarse = np.exp(-1j * (TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed))
+    fine = np.exp(-1j * (TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed))
+    table = (coarse[:, None, :] * fine).reshape(-1, d.size)
+    return table[start - a[0] * b : stop - a[0] * b]
 
 
 def _assemble(pts, speed, lamb_sign, at_f):
@@ -239,8 +272,8 @@ class SMatrixResult:
     min_pairing: float | None
 
 
-def _probe_resolvent(pts, f, speed, u):
-    """f*I - H at the probe frequencies f, shape (nf, N, N).
+def _probe_resolvent(pts, grid, speed, u, step):
+    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a.
 
     The couplings J come from the prefix-sum identity of the module
     docstring; the dissipative sums factor through the drive amplitudes,
@@ -248,30 +281,44 @@ def _probe_resolvent(pts, f, speed, u):
     exponentials used in the drive keeps the anti-Hermitian part exactly
     consistent with the in/out coupling, so lossless topologies scatter
     unitarily to machine precision even near decoupling points where the
-    resolvent amplifies rounding.
+    resolvent amplifies rounding. The prefix-sum buffers hold step
+    frequencies and are refilled block by block.
     """
     n = pts.f_res.size
     order = np.argsort(pts.x)
-    k = TWO_PI * f / speed
-    # a_p at every frequency as (re, im) rows, points in order along the guide
-    a_pts = np.sqrt(pts.kappa[order, None]) * np.exp(1j * np.multiply.outer(pts.x[order] - pts.x[order[0]], k))
-    a_pts = np.stack([a_pts.real, a_pts.imag], axis=1)
-    # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so far
-    left = np.zeros((2, f.size, n))
-    sums = np.zeros((n, f.size, n))  # sums[j, :, l] = Im(sum_{p in j} a_p * C_l(x_p))
-    for a_p, j in zip(a_pts, pts.owner[order]):
-        sums[j] += np.einsum("kf,kfl->fl", a_p, left)
-        left[0, :, j] -= a_p[1]
-        left[1, :, j] += a_p[0]
+    d = pts.x[order] - pts.x[order[0]]
+    root = np.sqrt(pts.kappa[order, None])
+    owners = pts.owner[order]
+    f = grid.frequencies
+    sums_buf = np.empty(n * step * n)
+    left_buf = np.empty(2 * step * n)
 
-    a = np.empty((f.size, n, n), dtype=complex)
-    np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
-    a.real *= -0.5
-    ur, ui = u.real, u.imag
-    np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
-    a.imag += ui[:, :, None] * ui[:, None, :]
-    np.einsum("fii->fi", a)[...] += (f[:, None] - pts.f_res) + 1j * pts.beta
-    return a
+    def resolvent(sl, a):
+        nb = a.shape[0]
+        # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows, points
+        # in order along the guide
+        ph = _phasors(grid, d, speed, sl).T
+        a_pts = np.empty((d.size, 2, nb))
+        np.multiply(root, ph.real, out=a_pts[:, 0])
+        np.multiply(-root, ph.imag, out=a_pts[:, 1])
+        # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so far
+        left = left_buf[: 2 * nb * n].reshape(2, nb, n)
+        sums = sums_buf[: n * nb * n].reshape(n, nb, n)  # sums[j, :, l] = Im(sum_{p in j} a_p * C_l(x_p))
+        left.fill(0.0)
+        sums.fill(0.0)
+        for a_p, j in zip(a_pts, owners):
+            sums[j] += np.einsum("kf,kfl->fl", a_p, left)
+            left[0, :, j] -= a_p[1]
+            left[1, :, j] += a_p[0]
+
+        np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
+        a.real *= -0.5
+        ur, ui = u[sl].real, u[sl].imag
+        np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
+        a.imag += ui[:, :, None] * ui[:, None, :]
+        np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
+
+    return resolvent
 
 
 def _scattering(u, w, gw):
@@ -283,32 +330,38 @@ def _scattering(u, w, gw):
     return s21, refl
 
 
-def _shifted(hrel, detuning):
-    """f*I - H for a frequency-independent hrel = H - diag(f_res).
+def _shifted(hrel, detuning, a):
+    """Write f*I - H for a frequency-independent hrel = H - diag(f_res) into a.
 
-    detuning = f - f_res, shape (nf, N); returns shape (nf, N, N).
+    detuning = f - f_res, shape (nf, N); a has shape (nf, N, N).
     """
-    a = np.empty(detuning.shape[:1] + hrel.shape, dtype=complex)
     a[:] = -hrel
     np.einsum("fii->fi", a)[...] += detuning
-    return a
+
+
+def _block_rows(nf, n):
+    """Frequencies per block: f - H of one block fills at most _BLOCK_BYTES."""
+    return min(nf, max(1, _BLOCK_BYTES // (16 * n * n)))
 
 
 def _solve(resolvent, nf, u, w):
     """Scattering on nf frequencies by batched solves, one block at a time.
 
-    resolvent(sl) returns f*I - H at the frequencies sl of the grid; w is
-    (N,) or (nf, N). Each block is solved before the next is assembled.
+    resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
+    a; w is (N,) or (nf, N). One buffer of at most one block holds f - H,
+    and each block is solved before the next is written into it.
     """
     n = w.shape[-1]
-    step = max(1, _BLOCK_BYTES // (16 * n * n))
+    step = _block_rows(nf, n)
+    buf = np.empty(step * n * n, dtype=complex)
     gw = np.empty((nf, n), dtype=complex)
+    rhs = np.broadcast_to(w, (nf, n))[..., None]
     for start in range(0, nf, step):
-        sl = slice(start, start + step)
-        rhs = np.broadcast_to(w, (nf, n))[sl, :, None]
+        sl = slice(start, min(start + step, nf))
+        a = buf[: (sl.stop - start) * n * n].reshape(-1, n, n)
+        resolvent(sl, a)
         try:
-            # no name holds the block, so it is freed before the next one
-            gw[sl] = np.linalg.solve(resolvent(sl), rhs)[..., 0]
+            gw[sl] = np.linalg.solve(a, rhs[sl])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ModelError("singular resolvent on the frequency grid") from exc
     return _scattering(u, w, gw)
@@ -363,8 +416,9 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     resonance but the drives at each emitter's resonance or at the probe
     frequency, so the in/out coupling no longer matches the decay and
     lossy layouts can exceed 1 (up to 1.65 under 'resonance' and 1.87
-    under 'mixed' on random interleaved layouts of 32 emitters). Nothing
-    warns when that happens.
+    under 'mixed' on random interleaved layouts of 32 emitters). When
+    |S21|^2 + |S11|^2 exceeds 1 + 1e-10 anywhere on the grid, they emit
+    one PassivityWarning.
 
     A resolvent that is singular somewhere on the grid raises ModelError.
     The result records whether the pole-residue expansion or the batched
@@ -385,12 +439,15 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         # phases between points exact however far the layout sits from 0,
         # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
         x0 = pts.x.min()
-        u = pts.drives(f[:, None], v, x0)
+        u = _phasors(grid, pts.x - x0, v)
+        u *= np.sqrt(pts.kappa)  # in place: the nf x P table is the largest temporary
+        u = pts.emitter_sums(u)
     w = np.conj(u)
 
     path, min_pairing = "solve", None
     if convention == "probe":
-        s21, refl = _solve(lambda sl: _probe_resolvent(pts, f[sl], v, u[sl]), f.size, u, w)
+        step = _block_rows(f.size, pts.f_res.size)
+        s21, refl = _solve(_probe_resolvent(pts, grid, v, u, step), f.size, u, w)
     else:
         if convention == "mixed":
             hrel, _ = _assemble(pts, v, -1, None)
@@ -399,10 +456,19 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         f0 = pts.f_res.mean()
         min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u, w)
         if result is None:
-            result = _solve(lambda sl: _shifted(hrel, f[sl, None] - pts.f_res), f.size, u, w)
+            result = _solve(lambda sl, a: _shifted(hrel, f[sl, None] - pts.f_res, a), f.size, u, w)
         else:
             path = "pole-residues"
         s21, refl = result
     if convention != "resonance":
         refl = refl * np.exp(2j * (TWO_PI * (f * x0) / v))
+    if convention != "probe" and np.max(np.abs(s21) ** 2 + np.abs(refl) ** 2) > 1.0 + _PASSIVITY_TOL:
+        # a constant message, so the warnings registry reports it once per call site
+        warnings.warn(
+            "|S21|^2 + |S11|^2 exceeds 1 on the grid: this convention takes the "
+            "decay rates and the drives at different frequencies, so the "
+            "lossy model is not passive; use convention='probe'",
+            PassivityWarning,
+            stacklevel=2,
+        )
     return SMatrixResult(Spectrum(grid, s21), refl, path, min_pairing)

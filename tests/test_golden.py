@@ -16,6 +16,16 @@ synth spectra (geometry.json, from g0.csv, g1.csv and g2.csv) were
 captured, with their manifests, at the parent of the change that removed
 the unused options of NestedParams.from_geometry and fit_global_geometry,
 so that change is checked to be byte-identical.
+
+The three simulate-general runs on a braided three-emitter layout
+(general_*.csv) cover the N-emitter engine. general_resonance.csv and its
+manifest were captured at the parent of the change that builds the grid
+phasors from a coarse and a fine table, which leaves 'resonance' alone.
+general_mixed.csv, general_probe.csv, general_probe_refl.csv and their
+manifests were recorded after that change: the tables round the drive and
+probe phases differently from one exponential per frequency, which moves
+S21 and the reflection in their last digits (by up to 1e-13 under 'mixed'
+and 6e-12 under 'probe' on the benchmark layouts).
 """
 
 import hashlib
@@ -63,10 +73,24 @@ NESTED = {
     "probe": {"f_start_hz": 4.34e9, "f_stop_hz": 4.36e9, "n_points": 101},
 }
 
+BRAIDED = {
+    "waveguide": {"speed_mps": 3.26e7},
+    "emitters": [
+        {"name": "a", "f_res_hz": 4.345e9, "beta_hz": 1.2e6,
+         "points": [_point(0.0, 0.5e6), _point(0.061, 0.7e6), _point(0.143, 0.6e6)]},
+        {"name": "b", "f_res_hz": 4.352e9, "beta_hz": 0.9e6,
+         "points": [_point(0.027, 0.8e6), _point(0.098, 0.4e6)]},
+        {"name": "c", "f_res_hz": 4.349e9, "beta_hz": 1.5e6,
+         "points": [_point(0.044, 0.3e6), _point(0.117, 0.9e6), _point(0.171, 0.5e6)]},
+    ],
+    "probe": {"f_start_hz": 4.33e9, "f_stop_hz": 4.37e9, "n_points": 201},
+}
+
 # input files written before the runs; they are not digested
 INPUTS = {
     "single.json": CONFIG,
     "nested.json": NESTED,
+    "braided.json": BRAIDED,
     **{f"g{k}.json": _single_config(f, 201) for k, f in enumerate((4.0e9, 4.4e9, 4.8e9))},
 }
 
@@ -89,6 +113,10 @@ RUNS = [
     ["fit-geometry", "--dataset", "4.0GHz=g0.csv", "--dataset", "4.4GHz=g1.csv",
      "--dataset", "4.8GHz=g2.csv", "--free", "kappa=7e5:0:1e8", "--free", "beta=1.5e6:0:1e8",
      "--free", "length=0.08:0.01:0.5", "--fixed", "speed=3.26e7", "--output", "geometry.json"],
+    *(["simulate-general", "--config", "braided.json", "--convention", c, "--output", f"general_{c}.csv"]
+      for c in ("resonance", "mixed")),
+    ["simulate-general", "--config", "braided.json", "--convention", "probe",
+     "--output", "general_probe.csv", "--reflection-output", "general_probe_refl.csv"],
 ]
 
 GOLDEN = {
@@ -103,6 +131,13 @@ GOLDEN = {
     "g1.csv.manifest.json": "10e62f49fa9b01c1d0a867de94c79d29c74edb1be8ea98de7a3f97bc718492d3",
     "g2.csv": "d1fa9442ac21af48fc3fc94eef14eb0e68b92c784227b3f35bcd027f5fb39746",
     "g2.csv.manifest.json": "bf40b01b22a9a6370bbe56bbf4ce14f8c0a383412f85b9cbe4d055e233fab2ca",
+    "general_mixed.csv": "70faa6077a23b01cf3dba4a35735d2b29f106eb5f9f0e963c75173018a080da2",
+    "general_mixed.csv.manifest.json": "0b21d722da175a7294f70f00fdacd855a4a0df0a810c912ee00802888d2adb28",
+    "general_probe.csv": "7127bd2a4900a9639deef616f75e75ec825c892c712b3ed5939c42ea8266d862",
+    "general_probe.csv.manifest.json": "30425924e021fecdf975ba15d3e8674bd6a81c84b932389e142e82e6429f4aa7",
+    "general_probe_refl.csv": "37fae361acfa0d03aba20f565bbaa2a3474ae37f9bff9190992a44707310bdb0",
+    "general_resonance.csv": "9462dfbf6518a7390cc9561f285ad739936c0cd72ae3a36723caf1b6787b1a49",
+    "general_resonance.csv.manifest.json": "524fac1509ee7420e3e01c5764a2f0516a37eb432dd43fabba80426b0b288228",
     "geometry.json": "4348757ea303c657916c39ecf823947ffc84c684752472fa71397660a5757247",
     "geometry.json.manifest.json": "b220be94437946d088b4378e8ca7c389deb54dae10cb732c6e7241edb9300c4c",
     "map_detuning.csv": "1b55abdb3ec40dc61db128a74a58909564e68587438e3f227a627c5626cf1cf6",

@@ -138,8 +138,8 @@ class TestSpectrumCsv:
         assert same_doubles(freqs, [1e9, 1.000001e9])
         assert same_doubles(data.real, [0.5, -0.0]) and same_doubles(data.imag, [-0.25, 1e-310])
 
-    @pytest.mark.parametrize("row", ["1000002000.0,oops", "1000002000.0"],
-                             ids=["non-numeric", "short-row"])
+    @pytest.mark.parametrize("row", ["1000002000.0,oops", "1000002000.0", "nan,0.7", "inf,0.7"],
+                             ids=["non-numeric", "short-row", "nan-frequency", "inf-frequency"])
     def test_blank_lines_keep_file_line_numbers(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -194,8 +194,10 @@ class TestSpectrumCsv:
             ("", "empty file"),
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n0.0,2e9\r\n", ":3:"),
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,oops,-6.0\r\n", ":2:"),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\nnan,1e9,0.5,-6.0\r\n0.0,1e9,0.5,-6.0\r\n", ":2:"),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n0.0,-inf,0.5,-6.0\r\n", ":3:"),
         ],
-        ids=["empty", "short-row", "non-numeric"],
+        ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency"],
     )
     def test_malformed_map_rejected(self, tmp_path, text, where):
         path = tmp_path / "map.csv"
@@ -472,6 +474,19 @@ class TestCli:
                      "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1e6:0:1e8",
                      "--free", "beta=1e6:0:1e8", "--output", str(report)]) == 4
         assert f"i/o error: {data}: not UTF-8 text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_nan_frequency_exits_4(self, tmp_path, capsys):
+        # a NaN compares false either way, so it passes the ordering check
+        rows = [b"%d,0.5,0\r\n" % (4300000000 + k) for k in range(101)]
+        rows[50] = b"nan,0.5,0\r\n"
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"frequency_hz,s21_re,s21_im\r\n" + b"".join(rows))
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data), "--model", "single_giant",
+                     "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1e6:0:1e8",
+                     "--free", "beta=1e6:0:1e8", "--output", str(report)]) == 4
+        assert f"{data}:52: non-finite coordinate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):

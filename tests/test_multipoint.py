@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from gsesim.core import Emitter, FrequencyGrid, ModelError, Topology, Waveguide
 from gsesim.multipoint import (
     EffectiveModel,
     MarkovWarning,
+    PassivityWarning,
     build_effective,
     drive_vector,
     pair_sums,
@@ -245,6 +247,8 @@ class TestEffectiveModel:
         for call in calls:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
+                # this lossy layout is also not passive under resonance and mixed
+                warnings.simplefilter("ignore", PassivityWarning)
                 call()
             assert [w.category for w in caught] == [MarkovWarning]
 
@@ -538,6 +542,110 @@ class TestFrequencyBlocks:
             tracemalloc.stop()
         assert res.path == "solve"
         assert peak <= 16e6
+
+
+def direct_phasors(grid, d, speed, rows=slice(None)):
+    """mp._phasors with one exponential per frequency and distance."""
+    return np.exp(-1j * (mp.TWO_PI * (grid.frequencies[rows, None] * d) / speed))
+
+
+def probe_reference(t, f, dps=30):
+    """(S21, reflection) under 'probe' at one frequency, from pair sums at dps digits."""
+    n = len(t.emitters)
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(p) for e in t.emitters for p in e.positions]
+        root = [mpmath.sqrt(k) for e in t.emitters for k in e.kappa_points]
+        owner = [j for j, e in enumerate(t.emitters) for _ in e.positions]
+        k = 2 * mpmath.pi * mpmath.mpf(f) / SPEED
+        a = [[mpmath.mpc(0)] * n for _ in range(n)]  # f - H
+        for j, e in enumerate(t.emitters):
+            a[j][j] = f - mpmath.mpf(e.f_res) + 1j * e.beta
+        u = [0] * n
+        for p in range(len(x)):
+            u[owner[p]] += root[p] * mpmath.expj(-k * x[p])
+            for q in range(p, len(x)):
+                # J - i*Gamma = sum sqrt(kappa_p*kappa_q) * (sin/2 - i*cos)
+                z = mpmath.expj(k * abs(x[p] - x[q]))
+                h = root[p] * root[q] * (z.imag / 2 - 1j * z.real)
+                a[owner[p]][owner[q]] -= h
+                if q != p:
+                    a[owner[q]][owner[p]] -= h
+        w = [mpmath.conj(uj) for uj in u]
+        g = mpmath.lu_solve(mpmath.matrix(a), mpmath.matrix(w))
+        return (complex(1 - 1j * sum(uj * gj for uj, gj in zip(u, g))),
+                complex(-1j * sum(wj * gj for wj, gj in zip(w, g))))
+
+
+class TestGridPhasors:
+    """exp(-i*k*d) on a uniform grid from a coarse and a fine table."""
+
+    @pytest.mark.parametrize("nf", [2, 3, 7, 211, 2001])
+    def test_as_accurate_as_one_exponential_per_frequency(self, nf):
+        # distances measured from a first point 40 m out, phases up to 250 rad
+        grid = FrequencyGrid(4.3e9, 4.4e9, nf)
+        x0 = 40.0 + math.pi / 100
+        d = (x0 + np.array([0.0, 1e-3, 0.0371, 0.1, 0.2183, 0.295])) - x0
+        with mpmath.workdps(40):
+            df = (mpmath.mpf(grid.f_stop) - grid.f_start) / (nf - 1)
+            ref = np.array([
+                [complex(mpmath.expj(-2 * mpmath.pi * (grid.f_start + m * df) * dj / SPEED)) for dj in d]
+                for m in range(nf)
+            ])
+        table = np.max(np.abs(mp._phasors(grid, d, SPEED) - ref))
+        direct = np.max(np.abs(direct_phasors(grid, d, SPEED) - ref))
+        # the product of the two table entries rounds once more, by about 2e-16
+        assert table <= direct + 1e-15
+        assert direct < 1e-13
+
+    def test_rows_do_not_depend_on_the_blocking(self):
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        d = np.linspace(0.0, 0.3, 9)
+        whole = mp._phasors(grid, d, SPEED)
+        assert whole.shape == (2001, 9)
+        for rows in (slice(0, 1), slice(5, 9), slice(43, 46), slice(256, 512), slice(1999, 2001)):
+            assert np.array_equal(mp._phasors(grid, d, SPEED, rows), whole[rows])
+
+    def test_lossless_n32_probe_against_30_digit_reference(self, monkeypatch, waveguide):
+        # the tables move the outputs by up to about 1e-12 from one
+        # exponential per frequency; at the two frequencies where they move
+        # most, both are checked against the 30-digit pair sums
+        t = interleaved(np.random.default_rng(6), 32, 4, lossless=True)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        tables = s_matrix(t, waveguide, grid, convention="probe")
+        monkeypatch.setattr(mp, "_phasors", direct_phasors)
+        direct = s_matrix(t, waveguide, grid, convention="probe")
+        moved = (np.abs(tables.transmission.s21 - direct.transmission.s21)
+                 + np.abs(tables.reflection - direct.reflection))
+        for m in np.argsort(moved)[-2:]:
+            s21, refl = probe_reference(t, grid.frequencies[m])
+            for res in (tables, direct):
+                assert abs(res.transmission.s21[m] - s21) < 1e-12
+                assert abs(res.reflection[m] - refl) < 1e-12
+
+
+class TestPassivityWarning:
+    """'resonance' and 'mixed' warn when a lossy layout is not passive."""
+
+    @pytest.mark.parametrize("convention", ["resonance", "mixed"])
+    def test_gain_warns_once(self, waveguide, convention):
+        t = interleaved(np.random.default_rng(2), 8, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 201)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                res = s_matrix(t, waveguide, grid, convention=convention)
+        assert np.max(np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2) > 1.0 + 1e-10
+        # one constant message: the registry drops the repeat from this line
+        assert [w.category for w in caught] == [PassivityWarning]
+
+    @pytest.mark.parametrize("seed, convention", [(2, "probe"), (5, "resonance")])
+    def test_passive_layouts_do_not_warn(self, waveguide, seed, convention):
+        t = interleaved(np.random.default_rng(seed), 8, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = s_matrix(t, waveguide, grid, convention=convention)
+        assert np.max(np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2) <= 1.0
 
 
 class TestDriveVector:
