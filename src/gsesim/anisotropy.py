@@ -22,8 +22,6 @@ import numpy as np
 
 from .core import GAMMA_2PI, ModelError, _require_finite
 
-QUARTER_PI = 0.25 * math.pi
-
 ANGULAR_FACTOR_MAX = 2.0  # g(0)
 ANGULAR_FACTOR_MIN = -4.0 / 3.0  # g at cos(2*theta) = -1/3
 ANGULAR_FACTOR_SPAN = ANGULAR_FACTOR_MAX - ANGULAR_FACTOR_MIN
@@ -41,8 +39,8 @@ class AnisotropyParams:
     H_A:   first-order anisotropy field, tesla (signed)
     gamma: gyromagnetic ratio over 2*pi, Hz/T
 
-    The magnetization azimuth is fixed at QUARTER_PI, which keeps the
-    rotation in the {110} plane.
+    The magnetization azimuth is fixed at pi/4, which keeps the rotation
+    in the {110} plane.
     """
 
     H_e0: float
@@ -85,26 +83,16 @@ def demag_tensor(theta_h, phi0, H_A, M0):
 def resonance_full(p, theta_h):
     """Resonance frequency from the full quadratic law, Hz.
 
-    Keeps every angle term including the sin^2(theta)*sin^2(2*theta)*
-    sin^2(4*phi0) cross term, at the azimuth phi0 = QUARTER_PI; rejects
-    parameter sets with a negative radicand (unsaturated or unphysical
-    regime).
+    Keeps every angle term at the magnetization azimuth phi0 = pi/4, where
+    sin^2(2*phi0) = 1 and the sin^2(theta)*sin^2(2*theta)*sin^2(4*phi0)
+    cross term vanishes; rejects parameter sets with a negative radicand
+    (unsaturated or unphysical regime).
     """
     c2 = math.cos(2.0 * theta_h)
     c4 = math.cos(4.0 * theta_h)
-    s2p = math.sin(2.0 * QUARTER_PI) ** 2
-    first = p.H_e0 + p.H_A * (
-        1.5 + 0.5 * c4 + (-15.0 / 8.0 + 2.0 * c2 - c4 / 8.0) * s2p
-    )
-    second = p.H_e0 + p.H_A * (2.0 * c4 + (0.5 * c2 - 0.5 * c4) * s2p)
-    cross = (
-        2.25
-        * p.H_A ** 2
-        * math.sin(theta_h) ** 2
-        * math.sin(2.0 * theta_h) ** 2
-        * math.sin(4.0 * QUARTER_PI) ** 2
-    )
-    radicand = first * second - cross
+    first = p.H_e0 + p.H_A * (1.5 + 0.5 * c4 + (-15.0 / 8.0 + 2.0 * c2 - c4 / 8.0))
+    second = p.H_e0 + p.H_A * (2.0 * c4 + (0.5 * c2 - 0.5 * c4))
+    radicand = first * second
     if radicand <= 0:
         raise ModelError(f"negative radicand at theta={theta_h}: unphysical regime")
     return p.gamma * math.sqrt(radicand)
@@ -131,6 +119,7 @@ def h_a_for_tuning_range(tuning_range_hz, gamma=GAMMA_2PI):
 
 def angle_sweep(p, thetas, which="simple"):
     """Resonance frequency at each angle, in input order."""
+    _require_finite("theta", *thetas)
     if which == "simple":
         return [float(resonance_simple(p, th)) for th in thetas]
     if which == "full":

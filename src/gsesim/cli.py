@@ -1,16 +1,17 @@
 """Command-line front end: sweep orchestration and deterministic file output.
 
-The only module with side effects. Every run emits its data files plus a
-manifest JSON recording the resolved inputs and sha256 checksums of the
-outputs; identical inputs and seed produce identical bytes. Every command
-runs on one thread. Exit codes: 0 success, 2 configuration error, 3 numeric
-failure, 4 I/O error.
+The only module with side effects. Each command writes its data files and
+returns the resolved inputs for the manifest; `main` derives the run's
+output paths from the arguments alone, refuses two that name the same file
+or one that names an input, and writes the manifest JSON with the sha256
+checksums of the outputs. Identical inputs and seed produce identical bytes.
+Every command runs on one thread. Exit codes: 0 success, 2 configuration
+error, 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -163,18 +164,12 @@ def _parse_fixed(items):
     return fixed
 
 
-def _emit(args, outputs, config):
-    manifest = args.manifest or (args.output + ".manifest.json")
-    gio.write_manifest(manifest, config, outputs)
-    return outputs + [manifest]
-
-
 def _cmd_simulate_single(args):
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     spectrum = s21_single(p, grid, self_consistent_phase=args.self_consistent_phase)
     gio.write_spectrum_csv(args.output, spectrum)
-    return _emit(args, [args.output], {"command": "simulate-single", "config": args.config})
+    return {"command": "simulate-single", "config": args.config}
 
 
 def _cmd_simulate_nested(args):
@@ -182,22 +177,19 @@ def _cmd_simulate_nested(args):
     p = _nested_from_topology(waveguide, topology)
     spectrum = s21_nested_matrix(p, grid, lamb_sign=args.lamb_sign, phase_ref=args.phase_ref)
     gio.write_spectrum_csv(args.output, spectrum)
-    return _emit(args, [args.output], {"command": "simulate-nested", "config": args.config})
+    return {"command": "simulate-nested", "config": args.config}
 
 
 def _cmd_simulate_general(args):
     waveguide, topology, grid = gio.load_config(args.config)
     result = s_matrix(topology, waveguide, grid, convention=args.convention)
     gio.write_spectrum_csv(args.output, result.transmission)
-    outputs = [args.output]
     if args.reflection_output:
         gio.write_spectrum_csv(args.reflection_output, Spectrum(grid, result.reflection))
-        outputs.append(args.reflection_output)
-    return _emit(args, outputs, {"command": "simulate-general", "config": args.config})
+    return {"command": "simulate-general", "config": args.config}
 
 
 def _cmd_map(args):
-    outputs = [args.output]
     if args.sweep == "detuning":
         needed = ("grid", "f_i", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma")
         missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
@@ -212,18 +204,17 @@ def _cmd_map(args):
         if args.eigen_output:
             eigs, _ = eigen_traces(q, f_o_values)
             gio.write_eigen_csv(args.eigen_output, detunings, eigs)
-            outputs.append(args.eigen_output)
-        config = {"command": "map", "sweep": "detuning", "values": args.values}
-    else:
-        if args.config is None:
-            raise ConfigError("map --sweep field needs --config")
-        waveguide, topology, grid = gio.load_config(args.config)
-        p = _single_from_topology(waveguide, topology)
-        fields = parse_range(args.values)
-        columns = map_single_vs_field(p, fields, args.h_a, grid)
-        gio.write_map_csv(args.output, columns)
-        config = {"command": "map", "sweep": "field", "config": args.config, "values": args.values}
-    return _emit(args, outputs, config)
+        return {"command": "map", "sweep": "detuning", "values": args.values}
+    if args.config is None:
+        raise ConfigError("map --sweep field needs --config")
+    if args.eigen_output:
+        raise ConfigError("--eigen-output applies only to map --sweep detuning")
+    waveguide, topology, grid = gio.load_config(args.config)
+    p = _single_from_topology(waveguide, topology)
+    fields = parse_range(args.values)
+    columns = map_single_vs_field(p, fields, args.h_a, grid)
+    gio.write_map_csv(args.output, columns)
+    return {"command": "map", "sweep": "field", "config": args.config, "values": args.values}
 
 
 def _cmd_fit(args):
@@ -237,10 +228,10 @@ def _cmd_fit(args):
     )
     result = fit(problem)
     gio.write_fit_report(args.output, result)
-    return _emit(args, [args.output], {
+    return {
         "command": "fit", "model": args.model, "data": args.data,
         "free": args.free, "fixed": args.fixed, "db": args.db,
-    })
+    }
 
 
 def _cmd_fit_geometry(args):
@@ -255,9 +246,7 @@ def _cmd_fit_geometry(args):
         datasets.append((parse_frequency(f_res_text), freqs, data))
     result = fit_global_geometry(datasets, free=_parse_free(args.free), fixed=_parse_fixed(args.fixed))
     gio.write_fit_report(args.output, result)
-    return _emit(args, [args.output], {
-        "command": "fit-geometry", "datasets": args.dataset, "free": args.free, "fixed": args.fixed,
-    })
+    return {"command": "fit-geometry", "datasets": args.dataset, "free": args.free, "fixed": args.fixed}
 
 
 def _cmd_anisotropy(args):
@@ -266,10 +255,7 @@ def _cmd_anisotropy(args):
     p = AnisotropyParams(args.h_e0, args.h_a, gamma=gamma)
     freqs = angle_sweep(p, thetas, which=args.which)
     gio.write_anisotropy_csv(args.output, thetas, freqs)
-    return _emit(
-        args, [args.output],
-        {"command": "anisotropy", "h_e0": args.h_e0, "h_a": args.h_a, "which": args.which},
-    )
+    return {"command": "anisotropy", "h_e0": args.h_e0, "h_a": args.h_a, "which": args.which}
 
 
 def _cmd_pv_check(args):
@@ -284,21 +270,20 @@ def _cmd_pv_check(args):
     gio.write_pv_csv(args.output, rows)
     worst = max(max(r[5], r[6]) for r in rows)
     print(f"pv-check: {len(rows)} points, branch {args.branch!r}, worst |closed - quad| = {worst:.3e}")
-    return _emit(args, [args.output], {"command": "pv-check", "x": args.x, "branch": args.branch})
+    return {"command": "pv-check", "x": args.x, "branch": args.branch}
 
 
 def _cmd_synth(args):
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed}: must be >= 0")
+    if not 0 <= args.noise_sigma < np.inf:
+        raise ConfigError(f"--noise-sigma {args.noise_sigma}: must be finite and >= 0")
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     spectrum = s21_single(p, grid)
     noisy = spectrum.s21 + gio.synth_noise(grid.n_points, args.noise_sigma, args.seed)
     gio.write_spectrum_csv(args.output, Spectrum(grid, noisy))
-    return _emit(
-        args, [args.output],
-        {"command": "synth", "config": args.config, "noise_sigma": args.noise_sigma, "seed": args.seed},
-    )
+    return {"command": "synth", "config": args.config, "noise_sigma": args.noise_sigma, "seed": args.seed}
 
 
 def build_parser():
@@ -395,24 +380,24 @@ def build_parser():
     return parser
 
 
-def _candidate_outputs(args):
-    paths = []
-    for attr in ("output", "manifest", "eigen_output", "reflection_output"):
-        value = getattr(args, attr, None)
-        if value:
-            paths.append(value)
-    if getattr(args, "output", None) and not getattr(args, "manifest", None):
-        paths.append(args.output + ".manifest.json")
-    return paths
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    candidates = _candidate_outputs(args)
-    preexisting = {p for p in candidates if os.path.exists(p)}
+    args = build_parser().parse_args(argv)
+    # the data files the command writes, then its manifest; and what it reads
+    outputs = [args.output] + [p for p in (getattr(args, "eigen_output", None),
+                                           getattr(args, "reflection_output", None)) if p]
+    manifest = args.manifest or args.output + ".manifest.json"
+    written = outputs + [manifest]
+    inputs = [getattr(args, "config", None), getattr(args, "data", None),
+              *(item.partition("=")[2] for item in getattr(args, "dataset", []))]
+    preexisting = {p for p in written if os.path.exists(p)}
     try:
-        args.run(args)
+        seen = {os.path.realpath(p) for p in inputs if p}
+        for path in written:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ConfigError(f"{path}: names an input or another output of this run")
+            seen.add(real)
+        gio.write_manifest(manifest, args.run(args), outputs)
         return 0
     except (ConfigError, ParameterNameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -424,7 +409,7 @@ def main(argv=None):
         print(f"i/o error: {exc}", file=sys.stderr)
         code = 4
     # never leave partial artifacts behind a failed run
-    for path in candidates:
+    for path in written:
         if path not in preexisting and os.path.exists(path):
             try:
                 os.unlink(path)

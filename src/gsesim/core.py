@@ -217,11 +217,11 @@ def classify_topology(t):
     return "general"
 
 
-def field_to_frequency(B, H_A_equiv=0.0, gamma_2pi=GAMMA_2PI):
+def field_to_frequency(B, H_A_equiv=0.0):
     """Kittel-mode frequency f = (gamma/2pi) * (B + H_A) for fields in tesla."""
     _require_finite("B", B)
     _require_finite("H_A_equiv", H_A_equiv)
-    f = gamma_2pi * (B + H_A_equiv)
+    f = GAMMA_2PI * (B + H_A_equiv)
     if f <= 0:
         raise ModelError(f"resulting frequency must be > 0, got {f} Hz")
     return f

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import ModelError, TWO_PI
 from .nested import FitFormParams, s21_fitform_values
+from .single import giant_decay
 
 
 class FitError(ModelError):
@@ -365,8 +366,6 @@ def extract_decay_curve(entries, reference):
     prediction column. Returns a list of rows
     (f_res, kappa_g_fitted, kappa_g_predicted).
     """
-    from .single import giant_decay  # local import avoids a cycle
-
     if not entries:
         raise FitError("extract_decay_curve needs at least one entry")
     rows = []

@@ -199,8 +199,8 @@ def write_fit_report(path, result):
 
 def synth_noise(n, noise_sigma, seed):
     """i.i.d. complex Gaussian noise with E|n|^2 = sigma^2, seeded."""
-    if noise_sigma < 0:
-        raise ModelError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ModelError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if noise_sigma == 0:
         return np.zeros(n, dtype=complex)
     rng = np.random.default_rng(seed)

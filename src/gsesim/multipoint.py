@@ -70,9 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelError, Spectrum
-
-TWO_PI = 2.0 * math.pi
+from .core import ModelError, Spectrum, TWO_PI
 
 # The pole-residue expansion is used only when every eigenvector r_k of H
 # (unit 2-norm) has |r_k^T r_k| >= _MIN_PAIRING and the bilinear Gram

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelError, Spectrum, phase
+from .core import ModelError, Spectrum, TWO_PI, phase
 from .single import SingleGseParams
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

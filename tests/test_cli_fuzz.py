@@ -4,14 +4,25 @@ Every example runs in process in a fresh directory that holds a few valid
 and invalid input files. Arguments are drawn from small pools that mix
 valid values with malformed ones: missing unit suffixes, reversed ranges,
 counts of 0 or 1, negative, NaN and infinite numbers, negative seeds,
-fractional grid sizes, missing paths and non-UTF-8 files. Whatever the
-arguments, main returns 0, 2, 3 or 4 (argparse's own exits count as their
-code), no other exception escapes, and a failed run leaves only the inputs
-behind. Grids stay at most a few hundred points so an example runs in
-milliseconds.
+fractional grid sizes, missing paths and non-UTF-8 files. The output
+flags (`--output`, `--manifest`, `--reflection-output`, `--eigen-output`)
+draw from one shared pool that also names an input file, so that outputs
+collide with each other and with inputs. Whatever the arguments:
+
+- main returns 0, 2, 3 or 4 (argparse's own exits count as their code) and
+  no other exception escapes;
+- the run's inputs, and every file it was not told to write, keep their
+  bytes;
+- a failed run leaves only the inputs behind;
+- a successful run leaves exactly the inputs, its data outputs and its
+  manifest, and the manifest lists each data output once, with the sha256
+  of the bytes on disk.
+
+Grids stay at most a few hundred points so an example runs in milliseconds.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -70,7 +81,9 @@ INPUTS = _inputs()
 CONFIGS = ["single.json", "nested.json", "braided.json", "frac.json", "huge.json",
            "bad.json", "missing.json"]
 DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json"]
-OUTPUTS = ["out.csv", "out.json", "nodir/out.csv"]
+# shared by every output flag; single.json is also the most drawn config
+PATHS = ["out.csv", "man.json", "refl.csv", "eigen.csv", "./out.csv", "out.csv.manifest.json",
+         "nodir/out.csv", "single.json"]
 FREQS = ["1.15MHz", "0.000126MHz", "0Hz", "-1MHz", "1.15", "nanMHz", "infMHz", "4.35GHz"]
 FLOATS = ["0.155", "0.0035", "0", "-0.1", "nan", "inf", "-inf", "1e-9", "x"]
 FREE = {
@@ -123,30 +136,34 @@ def _repeat(flag, values, valid_sets=([],)):
     return picks.map(lambda vs: [f"{flag}={v}" for v in vs])
 
 
+def _path(flag, own, required=False):
+    """An output flag: its own name or any name of the shared pool."""
+    return _arg(flag, [own, *PATHS], required=required)
+
+
 def _common(config=True):
-    parts = [_arg("--output", OUTPUTS, required=True),
-             _arg("--manifest", ["man.json", "nodir/man.json"])]
+    parts = [_path("--output", "out.csv", required=True), _path("--manifest", "man.json")]
     if config:
         parts.insert(0, _arg("--config", CONFIGS, required=True, good=3))
     return parts
 
 
-TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in (
-    ("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g", "0.000126MHz"),
-    ("--beta-i", "1.54MHz"), ("--beta-o", "0.86MHz"), ("--j", "1.01MHz"),
-    ("--gamma", "0.000328MHz"))]
+GOOD_TWO_MODE = [("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g", "0.000126MHz"),
+                 ("--beta-i", "1.54MHz"), ("--beta-o", "0.86MHz"), ("--j", "1.01MHz"),
+                 ("--gamma", "0.000328MHz")]
+TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in GOOD_TWO_MODE]
 
 SUBCOMMANDS = {
     "simulate-single": [*_common(), _flag("--self-consistent-phase")],
     "simulate-nested": [*_common(), _arg("--lamb-sign", ["-1", "1", "0", "x"], good=2),
                         _arg("--phase-ref", ["resonance", "probe", "bogus"], good=2)],
     "simulate-general": [*_common(), _arg("--convention", ["resonance", "probe", "mixed", "x"], good=3),
-                         _arg("--reflection-output", ["refl.csv", "nodir/refl.csv"])],
+                         _path("--reflection-output", "refl.csv")],
     "map": [*_common(config=False), _arg("--sweep", ["detuning", "field", "bogus"], True, 2),
             _arg("--values", [DETUNINGS[0], FIELDS[0], *DETUNINGS, *FIELDS], True, 2),
             _arg("--config", CONFIGS), _arg("--grid", GRIDS),
             _arg("--h-a", FLOATS), _arg("--threads", ["1", "2", "0", "-1"]),
-            _arg("--eigen-output", ["eigen.csv", "nodir/eigen.csv"]), *TWO_MODE],
+            _path("--eigen-output", "eigen.csv"), *TWO_MODE],
     "fit": [*_common(config=False), _arg("--data", DATA, required=True, good=2),
             _arg("--model", ["single_giant", "single", "nested_fitform", "bogus"], required=True),
             _repeat("--free", sum(FREE.values(), []), [FREE["single_giant"][:3]]),
@@ -178,7 +195,8 @@ def argvs(draw):
 
 
 def run_in_fresh_dir(argv):
-    """main(argv) in a new directory holding INPUTS; returns (code, names left)."""
+    """main(argv) in a new directory holding INPUTS; returns (code, files left),
+    the files as a dict from relative path to bytes."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in INPUTS.items():
@@ -194,13 +212,29 @@ def run_in_fresh_dir(argv):
                     code = exc.code
         finally:
             os.chdir(cwd)
-        return code, sorted(os.listdir(tmp))
+        files = {}
+        for root, _, names in os.walk(tmp):
+            for name in names:
+                with open(os.path.join(root, name), "rb") as fh:
+                    files[os.path.relpath(os.path.join(root, name), tmp)] = fh.read()
+        return code, files
 
 
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
 @example(["synth", "--config=single.json", "--noise-sigma=0.01", "--seed=-1", "--output=out.csv"])
+@example(["simulate-single", "--config=single.json", "--output=out.csv", "--manifest=out.csv"])
+@example(["simulate-general", "--config=braided.json", "--output=out.csv",
+          "--reflection-output=./out.csv"])
+@example(["map", "--sweep=detuning", "--values=-5MHz:5MHz:5", "--grid=4.34GHz:4.36GHz:51",
+          *(f"{flag}={value}" for flag, value in GOOD_TWO_MODE), "--output=out.csv",
+          "--eigen-output=out.csv"])
+@example(["map", "--sweep=field", "--values=0.154:0.156:3", "--config=single.json",
+          "--output=out.csv", "--eigen-output=eigen.csv"])
+@example(["synth", "--config=single.json", "--output=single.json"])
+@example(["anisotropy", "--output=out.csv", "--h-e0=0.155", "--h-a=0.0035", "--theta=0rad:infrad:3",
+          "--which=full"])
 @example(["simulate-single", "--config=frac.json", "--output=out.csv"])
 @example(["simulate-single", "--config=huge.json", "--output=out.csv"])
 @example(["fit", "--data=synth.csv", "--model=single_giant", "--free=f_res=4.35e9:4.3e9:4.4e9",
@@ -215,7 +249,24 @@ def run_in_fresh_dir(argv):
           "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
           "--free=length=0.083:0.01:0.5", "--fixed=speed=3.26e7", "--output=out.json"])
 def test_cli_main_exits_with_a_documented_code(argv):
-    code, left = run_in_fresh_dir(argv)
+    code, files = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
+    norm = os.path.normpath
+    opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value wins
+    data_outputs = [norm(opts[f]) for f in ("--output", "--eigen-output", "--reflection-output")
+                    if opts.get(f)]
+    manifest = opts.get("--manifest") or opts.get("--output", "") + ".manifest.json"
+    reads = {norm(opts[f]) for f in ("--config", "--data") if f in opts}
+    reads |= {norm(a.split("=", 2)[-1]) for a in argv if a.startswith("--dataset=")}
+    for name, data in INPUTS.items():
+        if name in reads or name not in {*data_outputs, norm(manifest)}:
+            assert files.get(name) == data, (argv, code, name)
     if code != 0:
-        assert left == sorted(INPUTS), (argv, code, left)
+        assert sorted(files) == sorted(INPUTS), (argv, code, sorted(files))
+    elif "--help" not in argv:
+        assert len({*data_outputs, norm(manifest)}) == len(data_outputs) + 1, argv
+        assert sorted(files) == sorted({*INPUTS, *data_outputs, norm(manifest)}), (argv, sorted(files))
+        recorded = json.loads(files[norm(manifest)])["outputs"]
+        assert sorted(norm(p) for p in recorded) == sorted(data_outputs), (argv, recorded)
+        for path, digest in recorded.items():
+            assert hashlib.sha256(files[norm(path)]).hexdigest() == digest, (argv, path)

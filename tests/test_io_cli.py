@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gsesim
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
-from gsesim.core import FrequencyGrid, Spectrum
+from gsesim.core import FrequencyGrid, ModelError, Spectrum
 from gsesim.io import (
     ConfigError,
     DataFormatError,
@@ -267,6 +267,11 @@ class TestSynthNoise:
     def test_zero_sigma_is_exact_zero(self):
         assert np.all(synth_noise(10, 0.0, 0) == 0)
 
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf])
+    def test_negative_or_non_finite_sigma_raises(self, sigma):
+        with pytest.raises(ModelError, match="noise_sigma must be finite and >= 0"):
+            synth_noise(10, sigma, 0)
+
     def test_sample_variance(self):
         n = synth_noise(10_000, 0.01, 123)
         assert np.mean(np.abs(n) ** 2) == pytest.approx(1e-4, rel=0.05)
@@ -513,6 +518,50 @@ class TestCli:
         assert "config error: --seed -1: must be >= 0" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+    def test_bad_noise_sigma_exits_2(self, tmp_path, capsys, sigma):
+        # these used to exit 3: "-1" from synth_noise, "nan" and "inf" as a
+        # spectrum with non-finite values
+        cfg = make_config(tmp_path)
+        out = tmp_path / "noisy.csv"
+        assert main(["synth", "--config", cfg, f"--noise-sigma={sigma}", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --noise-sigma {float(sigma)}: must be finite and >= 0" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-single", "--config", "config.json", "--output", "x.csv", "--manifest", "x.csv"],
+        ["simulate-general", "--config", "config.json", "--output", "g.csv",
+         "--reflection-output", "./g.csv"],
+        ["map", "--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
+         *TWO_MODE, "--output", "m.csv", "--eigen-output", "m.csv"],
+        ["map", "--sweep", "field", "--config", "config.json", "--values", "0.154:0.156:3",
+         "--output", "m.csv", "--eigen-output", "e.csv"],
+        ["synth", "--config", "config.json", "--output", "config.json"],
+        ["simulate-single", "--config", "config.json", "--output", "x.csv",
+         "--manifest", "sub/../config.json"],
+        ["fit", "--data", "d.csv", "--model", "single_giant", "--free", "f_res=4.3309e9:4.30e9:4.36e9",
+         "--free", "kappa_g=2e6:0:2e7", "--free", "beta=2e6:0:2e7", "--output", "d.csv"],
+        ["fit-geometry", *(f"--dataset={f}GHz=d.csv" for f in ("4.2", "4.3", "4.4")),
+         "--free", "kappa=7.6e5:0:1e8", "--free", "beta=1.6e6:0:1e8",
+         "--free", "length=0.083:0.01:0.5", "--fixed", "speed=3.26e7", "--output", "r.json",
+         "--manifest", "d.csv"],
+    ], ids=["manifest-over-output", "reflection-over-output", "eigen-over-map",
+            "eigen-on-field-sweep", "output-over-config", "manifest-over-config",
+            "output-over-data", "manifest-over-dataset"])
+    def test_colliding_paths_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # each used to exit 0 with an output written over another file, or
+        # with the field sweep's --eigen-output ignored
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["synth", "--config", "config.json", "--noise-sigma", "0.01",
+                     "--output", "d.csv", "--manifest", "sub/d.json"]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_fractional_n_points_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         make_config(tmp_path)
@@ -535,13 +584,14 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("flag, value", [("--h-e0", "nan"), ("--h-e0", "inf"), ("--h-a", "nan"),
-                                             ("--gamma", "infGHz")])
+                                             ("--gamma", "infGHz"), ("--theta", "0rad:infrad:3"),
+                                             ("--theta", "nandeg:1deg:3")])
     def test_anisotropy_non_finite_input_exits_3(self, tmp_path, capsys, flag, value):
-        # these used to write a curve of nan or inf frequencies and exit 0
-        argv = {"--h-e0": "0.155", "--h-a": "0.0035", flag: value}
+        # these used to write a curve of nan or inf frequencies and exit 0;
+        # an infinite angle under --which full raised ValueError (exit 1)
+        argv = {"--h-e0": "0.155", "--h-a": "0.0035", "--theta": "0deg:180deg:7", flag: value}
         out = tmp_path / "angles.csv"
-        assert main(["anisotropy", *(f"{k}={v}" for k, v in argv.items()),
-                     "--theta", "0deg:180deg:7", "--output", str(out)]) == 3
+        assert main(["anisotropy", *(f"{k}={v}" for k, v in argv.items()), "--output", str(out)]) == 3
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
