@@ -189,12 +189,26 @@ def _cmd_simulate_general(args):
     return {"command": "simulate-general", "config": args.config}
 
 
+# the flags that only one sweep of `map` reads; the other sweep rejects them
+_SWEEP_FLAGS = {
+    "detuning": ("grid", "f_i", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma"),
+    "field": ("config", "h_a"),
+}
+
+
+def _flag_names(names):
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
 def _cmd_map(args):
+    other = "field" if args.sweep == "detuning" else "detuning"
+    stray = [name for name in _SWEEP_FLAGS[other] if getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"map --sweep {args.sweep} does not take {_flag_names(stray)}")
     if args.sweep == "detuning":
-        needed = ("grid", "f_i", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma")
-        missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+        missing = [name for name in _SWEEP_FLAGS["detuning"] if getattr(args, name) is None]
         if missing:
-            raise ConfigError(f"map --sweep detuning needs {', '.join(missing)}")
+            raise ConfigError(f"map --sweep detuning needs {_flag_names(missing)}")
         q = _fitform_from_args(args)
         detunings = parse_range(args.values, parse_frequency)
         grid = _grid_from_arg(args.grid)
@@ -212,7 +226,7 @@ def _cmd_map(args):
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     fields = parse_range(args.values)
-    columns = map_single_vs_field(p, fields, args.h_a, grid)
+    columns = map_single_vs_field(p, fields, 0.0 if args.h_a is None else args.h_a, grid)
     gio.write_map_csv(args.output, columns)
     return {"command": "map", "sweep": "field", "config": args.config, "values": args.values}
 
@@ -324,7 +338,8 @@ def build_parser():
                    help="sweep range start:stop:count (detuning values carry frequency suffixes; fields are tesla)")
     p.add_argument("--config", default=None, help="JSON configuration (field sweep)")
     p.add_argument("--grid", default=None, help="probe grid f_start:f_stop:n (detuning sweep)")
-    p.add_argument("--h-a", type=float, default=0.0, help="anisotropy-equivalent field, tesla (field sweep)")
+    p.add_argument("--h-a", type=float, default=None,
+                   help="anisotropy-equivalent field, tesla (field sweep; default 0)")
     p.add_argument("--eigen-output", default=None, help="also emit eigenvalue traces (detuning sweep)")
     p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
     # two-mode parameters for the detuning sweep, frequencies with unit suffix

@@ -4,7 +4,9 @@ Two model families are fit in practice: the one-pole single-ensemble form
 (per-resonance decay-rate extraction and the joint geometry fit that pins
 down the coupling-point separation and the photon speed) and the
 eight-parameter two-mode form for the nested pair. Complex data is fitted
-on stacked real/imaginary residuals; magnitude-only data on |S21|.
+on stacked real/imaginary residuals; magnitude-only data on |S21|. Every
+residual comes with its closed-form Jacobian, and one numpy
+Levenberg-Marquardt solver, `_least_squares`, minimizes them all.
 """
 
 from __future__ import annotations
@@ -69,6 +71,84 @@ MODELS = {
     "nested_fitform": nested_fitform_model,
 }
 
+
+def _single_partials(f, q):
+    """d S21 / d parameter of single_model, by name.
+
+    S21 = 1 + kappa_g/den with den = i*(f - f_res - shift) - kappa_g - beta;
+    f_res, length and speed act through phi = 2*pi*f_res*length/speed.
+    """
+    f = np.asarray(f, dtype=float)
+    kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], q["speed"]
+    phi = TWO_PI * f_res * length / speed
+    cos, sin = math.cos(phi), math.sin(phi)
+    kappa_g = 2.0 * kappa * (1.0 + cos)
+    inv = 1.0 / (1j * (f - f_res - kappa * sin) - kappa_g - q["beta"])
+    a = kappa_g * inv * inv
+
+    def partial(d_kappa_g, d_shift, d_f_res=0.0):
+        return d_kappa_g * inv + a * (d_kappa_g + 1j * (d_f_res + d_shift))
+
+    d_phi = partial(-2.0 * kappa * sin, kappa * cos)
+    return {
+        "f_res": partial(0.0, 0.0, 1.0) + d_phi * (TWO_PI * length / speed),
+        "kappa": partial(2.0 * (1.0 + cos), sin),
+        "beta": a,
+        "length": d_phi * (TWO_PI * f_res / speed),
+        "speed": d_phi * (-phi / speed),
+    }
+
+
+def _single_giant_partials(f, q):
+    """d S21 / d parameter of single_giant_model, by name."""
+    f = np.asarray(f, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / (f - q["f_res"] + 1j * (q["kappa_g"] + q["beta"]))
+    kappa_inv2 = q["kappa_g"] * inv * inv
+    return {"f_res": -1j * kappa_inv2, "kappa_g": -1j * inv - kappa_inv2, "beta": -kappa_inv2}
+
+
+def _nested_fitform_partials(f, q):
+    """d S21 / d parameter of nested_fitform_model, by name.
+
+    S21 = 1 - num/den as in s21_fitform_values; each parameter moves num
+    and den, and d S21 = (num*d_den/den - d_num)/den.
+    """
+    f = np.asarray(f, dtype=float)
+    k_i, k_o = q["kappa_i_g"], q["kappa_o_g"]
+    d_o = f - q["f_o"] + 1j * (k_o + q["beta_o"])
+    d_i = f - q["f_i"] + 1j * (k_i + q["beta_i"])
+    c = q["j"] - 1j * q["gamma"]
+    root = math.sqrt(k_i * k_o)
+    num = 2j * root * c + 1j * k_i * d_o + 1j * k_o * d_i
+    inv = 1.0 / (d_o * d_i - c * c)
+    ratio = num * inv
+    # d root / d kappa, taken as 0 where root vanishes
+    root_i = 0.5 * k_o / root if root > 0 else 0.0
+    root_o = 0.5 * k_i / root if root > 0 else 0.0
+
+    def partial(d_num, d_den):
+        return (ratio * d_den - d_num) * inv
+
+    return {
+        "f_i": partial(-1j * k_o, -d_o),
+        "f_o": partial(-1j * k_i, -d_i),
+        "kappa_i_g": partial(2j * c * root_i + 1j * d_o - k_o, 1j * d_o),
+        "kappa_o_g": partial(2j * c * root_o + 1j * d_i - k_i, 1j * d_i),
+        "beta_i": partial(-k_o, 1j * d_o),
+        "beta_o": partial(-k_i, 1j * d_i),
+        "j": partial(2j * root, -2.0 * c),
+        "gamma": partial(2.0 * root, 2j * c),
+    }
+
+
+# closed-form Jacobians of MODELS: name -> (f, q) -> {parameter: d S21 / d parameter}
+_PARTIALS = {
+    "single": _single_partials,
+    "single_giant": _single_giant_partials,
+    "nested_fitform": _nested_fitform_partials,
+}
+
 # the names each model reads; free and fixed together must give exactly these
 MODEL_PARAMS = {
     "single": ("f_res", "kappa", "beta", "length", "speed"),
@@ -77,6 +157,11 @@ MODEL_PARAMS = {
 }
 # the geometry fit takes f_res from each dataset
 GEOMETRY_PARAMS = MODEL_PARAMS["single"][1:]
+
+_MAX_NFEV = 20000  # evaluations before a fit gives up
+_MAG_FLOOR = 1e-300  # |S21| below this counts as zero in magnitude and dB residuals
+_FLAT_SV = 1e-10  # column-scaled singular value, relative to the largest, of a flat direction
+_FLAT_COMPONENT = 1e-6  # weight in a flat direction that makes a parameter unidentifiable
 
 
 def _check_params(expected, free, fixed):
@@ -132,15 +217,13 @@ class FitProblem:
             raise ModelError("db_scale applies to magnitude-only data")
         _check_params(MODEL_PARAMS[self.model], self.free, self.fixed)
 
-    def evaluate(self, values):
-        q = dict(self.fixed)
-        q.update(values)
-        return MODELS[self.model](self.freqs, q)
-
 
 @dataclass(frozen=True)
 class FitResult:
-    """Parameter estimates with 1-sigma uncertainties from the Jacobian."""
+    """Parameter estimates with 1-sigma uncertainties from the Jacobian.
+
+    n_iter counts the evaluations of the residual and its Jacobian.
+    """
 
     values: dict
     sigmas: dict
@@ -150,72 +233,183 @@ class FitResult:
 
 
 def _residuals(problem, names):
+    """fun(x) -> (residual, Jacobian) of the problem over the free names.
+
+    Magnitude residuals take d|s| = Re(conj(s)*ds)/|s|, and dB residuals
+    20/ln(10) * d|s|/|s|; both are 0 where |s| is below the dB floor.
+    """
     def fun(x):
-        model = problem.evaluate(dict(zip(names, x)))
+        q = dict(problem.fixed)
+        q.update(zip(names, x))
+        model = MODELS[problem.model](problem.freqs, q)
+        partials = _PARTIALS[problem.model](problem.freqs, q)
+        ds = np.column_stack([partials[n] for n in names])
         if problem.magnitude_only:
             mag = np.abs(model)
+            inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > _MAG_FLOOR)
+            dmag = (np.conj(model)[:, None] * ds).real * inv[:, None]
             if problem.db_scale:
-                mag = 20.0 * np.log10(np.maximum(mag, 1e-300))
-            return np.asarray(mag - problem.data, dtype=float)
+                mag = 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
+                dmag *= (20.0 / math.log(10.0)) * inv[:, None]
+            return np.asarray(mag - problem.data, dtype=float), dmag
         r = model - problem.data
-        return np.concatenate([r.real, r.imag])
+        return np.concatenate([r.real, r.imag]), np.concatenate([ds.real, ds.imag])
 
     return fun
 
 
-def _sigma_from_jacobian(jac, residual, n_free, names):
-    dof = max(residual.size - n_free, 1)
+def _sigma_from_jacobian(jac, residual, names):
+    """1-sigma errors from the Jacobian at the optimum; inf along flat directions.
+
+    The test runs on the Jacobian with unit-norm columns, so it does not
+    depend on the parameters' units: a direction whose singular value is
+    at most _FLAT_SV of the largest is flat, and every parameter with a
+    component above _FLAT_COMPONENT in a flat direction is unidentifiable.
+    """
+    dof = max(residual.size - len(names), 1)
     s2 = float(residual @ residual) / dof
-    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    tol = sv[0] * 1e-12 if sv[0] > 0 else np.inf
-    bad_sv = sv < tol
-    param_bad = np.zeros(len(names), dtype=bool)
-    if np.any(bad_sv):
-        # a parameter is unidentifiable if it dominates a null direction
-        for row in vt[bad_sv]:
-            param_bad[int(np.argmax(np.abs(row)))] = True
+    norms = np.linalg.norm(jac, axis=0)
+    norms = np.where(norms > 0, norms, 1.0)  # a zero column stays zero, hence flat
+    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    flat = sv <= _FLAT_SV * sv[0]
+    param_bad = np.any(np.abs(vt[flat]) > _FLAT_COMPONENT, axis=0)
+    if np.any(param_bad):
         culprits = [n for n, b in zip(names, param_bad) if b]
         warnings.warn(
             f"singular Jacobian: parameters {culprits} are unidentifiable",
             DegeneracyWarning,
             stacklevel=4,
         )
-    inv_sv = np.where(bad_sv, 0.0, 1.0 / np.where(bad_sv, 1.0, sv))
+    inv_sv = np.where(flat, 0.0, 1.0 / np.where(flat, 1.0, sv))
     cov = (vt.T * inv_sv**2) @ vt * s2
-    sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    sig = np.sqrt(np.maximum(np.diag(cov), 0.0)) / norms
     return {
         n: (math.inf if b else float(s))
         for n, s, b in zip(names, sig, param_bad)
     }
 
 
-def _least_squares(fun, free, tol):
-    """Minimize the residuals fun(x) over free: name -> (guess, lower, upper).
+def _trust_step(uf, sv, vt, delta, rank):
+    """Minimizer of |J p + r| over |p| <= delta, from J = U diag(sv) vt and uf = U^T r.
 
-    The convergence policy of fit and fit_global_geometry lives here.
+    The minimum-norm Gauss-Newton step on the first `rank` singular
+    values if it fits; otherwise the Levenberg-Marquardt step
+    -(J^T J + alpha I)^-1 J^T r of length delta, with alpha from
+    safeguarded Newton iterations on 1/|p(alpha)| = 1/delta.
     """
-    from scipy import optimize  # deferred: only fits pay the scipy import
+    suf = sv * uf
+    p = -(uf[:rank] / sv[:rank]) @ vt[:rank]
+    p_norm = float(np.linalg.norm(p))
+    if p_norm <= delta:
+        return p
+    lower = 0.0
+    if rank == sv.size:
+        lower = (p_norm - delta) * p_norm / float(np.sum(suf**2 / sv**6))
+    upper = float(np.linalg.norm(suf)) / delta
+    alpha = max(1e-3 * upper, math.sqrt(lower * upper))
+    for _ in range(10):
+        if not lower < alpha <= upper:
+            alpha = max(1e-3 * upper, math.sqrt(lower * upper))
+        w = suf / (sv**2 + alpha)
+        w_norm = float(np.linalg.norm(w))
+        phi = w_norm - delta
+        slope = -float(np.sum(w**2 / (sv**2 + alpha))) / w_norm
+        if phi < 0:
+            upper = alpha
+        lower = max(lower, alpha - phi / slope)
+        alpha -= (phi + delta) / delta * phi / slope
+        if abs(phi) < 0.01 * delta:
+            break
+    p = -(suf / (sv**2 + alpha)) @ vt
+    return p * (delta / np.linalg.norm(p))
 
+
+def _column_scale(jac, scale):
+    """Step scale of each variable: 1 over the largest column norm of J seen so far."""
+    norms = np.linalg.norm(jac, axis=0)
+    return np.minimum(scale, 1.0 / np.where(norms > 0, norms, 1.0))
+
+
+def _least_squares(fun, free, tol):
+    """Minimize |r(x)|^2 over free: name -> (guess, lower, upper).
+
+    fun(x) returns the residual r and its Jacobian. Levenberg-Marquardt in
+    trust-region form (J. J. More, LNM 630, 1978): each variable is measured
+    in units of 1 over the largest norm its Jacobian column has had, so a
+    parameter that starts near zero moves as freely as the rest. A trial
+    point is projected onto the bounds, a variable on a bound that the
+    gradient pushes against is held there, and a trial point where fun is
+    not finite shrinks the region.
+
+    The stopping tests are those of the trust-region reflective method: the
+    cost falls by less than tol of itself, the step is shorter than tol of
+    |x|, or the bound-scaled gradient is below tol. As in MINPACK the first
+    also holds when the model predicts a fall below tol, so that steps at
+    rounding level, whose gain ratio is noise, end the fit. Raises FitError
+    after _MAX_NFEV evaluations without meeting a test.
+    """
     names = list(free)
-    x0, lo, hi = (np.array([free[n][k] for n in names], dtype=float) for k in range(3))
-    if not np.all(np.isfinite(fun(x0))):
+    x, lo, hi = (np.array([free[n][k] for n in names], dtype=float) for k in range(3))
+    r, jac = fun(x)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
         raise FitError("model is not finite at the initial guess")
-    res = optimize.least_squares(
-        fun, x0, bounds=(lo, hi), method="trf",
-        x_scale=np.where(np.abs(x0) > 0, np.abs(x0), 1.0),
-        max_nfev=20000, xtol=tol, ftol=tol, gtol=tol,
-    )
-    if res.status <= 0:
-        raise FitError(f"fit did not converge: {res.message}")
-    sigmas = _sigma_from_jacobian(res.jac, res.fun, len(names), names)
-    return FitResult(
-        dict(zip(names, res.x)), sigmas, float(np.linalg.norm(res.fun)),
-        int(res.nfev), bool(res.success),
-    )
+    scale = _column_scale(jac, np.inf)
+    delta = float(np.linalg.norm(x / scale)) or 1.0
+    cost = 0.5 * float(r @ r)
+    nfev = 1
+    while True:
+        g = jac.T @ r
+        # the gradient test: each component scaled by the distance to the
+        # bound it points away from, when that bound is finite
+        gap = np.where(g > 0, x - lo, np.where(g < 0, hi - x, np.inf))
+        if np.max(np.abs(g * np.where(np.isfinite(gap), gap, 1.0))) < tol:
+            break
+        if nfev >= _MAX_NFEV:
+            raise FitError(f"fit did not converge in {_MAX_NFEV} evaluations")
+        held = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+        u, sv, vt = np.linalg.svd(jac * np.where(held, 0.0, scale), full_matrices=False)
+        uf = u.T @ r
+        rank = int(np.count_nonzero(sv > _FLAT_SV * sv[0]))
+        reduction, done = -1.0, False
+        while reduction <= 0 and nfev < _MAX_NFEV:
+            x_new = np.clip(x + scale * _trust_step(uf, sv, vt, delta, rank), lo, hi)
+            step = x_new - x
+            step_norm = float(np.linalg.norm(step / scale))
+            r_new, jac_new = fun(x_new)
+            nfev += 1
+            if not (np.all(np.isfinite(r_new)) and np.all(np.isfinite(jac_new))):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * float(r_new @ r_new)
+            reduction = cost - cost_new
+            js = jac @ step
+            predicted = -float(g @ step + 0.5 * js @ js)
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1.0 if reduction == predicted == 0 else 0.0
+            if ratio < 0.25:
+                delta = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta *= 2.0
+            done = (
+                (reduction < tol * cost and ratio > 0.25)
+                or (abs(reduction) <= tol * cost and 0 <= predicted <= tol * cost)
+                or np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            )
+            if done:
+                break
+        if reduction > 0:
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            scale = _column_scale(jac, scale)
+        if done:
+            break
+    sigmas = _sigma_from_jacobian(jac, r, names)
+    return FitResult(dict(zip(names, x)), sigmas, float(np.linalg.norm(r)), nfev, True)
 
 
 def fit(problem):
-    """Local bounded least-squares fit (trust-region reflective).
+    """Local bounded least-squares fit (Levenberg-Marquardt, see _least_squares).
 
     Returns a FitResult; raises FitError when the optimizer stops without
     meeting a tolerance, including when it runs out of evaluations.
@@ -252,16 +446,19 @@ def fit_global_geometry(datasets, free, fixed=None):
     """Joint single-GSE fit across spectra taken at known resonances.
 
     datasets: list of (f_res_hz, freqs, complex_s21). free/fixed follow
-    FitProblem conventions over {kappa, beta, length, speed}. The
-    interference phase differs between datasets through f_res, which is
-    what makes length and speed separately identifiable; a warning is
-    issued when the resonances span less than one interference period of
-    the initial guess.
+    FitProblem conventions over {kappa, beta, length, speed}. The model
+    sees length and speed only through the delay length/speed, so one of
+    them must be fixed (ParameterNameError otherwise); the interference
+    phase differs between datasets through f_res, which is what pins the
+    delay. A warning is issued when the resonances span less than one
+    interference period of the initial guess.
     """
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")
     fixed = dict(fixed or {})
     _check_params(GEOMETRY_PARAMS, free, fixed)
+    if "length" in free and "speed" in free:
+        raise ParameterNameError("length and speed enter only as length/speed; fix one")
     names = list(free)
     f_res_values = np.array([d[0] for d in datasets], dtype=float)
     if not np.all(np.isfinite(f_res_values)):
@@ -274,8 +471,8 @@ def fit_global_geometry(datasets, free, fixed=None):
     period = guess["speed"] / guess["length"]
     if np.ptp(f_res_values) < period:
         warnings.warn(
-            "resonances span less than one interference period; length and "
-            "speed are weakly identifiable",
+            "resonances span less than one interference period; the delay "
+            "length/speed is weakly identifiable",
             DegeneracyWarning,
             stacklevel=2,
         )
@@ -283,14 +480,16 @@ def fit_global_geometry(datasets, free, fixed=None):
     def fun(x):
         q = dict(fixed)
         q.update(zip(names, x))
-        parts = []
+        parts, rows = [], []
         for f_res, freqs, s21 in datasets:
             qq = dict(q)
             qq["f_res"] = f_res
             r = single_model(freqs, qq) - s21
-            parts.append(r.real)
-            parts.append(r.imag)
-        return np.concatenate(parts)
+            partials = _single_partials(freqs, qq)
+            ds = np.column_stack([partials[n] for n in names])
+            parts += [r.real, r.imag]
+            rows += [ds.real, ds.imag]
+        return np.concatenate(parts), np.concatenate(rows)
 
     return _least_squares(fun, free, 1e-15)
 
@@ -318,8 +517,6 @@ def avoided_crossing_splitting(sweep_values, freqs, mag):
     mag is the (n_sweep, n_freq) magnitude matrix; sweep_values are
     detunings in Hz.
     """
-    from scipy import optimize
-
     sweep_values = np.asarray(sweep_values, dtype=float)
     lo, hi, dets = [], [], []
     for d, column in zip(sweep_values, mag):
@@ -333,18 +530,21 @@ def avoided_crossing_splitting(sweep_values, freqs, mag):
     dets = np.asarray(dets)
     lo = np.asarray(lo)
     hi = np.asarray(hi)
+    ones = np.ones(2 * dets.size)
 
     def resid(x):
         j, fc = x
         mid = fc + dets / 2.0
         r = np.sqrt(dets**2 / 4.0 + j * j)
-        return np.concatenate([mid - r - lo, mid + r - hi])
+        dr = np.divide(j, r, out=np.zeros_like(r), where=r > 0)
+        return (np.concatenate([mid - r - lo, mid + r - hi]),
+                np.column_stack([np.concatenate([-dr, dr]), ones]))
 
-    guess = [0.25 * float(np.min(hi - lo)) + 1.0, float(np.median(0.5 * (lo + hi)))]
-    res = optimize.least_squares(resid, guess)
-    if res.status <= 0:
-        raise FitError(f"avoided-crossing fit did not converge: {res.message}")
-    return 2.0 * abs(res.x[0])
+    guess = {
+        "j": (0.25 * float(np.min(hi - lo)) + 1.0, -math.inf, math.inf),
+        "fc": (float(np.median(0.5 * (lo + hi))), -math.inf, math.inf),
+    }
+    return 2.0 * abs(_least_squares(resid, guess, 1e-8).values["j"])
 
 
 def merged_linewidth(freqs, magnitude):

@@ -16,7 +16,8 @@ collide with each other and with inputs. Whatever the arguments:
 - a failed run leaves only the inputs behind;
 - a successful run leaves exactly the inputs, its data outputs and its
   manifest, and the manifest lists each data output once, with the sha256
-  of the bytes on disk.
+  of the bytes on disk;
+- a successful `map` run names no flag that only the other sweep reads.
 
 Grids stay at most a few hundred points so an example runs in milliseconds.
 """
@@ -152,6 +153,8 @@ GOOD_TWO_MODE = [("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g
                  ("--beta-i", "1.54MHz"), ("--beta-o", "0.86MHz"), ("--j", "1.01MHz"),
                  ("--gamma", "0.000328MHz")]
 TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in GOOD_TWO_MODE]
+DETUNING_ONLY = {"--grid", *(flag for flag, _ in GOOD_TWO_MODE)}
+FIELD_ONLY = {"--config", "--h-a"}
 
 SUBCOMMANDS = {
     "simulate-single": [*_common(), _flag("--self-consistent-phase")],
@@ -248,11 +251,18 @@ def run_in_fresh_dir(argv):
 @example(["fit-geometry", "--dataset=infGHz=synth.csv", "--dataset=4.3GHz=synth.csv",
           "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
           "--free=length=0.083:0.01:0.5", "--fixed=speed=3.26e7", "--output=out.json"])
+@example(["map", "--sweep=detuning", "--values=-5MHz:5MHz:5", "--grid=4.34GHz:4.36GHz:51",
+          *(f"{flag}={value}" for flag, value in GOOD_TWO_MODE), "--config=nonexistent.json",
+          "--h-a=0.5", "--output=out.csv"])
 def test_cli_main_exits_with_a_documented_code(argv):
     code, files = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     norm = os.path.normpath
     opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value wins
+    if argv[0] == "map" and code == 0 and "--help" not in argv:
+        # each sweep rejects the flags that only the other one reads
+        other = FIELD_ONLY if opts["--sweep"] == "detuning" else DETUNING_ONLY
+        assert not other & set(opts), (argv, code)
     data_outputs = [norm(opts[f]) for f in ("--output", "--eigen-output", "--reflection-output")
                     if opts.get(f)]
     manifest = opts.get("--manifest") or opts.get("--output", "") + ".manifest.json"

@@ -1,11 +1,11 @@
 import math
-import types
 import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 
+import gsesim.fitting as fitting
 from gsesim.core import Waveguide
 from gsesim.fitting import (
     DegeneracyWarning,
@@ -34,6 +34,11 @@ TRUE_SINGLE = {
     "length": L_INNER,
     "speed": SPEED,
 }
+
+
+# the purely dissipative two-mode working point of the nested-pair fits
+DISSIPATIVE = FitFormParams(4.96e9, 4.96e9, 2.98 * MHZ, 2.78 * MHZ, 1.84 * MHZ, 1.28 * MHZ, 6.11e2, 2.89 * MHZ)
+DISSIPATIVE_F = np.linspace(4.96e9 - 30 * MHZ, 4.96e9 + 30 * MHZ, 3001)
 
 
 def synth_single(n_points=2001, noise_sigma=0.0, seed=0, half_span=None):
@@ -84,8 +89,7 @@ class TestRoundTrips:
 
     def test_nested_fitform_recovers_couplings(self):
         # purely dissipative working point: free {gamma, j}
-        q = FitFormParams(4.96e9, 4.96e9, 2.98 * MHZ, 2.78 * MHZ, 1.84 * MHZ, 1.28 * MHZ, 6.11e2, 2.89 * MHZ)
-        f = np.linspace(4.96e9 - 30 * MHZ, 4.96e9 + 30 * MHZ, 3001)
+        q, f = DISSIPATIVE, DISSIPATIVE_F
         data = s21_fitform_values(q, f)
         problem = FitProblem(
             f, data, "nested_fitform",
@@ -135,6 +139,179 @@ class TestRoundTrips:
             sig[n] = fit(problem).sigmas["kappa"]
         assert sig[500] / sig[2000] == pytest.approx(2.0, rel=0.2)
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.2)
+
+
+def two_mode_poles(v):
+    """Complex mode frequencies of the two-mode form, ordered by real part."""
+    a = v["f_i"] - 1j * (v["kappa_i_g"] + v["beta_i"])
+    d = v["f_o"] - 1j * (v["kappa_o_g"] + v["beta_o"])
+    c = v["j"] - 1j * v["gamma"]
+    root = np.sqrt(((a - d) / 2.0) ** 2 + c * c)
+    return np.sort_complex(np.array([(a + d) / 2.0 - root, (a + d) / 2.0 + root]))
+
+
+class TestUncertainties:
+    def test_two_mode_flat_direction_is_reported(self):
+        # S21 of the two-mode form fixes only seven real numbers (two poles,
+        # the summed radiative rate, a complex constant), so with all eight
+        # parameters free one direction is flat: the fit warns and reports
+        # no sigma along it, and still recovers what the data determine
+        q, f = DISSIPATIVE, DISSIPATIVE_F
+        free = {n: (1.02 * v, 0.0, 2e7) for n, v in vars(q).items()}
+        free.update(f_i=(q.f_i + 0.2 * MHZ, 4.9e9, 5.0e9), f_o=(q.f_o - 0.2 * MHZ, 4.9e9, 5.0e9),
+                    gamma=(2.0 * MHZ, 0.0, 2e7), j=(0.1 * MHZ, -1e7, 1e7))
+        with pytest.warns(DegeneracyWarning, match="kappa_i_g.*kappa_o_g.*gamma"):
+            r = fit(FitProblem(f, s21_fitform_values(q, f), "nested_fitform", free=free))
+        assert all(r.sigmas[n] == math.inf for n in ("kappa_i_g", "kappa_o_g", "gamma"))
+        poles = two_mode_poles(r.values)
+        assert np.max(np.abs(poles - two_mode_poles(vars(q)))) < 1e-9 * np.max(np.abs(poles))
+        assert r.values["kappa_i_g"] + r.values["kappa_o_g"] == pytest.approx(
+            q.kappa_i_g + q.kappa_o_g, rel=1e-9)
+
+    def test_two_mode_with_couplings_free_is_identified(self):
+        q, f = DISSIPATIVE, DISSIPATIVE_F
+        fixed = {n: v for n, v in vars(q).items() if n not in ("gamma", "j")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneracyWarning)
+            r = fit(FitProblem(f, s21_fitform_values(q, f) + synth_noise(f.size, 0.005, 1),
+                               "nested_fitform", free={"gamma": (2.0 * MHZ, 0.0, 2e7),
+                                                       "j": (0.1 * MHZ, -1e7, 1e7)}, fixed=fixed))
+        assert all(0 < s < 0.01 * MHZ for s in r.sigmas.values())
+
+    def test_single_giant_sigmas_match_the_noise_spread(self):
+        truth = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.5 * MHZ}
+        f = 4.35e9 + np.linspace(-20, 20, 801) * MHZ
+        clean = single_giant_model(f, truth)
+        free = {"f_res": (4.35e9 + 0.1 * MHZ, 4.3e9, 4.4e9), "kappa_g": (1.2 * MHZ, 0.0, 1e8),
+                "beta": (1.2 * MHZ, 0.0, 1e8)}
+        fits = [fit(FitProblem(f, clean + synth_noise(f.size, 0.01, seed), "single_giant", free=free))
+                for seed in range(50)]
+        for name in free:
+            spread = np.std([r.values[name] for r in fits], ddof=1)
+            assert np.mean([r.sigmas[name] for r in fits]) == pytest.approx(spread, rel=0.2)
+
+    def test_geometry_sigmas_match_the_noise_spread(self):
+        free = {"kappa": (KAPPA_INNER, 0.0, 1e8), "beta": (BETA_INNER, 0.0, 1e8),
+                "length": (L_INNER, 0.01, 0.5)}
+        fits = []
+        for seed in range(50):
+            datasets = []
+            for k in range(8):
+                f_res = 4.2e9 + k * 0.1e9
+                f = np.linspace(f_res - 25 * MHZ, f_res + 25 * MHZ, 501)
+                data = single_model(f, dict(TRUE_SINGLE, f_res=f_res)) + synth_noise(501, 0.01, 100 * seed + k)
+                datasets.append((f_res, f, data))
+            fits.append(fit_global_geometry(datasets, free=free, fixed={"speed": SPEED}))
+        for name in free:
+            spread = np.std([r.values[name] for r in fits], ddof=1)
+            assert np.mean([r.sigmas[name] for r in fits]) == pytest.approx(spread, rel=0.2)
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_residual(call):
+    """(fun, free) that call() hands to the fit solver, which is not run."""
+    got = []
+
+    def capture(fun, free, tol):
+        got.append((fun, free))
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_least_squares", capture)
+        with pytest.raises(_Captured):
+            call()
+    return got[0]
+
+
+def assert_jacobian_matches_central_differences(fun, x, steps):
+    """Each column within 1e-6 of its largest entry, against steps well
+    inside the scale on which the residual bends."""
+    r, jac = fun(x)
+    assert jac.shape == (r.size, x.size)
+    for i, h in enumerate(steps):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (fun(up)[0] - fun(down)[0]) / (up[i] - down[i])
+        assert np.max(np.abs(fd - jac[:, i])) <= 1e-6 * np.max(np.abs(jac[:, i])), (i, x)
+
+
+def fd_steps(q, width):
+    """1e-5 of the narrowest linewidth for rates and frequencies; 1e-7 of
+    length and speed, which move a phase of ~100 rad."""
+    return [1e-7 * v if n in ("length", "speed") else 1e-5 * width for n, v in q.items()]
+
+
+RATE = st.floats(1e5, 3e6)
+OFFSET = st.floats(-5e6, 5e6)
+MODEL_POINTS = {
+    "single": st.fixed_dictionaries({
+        "f_res": st.floats(4.3e9, 4.4e9), "kappa": RATE, "beta": RATE,
+        "length": st.floats(0.02, 0.2), "speed": st.floats(2e7, 5e7)}),
+    "single_giant": st.fixed_dictionaries({"f_res": st.floats(4.3e9, 4.4e9), "kappa_g": RATE, "beta": RATE}),
+    "nested_fitform": st.fixed_dictionaries({
+        "f_i": OFFSET, "f_o": OFFSET, "kappa_i_g": RATE, "kappa_o_g": RATE, "beta_i": RATE,
+        "beta_o": RATE, "j": OFFSET, "gamma": OFFSET}).map(
+            lambda q: dict(q, f_i=4.35e9 + q["f_i"], f_o=4.35e9 + q["f_o"])),
+}
+
+
+class TestJacobians:
+    """The closed-form Jacobians against central differences of the residuals."""
+
+    @pytest.mark.parametrize("mode", ["complex", "magnitude", "db"])
+    @pytest.mark.parametrize("model", sorted(MODEL_POINTS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_model_residuals(self, model, mode, data):
+        q = data.draw(MODEL_POINTS[model])
+        if model == "nested_fitform":
+            # the narrower mode sets the scale; near a bound state it is dark
+            width = np.min(-two_mode_poles(q).imag)
+            assume(width > 1e4)
+        else:
+            width = q["beta"]
+        if model == "single":
+            # at destructive interference the dip and every derivative vanish
+            assume(1.0 + math.cos(2 * math.pi * q["f_res"] * q["length"] / q["speed"]) > 1e-3)
+        centre = q.get("f_res", q.get("f_i"))
+        f = np.linspace(centre - 30 * MHZ, centre + 30 * MHZ, 401)
+        s = fitting.MODELS[model](f, q)
+        if mode != "complex":
+            assume(np.min(np.abs(s)) > 1e-2)  # |S21| has a kink at 0
+            s = 20 * np.log10(np.abs(s)) if mode == "db" else np.abs(s)
+        problem = FitProblem(f, s, model, free={n: (v, -np.inf, np.inf) for n, v in q.items()},
+                             magnitude_only=mode != "complex", db_scale=mode == "db")
+        fun = fitting._residuals(problem, list(q))
+        assert_jacobian_matches_central_differences(fun, np.array(list(q.values())), fd_steps(q, width))
+
+    @pytest.mark.parametrize("fixed", ["speed", "length"])
+    @given(kappa=RATE, beta=RATE, delay=st.floats(1e-9, 5e-9))
+    @settings(max_examples=40, deadline=None)
+    def test_geometry_residual(self, fixed, kappa, beta, delay):
+        free = {"kappa": (KAPPA_INNER, 0.0, 1e8), "beta": (BETA_INNER, 0.0, 1e8),
+                "length": (L_INNER, 0.01, 0.5), "speed": (SPEED, 1e6, 1e9)}
+        value = free.pop(fixed)[0]
+        fun, free = captured_residual(lambda: fit_global_geometry(
+            TestGeometryFit().datasets(), free=free, fixed={fixed: value}))
+        q = {"kappa": kappa, "beta": beta, "length": SPEED * delay, "speed": L_INNER / delay}
+        q = {n: q[n] for n in free}
+        assert_jacobian_matches_central_differences(fun, np.array(list(q.values())), fd_steps(q, beta))
+
+    @given(j=st.floats(1e5, 3e6), sign=st.sampled_from([-1.0, 1.0]), fc=st.floats(4.34e9, 4.36e9))
+    @settings(max_examples=40, deadline=None)
+    def test_splitting_residual(self, j, sign, fc):
+        q = FitFormParams(4.35e9, 4.35e9, 1.15 * MHZ, 1.26e2, 1.54 * MHZ, 0.86 * MHZ, 1.01 * MHZ, 3.28e2)
+        f = np.linspace(4.35e9 - 20 * MHZ, 4.35e9 + 20 * MHZ, 2001)
+        detunings = np.linspace(-10 * MHZ, 10 * MHZ, 21)
+        mag = np.array([np.abs(s21_fitform_values(q.detuned(4.35e9 + d), f)) for d in detunings])
+        fun, free = captured_residual(lambda: avoided_crossing_splitting(detunings, f, mag))
+        assert list(free) == ["j", "fc"]
+        # |j| >= 1e5 keeps the hyperbolae's bend 1e4 steps wide
+        assert_jacobian_matches_central_differences(fun, np.array([sign * j, fc]), [10.0, 10.0])
 
 
 class TestProblemValidation:
@@ -199,42 +376,42 @@ class TestProblemValidation:
 
 
 class TestConvergence:
-    def test_optimizer_stop_raises(self, monkeypatch):
-        # status 0: trf ran out of evaluations without meeting a tolerance
-        stopped = types.SimpleNamespace(status=0, message="max_nfev reached")
-        monkeypatch.setattr(scipy.optimize, "least_squares", lambda *a, **k: stopped)
-        # unit-scale data on which an unbounded Nelder-Mead would converge
+    # a start far off the truth, from which the fit takes 9 evaluations
+    FAR = {"f_res": (3.0, -10.0, 10.0), "kappa_g": (4.0, 0.0, 10.0), "beta": (0.2, 0.0, 10.0)}
+
+    def problem(self):
         f = np.linspace(-20.0, 20.0, 201)
         truth = {"f_res": 0.0, "kappa_g": 1.0, "beta": 1.0}
-        problem = FitProblem(
-            f, single_giant_model(f, truth), "single_giant",
-            free={"kappa_g": (0.9, 0.0, 10.0), "beta": (1.1, 0.0, 10.0)},
-            fixed={"f_res": 0.0},
-        )
-        with pytest.raises(FitError, match="max_nfev reached"):
-            fit(problem)
+        return FitProblem(f, single_giant_model(f, truth), "single_giant", free=self.FAR)
+
+    def test_optimizer_stop_raises(self, monkeypatch):
+        # the evaluation cap, lowered so that it is reached before any tolerance
+        monkeypatch.setattr(fitting, "_MAX_NFEV", 4)
+        with pytest.raises(FitError, match="did not converge in 4 evaluations"):
+            fit(self.problem())
+
+    def test_far_start_converges_under_the_cap(self):
+        r = fit(self.problem())
+        assert r.converged and r.n_iter < 20
+        assert r.values["kappa_g"] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGeometryFit:
-    # length and speed enter the model only through length/speed, so the
-    # pair is jointly identifiable but individually degenerate: from the
-    # true starting point a zero-residual fit stays put (and the singular-
-    # Jacobian report names the flat direction), while the ratio is pinned
-    # regardless of the starting point
-    FREE_TRUE = {
+    # length and speed enter the model only through the delay length/speed,
+    # so the fit takes one of them fixed; the delay is pinned whatever the
+    # fixed value, and with speed fixed every parameter is identified
+    FREE = {
         "kappa": (KAPPA_INNER, 0.0, 1e8),
         "beta": (BETA_INNER, 0.0, 1e8),
         "length": (L_INNER, 0.01, 0.5),
-        "speed": (SPEED, 1e6, 1e9),
     }
-    # the accumulated phase is ~700 rad, so the length/speed ratio must
-    # start within ~0.5% of the truth to sit in the right phase basin;
-    # rates can start far off
+    FIXED = {"speed": SPEED}
+    # the accumulated phase is ~700 rad, so the delay must start within
+    # ~0.5% of the truth to sit in the right phase basin; rates can start far off
     FREE_OFFSET = {
         "kappa": (0.6e6, 0.0, 1e8),
         "beta": (1.2e6, 0.0, 1e8),
         "length": (L_INNER * 1.002, 0.01, 0.5),
-        "speed": (SPEED * 0.9999, 1e6, 1e9),
     }
 
     def datasets(self, noise_sigma=0.0):
@@ -249,45 +426,46 @@ class TestGeometryFit:
 
     def test_noiseless_recovers_geometry(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneracyWarning)
-            r = fit_global_geometry(self.datasets(), free=self.FREE_TRUE)
-        assert r.values["length"] == pytest.approx(L_INNER, rel=1e-6)
-        assert r.values["speed"] == pytest.approx(SPEED, rel=1e-6)
+            warnings.simplefilter("error", DegeneracyWarning)
+            r = fit_global_geometry(self.datasets(), free=self.FREE, fixed=self.FIXED)
+        assert r.values["length"] / SPEED == pytest.approx(L_INNER / SPEED, rel=1e-8)
+        assert r.values["kappa"] == pytest.approx(KAPPA_INNER, rel=1e-6)
+        assert r.values["beta"] == pytest.approx(BETA_INNER, rel=1e-6)
         assert r.residual_norm < 1e-10
 
     def test_offset_start_still_pins_the_ratio(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneracyWarning)
-            r = fit_global_geometry(self.datasets(), free=self.FREE_OFFSET)
-        ratio = r.values["length"] / r.values["speed"]
-        assert ratio == pytest.approx(L_INNER / SPEED, rel=1e-8)
+        # a speed fixed 0.01 % off the truth moves the length, not the delay
+        speed = SPEED * 0.9999
+        r = fit_global_geometry(self.datasets(), free=self.FREE_OFFSET, fixed={"speed": speed})
+        assert r.values["length"] / speed == pytest.approx(L_INNER / SPEED, rel=1e-8)
         assert r.values["kappa"] == pytest.approx(KAPPA_INNER, rel=1e-6)
 
     def test_noisy_recovery_within_a_percent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneracyWarning)
-            r = fit_global_geometry(self.datasets(noise_sigma=0.01), free=self.FREE_TRUE)
+        r = fit_global_geometry(self.datasets(noise_sigma=0.01), free=self.FREE, fixed=self.FIXED)
         assert r.values["length"] == pytest.approx(L_INNER, rel=1e-2)
-        assert r.values["speed"] == pytest.approx(SPEED, rel=1e-2)
+        assert r.values["kappa"] == pytest.approx(KAPPA_INNER, rel=5e-2)
+
+    def test_length_and_speed_both_free_is_an_error(self):
+        free = dict(self.FREE, speed=(SPEED, 1e6, 1e9))
+        with pytest.raises(ParameterNameError, match=r"enter only as length/speed; fix one"):
+            fit_global_geometry(self.datasets(), free=free)
 
     def test_identical_resonances_degenerate(self):
         ds = self.datasets()
         same = [(ds[0][0], f, d) for _, f, d in ds[:3]]
         with pytest.raises(FitError):
-            fit_global_geometry(same, free=self.FREE_TRUE)
+            fit_global_geometry(same, free=self.FREE, fixed=self.FIXED)
 
     @pytest.mark.parametrize(
-        "drop, extra, message",
-        [("speed", {}, r"missing \['speed'\]"),
-         (None, {"f_res": 4.35e9}, r"missing \[\], unknown \['f_res'\]"),
-         (None, {"kappa": 7.6e5, "speed": SPEED},
-          r"\['kappa', 'speed'\] are given both free and fixed")],
+        "fixed, message",
+        [({}, r"missing \['speed'\]"),
+         ({"f_res": 4.35e9, "speed": SPEED}, r"missing \[\], unknown \['f_res'\]"),
+         ({"kappa": 7.6e5, "speed": SPEED}, r"\['kappa'\] are given both free and fixed")],
         ids=["missing-speed", "f_res-fixed", "free-and-fixed"],
     )
-    def test_parameter_names_must_match_the_model(self, drop, extra, message):
-        free = {n: v for n, v in self.FREE_TRUE.items() if n != drop}
+    def test_parameter_names_must_match_the_model(self, fixed, message):
         with pytest.raises(ParameterNameError, match=message):
-            fit_global_geometry(self.datasets(), free=free, fixed=extra)
+            fit_global_geometry(self.datasets(), free=self.FREE, fixed=fixed)
 
     def test_narrow_span_warns(self):
         ds = []
@@ -297,7 +475,7 @@ class TestGeometryFit:
             f = np.linspace(f_res - 25 * MHZ, f_res + 25 * MHZ, 301)
             ds.append((f_res, f, single_model(f, q)))
         with pytest.warns(DegeneracyWarning):
-            fit_global_geometry(ds, free=self.FREE_TRUE)
+            fit_global_geometry(ds, free=self.FREE, fixed=self.FIXED)
 
 
 class TestDecayCurve:

@@ -26,6 +26,14 @@ manifests were recorded after that change: the tables round the drive and
 probe phases differently from one exponential per frequency, which moves
 S21 and the reflection in their last digits (by up to 1e-13 under 'mixed'
 and 6e-12 under 'probe' on the benchmark layouts).
+
+fit.json, geometry.json and their manifests were re-captured when the fits
+moved from scipy's trust-region reflective solver with finite-difference
+Jacobians to the numpy Levenberg-Marquardt solver on closed-form
+Jacobians: the fitted values moved by at most 3e-10 (fit) and 3.3e-9
+(geometry) relative, both fits end at a cost no higher than before, and n_iter,
+which counts evaluations, changed (9 -> 7 and 14 -> 17). Every other
+digest stayed as it was.
 """
 
 import hashlib
@@ -123,8 +131,8 @@ GOLDEN = {
     "anisotropy.csv": "8f4e3dbbf20399bcf7b43a73f7e1b80d28a22eadb13200cde92765bf76aa1699",
     "anisotropy.csv.manifest.json": "3280570569440d895e1d6c8e91d066826c76c9f751b8ce6e59e2dd44806a17d1",
     "eigen.csv": "0694b66e06277d7d8348b2e3aec7a84ed14d4e51b049f72eb11aa50fdb296f50",
-    "fit.json": "55e54e52798e5535d91454ed62e877d6f78d6cf0dd125b806d472d67516c13c4",
-    "fit.json.manifest.json": "8d1b73dbd37bf8183b54c8d46ec7193f5d7ab8beeb2912f0dcc74e328e7af008",
+    "fit.json": "83aaa1045d007b126559b45b690939486f860b50041536832512e28401b0bc55",
+    "fit.json.manifest.json": "f18395a50c0cc987f0d0d4a57d8eb0f77f77dc5482d216940ea72df2bd536a73",
     "g0.csv": "3df33bc5625af705191c31a1dc6291cb5fa87c9e50db335bb4ab1b0e347491ea",
     "g0.csv.manifest.json": "9bf5b0a64568c58ac412c41757301cfd073307da079f198bf7a7649c133777d4",
     "g1.csv": "08f516b08777f6758bc87c06b32e2260f9d24545475cd42fc7bf46c6cc194566",
@@ -138,8 +146,8 @@ GOLDEN = {
     "general_probe_refl.csv": "37fae361acfa0d03aba20f565bbaa2a3474ae37f9bff9190992a44707310bdb0",
     "general_resonance.csv": "9462dfbf6518a7390cc9561f285ad739936c0cd72ae3a36723caf1b6787b1a49",
     "general_resonance.csv.manifest.json": "524fac1509ee7420e3e01c5764a2f0516a37eb432dd43fabba80426b0b288228",
-    "geometry.json": "4348757ea303c657916c39ecf823947ffc84c684752472fa71397660a5757247",
-    "geometry.json.manifest.json": "b220be94437946d088b4378e8ca7c389deb54dae10cb732c6e7241edb9300c4c",
+    "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",
+    "geometry.json.manifest.json": "9a6f54bb1cd7807c3bb80890e6a4c85bf3b7caf34e071546a844a49a05d52f8a",
     "map_detuning.csv": "1b55abdb3ec40dc61db128a74a58909564e68587438e3f227a627c5626cf1cf6",
     "map_detuning.csv.manifest.json": "04facf7b1fa789b19ca71f227a6a93c4aff232d97f6d576bda68600b1cae676b",
     "map_field.csv": "8165f9f1a85eb9b98ab00d0a35cef223625b656e12f855c6c48bcbdf6a0c8281",

@@ -407,6 +407,39 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "sweep, stray, message",
+        [
+            (["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
+              *TWO_MODE], ["--config", "nonexistent.json", "--h-a", "0.5"], "--config, --h-a"),
+            (["--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
+              *TWO_MODE], ["--h-a", "0.0"], "--h-a"),
+            (["--sweep", "field", "--values", "0.15:0.16:3", "--config", "{c}"],
+             ["--grid", "4.34GHz:4.36GHz:21"], "--grid"),
+            (["--sweep", "field", "--values", "0.15:0.16:3", "--config", "{c}"],
+             ["--j", "1MHz", "--gamma", "0Hz"], "--j, --gamma"),
+        ],
+        ids=["detuning-config-h-a", "detuning-h-a", "field-grid", "field-two-mode"],
+    )
+    def test_map_rejects_the_other_sweeps_flags(self, tmp_path, capsys, sweep, stray, message):
+        # both sweeps used to ignore these without a word and exit 0
+        config = make_config(tmp_path)
+        out = tmp_path / "map.csv"
+        argv = [a.format(c=config) for a in sweep + stray]
+        assert main(["map", *argv, "--output", str(out)]) == 2
+        assert f"does not take {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_field_sweep_h_a_defaults_to_zero(self, tmp_path):
+        config = make_config(tmp_path)
+        outs = []
+        for name, extra in (("a.csv", []), ("b.csv", ["--h-a", "0.0"])):
+            out = tmp_path / name
+            assert main(["map", "--sweep", "field", "--config", config, "--values", "0.15:0.16:3",
+                         *extra, "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["fit", "--data", "{d}", "--model", "single_giant", "--free", "f_res=4.35e9"],
@@ -428,6 +461,17 @@ class TestCli:
         argv = [a.format(d=data) for a in argv] + ["--output", str(report)]
         assert main(argv) == 2
         assert "config error: parameters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_geometry_with_length_and_speed_free_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_spectrum_csv(str(data), Spectrum(FrequencyGrid(4.3e9, 4.4e9, 64), np.ones(64)))
+        report = tmp_path / "geometry.json"
+        assert main(["fit-geometry", *(f"--dataset={f}GHz={data}" for f in ("4.2", "4.3", "4.4")),
+                     "--free", "kappa=7.6e5:0:1e8", "--free", "beta=1.6e6:0:1e8",
+                     "--free", "length=0.083:0.01:0.5", "--free", "speed=3.26e7:1e6:1e9",
+                     "--output", str(report)]) == 2
+        assert "length and speed enter only as length/speed; fix one" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
 
     def test_fit_manifests_record_inputs(self, tmp_path):
@@ -632,6 +676,31 @@ class TestColdStart:
         ))
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_fits_load_no_scipy(self, tmp_path):
+        # fit and fit-geometry through cli.main on small synthetic spectra
+        paths = []
+        for k, f_res in enumerate((4.0e9, 4.4e9, 4.8e9)):
+            config = make_config(tmp_path, f_res=f_res, n_points=201)
+            paths.append((f_res, str(tmp_path / f"s{k}.csv")))
+            assert main(["synth", "--config", config, "--noise-sigma", "0.005", "--seed", str(k),
+                         "--output", paths[-1][1]]) == 0
+        runs = [
+            ["fit", "--data", paths[0][1], "--model", "single_giant",
+             "--free", "f_res=4.0e9:3.99e9:4.01e9", "--free", "kappa_g=2e6:0:2e7",
+             "--free", "beta=2e6:0:2e7", "--output", str(tmp_path / "fit.json")],
+            ["fit-geometry", *(f"--dataset={f!r}Hz={p}" for f, p in paths),
+             f"--free=kappa={KAPPA_INNER!r}:0:1e8", f"--free=beta={BETA_INNER!r}:0:1e8",
+             f"--free=length={L_INNER!r}:0.01:0.5", f"--fixed=speed={SPEED!r}",
+             "--output", str(tmp_path / "geometry.json")],
+        ]
+        proc = _fresh_python("-c", (
+            "import sys; from gsesim.cli import main; "
+            f"assert [main(argv) for argv in {runs!r}] == [0, 0]; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "fit.json").exists() and (tmp_path / "geometry.json").exists()
 
     def test_pv_check_threads_flag_is_ignored(self, tmp_path):
         # --threads is accepted for compatibility and starts no threads; the

@@ -435,6 +435,27 @@ class TestPhysicsProperties:
         closed = s21_nested_matrix(NestedParams.from_geometry(inner, outer), PROPERTY_GRID).s21
         assert np.max(np.abs(engine - closed)) < 1e-10
 
+    @given(t=topologies(sizes=st.just([2])).map(
+        lambda t: Topology((two_point(t.emitters[0], t.emitters[0].positions),))))
+    @settings(max_examples=40, deadline=None)
+    def test_one_emitter_probe_reduces_to_self_consistent_single(self, t):
+        # under probe the phase across the ensemble is taken at each probe
+        # frequency, as in the closed form's self-consistent mode
+        engine = quiet_s_matrix(t, PROPERTY_GRID, "probe").transmission.s21
+        p = two_point_params(t.emitters[0], Waveguide(SPEED))
+        closed = s21_single(p, PROPERTY_GRID, self_consistent_phase=True).s21
+        assert np.max(np.abs(engine - closed)) < 1e-10
+
+    @given(t=nested_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_nested_pair_probe_reduces_to_matrix_closed_form(self, t):
+        # the probe-frequency closed form, with the shift in the single-GSE sign
+        outer, inner = (two_point_params(e, Waveguide(SPEED)) for e in t.emitters)
+        engine = quiet_s_matrix(t, PROPERTY_GRID, "probe").transmission.s21
+        closed = s21_nested_matrix(NestedParams.from_geometry(inner, outer), PROPERTY_GRID,
+                                   lamb_sign=+1, phase_ref="probe").s21
+        assert np.max(np.abs(engine - closed)) < 1e-10
+
 
 def _forbid_solve(*args):
     raise AssertionError("the batched solve ran")
