@@ -24,7 +24,7 @@ from .nested import (
     s21_nested_fitform,
     s21_nested_matrix,
 )
-from .multipoint import EffectiveModel, build_effective, pair_sums, s_matrix
+from .multipoint import EffectiveModel, build_effective, s_matrix
 from .anisotropy import AnisotropyParams, angular_factor, resonance_full, resonance_simple
 from .lambpv import PvResult, pv_closed, pv_quadrature
 from .fitting import FitProblem, FitResult, fit, fit_global_geometry
@@ -53,7 +53,6 @@ __all__ = [
     "s21_nested_matrix",
     "EffectiveModel",
     "build_effective",
-    "pair_sums",
     "s_matrix",
     "AnisotropyParams",
     "angular_factor",

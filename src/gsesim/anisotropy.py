@@ -62,24 +62,6 @@ class AnisotropyParams:
             )
 
 
-def demag_tensor(theta_h, phi0, H_A, M0):
-    """Effective demagnetization components (N11, N22, N12, N33).
-
-    Cubic first-order anisotropy of a sphere, projected on the
-    magnetization-referenced axes.
-    """
-    if M0 == 0:
-        raise ModelError("M0 must be nonzero")
-    ratio = H_A / M0
-    s2t = math.sin(theta_h) ** 2
-    s2p = math.sin(2.0 * phi0) ** 2
-    n11 = -3.0 * ratio * s2t * s2p
-    n22 = -3.0 * ratio * s2t * (1.0 - 0.25 * s2p)
-    n12 = -3.0 * ratio * s2t * math.cos(theta_h) * math.sin(4.0 * phi0)
-    n33 = ratio * (1.0 + math.cos(2.0 * theta_h) ** 2 - s2t ** 2 * s2p)
-    return n11, n22, n12, n33
-
-
 def resonance_full(p, theta_h):
     """Resonance frequency from the full quadratic law, Hz.
 

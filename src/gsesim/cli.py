@@ -4,9 +4,11 @@ The only module with side effects. Each command writes its data files and
 returns the resolved inputs for the manifest; `main` derives the run's
 output paths from the arguments alone, refuses two that name the same file
 or one that names an input, and writes the manifest JSON with the sha256
-checksums of the outputs. Identical inputs and seed produce identical bytes.
-Every command runs on one thread. Exit codes: 0 success, 2 configuration
-error, 3 numeric failure, 4 I/O error.
+checksums of the outputs. Outputs are written under temporary names and
+renamed into place only after the whole run has succeeded. Identical
+inputs and seed produce identical bytes. Every command runs on one
+thread. Exit codes: 0 success, 2 configuration error, 3 numeric failure,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -395,24 +397,44 @@ def build_parser():
     return parser
 
 
+def _temporary(path):
+    """A sibling of path in its directory, so that os.replace onto path is a rename."""
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
 def main(argv=None):
+    """Run one command; a failed run leaves every file as it found it.
+
+    The command writes its data files, and main the manifest, under
+    temporary sibling names; only when all are written do they replace
+    their final names (through symlinks), one os.replace each. Each rename
+    is atomic; the 2-4 renames of a run are not atomic as a group.
+    """
     args = build_parser().parse_args(argv)
-    # the data files the command writes, then its manifest; and what it reads
-    outputs = [args.output] + [p for p in (getattr(args, "eigen_output", None),
-                                           getattr(args, "reflection_output", None)) if p]
+    # the flags naming data files the command writes, then its manifest; and what it reads
+    flags = [k for k in ("output", "eigen_output", "reflection_output") if getattr(args, k, None)]
+    outputs = [getattr(args, k) for k in flags]
     manifest = args.manifest or args.output + ".manifest.json"
     written = outputs + [manifest]
     inputs = [getattr(args, "config", None), getattr(args, "data", None),
               *(item.partition("=")[2] for item in getattr(args, "dataset", []))]
-    preexisting = {p for p in written if os.path.exists(p)}
+    real, temporary = {}, {}
     try:
         seen = {os.path.realpath(p) for p in inputs if p}
         for path in written:
-            real = os.path.realpath(path)
-            if real in seen:
+            real[path] = os.path.realpath(path)
+            if real[path] in seen:
                 raise ConfigError(f"{path}: names an input or another output of this run")
-            seen.add(real)
-        gio.write_manifest(manifest, args.run(args), outputs)
+            if path.endswith(os.sep) or os.path.isdir(real[path]):
+                raise IsADirectoryError(f"{path}: names a directory")
+            seen.add(real[path])
+        temporary = {path: _temporary(real[path]) for path in written}
+        for flag in flags:
+            setattr(args, flag, temporary[getattr(args, flag)])
+        gio.write_manifest(temporary[manifest], args.run(args), {p: temporary[p] for p in outputs})
+        for path in written:
+            os.replace(temporary[path], real[path])
         return 0
     except (ConfigError, ParameterNameError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -421,15 +443,16 @@ def main(argv=None):
         print(f"numeric failure: {exc}", file=sys.stderr)
         code = 3
     except (DataFormatError, OSError) as exc:
+        for path, tmp in temporary.items():  # name the output, not its temporary
+            if getattr(exc, "filename", None) == tmp:
+                exc.filename = path
         print(f"i/o error: {exc}", file=sys.stderr)
         code = 4
-    # never leave partial artifacts behind a failed run
-    for path in written:
-        if path not in preexisting and os.path.exists(path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    for path in temporary.values():
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
     return code
 
 

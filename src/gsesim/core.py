@@ -163,11 +163,6 @@ class Spectrum:
     def magnitude(self):
         return np.abs(self.s21)
 
-    @property
-    def reflection(self):
-        """Reflection channel r = S21 - 1 of the symmetric two-port."""
-        return self.s21 - 1.0
-
 
 def phase(f, length, waveguide):
     """Propagation phase 2*pi*f*length/speed in radians, unreduced.

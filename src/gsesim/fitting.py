@@ -35,62 +35,29 @@ class ParameterNameError(ModelError):
 
 
 def single_model(f, q):
-    """One-pole single-GSE transmission; needs f_res, kappa, beta, length, speed."""
-    f = np.asarray(f, dtype=float)
-    phi = TWO_PI * q["f_res"] * q["length"] / q["speed"]
-    if not math.isfinite(phi):
-        raise ModelError(f"interference phase {phi!r} is not finite")
-    kappa_g = 2.0 * q["kappa"] * (1.0 + math.cos(phi))
-    shift = q["kappa"] * math.sin(phi)
-    return 1.0 + kappa_g / (1j * (f - q["f_res"] - shift) - kappa_g - q["beta"])
+    """One-pole single-GSE transmission and its partials, (S21, {name: dS21/dname}).
 
-
-def single_giant_model(f, q):
-    """One-pole form parameterized directly by the giant decay rate.
-
-    Needs f_res, kappa_g, beta; the interference shift is absorbed into
-    f_res, which is what a per-spectrum lineshape fit can actually see.
-    """
-    f = np.asarray(f, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 - 1j * q["kappa_g"] / (f - q["f_res"] + 1j * (q["kappa_g"] + q["beta"]))
-
-
-def nested_fitform_model(f, q):
-    """Two-mode fit form; needs f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma."""
-    params = FitFormParams(
-        q["f_i"], q["f_o"], q["kappa_i_g"], q["kappa_o_g"],
-        q["beta_i"], q["beta_o"], q["j"], q["gamma"],
-    )
-    return s21_fitform_values(params, f)
-
-
-MODELS = {
-    "single": single_model,
-    "single_giant": single_giant_model,
-    "nested_fitform": nested_fitform_model,
-}
-
-
-def _single_partials(f, q):
-    """d S21 / d parameter of single_model, by name.
-
-    S21 = 1 + kappa_g/den with den = i*(f - f_res - shift) - kappa_g - beta;
-    f_res, length and speed act through phi = 2*pi*f_res*length/speed.
+    Needs f_res, kappa, beta, length, speed. S21 = 1 + kappa_g/den with
+    den = i*(f - f_res - kappa*sin(phi)) - kappa_g - beta and
+    kappa_g = 2*kappa*(1 + cos(phi)); f_res, length and speed also act
+    through phi = 2*pi*f_res*length/speed.
     """
     f = np.asarray(f, dtype=float)
     kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], q["speed"]
     phi = TWO_PI * f_res * length / speed
+    if not math.isfinite(phi):
+        raise ModelError(f"interference phase {phi!r} is not finite")
     cos, sin = math.cos(phi), math.sin(phi)
     kappa_g = 2.0 * kappa * (1.0 + cos)
-    inv = 1.0 / (1j * (f - f_res - kappa * sin) - kappa_g - q["beta"])
+    den = 1j * (f - f_res - kappa * sin) - kappa_g - q["beta"]
+    inv = 1.0 / den
     a = kappa_g * inv * inv
 
     def partial(d_kappa_g, d_shift, d_f_res=0.0):
         return d_kappa_g * inv + a * (d_kappa_g + 1j * (d_f_res + d_shift))
 
     d_phi = partial(-2.0 * kappa * sin, kappa * cos)
-    return {
+    return 1.0 + kappa_g / den, {
         "f_res": partial(0.0, 0.0, 1.0) + d_phi * (TWO_PI * length / speed),
         "kappa": partial(2.0 * (1.0 + cos), sin),
         "beta": a,
@@ -99,21 +66,32 @@ def _single_partials(f, q):
     }
 
 
-def _single_giant_partials(f, q):
-    """d S21 / d parameter of single_giant_model, by name."""
+def single_giant_model(f, q):
+    """One-pole form in the giant decay rate and its partials, (S21, {name: dS21/dname}).
+
+    Needs f_res, kappa_g, beta; the interference shift is absorbed into
+    f_res, which is what a per-spectrum lineshape fit can actually see.
+    """
     f = np.asarray(f, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / (f - q["f_res"] + 1j * (q["kappa_g"] + q["beta"]))
+        den = f - q["f_res"] + 1j * (q["kappa_g"] + q["beta"])
+        inv = 1.0 / den
+        s21 = 1.0 - 1j * q["kappa_g"] / den
     kappa_inv2 = q["kappa_g"] * inv * inv
-    return {"f_res": -1j * kappa_inv2, "kappa_g": -1j * inv - kappa_inv2, "beta": -kappa_inv2}
+    return s21, {"f_res": -1j * kappa_inv2, "kappa_g": -1j * inv - kappa_inv2, "beta": -kappa_inv2}
 
 
-def _nested_fitform_partials(f, q):
-    """d S21 / d parameter of nested_fitform_model, by name.
+def nested_fitform_model(f, q):
+    """Two-mode fit form and its partials, (S21, {name: dS21/dname}).
 
-    S21 = 1 - num/den as in s21_fitform_values; each parameter moves num
-    and den, and d S21 = (num*d_den/den - d_num)/den.
+    Needs f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma. S21 is
+    s21_fitform_values, 1 - num/den; each parameter moves num and den, and
+    d S21 = (num*d_den/den - d_num)/den.
     """
+    s21 = s21_fitform_values(FitFormParams(
+        q["f_i"], q["f_o"], q["kappa_i_g"], q["kappa_o_g"],
+        q["beta_i"], q["beta_o"], q["j"], q["gamma"],
+    ), f)
     f = np.asarray(f, dtype=float)
     k_i, k_o = q["kappa_i_g"], q["kappa_o_g"]
     d_o = f - q["f_o"] + 1j * (k_o + q["beta_o"])
@@ -130,7 +108,7 @@ def _nested_fitform_partials(f, q):
     def partial(d_num, d_den):
         return (ratio * d_den - d_num) * inv
 
-    return {
+    return s21, {
         "f_i": partial(-1j * k_o, -d_o),
         "f_o": partial(-1j * k_i, -d_i),
         "kappa_i_g": partial(2j * c * root_i + 1j * d_o - k_o, 1j * d_o),
@@ -142,11 +120,11 @@ def _nested_fitform_partials(f, q):
     }
 
 
-# closed-form Jacobians of MODELS: name -> (f, q) -> {parameter: d S21 / d parameter}
-_PARTIALS = {
-    "single": _single_partials,
-    "single_giant": _single_giant_partials,
-    "nested_fitform": _nested_fitform_partials,
+# fit models: name -> (f, q) -> (S21, {parameter: d S21 / d parameter})
+MODELS = {
+    "single": single_model,
+    "single_giant": single_giant_model,
+    "nested_fitform": nested_fitform_model,
 }
 
 # the names each model reads; free and fixed together must give exactly these
@@ -223,6 +201,8 @@ class FitResult:
     """Parameter estimates with 1-sigma uncertainties from the Jacobian.
 
     n_iter counts the evaluations of the residual and its Jacobian.
+    converged is always True: a fit that meets no stopping test raises
+    FitError instead of returning.
     """
 
     values: dict
@@ -241,8 +221,7 @@ def _residuals(problem, names):
     def fun(x):
         q = dict(problem.fixed)
         q.update(zip(names, x))
-        model = MODELS[problem.model](problem.freqs, q)
-        partials = _PARTIALS[problem.model](problem.freqs, q)
+        model, partials = MODELS[problem.model](problem.freqs, q)
         ds = np.column_stack([partials[n] for n in names])
         if problem.magnitude_only:
             mag = np.abs(model)
@@ -484,8 +463,8 @@ def fit_global_geometry(datasets, free, fixed=None):
         for f_res, freqs, s21 in datasets:
             qq = dict(q)
             qq["f_res"] = f_res
-            r = single_model(freqs, qq) - s21
-            partials = _single_partials(freqs, qq)
+            model, partials = single_model(freqs, qq)
+            r = model - s21
             ds = np.column_stack([partials[n] for n in names])
             parts += [r.real, r.imag]
             rows += [ds.real, ds.imag]

@@ -216,15 +216,18 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, config, output_paths):
-    """Record run inputs and output checksums next to the artifacts."""
+def write_manifest(path, config, outputs):
+    """Record run inputs and output checksums next to the artifacts.
+
+    outputs maps each output's recorded name to the file to hash.
+    """
     from . import __version__
 
     payload = {
         "package": "gsesim",
         "version": __version__,
         "config": config,
-        "outputs": {str(p): sha256_file(p) for p in output_paths},
+        "outputs": {str(name): sha256_file(p) for name, p in outputs.items()},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -14,10 +14,8 @@ degenerate case exactly). The evaluator also offers fully probe-frequency
 self-consistent evaluation, which is the convention under which a
 lossless system scatters unitarily.
 
-`pair_sums` and `drive_vector` evaluate these sums for one pair or one
-emitter and are the reference the engine is tested against. The engine
-itself works on all P coupling points at once, flattened in emitter order
-with an owner index:
+The engine works on all P coupling points at once, flattened in emitter
+order with an owner index:
 
 - At the reference frequencies (`build_effective`, and `s_matrix` under
   'resonance' and 'mixed') it forms the P x P arrays
@@ -100,28 +98,6 @@ class PassivityWarning(UserWarning):
     """A lossy layout scatters more power than it receives somewhere on the grid."""
 
 
-def pair_sums(pos_j, kap_j, pos_l, kap_l, f, speed):
-    """Pairwise coupling sums (J_jl, Gamma_jl) at frequencies f.
-
-    Vectorized over f; returns arrays shaped like f (scalars for scalar f).
-    """
-    dx = np.abs(np.subtract.outer(np.asarray(pos_j), np.asarray(pos_l)))
-    root = np.sqrt(np.outer(kap_j, kap_l))
-    phi = TWO_PI * np.multiply.outer(np.asarray(f, dtype=float), dx) / speed
-    j = 0.5 * np.sum(root * np.sin(phi), axis=(-2, -1))
-    gamma = np.sum(root * np.cos(phi), axis=(-2, -1))
-    return j, gamma
-
-
-def drive_vector(emitter, f, speed):
-    """Port-1 drive amplitude sum_p sqrt(kappa_p)*exp(-i*2*pi*f*x_p/v).
-
-    Vectorized over f. The port-2 in-coupling amplitude is its conjugate.
-    """
-    theta = TWO_PI * np.multiply.outer(np.asarray(f, dtype=float), np.asarray(emitter.positions)) / speed
-    return np.sum(np.sqrt(emitter.kappa_points) * np.exp(-1j * theta), axis=-1)
-
-
 @dataclass(frozen=True)
 class EffectiveModel:
     """Frequency-resolved effective non-Hermitian model of a topology.
@@ -191,7 +167,8 @@ class _Points:
         return np.add.reduceat(a, self.starts, axis=axis)
 
     def drives(self, f, speed):
-        """drive_vector of every emitter, each point's phase at its own f (P,)."""
+        """Port-1 drive sum_p sqrt(kappa_p)*exp(-i*2*pi*f_p*x_p/v) of every emitter,
+        each point's phase at its own f (P,)."""
         theta = TWO_PI * (f * self.x) / speed
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 

@@ -12,7 +12,6 @@ from gsesim.anisotropy import (
     AnisotropyRegimeWarning,
     angle_sweep,
     angular_factor,
-    demag_tensor,
     h_a_for_tuning_range,
     resonance_full,
     resonance_simple,
@@ -81,22 +80,6 @@ class TestResonanceLaws:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             AnisotropyParams(0.1, 0.005)  # comfortably inside the regime
-
-
-class TestDemagTensor:
-    def test_aligned_field_leaves_only_n33(self):
-        n11, n22, n12, n33 = demag_tensor(0.0, math.pi / 4, 0.002, 1.4e5)
-        assert n11 == n22 == n12 == 0.0
-        assert n33 == pytest.approx(2 * 0.002 / 1.4e5, rel=1e-14)
-
-    def test_zero_magnetization_rejected(self):
-        with pytest.raises(ModelError):
-            demag_tensor(0.3, math.pi / 4, 0.002, 0.0)
-
-    def test_components_scale_with_anisotropy_field(self):
-        a = demag_tensor(0.7, math.pi / 4, 0.001, 1.4e5)
-        b = demag_tensor(0.7, math.pi / 4, 0.002, 1.4e5)
-        assert np.allclose(np.array(b), 2 * np.array(a), rtol=1e-14)
 
 
 class TestSweep:

@@ -7,16 +7,18 @@ counts of 0 or 1, negative, NaN and infinite numbers, negative seeds,
 fractional grid sizes, missing paths and non-UTF-8 files. The output
 flags (`--output`, `--manifest`, `--reflection-output`, `--eigen-output`)
 draw from one shared pool that also names an input file, so that outputs
-collide with each other and with inputs. Whatever the arguments:
+collide with each other and with inputs. Every name of that pool that is
+not an input and whose directory exists holds sentinel bytes before the
+run. Whatever the arguments:
 
 - main returns 0, 2, 3 or 4 (argparse's own exits count as their code) and
   no other exception escapes;
 - the run's inputs, and every file it was not told to write, keep their
   bytes;
-- a failed run leaves only the inputs behind;
-- a successful run leaves exactly the inputs, its data outputs and its
-  manifest, and the manifest lists each data output once, with the sha256
-  of the bytes on disk;
+- a failed run leaves every file as it found it, sentinels included;
+- a successful run leaves exactly the files it found, its data outputs and
+  its manifest, and the manifest lists each data output once, with the
+  sha256 of the bytes on disk;
 - a successful `map` run names no flag that only the other sweep reads.
 
 Grids stay at most a few hundred points so an example runs in milliseconds.
@@ -85,6 +87,10 @@ DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json"]
 # shared by every output flag; single.json is also the most drawn config
 PATHS = ["out.csv", "man.json", "refl.csv", "eigen.csv", "./out.csv", "out.csv.manifest.json",
          "nodir/out.csv", "single.json"]
+# pre-written at every pool name it can be: nodir/ does not exist
+SENTINELS = {p: f"sentinel {p}\n".encode() for p in map(os.path.normpath, PATHS)
+             if p not in INPUTS and os.path.dirname(p) == ""}
+BEFORE = {**INPUTS, **SENTINELS}
 FREQS = ["1.15MHz", "0.000126MHz", "0Hz", "-1MHz", "1.15", "nanMHz", "infMHz", "4.35GHz"]
 FLOATS = ["0.155", "0.0035", "0", "-0.1", "nan", "inf", "-inf", "1e-9", "x"]
 FREE = {
@@ -198,11 +204,11 @@ def argvs(draw):
 
 
 def run_in_fresh_dir(argv):
-    """main(argv) in a new directory holding INPUTS; returns (code, files left),
+    """main(argv) in a new directory holding BEFORE; returns (code, files left),
     the files as a dict from relative path to bytes."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in INPUTS.items():
+        for name, data in BEFORE.items():
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         os.chdir(tmp)
@@ -254,6 +260,8 @@ def run_in_fresh_dir(argv):
 @example(["map", "--sweep=detuning", "--values=-5MHz:5MHz:5", "--grid=4.34GHz:4.36GHz:51",
           *(f"{flag}={value}" for flag, value in GOOD_TWO_MODE), "--config=nonexistent.json",
           "--h-a=0.5", "--output=out.csv"])
+@example(["anisotropy", "--output=out.csv", "--manifest=nodir/m.json", "--h-e0=0.155",
+          "--h-a=0.0035", "--theta=0deg:180deg:13"])
 def test_cli_main_exits_with_a_documented_code(argv):
     code, files = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
@@ -268,14 +276,14 @@ def test_cli_main_exits_with_a_documented_code(argv):
     manifest = opts.get("--manifest") or opts.get("--output", "") + ".manifest.json"
     reads = {norm(opts[f]) for f in ("--config", "--data") if f in opts}
     reads |= {norm(a.split("=", 2)[-1]) for a in argv if a.startswith("--dataset=")}
-    for name, data in INPUTS.items():
+    for name, data in BEFORE.items():
         if name in reads or name not in {*data_outputs, norm(manifest)}:
             assert files.get(name) == data, (argv, code, name)
     if code != 0:
-        assert sorted(files) == sorted(INPUTS), (argv, code, sorted(files))
+        assert files == BEFORE, (argv, code, sorted(files))
     elif "--help" not in argv:
         assert len({*data_outputs, norm(manifest)}) == len(data_outputs) + 1, argv
-        assert sorted(files) == sorted({*INPUTS, *data_outputs, norm(manifest)}), (argv, sorted(files))
+        assert sorted(files) == sorted({*BEFORE, *data_outputs, norm(manifest)}), (argv, sorted(files))
         recorded = json.loads(files[norm(manifest)])["outputs"]
         assert sorted(norm(p) for p in recorded) == sorted(data_outputs), (argv, recorded)
         for path, digest in recorded.items():

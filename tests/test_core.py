@@ -143,4 +143,3 @@ class TestValidation:
             Spectrum(grid, np.array([1, 2, 3, np.inf], dtype=complex))
         s = Spectrum(grid, np.full(4, 0.5 + 0.5j))
         assert s.magnitude == pytest.approx(np.full(4, abs(0.5 + 0.5j)))
-        assert np.allclose(s.reflection, s.s21 - 1.0)

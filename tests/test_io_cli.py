@@ -606,6 +606,30 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("output, message", [
+        (".", "i/o error: .: names a directory"),
+        ("new.csv/", "i/o error: new.csv/: names a directory"),
+        ("nodir/x.csv", "No such file or directory: 'nodir/x.csv'"),
+    ], ids=["directory", "trailing-separator", "missing-directory"])
+    def test_unwritable_output_exits_4_and_is_named(self, tmp_path, monkeypatch, capsys, output, message):
+        # outputs are written under temporary names; the error names the output
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        make_config(tmp_path / "run")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(["simulate-single", "--config", "config.json", "--output", output]) == 4
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_output_through_a_symlink_writes_its_target(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        os.symlink("target.csv", "link.csv")
+        assert main(["simulate-single", "--config", "config.json", "--output", "link.csv"]) == 0
+        assert os.path.islink("link.csv")
+        recorded = json.loads((tmp_path / "link.csv.manifest.json").read_text())["outputs"]
+        assert recorded == {"link.csv": hashlib.sha256((tmp_path / "target.csv").read_bytes()).hexdigest()}
+
     def test_fractional_n_points_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         make_config(tmp_path)

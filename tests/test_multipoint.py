@@ -15,8 +15,6 @@ from gsesim.multipoint import (
     MarkovWarning,
     PassivityWarning,
     build_effective,
-    drive_vector,
-    pair_sums,
     s_matrix,
 )
 from gsesim.nested import (
@@ -36,6 +34,7 @@ from conftest import (
     SPEED,
     grid_around,
 )
+from reference import drive_vector, pair_sums
 
 
 CONVENTIONS = ("resonance", "mixed", "probe")
