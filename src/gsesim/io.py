@@ -32,26 +32,32 @@ def _db(mag):
         return 20.0 * np.log10(mag)
 
 
-def _column_text(column):
-    # repr of a Python float is the shortest string that round-trips the
-    # double; a scalar column repeats one value down the block
-    values = np.asarray(column, dtype=float)
-    if values.ndim == 0:
-        return itertools.repeat(repr(float(values)))
-    return map(repr, values.tolist())
-
-
 def _write_table(path, header, blocks):
     """Write a CSV table block by block; each block is a sequence of columns.
 
-    Lines end with CRLF, as csv.writer's default dialect does. Only one
-    block is formatted at a time, so a map is never held as text in full.
+    A cell is the repr of a Python float, the shortest string that
+    round-trips the double; a scalar column repeats one value down the
+    block. Lines end with CRLF, as csv.writer's default dialect does. Only
+    one block is formatted at a time, so a map is never held as text in
+    full, and a column bitwise equal to the same column of the previous
+    block reuses that block's text.
     """
+    comma, crlf = itertools.repeat(","), itertools.repeat("\r\n")
+    previous = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            rows = zip(*(_column_text(c) for c in columns))
-            fh.write("".join(",".join(row) + "\r\n" for row in rows))
+            cells = []
+            for k, column in enumerate(columns):
+                values = np.asarray(column, dtype=float)
+                key = values.shape, values.tobytes()
+                if k not in previous or previous[k][0] != key:
+                    text = (itertools.repeat(repr(float(values))) if values.ndim == 0
+                            else list(map(repr, values.tolist())))
+                    previous[k] = key, text
+                cells += previous[k][1], comma
+            cells[-1] = crlf
+            fh.write("".join(itertools.chain.from_iterable(zip(*cells))))
 
 
 def write_spectrum_csv(path, spectrum):
@@ -137,7 +143,7 @@ def read_spectrum_csv(path):
 
 def write_map_csv(path, columns):
     """Emit `sweep_value,frequency_hz,s21_mag,s21_db` for (value, Spectrum) columns."""
-    blocks = ((v, s.frequencies, s.magnitude, _db(s.magnitude)) for v, s in columns)
+    blocks = ((v, s.frequencies, (mag := s.magnitude), _db(mag)) for v, s in columns)
     _write_table(path, ["sweep_value", "frequency_hz", "s21_mag", "s21_db"], blocks)
 
 

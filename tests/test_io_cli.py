@@ -15,6 +15,7 @@ import gsesim
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, ModelError, Spectrum
 from gsesim.io import (
+    _write_table,
     ConfigError,
     DataFormatError,
     load_config,
@@ -26,6 +27,7 @@ from gsesim.io import (
     write_spectrum_csv,
 )
 from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE
+from reference import _write_table as write_table_per_row
 
 # any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -36,6 +38,46 @@ def same_doubles(a, b):
     """Bitwise equality, so -0.0 differs from 0.0."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# any finite double, plus the signed zeros, the smallest subnormals, the
+# infinities, nan and the largest doubles
+CELL = FINITE | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+                                 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@st.composite
+def table_blocks(draw):
+    """1-4 blocks of 1-4 columns; a column is a scalar or a list of 1-12 cells.
+
+    A column may repeat the same column of the previous block exactly, or
+    repeat it except for the sign of one zero.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        previous = blocks[-1] if blocks else []
+        columns = []
+        for k in range(draw(st.integers(1, 4))):
+            how = draw(st.sampled_from(["new", "repeat", "flip zero"])) if k < len(previous) else "new"
+            if how == "new":
+                columns.append(draw(CELL | st.lists(CELL, min_size=1, max_size=12)))
+            elif how == "repeat":
+                columns.append(previous[k])
+            else:
+                # make one cell of the previous column a zero, and this one its negation
+                old = previous[k]
+                zero = draw(st.sampled_from([0.0, -0.0]))
+                if isinstance(old, list):
+                    i = draw(st.integers(0, len(old) - 1))
+                    previous[k] = old[:i] + [zero] + old[i + 1:]
+                    columns.append(old[:i] + [-zero] + old[i + 1:])
+                else:
+                    previous[k] = zero
+                    columns.append(-zero)
+        if not any(isinstance(c, list) for c in columns):
+            columns[0] = [columns[0]]  # a block of scalars alone has no length
+        blocks.append(columns)
+    return blocks
 
 
 def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6):
@@ -204,6 +246,19 @@ class TestSpectrumCsv:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=where):
             read_map_csv(path)
+
+
+class TestWriteTable:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=table_blocks())
+    @example(blocks=[[1.5, [4e9, 4.1e9], [0.5, -0.0]], [2.5, [4e9, 4.1e9], [0.25, 0.0]]])
+    @example(blocks=[[[0.0, 1.0], 7.0], [[-0.0, 1.0], [7.0]], [[-0.0, 1.0], 7.0]])
+    def test_bytes_match_the_per_row_writer(self, tmp_path_factory, blocks):
+        directory = tmp_path_factory.mktemp("table")
+        header = ["a", "b", "c", "d"]
+        _write_table(directory / "new.csv", header, blocks)
+        write_table_per_row(directory / "reference.csv", header, blocks)
+        assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
 
 class TestConfig:
