@@ -36,32 +36,31 @@ from .nested import (
 )
 from .single import SingleGseParams, map_single_vs_field, s21_single
 
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+# longer suffixes first, so that "hz" is tried after "khz", "mhz" and "ghz"
+_FREQ_UNITS = {"khz": 1e3, "mhz": 1e6, "ghz": 1e9, "hz": 1.0}
 _ANGLE_UNITS = {"deg": np.pi / 180.0, "rad": 1.0}
+
+
+def _parse_suffixed(text, units, quantity, suffixes):
+    """A number followed by one of the unit suffixes in units, times that unit."""
+    t = text.strip().lower()
+    for suffix, scale in units.items():
+        if t.endswith(suffix):
+            try:
+                return float(t[: -len(suffix)]) * scale
+            except ValueError:
+                break
+    raise ConfigError(f"cannot parse {quantity} {text!r}: need a {suffixes} suffix")
 
 
 def parse_frequency(text):
     """Frequency with mandatory unit suffix: '4.35GHz', '760kHz', '5e6Hz'."""
-    t = text.strip().lower()
-    for suffix in sorted(_FREQ_UNITS, key=len, reverse=True):
-        if t.endswith(suffix):
-            try:
-                return float(t[: -len(suffix)]) * _FREQ_UNITS[suffix]
-            except ValueError:
-                break
-    raise ConfigError(f"cannot parse frequency {text!r}: need a Hz/kHz/MHz/GHz suffix")
+    return _parse_suffixed(text, _FREQ_UNITS, "frequency", "Hz/kHz/MHz/GHz")
 
 
 def parse_angle(text):
     """Angle with mandatory unit suffix ('90deg' or '1.57rad'), returned in rad."""
-    t = text.strip().lower()
-    for suffix in ("deg", "rad"):
-        if t.endswith(suffix):
-            try:
-                return float(t[: -len(suffix)]) * _ANGLE_UNITS[suffix]
-            except ValueError:
-                break
-    raise ConfigError(f"cannot parse angle {text!r}: need a deg/rad suffix")
+    return _parse_suffixed(text, _ANGLE_UNITS, "angle", "deg/rad")
 
 
 def parse_range(text, scalar=float):
@@ -89,18 +88,20 @@ def _grid_from_arg(text):
         raise ConfigError(f"grid {text!r}: {exc}") from None
 
 
+def _two_point_gse(waveguide, em, pointer):
+    """SingleGseParams of an emitter with two coupling points of equal rate."""
+    if len(em.positions) != 2:
+        raise ConfigError(f"{pointer}: emitter {em.name!r} needs exactly two points")
+    k1, k2 = em.kappa_points
+    if k1 != k2:
+        raise ConfigError(f"{pointer}: emitter {em.name!r} has unequal rates; use simulate-general")
+    return SingleGseParams(k1, em.beta, em.span[1] - em.span[0], em.f_res, waveguide)
+
+
 def _single_from_topology(waveguide, topology):
     if len(topology.emitters) != 1:
         raise ConfigError("/emitters: this command needs exactly one emitter")
-    em = topology.emitters[0]
-    if len(em.positions) != 2:
-        raise ConfigError(f"/emitters/0: emitter {em.name!r} needs exactly two points")
-    k1, k2 = em.kappa_points
-    if k1 != k2:
-        raise ConfigError(
-            f"/emitters/0: unequal per-point rates; use simulate-general instead"
-        )
-    return SingleGseParams(k1, em.beta, em.span[1] - em.span[0], em.f_res, waveguide)
+    return _two_point_gse(waveguide, topology.emitters[0], "/emitters/0")
 
 
 def _nested_from_topology(waveguide, topology):
@@ -108,19 +109,12 @@ def _nested_from_topology(waveguide, topology):
         raise ConfigError(f"/emitters: topology is {topology.classification!r}, not nested")
     a, b = topology.emitters
     inner, outer = (a, b) if a.span[0] > b.span[0] else (b, a)
-    gses = []
-    for em in (inner, outer):
-        k1, k2 = em.kappa_points
-        if k1 != k2:
-            raise ConfigError(
-                f"/emitters: emitter {em.name!r} has unequal rates; use simulate-general"
-            )
-        gses.append(SingleGseParams(k1, em.beta, em.span[1] - em.span[0], em.f_res, waveguide))
+    gses = [_two_point_gse(waveguide, em, "/emitters") for em in (inner, outer)]
     gap_left = inner.span[0] - outer.span[0]
     gap_right = outer.span[1] - inner.span[1]
     if abs(gap_left - gap_right) > 1e-12 * (outer.span[1] - outer.span[0]):
         raise ConfigError("/emitters: simulate-nested needs a symmetric nesting")
-    return NestedParams.from_geometry(gses[0], gses[1])
+    return NestedParams.from_geometry(*gses)
 
 
 def _fitform_from_args(args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import ModelError, TWO_PI
-from .nested import FitFormParams, s21_fitform_values
+from .nested import FitFormParams
 from .single import giant_decay
 
 
@@ -85,13 +85,13 @@ def nested_fitform_model(f, q):
     """Two-mode fit form and its partials, (S21, {name: dS21/dname}).
 
     Needs f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma. S21 is
-    s21_fitform_values, 1 - num/den; each parameter moves num and den, and
+    1 - num/den, formed in the operations of s21_fitform_values and equal
+    to it; each parameter moves num and den, and
     d S21 = (num*d_den/den - d_num)/den.
     """
-    s21 = s21_fitform_values(FitFormParams(
-        q["f_i"], q["f_o"], q["kappa_i_g"], q["kappa_o_g"],
-        q["beta_i"], q["beta_o"], q["j"], q["gamma"],
-    ), f)
+    for name in ("kappa_i_g", "kappa_o_g", "beta_i", "beta_o"):
+        if q[name] < 0:
+            raise ModelError(f"{name} must be >= 0")
     f = np.asarray(f, dtype=float)
     k_i, k_o = q["kappa_i_g"], q["kappa_o_g"]
     d_o = f - q["f_o"] + 1j * (k_o + q["beta_o"])
@@ -99,7 +99,8 @@ def nested_fitform_model(f, q):
     c = q["j"] - 1j * q["gamma"]
     root = math.sqrt(k_i * k_o)
     num = 2j * root * c + 1j * k_i * d_o + 1j * k_o * d_i
-    inv = 1.0 / (d_o * d_i - c * c)
+    den = d_o * d_i - c * c
+    inv = 1.0 / den
     ratio = num * inv
     # d root / d kappa, taken as 0 where root vanishes
     root_i = 0.5 * k_o / root if root > 0 else 0.0
@@ -108,7 +109,7 @@ def nested_fitform_model(f, q):
     def partial(d_num, d_den):
         return (ratio * d_den - d_num) * inv
 
-    return s21, {
+    return 1.0 - num / den, {
         "f_i": partial(-1j * k_o, -d_o),
         "f_o": partial(-1j * k_i, -d_i),
         "kappa_i_g": partial(2j * c * root_i + 1j * d_o - k_o, 1j * d_o),
@@ -212,26 +213,26 @@ class FitResult:
     converged: bool
 
 
-def _residuals(problem, names):
-    """fun(x) -> (residual, Jacobian) of the problem over the free names.
+def _residuals(model, freqs, data, fixed, names, magnitude_only=False, db_scale=False):
+    """fun(x) -> (residual, Jacobian) of `model` against data over the free names.
 
     Magnitude residuals take d|s| = Re(conj(s)*ds)/|s|, and dB residuals
     20/ln(10) * d|s|/|s|; both are 0 where |s| is below the dB floor.
     """
     def fun(x):
-        q = dict(problem.fixed)
+        q = dict(fixed)
         q.update(zip(names, x))
-        model, partials = MODELS[problem.model](problem.freqs, q)
+        s, partials = MODELS[model](freqs, q)
         ds = np.column_stack([partials[n] for n in names])
-        if problem.magnitude_only:
-            mag = np.abs(model)
+        if magnitude_only:
+            mag = np.abs(s)
             inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > _MAG_FLOOR)
-            dmag = (np.conj(model)[:, None] * ds).real * inv[:, None]
-            if problem.db_scale:
+            dmag = (np.conj(s)[:, None] * ds).real * inv[:, None]
+            if db_scale:
                 mag = 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
                 dmag *= (20.0 / math.log(10.0)) * inv[:, None]
-            return np.asarray(mag - problem.data, dtype=float), dmag
-        r = model - problem.data
+            return np.asarray(mag - data, dtype=float), dmag
+        r = s - data
         return np.concatenate([r.real, r.imag]), np.concatenate([ds.real, ds.imag])
 
     return fun
@@ -393,32 +394,23 @@ def fit(problem):
     Returns a FitResult; raises FitError when the optimizer stops without
     meeting a tolerance, including when it runs out of evaluations.
     """
-    return _least_squares(_residuals(problem, list(problem.free)), problem.free, 1e-14)
+    fun = _residuals(problem.model, problem.freqs, problem.data, problem.fixed,
+                     list(problem.free), problem.magnitude_only, problem.db_scale)
+    return _least_squares(fun, problem.free, 1e-14)
 
 
 def initial_guess_single(freqs, magnitude):
     """Heuristic starting point for single-GSE lineshape fits.
 
     Dip location gives f_res; full width at half depth gives the total
-    rate, split equally between radiative and intrinsic.
+    rate, split equally between radiative and intrinsic. Raises FitError
+    when |S21| never falls below 1.
     """
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
-    i_min = int(np.argmin(magnitude))
-    f0 = freqs[i_min]
-    depth = 1.0 - magnitude[i_min]
-    if depth <= 0:
-        raise FitError("no dip in the spectrum; cannot build an initial guess")
-    half = 1.0 - 0.5 * depth
-    below = magnitude < half
-    idx = np.flatnonzero(below)
-    fwhm = freqs[idx[-1]] - freqs[idx[0]] if idx.size > 1 else (freqs[-1] - freqs[0]) / 10
-    total = fwhm / 2.0
-    return {
-        "f_res": f0,
-        "kappa_g": 0.5 * total,
-        "beta": 0.5 * total,
-    }
+    # the width is 0 when a single point lies below half depth
+    total = (merged_linewidth(freqs, magnitude) or (freqs[-1] - freqs[0]) / 10) / 2.0
+    return {"f_res": freqs[np.argmin(magnitude)], "kappa_g": 0.5 * total, "beta": 0.5 * total}
 
 
 def fit_global_geometry(datasets, free, fixed=None):
@@ -456,19 +448,13 @@ def fit_global_geometry(datasets, free, fixed=None):
             stacklevel=2,
         )
 
+    # one complex residual per dataset, each with that dataset's f_res fixed
+    parts = [_residuals("single", freqs, s21, dict(fixed, f_res=f_res), names)
+             for f_res, freqs, s21 in datasets]
+
     def fun(x):
-        q = dict(fixed)
-        q.update(zip(names, x))
-        parts, rows = [], []
-        for f_res, freqs, s21 in datasets:
-            qq = dict(q)
-            qq["f_res"] = f_res
-            model, partials = single_model(freqs, qq)
-            r = model - s21
-            ds = np.column_stack([partials[n] for n in names])
-            parts += [r.real, r.imag]
-            rows += [ds.real, ds.imag]
-        return np.concatenate(parts), np.concatenate(rows)
+        residuals, jacobians = zip(*(part(x) for part in parts))
+        return np.concatenate(residuals), np.concatenate(jacobians)
 
     return _least_squares(fun, free, 1e-15)
 
@@ -531,8 +517,8 @@ def merged_linewidth(freqs, magnitude):
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
     depth = 1.0 - magnitude.min()
-    if depth <= 0:
-        raise FitError("no dip in the column")
+    if not depth > 0:  # NaN included
+        raise FitError("no dip: |S21| never falls below 1")
     below = np.flatnonzero(magnitude < 1.0 - 0.5 * depth)
     return freqs[below[-1]] - freqs[below[0]]
 

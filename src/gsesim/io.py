@@ -37,19 +37,22 @@ def _write_table(path, header, blocks):
 
     A cell is the repr of a Python float, the shortest string that
     round-trips the double; a scalar column repeats one value down the
-    block. Lines end with CRLF, as csv.writer's default dialect does. Only
-    one block is formatted at a time, so a map is never held as text in
-    full, and a column bitwise equal to the same column of the previous
-    block reuses that block's text.
+    block, and a block of scalars alone is one row. Lines end with CRLF,
+    as csv.writer's default dialect does. Only one block is formatted at
+    a time, so a map is never held as text in full, and a column bitwise
+    equal to the same column of the previous block reuses that block's
+    text.
     """
     comma, crlf = itertools.repeat(","), itertools.repeat("\r\n")
     previous = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
+            columns = [np.asarray(column, dtype=float) for column in columns]
+            if all(values.ndim == 0 for values in columns):
+                columns = [values.reshape(1) for values in columns]  # one row
             cells = []
-            for k, column in enumerate(columns):
-                values = np.asarray(column, dtype=float)
+            for k, values in enumerate(columns):
                 key = values.shape, values.tobytes()
                 if k not in previous or previous[k][0] != key:
                     text = (itertools.repeat(repr(float(values))) if values.ndim == 0

@@ -32,6 +32,7 @@ from .core import ModelError
 EULER_GAMMA = 0.5772156649015328606
 _HALF_PI = 0.5 * math.pi
 _SERIES_SPLIT = 4.0
+_RESIDUAL_TOL = 1e-5  # largest quadrature residual pv_quadrature accepts
 
 
 class PvDivergence(ModelError):
@@ -136,6 +137,8 @@ def _check_branch(x, branch):
         raise ModelError(f"argument must be finite, got {x!r}")
     if x == 0.0:
         raise PvDivergence("the regularized integrals diverge as x -> 0")
+    if x < 0:
+        raise ModelError(f"argument must be > 0 (the phase across the ensemble), got {x!r}")
 
 
 def pv_closed(x, branch):
@@ -145,8 +148,6 @@ def pv_closed(x, branch):
     the non-decaying piece; checked against pv_quadrature on both branches.
     """
     _check_branch(x, branch)
-    if x < 0:
-        raise ModelError("pv_closed expects x > 0 (phase across the ensemble)")
     s, c = si(x), ci(x)
     if branch == "+":
         a = math.cos(x) * c + math.sin(x) * (s - _HALF_PI)
@@ -157,7 +158,7 @@ def pv_closed(x, branch):
     return PvResult(x, branch, a, b)
 
 
-def pv_quadrature(x, branch, residual_tol=1e-5):
+def pv_quadrature(x, branch):
     """Numerical A(x), B(x) on the rotated contour w = i*s.
 
     Independent oracle for pv_closed. For x > 0, Jordan's lemma turns the
@@ -165,11 +166,9 @@ def pv_quadrature(x, branch, residual_tol=1e-5):
     '-' branch adds i*pi times the residue exp(i*x) of its pole at w = 1.
     The integral is a trapezoidal sum over the exp-sinh nodes; its residual
     is the difference from the same sum at twice the step, taken on every
-    second node. Raises PvConvergenceError when it exceeds residual_tol.
+    second node. Raises PvConvergenceError when it exceeds _RESIDUAL_TOL.
     """
     _check_branch(x, branch)
-    if x < 0:
-        raise ModelError("pv_quadrature expects x > 0")
     # exp-sinh nodes s = exp(pi/2*sinh(u)) for u in [-4.5, 4.5] at step h; built
     # per call, so that importing the package pages in no extra numpy loops
     h = 0.05
@@ -182,7 +181,7 @@ def pv_quadrature(x, branch, residual_tol=1e-5):
         terms = -s * np.exp(-s * x) / (1j * s + sign) * ds_du
     value = h * complex(terms.sum())
     residual = abs(value - 2.0 * h * complex(terms[::2].sum()))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise PvConvergenceError(
             f"quadrature residual {residual:.2e} at x={x}, branch {branch!r}"
         )

@@ -190,13 +190,13 @@ def _phasors(grid, d, speed, rows=slice(None)):
     return table[start - a[0] * b : stop - a[0] * b]
 
 
-def _assemble(pts, speed, lamb_sign, at_f):
+def _assemble(pts, speed, lamb_sign):
     """H - diag(f_res) at the reference frequencies, and the drive there.
 
     Diagonal blocks are evaluated at f_res_j, off-diagonal blocks at the
-    pair's mean resonance, or every block at at_f when given.
+    pair's mean resonance; lamb_sign=-1 flips the diagonal Lamb shift.
     """
-    f_pt = pts.f_res[pts.owner] if at_f is None else np.full(pts.x.size, float(at_f))
+    f_pt = pts.f_res[pts.owner]
     f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
     phi = TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed
     root = np.sqrt(np.outer(pts.kappa, pts.kappa))
@@ -215,17 +215,15 @@ def _assemble(pts, speed, lamb_sign, at_f):
     return hrel, pts.drives(f_pt, speed)
 
 
-def build_effective(t, waveguide, lamb_sign=1, at_f=None):
-    """Effective model of a topology.
+def build_effective(t, waveguide):
+    """Effective model of a topology, with the single-GSE sign of the Lamb shift.
 
-    With at_f=None the diagonal of emitter j is evaluated at f_res_j and
-    the (j, l) coupling at (f_res_j + f_res_l)/2; passing at_f evaluates
-    every phase at that single frequency. lamb_sign=-1 flips the diagonal
-    Lamb shift to the sign printed in the nested matrix transmission.
+    The diagonal of emitter j is evaluated at f_res_j and the (j, l)
+    coupling at (f_res_j + f_res_l)/2.
     """
     _check_markov(t, waveguide)
     pts = _Points.of(t)
-    hrel, drive = _assemble(pts, waveguide.speed, lamb_sign, at_f)
+    hrel, drive = _assemble(pts, waveguide.speed, 1)
     coupling = hrel.copy()
     np.fill_diagonal(coupling, 0.0)
     return EffectiveModel(len(pts.f_res), pts.f_res + np.diagonal(hrel), coupling, drive)
@@ -407,7 +405,7 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     f = grid.frequencies
 
     if convention == "resonance":
-        hrel, u = _assemble(pts, v, 1, None)
+        hrel, u = _assemble(pts, v, 1)
     else:
         # one phase common to every drive cancels from S21 and enters the
         # reflection twice: drives taken from the first point keep the
@@ -425,7 +423,7 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         s21, refl = _solve(_probe_resolvent(pts, grid, v, u, step), f.size, u, w)
     else:
         if convention == "mixed":
-            hrel, _ = _assemble(pts, v, -1, None)
+            hrel, _ = _assemble(pts, v, -1)
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()

@@ -89,13 +89,7 @@ def complex_frequencies(p, lamb_sign=-1):
     As published the shift enters as f_res - kappa*sin(phi) (lamb_sign=-1);
     lamb_sign=+1 selects the single-GSE convention f_res + kappa*sin(phi).
     """
-    out = []
-    for gse in (p.inner, p.outer):
-        phi = gse.phi()
-        shift = gse.kappa * math.sin(phi)
-        kappa_g = 2.0 * gse.kappa * (1.0 + math.cos(phi))
-        out.append(gse.f_res + lamb_sign * shift - 1j * (kappa_g + gse.beta))
-    return tuple(out)
+    return tuple(gse.f_res + _self_energy(gse, gse.phi(), lamb_sign) for gse in (p.inner, p.outer))
 
 
 def _self_energy(gse, phi, lamb_sign):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gsesim.fitting as fitting
-from gsesim.core import Waveguide
+from gsesim.core import ModelError, Waveguide
 from gsesim.fitting import (
     DegeneracyWarning,
     FitError,
@@ -255,17 +255,23 @@ def fd_steps(q, width):
     return [1e-7 * v if n in ("length", "speed") else 1e-5 * width for n, v in q.items()]
 
 
+def two_mode_points(rate, offset):
+    """Two-mode parameters: rates drawn from rate, the rest offsets around 4.35 GHz."""
+    return st.fixed_dictionaries({
+        "f_i": offset, "f_o": offset, "kappa_i_g": rate, "kappa_o_g": rate, "beta_i": rate,
+        "beta_o": rate, "j": offset, "gamma": offset}).map(
+            lambda q: dict(q, f_i=4.35e9 + q["f_i"], f_o=4.35e9 + q["f_o"]))
+
+
 RATE = st.floats(1e5, 3e6)
 OFFSET = st.floats(-5e6, 5e6)
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
 MODEL_POINTS = {
     "single": st.fixed_dictionaries({
         "f_res": st.floats(4.3e9, 4.4e9), "kappa": RATE, "beta": RATE,
         "length": st.floats(0.02, 0.2), "speed": st.floats(2e7, 5e7)}),
     "single_giant": st.fixed_dictionaries({"f_res": st.floats(4.3e9, 4.4e9), "kappa_g": RATE, "beta": RATE}),
-    "nested_fitform": st.fixed_dictionaries({
-        "f_i": OFFSET, "f_o": OFFSET, "kappa_i_g": RATE, "kappa_o_g": RATE, "beta_i": RATE,
-        "beta_o": RATE, "j": OFFSET, "gamma": OFFSET}).map(
-            lambda q: dict(q, f_i=4.35e9 + q["f_i"], f_o=4.35e9 + q["f_o"])),
+    "nested_fitform": two_mode_points(RATE, OFFSET),
 }
 
 
@@ -287,9 +293,7 @@ def check_model_residuals(model, mode, q):
     if mode != "complex":
         assume(np.min(np.abs(s)) > 1e-2)  # |S21| has a kink at 0
         s = 20 * np.log10(np.abs(s)) if mode == "db" else np.abs(s)
-    problem = FitProblem(f, s, model, free={n: (v, -np.inf, np.inf) for n, v in q.items()},
-                         magnitude_only=mode != "complex", db_scale=mode == "db")
-    fun = fitting._residuals(problem, list(q))
+    fun = fitting._residuals(model, f, s, {}, list(q), magnitude_only=mode != "complex", db_scale=mode == "db")
     assert_jacobian_matches_central_differences(fun, np.array(list(q.values())), fd_steps(q, width))
 
 
@@ -336,6 +340,25 @@ class TestJacobians:
         assert list(free) == ["j", "fc"]
         # |j| >= 1e5 keeps the hyperbolae's bend 1e4 steps wide
         assert_jacobian_matches_central_differences(fun, np.array([sign * j, fc]), [10.0, 10.0])
+
+
+class TestTwoModeModel:
+    """The fit model against its closed form, s21_fitform_values."""
+
+    @given(q=two_mode_points(RATE | SIGNED_ZERO, OFFSET | SIGNED_ZERO))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_closed_form(self, q):
+        f = np.linspace(q["f_i"] - 30 * MHZ, q["f_i"] + 30 * MHZ, 401)
+        with np.errstate(all="ignore"):  # zero rates put poles on the grid
+            s21 = nested_fitform_model(f, q)[0]
+            closed = s21_fitform_values(FitFormParams(**q), f)
+        assert np.array_equal(s21, closed, equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["kappa_i_g", "kappa_o_g", "beta_i", "beta_o"])
+    def test_negative_rate_is_a_model_error(self, name):
+        q = dict(vars(DISSIPATIVE), **{name: -1.0})
+        with pytest.raises(ModelError, match=f"{name} must be >= 0"):
+            nested_fitform_model(DISSIPATIVE_F, q)
 
 
 class TestProblemValidation:
@@ -392,6 +415,15 @@ class TestProblemValidation:
         assert guess["f_res"] == pytest.approx(4.35e9, abs=5e4)
         total = guess["kappa_g"] + guess["beta"]
         assert total == pytest.approx(2.0 * MHZ, rel=0.3)
+
+    def test_initial_guess_single_one_point_below_half_depth(self):
+        f = np.linspace(4.3e9, 4.4e9, 101)
+        magnitude = np.ones(101)
+        magnitude[40] = 0.2
+        guess = initial_guess_single(f, magnitude)
+        # the half-depth width is 0, so the total rate falls back to span/20
+        assert guess["f_res"] == f[40]
+        assert guess["kappa_g"] == guess["beta"] == pytest.approx((f[-1] - f[0]) / 40, rel=1e-15)
 
     def test_flat_spectrum_has_no_guess(self):
         f = np.linspace(4.3e9, 4.4e9, 100)
@@ -570,3 +602,10 @@ class TestMapAnalysis:
         f = np.linspace(-10, 10, 20001)
         mag = 1.0 - 0.8 / (1.0 + (f / 2.0) ** 2)  # half width 2 -> FWHM 4
         assert merged_linewidth(f, mag) == pytest.approx(4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("width", [merged_linewidth, initial_guess_single])
+    def test_nan_column_has_no_width(self, width):
+        mag = np.ones(11)
+        mag[[3, 5, 7]] = [0.2, np.nan, 0.2]
+        with pytest.raises(FitError):
+            width(np.linspace(4.3e9, 4.4e9, 11), mag)

@@ -260,6 +260,22 @@ class TestWriteTable:
         write_table_per_row(directory / "reference.csv", header, blocks)
         assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
+    def test_block_of_scalars_is_one_row(self, tmp_path):
+        # in a child whose address space is capped 512 MB above its size after
+        # import: a writer that repeats the scalars without end fails there
+        # with MemoryError instead of hanging the suite
+        path = tmp_path / "angle.csv"
+        proc = _fresh_python("-c", (
+            "import os, resource, sys\n"
+            "from gsesim.io import write_anisotropy_csv\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), hard))\n"
+            "write_anisotropy_csv(sys.argv[1], 0.5, 4.0e9)\n"
+        ), str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == b"theta_rad,frequency_hz\r\n0.5,4000000000.0\r\n"
+
 
 class TestConfig:
     def test_pointer_paths_in_errors(self):

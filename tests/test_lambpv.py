@@ -148,9 +148,10 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("residual_tol", [1e-5, 1e-9])
     @pytest.mark.parametrize("branch", ["+", "-"])
     @pytest.mark.parametrize("x", [1e-3, 1e-2, 1e3, 1e5])
-    def test_extreme_arguments_agree_or_raise(self, x, branch, residual_tol):
+    def test_extreme_arguments_agree_or_raise(self, monkeypatch, x, branch, residual_tol):
+        monkeypatch.setattr(lambpv, "_RESIDUAL_TOL", residual_tol)
         try:
-            quad = pv_quadrature(x, branch, residual_tol)
+            quad = pv_quadrature(x, branch)
         except PvConvergenceError:
             return
         closed = pv_closed(x, branch)
@@ -158,9 +159,10 @@ class TestQuadratureOracle:
         assert abs(quad.b_value - closed.b_value) <= 10 * residual_tol
 
     @pytest.mark.parametrize("branch", ["+", "-"])
-    def test_unreachable_tolerance_raises(self, branch):
+    def test_unreachable_tolerance_raises(self, monkeypatch, branch):
+        monkeypatch.setattr(lambpv, "_RESIDUAL_TOL", 1e-30)
         with pytest.raises(PvConvergenceError):
-            pv_quadrature(1.0, branch, residual_tol=1e-30)
+            pv_quadrature(1.0, branch)
 
 
 class TestDecomposition:
