@@ -6,9 +6,10 @@ output paths from the arguments alone, refuses two that name the same file
 or one that names an input, and writes the manifest JSON with the sha256
 checksums of the outputs. Outputs are written under temporary names and
 renamed into place only after the whole run has succeeded. Identical
-inputs and seed produce identical bytes. Every command runs on one
-thread. Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 I/O error.
+inputs and seed produce identical bytes. gsesim starts no threads of its
+own; numpy's BLAS may run its own pool. Each command imports the model
+modules it calls in its own body, so a process loads only those. Exit
+codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,21 +21,11 @@ import sys
 import numpy as np
 
 from . import io as gio
-from .anisotropy import AnisotropyParams, angle_sweep
-from .core import MAX_POINTS, FrequencyGrid, ModelError, Spectrum
-from .fitting import FitProblem, MODELS, ParameterNameError, fit, fit_global_geometry
+from .core import GAMMA_2PI, MAX_POINTS, FrequencyGrid, ModelError, ParameterNameError, Spectrum
 from .io import ConfigError, DataFormatError
-from .lambpv import pv_closed, pv_quadrature
-from .multipoint import s_matrix
-from .core import GAMMA_2PI
-from .nested import (
-    FitFormParams,
-    NestedParams,
-    eigen_traces,
-    map_nested_vs_detuning,
-    s21_nested_matrix,
-)
-from .single import SingleGseParams, map_single_vs_field, s21_single
+
+# the names of fitting.MODELS; listed here so that building the parser loads no model module
+_FIT_MODELS = ("nested_fitform", "single", "single_giant")
 
 # longer suffixes first, so that "hz" is tried after "khz", "mhz" and "ghz"
 _FREQ_UNITS = {"khz": 1e3, "mhz": 1e6, "ghz": 1e9, "hz": 1.0}
@@ -90,6 +81,8 @@ def _grid_from_arg(text):
 
 def _two_point_gse(waveguide, em, pointer):
     """SingleGseParams of an emitter with two coupling points of equal rate."""
+    from .single import SingleGseParams
+
     if len(em.positions) != 2:
         raise ConfigError(f"{pointer}: emitter {em.name!r} needs exactly two points")
     k1, k2 = em.kappa_points
@@ -105,6 +98,8 @@ def _single_from_topology(waveguide, topology):
 
 
 def _nested_from_topology(waveguide, topology):
+    from .nested import NestedParams
+
     if topology.classification != "nested":
         raise ConfigError(f"/emitters: topology is {topology.classification!r}, not nested")
     a, b = topology.emitters
@@ -118,6 +113,8 @@ def _nested_from_topology(waveguide, topology):
 
 
 def _fitform_from_args(args):
+    from .nested import FitFormParams
+
     return FitFormParams(
         parse_frequency(args.f_i),
         parse_frequency(args.f_i),  # the sweep sets f_o
@@ -161,6 +158,8 @@ def _parse_fixed(items):
 
 
 def _cmd_simulate_single(args):
+    from .single import s21_single
+
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     spectrum = s21_single(p, grid, self_consistent_phase=args.self_consistent_phase)
@@ -169,6 +168,8 @@ def _cmd_simulate_single(args):
 
 
 def _cmd_simulate_nested(args):
+    from .nested import s21_nested_matrix
+
     waveguide, topology, grid = gio.load_config(args.config)
     p = _nested_from_topology(waveguide, topology)
     spectrum = s21_nested_matrix(p, grid, lamb_sign=args.lamb_sign, phase_ref=args.phase_ref)
@@ -177,6 +178,8 @@ def _cmd_simulate_nested(args):
 
 
 def _cmd_simulate_general(args):
+    from .multipoint import s_matrix
+
     waveguide, topology, grid = gio.load_config(args.config)
     result = s_matrix(topology, waveguide, grid, convention=args.convention)
     gio.write_spectrum_csv(args.output, result.transmission)
@@ -205,6 +208,8 @@ def _cmd_map(args):
         missing = [name for name in _SWEEP_FLAGS["detuning"] if getattr(args, name) is None]
         if missing:
             raise ConfigError(f"map --sweep detuning needs {_flag_names(missing)}")
+        from .nested import eigen_traces, map_nested_vs_detuning
+
         q = _fitform_from_args(args)
         detunings = parse_range(args.values, parse_frequency)
         grid = _grid_from_arg(args.grid)
@@ -219,6 +224,8 @@ def _cmd_map(args):
         raise ConfigError("map --sweep field needs --config")
     if args.eigen_output:
         raise ConfigError("--eigen-output applies only to map --sweep detuning")
+    from .single import map_single_vs_field
+
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
     fields = parse_range(args.values)
@@ -228,6 +235,8 @@ def _cmd_map(args):
 
 
 def _cmd_fit(args):
+    from .fitting import FitProblem, fit
+
     freqs, data, magnitude_only = gio.read_spectrum_csv(args.data)
     problem = FitProblem(
         freqs, data, args.model,
@@ -245,6 +254,8 @@ def _cmd_fit(args):
 
 
 def _cmd_fit_geometry(args):
+    from .fitting import fit_global_geometry
+
     datasets = []
     for item in args.dataset:
         f_res_text, _, path = item.partition("=")
@@ -260,6 +271,8 @@ def _cmd_fit_geometry(args):
 
 
 def _cmd_anisotropy(args):
+    from .anisotropy import AnisotropyParams, angle_sweep
+
     thetas = parse_range(args.theta, parse_angle)
     gamma = parse_frequency(args.gamma) if args.gamma else GAMMA_2PI
     p = AnisotropyParams(args.h_e0, args.h_a, gamma=gamma)
@@ -269,6 +282,8 @@ def _cmd_anisotropy(args):
 
 
 def _cmd_pv_check(args):
+    from .lambpv import pv_closed, pv_quadrature
+
     rows = []
     for x in parse_range(args.x):
         closed = pv_closed(x, args.branch)
@@ -284,6 +299,8 @@ def _cmd_pv_check(args):
 
 
 def _cmd_synth(args):
+    from .single import s21_single
+
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed}: must be >= 0")
     if not 0 <= args.noise_sigma < np.inf:
@@ -351,7 +368,7 @@ def build_parser():
     p = sub.add_parser("fit", help="least-squares fit of one spectrum file")
     common(p, config=False)
     p.add_argument("--data", required=True, help="spectrum CSV (complex pair or magnitude)")
-    p.add_argument("--model", choices=sorted(MODELS), required=True)
+    p.add_argument("--model", choices=_FIT_MODELS, required=True)
     p.add_argument("--free", action="append", default=[], required=True,
                    help="name=guess or name=guess:lo:hi (repeatable; values in Hz)")
     p.add_argument("--fixed", action="append", default=[], help="name=value (repeatable)")

@@ -26,10 +26,14 @@ class ModelError(ValueError):
     """Invalid physical parameters or inconsistent model input."""
 
 
+class ParameterNameError(ModelError):
+    """The free and fixed parameters do not name exactly a model's parameters."""
+
+
 def _require_finite(name, *values):
     for v in values:
         if not math.isfinite(v):
-            raise ModelError(f"{name} must be finite, got {v!r}")
+            raise ModelError(f"{name} must be finite, got {float(v)!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ModelError, TWO_PI
+from .core import ModelError, ParameterNameError, TWO_PI
 from .nested import FitFormParams
 from .single import giant_decay
 
@@ -28,10 +28,6 @@ class FitError(ModelError):
 
 class DegeneracyWarning(UserWarning):
     """The datasets cannot separate the requested parameters."""
-
-
-class ParameterNameError(ModelError):
-    """The free and fixed parameters do not name exactly a model's parameters."""
 
 
 def single_model(f, q):

@@ -134,11 +134,11 @@ def _check_branch(x, branch):
     if branch not in ("+", "-"):
         raise ModelError(f"branch must be '+' or '-', got {branch!r}")
     if not math.isfinite(x):
-        raise ModelError(f"argument must be finite, got {x!r}")
+        raise ModelError(f"argument must be finite, got {float(x)!r}")
     if x == 0.0:
         raise PvDivergence("the regularized integrals diverge as x -> 0")
     if x < 0:
-        raise ModelError(f"argument must be > 0 (the phase across the ensemble), got {x!r}")
+        raise ModelError(f"argument must be > 0 (the phase across the ensemble), got {float(x)!r}")
 
 
 def pv_closed(x, branch):

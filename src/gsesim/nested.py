@@ -20,11 +20,11 @@ modules is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ModelError, Spectrum, TWO_PI, phase
+from .core import ModelError, Spectrum, TWO_PI, _require_finite, phase
 from .single import SingleGseParams
 
 
@@ -175,6 +175,8 @@ class FitFormParams:
     gamma: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_finite(f.name, getattr(self, f.name))
         for name in ("kappa_i_g", "kappa_o_g", "beta_i", "beta_o"):
             if getattr(self, name) < 0:
                 raise ModelError(f"{name} must be >= 0")

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gsesim
+import test_golden as golden
+from gsesim import cli, core, fitting
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, ModelError, Spectrum
 from gsesim.io import (
@@ -734,6 +736,47 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value", [("--f-i", "nanHz"), ("--j", "infHz"),
+                                             ("--kappa-i-g", "nanHz")])
+    def test_non_finite_two_mode_value_exits_3(self, tmp_path, capsys, flag, value):
+        # these reached the model, which printed numpy's RuntimeWarning before
+        # the run exited 3 with "spectrum contains non-finite values"
+        two_mode = dict(zip(TWO_MODE[::2], TWO_MODE[1::2]), **{flag: value})
+        argv = ["map", "--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
+                *(f"{k}={v}" for k, v in two_mode.items()), "--output", str(tmp_path / "map.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pv-check", "--x=-1:1:3"], "(the phase across the ensemble), got -1.0"),
+        (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], "B must be finite, got nan"),
+    ], ids=["pv-check", "map-field"])
+    def test_errors_print_plain_floats(self, tmp_path, capsys, argv, message):
+        # both used to print the numpy scalar repr, np.float64(...)
+        config = make_config(tmp_path)
+        assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "np.float64" not in err
+
+    def test_unknown_fit_model_exits_2_and_names_the_models(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(tmp_path / "d.csv"), "--model", "bogus", "--free", "a=1",
+                  "--output", str(tmp_path / "fit.json")])
+        assert exc.value.code == 2
+        assert "choose from 'nested_fitform', 'single', 'single_giant'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "{nested_fitform,single,single_giant}" in capsys.readouterr().out
+
+    def test_fit_model_choices_are_the_fitting_models(self):
+        assert cli._FIT_MODELS == tuple(sorted(fitting.MODELS))
+
     @pytest.mark.parametrize("argv", [
         ["pv-check", "--x", "1:2:10000000000000000000"],
         ["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "0deg:1deg:10000000000000000000"],
@@ -754,7 +797,76 @@ def _fresh_python(*args):
                           timeout=120)
 
 
+# the submodules beyond cli, core and io that each command of the golden runs loads
+COMMAND_MODULES = {
+    "simulate-single": ["single"],
+    "synth": ["single"],
+    "map --sweep detuning": ["nested", "single"],
+    "map --sweep field": ["single"],
+    "anisotropy": ["anisotropy"],
+    "pv-check": ["lambpv"],
+    "fit": ["fitting", "nested", "single"],
+    "simulate-nested": ["nested", "single"],
+    "fit-geometry": ["fitting", "nested", "single"],
+    "simulate-general": ["multipoint"],
+}
+
+LOADED_SUBMODULES = "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('gsesim.'))))"
+
+
 class TestColdStart:
+    def test_bare_import_loads_no_submodule(self):
+        names = ["core", "single", "nested", "multipoint", "anisotropy", "lambpv", "fitting"]
+        proc = _fresh_python("-c", (
+            "import sys, gsesim; "
+            f"{LOADED_SUBMODULES}; "
+            f"assert all(getattr(gsesim, m) is sys.modules['gsesim.' + m] for m in {names!r})"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+
+    def test_cli_parser_loads_only_core_and_io(self):
+        proc = _fresh_python("-c", f"import sys; from gsesim.cli import build_parser; build_parser(); "
+                                   f"{LOADED_SUBMODULES}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["cli", "core", "io"]
+
+    def test_each_command_loads_only_the_modules_it_calls(self, tmp_path, monkeypatch):
+        # the golden runs cover every command; run once in process, they
+        # leave each command's inputs in place for its own fresh process
+        monkeypatch.chdir(tmp_path)
+        for name, doc in golden.INPUTS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        for argv in golden.RUNS:
+            assert main(argv) == 0, argv
+        loaded = {}
+        for argv in golden.RUNS:
+            command = " ".join(argv[:3]) if argv[0] == "map" else argv[0]
+            if command not in loaded:
+                proc = _fresh_python("-c", "import sys; from gsesim.cli import main; "
+                                           f"assert main(sys.argv[1:]) == 0; {LOADED_SUBMODULES}", *argv)
+                assert proc.returncode == 0, proc.stderr
+                # pv-check prints its summary first
+                modules = proc.stdout.splitlines()[-1].split()
+                loaded[command] = [m for m in modules if m not in ("cli", "core", "io")]
+        assert loaded == COMMAND_MODULES
+
+    def test_public_names_are_their_submodules_objects(self):
+        star = {}
+        exec("from gsesim import *", star)
+        for module, names in gsesim._EXPORTS.items():
+            for name in names:
+                assert getattr(gsesim, name) is getattr(sys.modules["gsesim." + module], name)
+                assert star[name] is getattr(gsesim, name)
+        assert sorted(k for k in star if k != "__builtins__") == sorted(gsesim.__all__)
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            gsesim.no_such_name
+
+    def test_parameter_name_error_is_one_class(self):
+        assert gsesim.ParameterNameError is fitting.ParameterNameError is core.ParameterNameError
+
     def test_cli_import_loads_no_scipy(self):
         proc = _fresh_python("-c", (
             "import gsesim.cli, sys; "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,14 @@ class TestFitForm:
     def test_rejects_negative_rates(self):
         with pytest.raises(ModelError):
             FitFormParams(4e9, 4e9, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["f_i", "f_o", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        # a NaN rate passed the `< 0` check, and f_i, f_o, j and gamma had none
+        q = FitFormParams(4e9, 4e9, 1e6, 1e6, 1e6, 1e6, 1e6, 1e6)
+        with pytest.raises(ModelError, match=f"^{name} must be finite"):
+            dataclasses.replace(q, **{name: value})
 
 
 def eigen_traces_loop(q, f_o_sweep, ep_tol):
