@@ -1,10 +1,10 @@
 """Command-line front end: sweep orchestration and deterministic file output.
 
-The only module with side effects. Each command writes its data files and
-returns the resolved inputs for the manifest; `main` derives the run's
-output paths from the arguments alone, refuses two that name the same file
-or one that names an input, and writes the manifest JSON with the sha256
-checksums of the outputs. Outputs are written under temporary names and
+The only module with side effects. Each command writes its data files;
+`main` derives the run's output paths from the arguments alone, refuses two
+that name the same file or one that names an input, and writes the
+manifest JSON: every parsed argument and the sha256 checksums of the
+inputs and the outputs. Outputs are written under temporary names and
 renamed into place only after the whole run has succeeded. Identical
 inputs and seed produce identical bytes. gsesim starts no threads of its
 own; numpy's BLAS may run its own pool. Each command imports the model
@@ -65,6 +65,10 @@ def parse_range(text, scalar=float):
         raise ConfigError(f"range {text!r}: {exc}") from None
     if not 1 <= count <= MAX_POINTS:
         raise ConfigError(f"range {text!r}: count must be between 1 and {MAX_POINTS}")
+    # linspace would turn an infinite endpoint into nan with a warning; nan goes on to the model's check
+    for part, value in zip(parts, (start, stop)):
+        if np.isinf(value):
+            raise ModelError(f"range {text!r}: {part!r} must be finite")
     return np.linspace(start, stop, count)
 
 
@@ -164,7 +168,6 @@ def _cmd_simulate_single(args):
     p = _single_from_topology(waveguide, topology)
     spectrum = s21_single(p, grid, self_consistent_phase=args.self_consistent_phase)
     gio.write_spectrum_csv(args.output, spectrum)
-    return {"command": "simulate-single", "config": args.config}
 
 
 def _cmd_simulate_nested(args):
@@ -174,7 +177,6 @@ def _cmd_simulate_nested(args):
     p = _nested_from_topology(waveguide, topology)
     spectrum = s21_nested_matrix(p, grid, lamb_sign=args.lamb_sign, phase_ref=args.phase_ref)
     gio.write_spectrum_csv(args.output, spectrum)
-    return {"command": "simulate-nested", "config": args.config}
 
 
 def _cmd_simulate_general(args):
@@ -185,7 +187,6 @@ def _cmd_simulate_general(args):
     gio.write_spectrum_csv(args.output, result.transmission)
     if args.reflection_output:
         gio.write_spectrum_csv(args.reflection_output, Spectrum(grid, result.reflection))
-    return {"command": "simulate-general", "config": args.config}
 
 
 # the flags that only one sweep of `map` reads; the other sweep rejects them
@@ -219,7 +220,7 @@ def _cmd_map(args):
         if args.eigen_output:
             eigs, _ = eigen_traces(q, f_o_values)
             gio.write_eigen_csv(args.eigen_output, detunings, eigs)
-        return {"command": "map", "sweep": "detuning", "values": args.values}
+        return
     if args.config is None:
         raise ConfigError("map --sweep field needs --config")
     if args.eigen_output:
@@ -231,7 +232,6 @@ def _cmd_map(args):
     fields = parse_range(args.values)
     columns = map_single_vs_field(p, fields, 0.0 if args.h_a is None else args.h_a, grid)
     gio.write_map_csv(args.output, columns)
-    return {"command": "map", "sweep": "field", "config": args.config, "values": args.values}
 
 
 def _cmd_fit(args):
@@ -247,10 +247,6 @@ def _cmd_fit(args):
     )
     result = fit(problem)
     gio.write_fit_report(args.output, result)
-    return {
-        "command": "fit", "model": args.model, "data": args.data,
-        "free": args.free, "fixed": args.fixed, "db": args.db,
-    }
 
 
 def _cmd_fit_geometry(args):
@@ -267,7 +263,6 @@ def _cmd_fit_geometry(args):
         datasets.append((parse_frequency(f_res_text), freqs, data))
     result = fit_global_geometry(datasets, free=_parse_free(args.free), fixed=_parse_fixed(args.fixed))
     gio.write_fit_report(args.output, result)
-    return {"command": "fit-geometry", "datasets": args.dataset, "free": args.free, "fixed": args.fixed}
 
 
 def _cmd_anisotropy(args):
@@ -278,7 +273,6 @@ def _cmd_anisotropy(args):
     p = AnisotropyParams(args.h_e0, args.h_a, gamma=gamma)
     freqs = angle_sweep(p, thetas, which=args.which)
     gio.write_anisotropy_csv(args.output, thetas, freqs)
-    return {"command": "anisotropy", "h_e0": args.h_e0, "h_a": args.h_a, "which": args.which}
 
 
 def _cmd_pv_check(args):
@@ -295,7 +289,6 @@ def _cmd_pv_check(args):
     gio.write_pv_csv(args.output, rows)
     worst = max(max(r[5], r[6]) for r in rows)
     print(f"pv-check: {len(rows)} points, branch {args.branch!r}, worst |closed - quad| = {worst:.3e}")
-    return {"command": "pv-check", "x": args.x, "branch": args.branch}
 
 
 def _cmd_synth(args):
@@ -310,7 +303,6 @@ def _cmd_synth(args):
     spectrum = s21_single(p, grid)
     noisy = spectrum.s21 + gio.synth_noise(grid.n_points, args.noise_sigma, args.seed)
     gio.write_spectrum_csv(args.output, Spectrum(grid, noisy))
-    return {"command": "synth", "config": args.config, "noise_sigma": args.noise_sigma, "seed": args.seed}
 
 
 def build_parser():
@@ -423,16 +415,18 @@ def main(argv=None):
     is atomic; the 2-4 renames of a run are not atomic as a group.
     """
     args = build_parser().parse_args(argv)
+    # the run as given: every parsed argument, the output paths before they turn temporary
+    config = {k: v for k, v in vars(args).items() if k != "run"}
     # the flags naming data files the command writes, then its manifest; and what it reads
     flags = [k for k in ("output", "eigen_output", "reflection_output") if getattr(args, k, None)]
     outputs = [getattr(args, k) for k in flags]
     manifest = args.manifest or args.output + ".manifest.json"
     written = outputs + [manifest]
-    inputs = [getattr(args, "config", None), getattr(args, "data", None),
-              *(item.partition("=")[2] for item in getattr(args, "dataset", []))]
+    inputs = [p for p in (getattr(args, "config", None), getattr(args, "data", None),
+                          *(item.partition("=")[2] for item in getattr(args, "dataset", []))) if p]
     real, temporary = {}, {}
     try:
-        seen = {os.path.realpath(p) for p in inputs if p}
+        seen = set(map(os.path.realpath, inputs))
         for path in written:
             real[path] = os.path.realpath(path)
             if real[path] in seen:
@@ -443,7 +437,9 @@ def main(argv=None):
         temporary = {path: _temporary(real[path]) for path in written}
         for flag in flags:
             setattr(args, flag, temporary[getattr(args, flag)])
-        gio.write_manifest(temporary[manifest], args.run(args), {p: temporary[p] for p in outputs})
+        args.run(args)
+        # hashed only now, so that a missing input fails with the command's own error
+        gio.write_manifest(temporary[manifest], config, inputs, {p: temporary[p] for p in outputs})
         for path in written:
             os.replace(temporary[path], real[path])
         return 0

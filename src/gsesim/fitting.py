@@ -73,7 +73,7 @@ def single_giant_model(f, q):
         den = f - q["f_res"] + 1j * (q["kappa_g"] + q["beta"])
         inv = 1.0 / den
         s21 = 1.0 - 1j * q["kappa_g"] / den
-    kappa_inv2 = q["kappa_g"] * inv * inv
+        kappa_inv2 = q["kappa_g"] * inv * inv
     return s21, {"f_res": -1j * kappa_inv2, "kappa_g": -1j * inv - kappa_inv2, "beta": -kappa_inv2}
 
 

@@ -225,10 +225,12 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, config, outputs):
-    """Record run inputs and output checksums next to the artifacts.
+def write_manifest(path, config, inputs, outputs):
+    """Record a run next to its artifacts: its arguments and the checksums of its files.
 
-    outputs maps each output's recorded name to the file to hash.
+    config maps each parsed argument to its value; inputs lists the files
+    the run read, each hashed under its own name; outputs maps each
+    output's recorded name to the file to hash.
     """
     from . import __version__
 
@@ -236,6 +238,7 @@ def write_manifest(path, config, outputs):
         "package": "gsesim",
         "version": __version__,
         "config": config,
+        "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(name): sha256_file(p) for name, p in outputs.items()},
     }
     with open(path, "w") as fh:

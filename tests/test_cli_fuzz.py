@@ -19,7 +19,11 @@ run. Whatever the arguments:
 - a successful run leaves exactly the files it found, its data outputs and
   its manifest, and the manifest lists each data output once, with the
   sha256 of the bytes on disk;
-- a successful `map` run names no flag that only the other sweep reads.
+- a successful `map` run names no flag that only the other sweep reads;
+- a successful run is reproduced from its manifest alone: the command line
+  rebuilt from its `config` block, run in a fresh directory that holds only
+  the inputs checked against its `inputs` sha256, writes the same bytes,
+  manifest included.
 
 Grids stay at most a few hundred points so an example runs in milliseconds.
 """
@@ -203,12 +207,32 @@ def argvs(draw):
     return argv
 
 
-def run_in_fresh_dir(argv):
-    """main(argv) in a new directory holding BEFORE; returns (code, files left),
+def replay_argv(config):
+    """The command line that a manifest's config block records.
+
+    None and False are left out, True is a bare flag, a list repeats its
+    flag, and any other value is given as `--key=value`.
+    """
+    argv = [config["command"]]
+    for key, value in config.items():
+        if key == "command" or value is None or value is False:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [f"{flag}={v}" for v in value]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def run_in_fresh_dir(argv, before=BEFORE):
+    """main(argv) in a new directory holding before; returns (code, files left),
     the files as a dict from relative path to bytes."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, data in BEFORE.items():
+        for name, data in before.items():
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         os.chdir(tmp)
@@ -284,7 +308,14 @@ def test_cli_main_exits_with_a_documented_code(argv):
     elif "--help" not in argv:
         assert len({*data_outputs, norm(manifest)}) == len(data_outputs) + 1, argv
         assert sorted(files) == sorted({*BEFORE, *data_outputs, norm(manifest)}), (argv, sorted(files))
-        recorded = json.loads(files[norm(manifest)])["outputs"]
+        record = json.loads(files[norm(manifest)])
+        recorded = record["outputs"]
         assert sorted(norm(p) for p in recorded) == sorted(data_outputs), (argv, recorded)
         for path, digest in recorded.items():
             assert hashlib.sha256(files[norm(path)]).hexdigest() == digest, (argv, path)
+        inputs = {norm(p): files[norm(p)] for p in record["inputs"]}
+        for path, digest in record["inputs"].items():
+            assert hashlib.sha256(inputs[norm(path)]).hexdigest() == digest, (argv, path)
+        replay = replay_argv(record["config"])
+        written = {p: files[p] for p in (*data_outputs, norm(manifest))}
+        assert run_in_fresh_dir(replay, inputs) == (0, {**inputs, **written}), (argv, replay)

@@ -34,6 +34,12 @@ Jacobians: the fitted values moved by at most 3e-10 (fit) and 3.3e-9
 (geometry) relative, both fits end at a cost no higher than before, and n_iter,
 which counts evaluations, changed (9 -> 7 and 14 -> 17). Every other
 digest stayed as it was.
+
+All 15 manifest digests were re-captured when main began to record each
+run itself: the config block holds every parsed argument, where each
+command used to pick a few by hand, and a new inputs block holds the
+sha256 of each file the run reads. Every data-file digest stayed as it
+was.
 """
 
 import hashlib
@@ -129,37 +135,37 @@ RUNS = [
 
 GOLDEN = {
     "anisotropy.csv": "8f4e3dbbf20399bcf7b43a73f7e1b80d28a22eadb13200cde92765bf76aa1699",
-    "anisotropy.csv.manifest.json": "3280570569440d895e1d6c8e91d066826c76c9f751b8ce6e59e2dd44806a17d1",
+    "anisotropy.csv.manifest.json": "e00371b97f0c29a638076a577389c40e619d8dc60498798ef0ee3adf9bf90de8",
     "eigen.csv": "0694b66e06277d7d8348b2e3aec7a84ed14d4e51b049f72eb11aa50fdb296f50",
     "fit.json": "83aaa1045d007b126559b45b690939486f860b50041536832512e28401b0bc55",
-    "fit.json.manifest.json": "f18395a50c0cc987f0d0d4a57d8eb0f77f77dc5482d216940ea72df2bd536a73",
+    "fit.json.manifest.json": "69c9321683c3f66ae65b6e3e74852620538312cfcc6b2626915a8ab1526a432d",
     "g0.csv": "3df33bc5625af705191c31a1dc6291cb5fa87c9e50db335bb4ab1b0e347491ea",
-    "g0.csv.manifest.json": "9bf5b0a64568c58ac412c41757301cfd073307da079f198bf7a7649c133777d4",
+    "g0.csv.manifest.json": "5886d74cea40fe8e95bdf7905f3d82605ba24fa5abba98b9ebfb555b4dd32adf",
     "g1.csv": "08f516b08777f6758bc87c06b32e2260f9d24545475cd42fc7bf46c6cc194566",
-    "g1.csv.manifest.json": "10e62f49fa9b01c1d0a867de94c79d29c74edb1be8ea98de7a3f97bc718492d3",
+    "g1.csv.manifest.json": "8e8f0ee9d61d3dcb08292e229160fadf607db6f66e8325b299f31d6cfce82c93",
     "g2.csv": "d1fa9442ac21af48fc3fc94eef14eb0e68b92c784227b3f35bcd027f5fb39746",
-    "g2.csv.manifest.json": "bf40b01b22a9a6370bbe56bbf4ce14f8c0a383412f85b9cbe4d055e233fab2ca",
+    "g2.csv.manifest.json": "7e1db671bb3073b2463b8e9acb15664cfe2a0ce53d42662064ad866a35837233",
     "general_mixed.csv": "70faa6077a23b01cf3dba4a35735d2b29f106eb5f9f0e963c75173018a080da2",
-    "general_mixed.csv.manifest.json": "0b21d722da175a7294f70f00fdacd855a4a0df0a810c912ee00802888d2adb28",
+    "general_mixed.csv.manifest.json": "180204dc31c4c71353a54dfcead4179c7344a0e7239457927caf1b9bc4f9e6d4",
     "general_probe.csv": "7127bd2a4900a9639deef616f75e75ec825c892c712b3ed5939c42ea8266d862",
-    "general_probe.csv.manifest.json": "30425924e021fecdf975ba15d3e8674bd6a81c84b932389e142e82e6429f4aa7",
+    "general_probe.csv.manifest.json": "9381160eb2de1405bbebdaad3930545f2e4dcc636d5bb2a7d83f1c4cab157e4e",
     "general_probe_refl.csv": "37fae361acfa0d03aba20f565bbaa2a3474ae37f9bff9190992a44707310bdb0",
     "general_resonance.csv": "9462dfbf6518a7390cc9561f285ad739936c0cd72ae3a36723caf1b6787b1a49",
-    "general_resonance.csv.manifest.json": "524fac1509ee7420e3e01c5764a2f0516a37eb432dd43fabba80426b0b288228",
+    "general_resonance.csv.manifest.json": "947375edf4535324cd55dff9a708bcff95f2ce615b8061465fbfa225ce620ccd",
     "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",
-    "geometry.json.manifest.json": "9a6f54bb1cd7807c3bb80890e6a4c85bf3b7caf34e071546a844a49a05d52f8a",
+    "geometry.json.manifest.json": "5fda75411242ff569e141779993149939af5a694bcfc4e41f71d75d7f598d4e7",
     "map_detuning.csv": "1b55abdb3ec40dc61db128a74a58909564e68587438e3f227a627c5626cf1cf6",
-    "map_detuning.csv.manifest.json": "04facf7b1fa789b19ca71f227a6a93c4aff232d97f6d576bda68600b1cae676b",
+    "map_detuning.csv.manifest.json": "ec514b1cdc3375cf65a7f0e0092344121e7e33014ebc0d7b202e8ddd20619651",
     "map_field.csv": "8165f9f1a85eb9b98ab00d0a35cef223625b656e12f855c6c48bcbdf6a0c8281",
-    "map_field.csv.manifest.json": "c12341b5932ff23f1ff971f5327a1c04c2a76425dfd02662b0be983d0f44cfef",
+    "map_field.csv.manifest.json": "23d4b587708f4a5de2143f9e4336f3bda05459d70e2cbfbc9774e0c64a49b873",
     "nested.csv": "17d9e9a9a0829c35b5c38b5a866bdcf5d0763a5243a77871298d7563498434b4",
-    "nested.csv.manifest.json": "f5b151ac342ad43c2e0d528c5edecba31a22b6af34ab4a60aa789ad4d6f24e5b",
+    "nested.csv.manifest.json": "50bd35435550b3ca1cbd7371db17882e84e6e6f7fa03864c1fa36b7c4baa5a69",
     "pv.csv": "cb3f8e0a9147aba8e368c44f59faf087bac7fec4ba61664de3d0453aaa93f809",
-    "pv.csv.manifest.json": "2deb75db98a8205e668cc56cf57f47bbe03eb5ac47a63f4039b506bea8970d07",
+    "pv.csv.manifest.json": "395df26189b4c4e52bfe4af6edce528e83c567d1295c2dea8291ccccff4ba0b3",
     "single.csv": "d91138ed0982bb397ba933b5bcb454ff3f45e9f2b473ea83433a3904278fe448",
-    "single.csv.manifest.json": "0ac6475d6e7a7f05353a7bb9024ce6d0ed9606a014a825b2ffdd58f07244bc10",
+    "single.csv.manifest.json": "1075b1edb1318ee4745fae4d826d8f0e5b1c22a33290da2adb9412cee86412cb",
     "synth.csv": "c95a17935c51e672e7ce4c509fa263d033f7ebf6680ac7b1b7e83fb07bd51c3c",
-    "synth.csv.manifest.json": "ae387752988d970641739a0e10a600ded51e2a7c183f8baacae3c431eab01a6c",
+    "synth.csv.manifest.json": "e9d85cef8303347e9106f6db8f8d489e6642feed17f79232b3908160efa21e1d",
 }
 
 

@@ -572,6 +572,25 @@ class TestCli:
         config = json.loads(open(report + ".manifest.json").read())["config"]
         assert config["free"] == free and config["fixed"] == fixed
 
+    def test_manifest_tells_apart_runs_that_write_different_bytes(self, tmp_path):
+        # these two runs write different spectra; their manifests used to
+        # record the same config block, and the config file by path only
+        cfg = make_config(tmp_path, n_points=101)
+        runs = {}
+        for extra in ([], ["--self-consistent-phase"]):
+            out = str(tmp_path / f"spec{len(runs)}.csv")
+            assert main(["simulate-single", "--config", cfg, "--output", out, *extra]) == 0
+            runs[out] = json.loads(open(out + ".manifest.json").read())
+        (first, a), (second, b) = runs.items()
+        assert open(first, "rb").read() != open(second, "rb").read()
+        assert a["config"] != b["config"] and b["config"]["self_consistent_phase"] is True
+        make_config(tmp_path, n_points=102)
+        assert main(["simulate-single", "--config", cfg, "--output", first]) == 0
+        c = json.loads(open(first + ".manifest.json").read())
+        assert c["config"] == a["config"]
+        assert c["inputs"][cfg] != a["inputs"][cfg]
+        assert c["inputs"][cfg] == hashlib.sha256(open(cfg, "rb").read()).hexdigest()
+
     def test_anisotropy_output(self, tmp_path):
         out = str(tmp_path / "angles.csv")
         code = main([
@@ -754,9 +773,15 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["pv-check", "--x=-1:1:3"], "(the phase across the ensemble), got -1.0"),
         (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], "B must be finite, got nan"),
-    ], ids=["pv-check", "map-field"])
+        (["pv-check", "--x", "0:inf:3"], "range '0:inf:3': 'inf' must be finite"),
+        (["map", "--sweep", "field", "--config", "{c}", "--values=-inf:0.1:3"],
+         "range '-inf:0.1:3': '-inf' must be finite"),
+        (["map", "--sweep", "detuning", "--values=-5MHz:infMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
+         "range '-5MHz:infMHz:3': 'infMHz' must be finite"),
+    ], ids=["pv-check", "map-field", "pv-check-inf", "map-field-inf", "map-detuning-inf"])
     def test_errors_print_plain_floats(self, tmp_path, capsys, argv, message):
-        # both used to print the numpy scalar repr, np.float64(...)
+        # the first two used to print the numpy scalar repr, np.float64(...);
+        # an infinite range endpoint printed numpy's RuntimeWarning from linspace
         config = make_config(tmp_path)
         assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err
