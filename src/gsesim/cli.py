@@ -72,6 +72,15 @@ def parse_range(text, scalar=float):
     return np.linspace(start, stop, count)
 
 
+def _sweep_values(text, scalar=float):
+    """parse_range for map --values: each value is one column of the map file."""
+    values = parse_range(text, scalar)
+    # nan differs from itself as a double, so it goes on to the model's own check
+    if np.unique(values, equal_nan=False).size < values.size:
+        raise ConfigError(f"--values {text!r}: sweep values must be distinct")
+    return values
+
+
 def _grid_from_arg(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -212,7 +221,7 @@ def _cmd_map(args):
         from .nested import eigen_traces, map_nested_vs_detuning
 
         q = _fitform_from_args(args)
-        detunings = parse_range(args.values, parse_frequency)
+        detunings = _sweep_values(args.values, parse_frequency)
         grid = _grid_from_arg(args.grid)
         f_o_values = q.f_i + detunings
         columns = map_nested_vs_detuning(q, f_o_values, grid)
@@ -229,7 +238,7 @@ def _cmd_map(args):
 
     waveguide, topology, grid = gio.load_config(args.config)
     p = _single_from_topology(waveguide, topology)
-    fields = parse_range(args.values)
+    fields = _sweep_values(args.values)
     columns = map_single_vs_field(p, fields, 0.0 if args.h_a is None else args.h_a, grid)
     gio.write_map_csv(args.output, columns)
 

@@ -8,10 +8,12 @@ a JSON-pointer path to the bad key.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -74,6 +76,17 @@ def write_spectrum_csv(path, spectrum):
 
 
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
+# the suffixes numpy's loadtxt decompresses a path by
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _data_lines(path):
+    """Yield (line number, line) for each non-blank line after the header, as loadtxt rows."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            if line != "\n":
+                yield lineno, line
 
 
 def _read_table(path, pick, coordinates):
@@ -87,31 +100,34 @@ def _read_table(path, pick, coordinates):
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
-            if not header:
-                raise DataFormatError(f"{path}: empty file")
-            usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported by the caller, not as a warning
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(fh, usecols=usecols, **_LOADTXT)
-                if np.all(np.isfinite(table[:, :coordinates])):
-                    return table
-                error = "non-finite coordinate"
-            except ValueError as exc:
-                error = exc
+        if not header:
+            raise DataFormatError(f"{path}: empty file")
+        usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
+        # numpy reads a str path in chunks but walks an open file (or a bytes
+        # path) line by line; it would also decompress a path by its suffix,
+        # so such a name goes in as an open file
+        name = os.fsdecode(path)
+        plain = os.path.splitext(name)[1] not in _COMPRESSED
+        try:
+            with (warnings.catch_warnings(),
+                  contextlib.nullcontext(name) if plain else open(path, encoding="utf-8") as source):
+                # a header-only file is reported by the caller, not as a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(source, skiprows=1, encoding="utf-8", usecols=usecols, **_LOADTXT)
+            if np.all(np.isfinite(table[:, :coordinates])):
+                return table
+            error = "non-finite coordinate"
+        except ValueError as exc:
+            error = exc
         # error path only: loadtxt's row numbers skip blank lines and start at
         # 0 or 1 by error kind, so parse line by line to find the bad one
-        with open(path, encoding="utf-8") as fh:
-            next(fh)
-            for lineno, line in enumerate(fh, start=2):
-                if line != "\n":
-                    try:
-                        row = np.loadtxt([line], usecols=usecols, **_LOADTXT)
-                    except ValueError:
-                        raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
-                    if not np.all(np.isfinite(row[:, :coordinates])):
-                        raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {line.rstrip()!r}")
+        for lineno, line in _data_lines(path):
+            try:
+                row = np.loadtxt([line], usecols=usecols, **_LOADTXT)
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+            if not np.all(np.isfinite(row[:, :coordinates])):
+                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {line.rstrip()!r}")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     raise DataFormatError(f"{path}: malformed table ({error})")
@@ -154,8 +170,9 @@ def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
     Cells the file does not list read as NaN. An empty file, a short row,
-    a non-numeric cell or a non-finite sweep value or frequency raises
-    DataFormatError with the line number.
+    a non-numeric cell, a non-finite sweep value or frequency, or a cell
+    listed twice (+0.0 and -0.0 are one value) raises DataFormatError with
+    the line number.
     """
     def pick(cols):
         if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
@@ -165,6 +182,17 @@ def read_map_csv(path):
     table = _read_table(path, pick, 2)
     sweep, si = np.unique(table[:, 0], return_inverse=True)
     freqs, fi = np.unique(table[:, 1], return_inverse=True)
+    cell = si * freqs.size + fi
+    seen = np.zeros(sweep.size * freqs.size, dtype=bool)
+    seen[cell] = True
+    if np.count_nonzero(seen) < cell.size:
+        # error path only: find the first repeat and the line it repeats
+        first = {}
+        for (lineno, line), c in zip(_data_lines(path), cell.tolist()):
+            if c in first:
+                raise DataFormatError(
+                    f"{path}:{lineno}: repeats the cell of line {first[c]} {line.rstrip()!r}")
+            first[c] = lineno
     mag = np.full((sweep.size, freqs.size), np.nan)
     mag[si, fi] = table[:, 2]
     return sweep, freqs, mag

@@ -22,6 +22,13 @@ TWO_MODE = [
 ]
 
 
+def pytest_configure(config):
+    # an unasserted PassivityWarning fails the test. This sits here, not in
+    # pyproject's filterwarnings, which also governs perfbench/selftest.py:
+    # its fixtures run the benchmark's non-passive layouts without asserting it
+    config.addinivalue_line("filterwarnings", "error::gsesim.multipoint.PassivityWarning")
+
+
 @pytest.fixture(scope="session")
 def waveguide():
     return Waveguide(SPEED)

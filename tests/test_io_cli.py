@@ -240,14 +240,45 @@ class TestSpectrumCsv:
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,oops,-6.0\r\n", ":2:"),
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\nnan,1e9,0.5,-6.0\r\n0.0,1e9,0.5,-6.0\r\n", ":2:"),
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n0.0,-inf,0.5,-6.0\r\n", ":3:"),
+            # the reader used to keep the last magnitude of a repeated cell without a word
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n1.0,4e9,0.5,-6.0\r\n1.0,5e9,0.7,-3.1\r\n\r\n"
+             "1.0,4e9,0.9,-0.9\r\n", ":5: repeats the cell of line 2 "),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,4e9,0.5,-6.0\r\n-0.0,4e9,0.9,-0.9\r\n",
+             ":3: repeats the cell of line 2 "),
         ],
-        ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency"],
+        ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency", "duplicate-cell",
+             "duplicate-cell-signed-zero"],
     )
     def test_malformed_map_rejected(self, tmp_path, text, where):
         path = tmp_path / "map.csv"
         path.write_text(text)
         with pytest.raises(DataFormatError, match=where):
             read_map_csv(path)
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("read, text", [
+        (read_map_csv, "sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,4e9,0.5,-6.0\r\n"),
+        (read_spectrum_csv, "frequency_hz,s21_mag\r\n1e9,0.9\r\n2e9,0.8\r\n"),
+    ], ids=["map", "spectrum"])
+    def test_loadtxt_opens_the_file_itself(self, tmp_path, monkeypatch, read, text):
+        # numpy reads a path in chunks; an open file it walks one line at a time
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        sources = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or loadtxt(source, **kw))
+        read(path)
+        assert len(sources) == 1 and isinstance(sources[0], (str, os.PathLike))
+
+    @pytest.mark.parametrize("name, kind", [("spectrum.csv", os.fsencode), ("spectrum.csv.gz", str)],
+                             ids=["bytes-path", "gz-suffix"])
+    def test_any_path_reads_as_text(self, tmp_path, name, kind):
+        # loadtxt iterates a bytes path and decompresses a path named *.gz
+        path = tmp_path / name
+        path.write_text("frequency_hz,s21_mag\r\n1e9,0.9\r\n2e9,0.8\r\n")
+        freqs, data, magnitude_only = read_spectrum_csv(kind(path))
+        assert magnitude_only and same_doubles(freqs, [1e9, 2e9]) and same_doubles(data, [0.9, 0.8])
 
 
 class TestWriteTable:
@@ -478,6 +509,27 @@ class TestCli:
         out, eig = tmp_path / "map.csv", tmp_path / "eig.csv"
         assert main(["map", *argv, "--output", str(out), "--eigen-output", str(eig)]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sweep", "detuning", "--values=0Hz:0Hz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
+            ["--sweep", "field", "--values", "0.15:0.15:2", "--config", "{c}"],
+            ["--sweep", "field", "--values=-0.0:0.0:2", "--config", "{c}"],
+        ],
+        ids=["detuning", "field", "field-signed-zero"],
+    )
+    def test_map_rejects_repeated_values(self, tmp_path, capsys, monkeypatch, argv):
+        # these used to exit 0 with a file whose repeated columns read back as one
+        from gsesim import nested, single
+
+        for module, name in ((nested, "map_nested_vs_detuning"), (single, "map_single_vs_field")):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail("the model ran"))
+        out = tmp_path / "map.csv"
+        argv = [a.format(c=make_config(tmp_path)) for a in argv]
+        assert main(["map", *argv, "--output", str(out)]) == 2
+        assert "sweep values must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "sweep, stray, message",

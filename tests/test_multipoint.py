@@ -348,7 +348,7 @@ class TestSMatrix:
         for convention in CONVENTIONS:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", MarkovWarning)
-                res = s_matrix(t, wg, grid, convention=convention)
+                res = passive_checked_s_matrix(t, wg, grid, convention=convention)
             s21, refl, gw = reference_s_matrix(t, grid, convention)
             bound = 1e-12 + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1)
             assert np.all(np.abs(res.transmission.s21 - s21) < bound)
@@ -383,12 +383,26 @@ def two_point_params(e, waveguide):
                            waveguide)
 
 
+def passive_checked_s_matrix(*args, **kwargs):
+    """s_matrix, asserting its PassivityWarning contract.
+
+    One warning per call if and only if |S21|^2 + |S11|^2 exceeds 1 + 1e-10
+    somewhere on the grid.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PassivityWarning)
+        res = s_matrix(*args, **kwargs)
+    gain = np.max(np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2) > 1.0 + 1e-10
+    assert [w.category for w in caught] == [PassivityWarning] * int(gain)
+    return res
+
+
 def quiet_s_matrix(t, grid, convention):
     with warnings.catch_warnings():
         # wide random layouts can sit outside the Markov regime; these
         # properties are algebraic and must hold anyway
         warnings.simplefilter("ignore", MarkovWarning)
-        return s_matrix(t, Waveguide(SPEED), grid, convention=convention)
+        return passive_checked_s_matrix(t, Waveguide(SPEED), grid, convention=convention)
 
 
 PROPERTY_GRID = FrequencyGrid(4.3e9, 4.4e9, 201)
@@ -481,10 +495,10 @@ class TestPoleResidues:
             for convention in ("resonance", "mixed"):
                 with monkeypatch.context() as m:
                     m.setattr(mp, "_solve", _forbid_solve)
-                    fast = s_matrix(t, waveguide, grid, convention=convention)
+                    fast = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
                 with monkeypatch.context() as m:
                     m.setattr(mp, "_MIN_PAIRING", np.inf)
-                    solved = s_matrix(t, waveguide, grid, convention=convention)
+                    solved = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
                 assert np.max(np.abs(fast.transmission.s21 - solved.transmission.s21)) < 1e-12
                 assert np.max(np.abs(fast.reflection - solved.reflection)) < 1e-12
                 assert (fast.path, solved.path) == ("pole-residues", "solve")
@@ -535,14 +549,14 @@ class TestFrequencyBlocks:
         with monkeypatch.context() as m:
             if convention != "probe":
                 m.setattr(mp, "_MIN_PAIRING", np.inf)
-            default = s_matrix(t, waveguide, grid, convention=convention)
+            default = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
             assert default.path == "solve"
             assert (default.min_pairing is None) == (convention == "probe")
             # one frequency per block, then blocks of 7 with a last one of 5
             assert grid.n_points % 7 == 5
             for budget in (1, 7 * per_frequency):
                 m.setattr(mp, "_BLOCK_BYTES", budget)
-                blocked = s_matrix(t, waveguide, grid, convention=convention)
+                blocked = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
                 assert np.array_equal(blocked.transmission.s21, default.transmission.s21)
                 assert np.array_equal(blocked.reflection, default.reflection)
 
@@ -557,7 +571,7 @@ class TestFrequencyBlocks:
             monkeypatch.setattr(mp, "_MIN_PAIRING", np.inf)
         tracemalloc.start()
         try:
-            res = s_matrix(t, waveguide, grid, convention=convention)
+            res = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
