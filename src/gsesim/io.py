@@ -169,10 +169,10 @@ def write_map_csv(path, columns):
 def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
-    Cells the file does not list read as NaN. An empty file, a short row,
-    a non-numeric cell, a non-finite sweep value or frequency, or a cell
-    listed twice (+0.0 and -0.0 are one value) raises DataFormatError with
-    the line number.
+    Cells the file does not list read as NaN. An empty or header-only file
+    raises DataFormatError naming the file; a short row, a non-numeric cell,
+    a non-finite sweep value or frequency, or a cell listed twice (+0.0 and
+    -0.0 are one value) raises it with the line number.
     """
     def pick(cols):
         if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
@@ -180,9 +180,14 @@ def read_map_csv(path):
         return [0, 1, 2]
 
     table = _read_table(path, pick, 2)
-    sweep, si = np.unique(table[:, 0], return_inverse=True)
-    freqs, fi = np.unique(table[:, 1], return_inverse=True)
-    cell = si * freqs.size + fi
+    if table.size == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    sweep, freqs = np.unique(table[:, 0]), np.unique(table[:, 1])
+    # the row-major cell index, built in place of the sweep column (exact: far below 2**53)
+    table[:, 0] = np.searchsorted(sweep, table[:, 0])
+    table[:, 0] *= freqs.size
+    table[:, 0] += np.searchsorted(freqs, table[:, 1])
+    cell = table[:, 0].astype(np.intp)
     seen = np.zeros(sweep.size * freqs.size, dtype=bool)
     seen[cell] = True
     if np.count_nonzero(seen) < cell.size:
@@ -194,7 +199,7 @@ def read_map_csv(path):
                     f"{path}:{lineno}: repeats the cell of line {first[c]} {line.rstrip()!r}")
             first[c] = lineno
     mag = np.full((sweep.size, freqs.size), np.nan)
-    mag[si, fi] = table[:, 2]
+    mag.ravel()[cell] = table[:, 2]
     return sweep, freqs, mag
 
 

@@ -32,14 +32,14 @@ order with an owner index:
   of the first. One pass along the guide accumulates it, vectorized over
   frequency and emitters: O(P*N) per frequency instead of O(P^2) of
   trigonometry. -J, Gamma + beta and the detuning go straight into a
-  buffer holding f - H for one block of frequencies, which one batched
-  call solves before the next block is assembled. A block holds as many
-  frequencies as fit in _BLOCK_BYTES, so these buffers do not grow with
-  the grid; every frequency's arithmetic is independent of the blocking.
-  The f - H buffer and the prefix-sum buffers are allocated once per call
-  and refilled block by block, so their pages are mapped and faulted in
-  once per call instead of once per block: the allocator can hand arrays of
-  this size straight back to the system when they are freed.
+  buffer holding f - H for one block of frequencies (Gamma a few
+  frequencies at a time), which one batched call solves and turns into S21
+  and reflection before the next block is assembled. A block holds as many
+  frequencies as fit in _BLOCK_BYTES, so no buffer grows with the grid,
+  and no frequency's arithmetic depends on the blocking. The f - H and
+  prefix-sum buffers are allocated once per call and refilled block by
+  block, so their pages fault in once per call, not once per block: the
+  allocator unmaps arrays this large when they are freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   exp(-i*2*pi*f_m*d/v) on every grid frequency f_m = f_0 + m*df. With
   b = isqrt(nf) and m = a*b + c this is a coarse table at f_0 + a*b*df
@@ -274,6 +274,7 @@ def _probe_resolvent(pts, grid, speed, u, step):
         a_pts = np.empty((d.size, 2, nb))
         np.multiply(root, ph.real, out=a_pts[:, 0])
         np.multiply(-root, ph.imag, out=a_pts[:, 1])
+        del ph
         # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so far
         left = left_buf[: 2 * nb * n].reshape(2, nb, n)
         sums = sums_buf[: n * nb * n].reshape(n, nb, n)  # sums[j, :, l] = Im(sum_{p in j} a_p * C_l(x_p))
@@ -288,7 +289,9 @@ def _probe_resolvent(pts, grid, speed, u, step):
         a.real *= -0.5
         ur, ui = u[sl].real, u[sl].imag
         np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
-        a.imag += ui[:, :, None] * ui[:, None, :]
+        k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not nb*N*N
+        for i in range(0, nb, k):
+            a.imag[i : i + k] += ui[i : i + k, :, None] * ui[i : i + k, None, :]
         np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
 
     return resolvent
@@ -317,30 +320,32 @@ def _block_rows(nf, n):
     return min(nf, max(1, _BLOCK_BYTES // (16 * n * n)))
 
 
-def _solve(resolvent, nf, u, w):
+def _solve(resolvent, nf, u):
     """Scattering on nf frequencies by batched solves, one block at a time.
 
     resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
-    a; w is (N,) or (nf, N). One buffer of at most one block holds f - H,
-    and each block is solved before the next is written into it.
+    a; u is (N,) or (nf, N) and w = conj(u). One buffer of at most one block
+    holds f - H, and each block is solved and scattered before the next.
     """
-    n = w.shape[-1]
+    n = u.shape[-1]
     step = _block_rows(nf, n)
     buf = np.empty(step * n * n, dtype=complex)
-    gw = np.empty((nf, n), dtype=complex)
-    rhs = np.broadcast_to(w, (nf, n))[..., None]
+    s21, refl = np.empty(nf, dtype=complex), np.empty(nf, dtype=complex)
+    u = np.broadcast_to(u, (nf, n))
     for start in range(0, nf, step):
         sl = slice(start, min(start + step, nf))
         a = buf[: (sl.stop - start) * n * n].reshape(-1, n, n)
         resolvent(sl, a)
+        w = np.conj(u[sl])
         try:
-            gw[sl] = np.linalg.solve(a, rhs[sl])[..., 0]
+            gw = np.linalg.solve(a, w[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ModelError("singular resolvent on the frequency grid") from exc
-    return _scattering(u, w, gw)
+        s21[sl], refl[sl] = _scattering(u[sl], w, gw)
+    return s21, refl
 
 
-def _pole_residues(hrel, detuning, z, u, w):
+def _pole_residues(hrel, detuning, z, u):
     """Scattering from the eigenexpansion of H - f0 = hrel + diag(detuning).
 
     z = f - f0 on the grid and detuning = f_res - f0. Returns the minimum
@@ -348,6 +353,7 @@ def _pole_residues(hrel, detuning, z, u, w):
     is not accurate (see _MIN_PAIRING); raises ModelError when a grid point
     sits exactly on a pole.
     """
+    w = np.conj(u)
     lam, r = np.linalg.eig(hrel + np.diag(detuning))
     gram = r.T @ r
     pairing = np.diagonal(gram).copy()
@@ -415,21 +421,20 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         u = _phasors(grid, pts.x - x0, v)
         u *= np.sqrt(pts.kappa)  # in place: the nf x P table is the largest temporary
         u = pts.emitter_sums(u)
-    w = np.conj(u)
 
     path, min_pairing = "solve", None
     if convention == "probe":
         step = _block_rows(f.size, pts.f_res.size)
-        s21, refl = _solve(_probe_resolvent(pts, grid, v, u, step), f.size, u, w)
+        s21, refl = _solve(_probe_resolvent(pts, grid, v, u, step), f.size, u)
     else:
         if convention == "mixed":
             hrel, _ = _assemble(pts, v, -1)
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()
-        min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u, w)
+        min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
         if result is None:
-            result = _solve(lambda sl, a: _shifted(hrel, f[sl, None] - pts.f_res, a), f.size, u, w)
+            result = _solve(lambda sl, a: _shifted(hrel, f[sl, None] - pts.f_res, a), f.size, u)
         else:
             path = "pole-residues"
         s21, refl = result

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -245,9 +246,11 @@ class TestSpectrumCsv:
              "1.0,4e9,0.9,-0.9\r\n", ":5: repeats the cell of line 2 "),
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,4e9,0.5,-6.0\r\n-0.0,4e9,0.9,-0.9\r\n",
              ":3: repeats the cell of line 2 "),
+            # the reader used to return three empty arrays
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n", "map.csv: no data rows"),
         ],
         ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency", "duplicate-cell",
-             "duplicate-cell-signed-zero"],
+             "duplicate-cell-signed-zero", "header-only"],
     )
     def test_malformed_map_rejected(self, tmp_path, text, where):
         path = tmp_path / "map.csv"
@@ -270,6 +273,25 @@ class TestBulkParse:
         monkeypatch.setattr(np, "loadtxt", lambda source, **kw: sources.append(source) or loadtxt(source, **kw))
         read(path)
         assert len(sources) == 1 and isinstance(sources[0], (str, os.PathLike))
+
+    def test_map_index_peak_memory(self, tmp_path):
+        # the parsed 81 x 2001 table, three doubles a row, is 3.9 MB; two
+        # np.unique(..., return_inverse=True) calls over its coordinate
+        # columns took the peak to 11.9 MB
+        freqs = np.linspace(4.3e9, 4.4e9, 2001)
+        mags = np.random.default_rng(1).uniform(size=(81, freqs.size))
+        path = tmp_path / "map.csv"
+        write_map_csv(path, [(v, SimpleNamespace(frequencies=freqs, magnitude=m))
+                             for v, m in zip(np.linspace(-2e6, 2e6, 81), mags)])
+        read_map_csv(path)  # the first call imports modules that numpy loads lazily
+        tracemalloc.start()
+        try:
+            _, _, got = read_map_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_doubles(got, mags)
+        assert peak <= 2 * (3 * mags.nbytes)
 
     @pytest.mark.parametrize("name, kind", [("spectrum.csv", os.fsencode), ("spectrum.csv.gz", str)],
                              ids=["bytes-path", "gz-suffix"])

@@ -576,7 +576,7 @@ class TestFrequencyBlocks:
         finally:
             tracemalloc.stop()
         assert res.path == "solve"
-        assert peak <= 16e6
+        assert peak <= 10.5e6
 
 
 def direct_phasors(grid, d, speed, rows=slice(None)):
