@@ -42,11 +42,15 @@ order with an owner index:
   allocator unmaps arrays this large when they are freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   exp(-i*2*pi*f_m*d/v) on every grid frequency f_m = f_0 + m*df. With
-  b = isqrt(nf) and m = a*b + c this is a coarse table at f_0 + a*b*df
+  b = isqrt(nf) and m = a*b + c this is a coarse factor at f_0 + a*b*df
   times a fine one at c*df: about 2*sqrt(nf) exponentials per distance
-  instead of nf, and one complex product per entry, as accurate as one
-  exponential per entry. Row m depends on m alone, so blocks of rows
-  agree whatever the blocking.
+  instead of nf, formed once per call, and one complex product per entry,
+  as accurate as one exponential per entry. The drives never form that
+  nf x P product: u[a*b + c, j] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p])
+  * fine[c, p] is one (n_a x M) by (M x b) matrix product per emitter,
+  batched over the emitters with the same number M of points. The probe
+  assembly takes each block's rows of the product; row m depends on m
+  alone, so blocks of rows agree whatever the blocking.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -166,32 +170,62 @@ class _Points:
         """Sum per-point values over each emitter's points (contraction with E)."""
         return np.add.reduceat(a, self.starts, axis=axis)
 
-    def drives(self, f, speed):
-        """Port-1 drive sum_p sqrt(kappa_p)*exp(-i*2*pi*f_p*x_p/v) of every emitter,
-        each point's phase at its own f (P,)."""
-        theta = TWO_PI * (f * self.x) / speed
+    def drives(self, speed):
+        """Port-1 drive sum_p sqrt(kappa_p)*exp(-i*2*pi*f_res*x_p/v) of every
+        emitter, each at its own resonance (N,)."""
+        theta = TWO_PI * (self.f_res[self.owner] * self.x) / speed
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 
 
-def _phasors(grid, d, speed, rows=slice(None)):
-    """exp(-i*2*pi*f_m*d/v) at the rows m of a uniform grid, shape (rows, d.size).
+def _phase_factors(grid, d, speed):
+    """Coarse and fine factors of exp(-i*2*pi*f_m*d/v) on a uniform grid.
 
-    The coarse and fine tables of the module docstring, with the coarse
-    frequencies formed as np.linspace forms the grid, f_0 + (a*b)*df.
+    Row m = a*b + c of the grid, b = isqrt(nf), is coarse[a] * fine[c]:
+    coarse holds ceil(nf/b) rows at f_0 + (a*b)*df, formed as np.linspace
+    forms the grid, and fine b rows at c*df; both have d.size columns.
     """
     nf = grid.n_points
-    start, stop, _ = rows.indices(nf)
     b = math.isqrt(nf)
     df = (grid.f_stop - grid.f_start) / (nf - 1)
-    a = np.arange(start // b, (stop - 1) // b + 1)
+    a = np.arange(-(-nf // b))
     coarse = np.exp(-1j * (TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed))
     fine = np.exp(-1j * (TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed))
-    table = (coarse[:, None, :] * fine).reshape(-1, d.size)
-    return table[start - a[0] * b : stop - a[0] * b]
+    return coarse, fine
+
+
+def _phasors(coarse, fine, start, stop, cols=slice(None)):
+    """Grid rows start:stop of exp(-i*2*pi*f_m*d/v) from its factors, at the
+    distances cols, shape (stop - start, d[cols].size)."""
+    b = fine.shape[0]
+    first = start // b
+    fine = fine[:, cols]
+    table = (coarse[first : (stop - 1) // b + 1, None, cols] * fine).reshape(-1, fine.shape[1])
+    return table[start - first * b : stop - first * b]
+
+
+def _grid_drives(pts, coarse, fine, nf):
+    """Drives u[m, j] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (nf, N).
+
+    With the factors of _phase_factors, u[a*b + c, j] is the (a, c) entry of
+    the product of (sqrt(kappa_p)*coarse[a, p]) and fine[c, p] over j's
+    points: one batched matmul per point count, no nf x P table.
+    """
+    sizes = np.diff(pts.starts, append=pts.x.size)
+    scaled = (coarse * np.sqrt(pts.kappa)).T
+    fine = fine.T
+    u = np.empty((nf, sizes.size), dtype=complex)
+    for m in set(sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
+        js = np.flatnonzero(sizes == m)
+        idx = pts.starts[js, None] + np.arange(m)  # points of each emitter with m of them
+        prod = np.matmul(scaled[idx].transpose(0, 2, 1), fine[idx])
+        # a slice scatters three times faster than an index array
+        cols = js if js.size < sizes.size else slice(None)
+        u[:, cols] = prod.reshape(js.size, -1)[:, :nf].T
+    return u
 
 
 def _assemble(pts, speed, lamb_sign):
-    """H - diag(f_res) at the reference frequencies, and the drive there.
+    """H - diag(f_res) at the reference frequencies.
 
     Diagonal blocks are evaluated at f_res_j, off-diagonal blocks at the
     pair's mean resonance; lamb_sign=-1 flips the diagonal Lamb shift.
@@ -212,7 +246,7 @@ def _assemble(pts, speed, lamb_sign):
     gamma = block_sums(root * np.cos(phi))
     j[np.diag_indices_from(j)] *= lamb_sign
     hrel = j - 1j * (gamma + np.diag(pts.beta))
-    return hrel, pts.drives(f_pt, speed)
+    return hrel
 
 
 def build_effective(t, waveguide):
@@ -223,9 +257,10 @@ def build_effective(t, waveguide):
     """
     _check_markov(t, waveguide)
     pts = _Points.of(t)
-    hrel, drive = _assemble(pts, waveguide.speed, 1)
+    hrel = _assemble(pts, waveguide.speed, 1)
     coupling = hrel.copy()
     np.fill_diagonal(coupling, 0.0)
+    drive = pts.drives(waveguide.speed)
     return EffectiveModel(len(pts.f_res), pts.f_res + np.diagonal(hrel), coupling, drive)
 
 
@@ -245,7 +280,7 @@ class SMatrixResult:
     min_pairing: float | None
 
 
-def _probe_resolvent(pts, grid, speed, u, step):
+def _probe_resolvent(pts, f, factors, u, step):
     """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a.
 
     The couplings J come from the prefix-sum identity of the module
@@ -254,15 +289,14 @@ def _probe_resolvent(pts, grid, speed, u, step):
     exponentials used in the drive keeps the anti-Hermitian part exactly
     consistent with the in/out coupling, so lossless topologies scatter
     unitarily to machine precision even near decoupling points where the
-    resolvent amplifies rounding. The prefix-sum buffers hold step
-    frequencies and are refilled block by block.
+    resolvent amplifies rounding. factors are _phase_factors of the
+    distances from the first point, in emitter order. The prefix-sum
+    buffers hold step frequencies and are refilled block by block.
     """
     n = pts.f_res.size
     order = np.argsort(pts.x)
-    d = pts.x[order] - pts.x[order[0]]
     root = np.sqrt(pts.kappa[order, None])
     owners = pts.owner[order]
-    f = grid.frequencies
     sums_buf = np.empty(n * step * n)
     left_buf = np.empty(2 * step * n)
 
@@ -270,8 +304,8 @@ def _probe_resolvent(pts, grid, speed, u, step):
         nb = a.shape[0]
         # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows, points
         # in order along the guide
-        ph = _phasors(grid, d, speed, sl).T
-        a_pts = np.empty((d.size, 2, nb))
+        ph = _phasors(*factors, sl.start, sl.stop, order).T
+        a_pts = np.empty((order.size, 2, nb))
         np.multiply(root, ph.real, out=a_pts[:, 0])
         np.multiply(-root, ph.imag, out=a_pts[:, 1])
         del ph
@@ -411,24 +445,23 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     f = grid.frequencies
 
     if convention == "resonance":
-        hrel, u = _assemble(pts, v, 1)
+        hrel, u = _assemble(pts, v, 1), pts.drives(v)
     else:
         # one phase common to every drive cancels from S21 and enters the
         # reflection twice: drives taken from the first point keep the
         # phases between points exact however far the layout sits from 0,
         # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
         x0 = pts.x.min()
-        u = _phasors(grid, pts.x - x0, v)
-        u *= np.sqrt(pts.kappa)  # in place: the nf x P table is the largest temporary
-        u = pts.emitter_sums(u)
+        factors = _phase_factors(grid, pts.x - x0, v)
+        u = _grid_drives(pts, *factors, f.size)
 
     path, min_pairing = "solve", None
     if convention == "probe":
         step = _block_rows(f.size, pts.f_res.size)
-        s21, refl = _solve(_probe_resolvent(pts, grid, v, u, step), f.size, u)
+        s21, refl = _solve(_probe_resolvent(pts, f, factors, u, step), f.size, u)
     else:
         if convention == "mixed":
-            hrel, _ = _assemble(pts, v, -1)
+            hrel = _assemble(pts, v, -1)
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()

@@ -255,7 +255,8 @@ class TestEffectiveModel:
     @settings(max_examples=40, deadline=None)
     def test_build_matches_pair_sums_reference(self, t, lamb_sign):
         # build_effective assembles with lamb_sign=+1, s_matrix's 'mixed' path with -1
-        hrel, drive = mp._assemble(mp._Points.of(t), SPEED, lamb_sign)
+        pts = mp._Points.of(t)
+        hrel, drive = mp._assemble(pts, SPEED, lamb_sign), pts.drives(SPEED)
         f_res = np.array([e.f_res for e in t.emitters])
         h = reference_h(t, mean_resonance, lamb_sign)
         u = np.array([drive_vector(e, e.f_res, SPEED) for e in t.emitters])
@@ -579,9 +580,11 @@ class TestFrequencyBlocks:
         assert peak <= 10.5e6
 
 
-def direct_phasors(grid, d, speed, rows=slice(None)):
-    """mp._phasors with one exponential per frequency and distance."""
-    return np.exp(-1j * (mp.TWO_PI * (grid.frequencies[rows, None] * d) / speed))
+def direct_factors(grid, d, speed):
+    """mp._phase_factors with one exponential per frequency and distance:
+    the whole grid as coarse factors and one fine row of ones."""
+    coarse = np.exp(-1j * (mp.TWO_PI * (grid.frequencies[:, None] * d) / speed))
+    return coarse, np.ones((1, d.size), dtype=complex)
 
 
 def probe_reference(t, f, dps=30):
@@ -626,28 +629,29 @@ class TestGridPhasors:
                 [complex(mpmath.expj(-2 * mpmath.pi * (grid.f_start + m * df) * dj / SPEED)) for dj in d]
                 for m in range(nf)
             ])
-        table = np.max(np.abs(mp._phasors(grid, d, SPEED) - ref))
-        direct = np.max(np.abs(direct_phasors(grid, d, SPEED) - ref))
-        # the product of the two table entries rounds once more, by about 2e-16
+        table = np.max(np.abs(mp._phasors(*mp._phase_factors(grid, d, SPEED), 0, nf) - ref))
+        direct = np.max(np.abs(direct_factors(grid, d, SPEED)[0] - ref))
+        # the product of the two factors rounds once more, by about 2e-16
         assert table <= direct + 1e-15
         assert direct < 1e-13
 
     def test_rows_do_not_depend_on_the_blocking(self):
         grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
-        d = np.linspace(0.0, 0.3, 9)
-        whole = mp._phasors(grid, d, SPEED)
+        factors = mp._phase_factors(grid, np.linspace(0.0, 0.3, 9), SPEED)
+        whole = mp._phasors(*factors, 0, 2001)
         assert whole.shape == (2001, 9)
-        for rows in (slice(0, 1), slice(5, 9), slice(43, 46), slice(256, 512), slice(1999, 2001)):
-            assert np.array_equal(mp._phasors(grid, d, SPEED, rows), whole[rows])
+        for start, stop in ((0, 1), (5, 9), (43, 46), (256, 512), (1999, 2001)):
+            assert np.array_equal(mp._phasors(*factors, start, stop), whole[start:stop])
 
     def test_lossless_n32_probe_against_30_digit_reference(self, monkeypatch, waveguide):
-        # the tables move the outputs by up to about 1e-12 from one
+        # the factored phasors move the outputs by up to about 1e-12 from one
         # exponential per frequency; at the two frequencies where they move
-        # most, both are checked against the 30-digit pair sums
+        # most, both are checked against the 30-digit pair sums. The direct
+        # variant takes its drives and its a_p from one exponential each.
         t = interleaved(np.random.default_rng(6), 32, 4, lossless=True)
         grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
         tables = s_matrix(t, waveguide, grid, convention="probe")
-        monkeypatch.setattr(mp, "_phasors", direct_phasors)
+        monkeypatch.setattr(mp, "_phase_factors", direct_factors)
         direct = s_matrix(t, waveguide, grid, convention="probe")
         moved = (np.abs(tables.transmission.s21 - direct.transmission.s21)
                  + np.abs(tables.reflection - direct.reflection))
@@ -656,6 +660,79 @@ class TestGridPhasors:
             for res in (tables, direct):
                 assert abs(res.transmission.s21[m] - s21) < 1e-12
                 assert abs(res.reflection[m] - refl) < 1e-12
+
+
+def unequal_layout(rng, sizes=(3, 1, 8, 2, 1, 3), x0=40.0):
+    """Emitters with the given numbers of points, interleaved within 0.3 m of x0."""
+    positions = x0 + np.sort(rng.uniform(0.0, 0.3, sum(sizes)))
+    owner = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return Topology(tuple(
+        Emitter(f"e{j}", rng.uniform(4.33e9, 4.37e9), rng.uniform(3e5, 1.5e6),
+                tuple(rng.uniform(1e5, 6e5, m)), tuple(positions[owner == j]))
+        for j, m in enumerate(sizes)
+    ))
+
+
+def grid_drives(t, grid):
+    """mp._grid_drives of a topology from its first coupling point, shape (nf, N)."""
+    pts = mp._Points.of(t)
+    return mp._grid_drives(pts, *mp._phase_factors(grid, pts.x - pts.x.min(), SPEED), grid.n_points)
+
+
+def long_double_drives(emitters, grid):
+    """sum_p sqrt(kappa_p)*exp(-i*2*pi*f_m*x_p/v) on the grid in long double, shape (nf, N)."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    nf = grid.n_points
+    f = np.longdouble(grid.f_start) + np.arange(nf) * ((np.longdouble(grid.f_stop) - grid.f_start) / (nf - 1))
+    return np.stack([
+        np.sum(np.sqrt(np.array(e.kappa_points, dtype=np.longdouble))
+               * np.exp(-1j * (two_pi * np.multiply.outer(f, np.array(e.positions, dtype=np.longdouble)) / SPEED)),
+               axis=-1)
+        for e in emitters
+    ], axis=-1)
+
+
+LAYOUTS = {
+    "unequal": lambda: unequal_layout(np.random.default_rng(3)),
+    "lone": lambda: unequal_layout(np.random.default_rng(4), sizes=(5,)),
+    "64x8": lambda: interleaved(np.random.default_rng(7), 64, 8),
+}
+
+
+class TestGridDrives:
+    """Drives on the grid as one batched product per point count."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("nf", [2, 3, 7, 211, 2001])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_as_accurate_as_one_exponential_per_entry(self, layout, nf):
+        # every entry against sums in long double, whose phases of up to
+        # 250 rad err by about 1e-16 rad, a thousandth of a double's
+        t = LAYOUTS[layout]()
+        grid = FrequencyGrid(4.3e9, 4.4e9, nf)
+        x0 = min(min(e.positions) for e in t.emitters)
+        shifted = [replace(e, positions=tuple(x - x0 for x in e.positions)) for e in t.emitters]
+        ref = long_double_drives(shifted, grid)
+        direct = np.stack([drive_vector(e, grid.frequencies, SPEED) for e in shifted], axis=-1)
+        scale = max(sum(math.sqrt(k) for k in e.kappa_points) for e in t.emitters)
+        u = grid_drives(t, grid)
+        assert u.shape == (nf, len(t.emitters))
+        err = np.max(np.abs(u - ref))
+        assert err <= np.max(np.abs(direct - ref)) + 1e-15 * scale
+        assert err < 1e-13 * scale
+
+    @pytest.mark.parametrize("convention", ["mixed", "probe"])
+    def test_relabelled_emitters_permute_the_drives(self, waveguide, convention):
+        t = unequal_layout(np.random.default_rng(8))
+        perm = [4, 2, 0, 5, 3, 1]
+        relabelled = Topology(tuple(t.emitters[j] for j in perm))
+        grid = FrequencyGrid(4.3e9, 4.4e9, 211)
+        u, u_relabelled = grid_drives(t, grid), grid_drives(relabelled, grid)
+        assert np.max(np.abs(u_relabelled - u[:, perm])) <= 1e-15 * np.max(np.abs(u))
+        a = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
+        b = passive_checked_s_matrix(relabelled, waveguide, grid, convention=convention)
+        assert np.max(np.abs(a.transmission.s21 - b.transmission.s21)) < 1e-13
+        assert np.max(np.abs(a.reflection - b.reflection)) < 1e-13
 
 
 class TestPassivityWarning:
