@@ -3,7 +3,8 @@
 
 Sweeps the detuning between the two hybridizing modes at each working
 point, writes a |S21| map CSV plus complex-eigenvalue traces, and reports
-the extracted mode splitting (repulsion) and merged linewidth (attraction).
+the coupling splitting 2|J| fitted to the dip branches (repulsion) and the
+merged linewidth (attraction).
 
 Usage:
     python scripts/detuning_maps.py --outdir out/
@@ -63,8 +64,8 @@ def main():
         print(f"{name}: wrote {map_path}")
         if name == "repulsion":
             split = avoided_crossing_splitting(detunings, grid.frequencies, mag)
-            print(f"  minimum dip separation {split / MHZ:.3f} MHz "
-                  f"(2J = {2 * params.j / MHZ:.3f} MHz)")
+            print(f"  2|J| from a hyperbola fit of the dip branches {split / MHZ:.3f} MHz "
+                  f"(model 2J = {2 * params.j / MHZ:.3f} MHz)")
         else:
             width = merged_linewidth(grid.frequencies, mag[args.columns // 2])
             total = params.kappa_i_g + params.kappa_o_g + params.beta_i + params.beta_o

@@ -31,12 +31,12 @@ FITTED_ROWS = [
 
 
 def predict_couplings(kappa_i_g, kappa_o_g):
-    """Best (J, Gamma) consistent with the two decay rates.
+    """Every (|J|, |Gamma|) consistent with the two decay rates.
 
     Each decay rate pins its emitter's round-trip phase up to a sign, and
     halving the outer phase leaves a pi ambiguity, so eight symmetric-layout
-    phase assignments are enumerated; the one nearest the fitted couplings
-    would be cherry-picking, so instead return all candidates.
+    phase assignments are enumerated and all eight candidates returned;
+    `main` reports the one nearest the fitted couplings.
     """
     root = math.sqrt(KAPPA_INNER * KAPPA_OUTER)
     cos_i = min(1.0, max(-1.0, kappa_i_g / (2 * KAPPA_INNER) - 1.0))

@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import io as gio
-from .core import GAMMA_2PI, MAX_POINTS, FrequencyGrid, ModelError, ParameterNameError, Spectrum
+from .core import (GAMMA_2PI, MAX_POINTS, FrequencyGrid, ModelError, ParameterNameError, Spectrum,
+                   classify_topology)
 from .io import ConfigError, DataFormatError
 
 # the names of fitting.MODELS; listed here so that building the parser loads no model module
@@ -76,7 +77,7 @@ def _sweep_values(text, scalar=float):
     """parse_range for map --values: each value is one column of the map file."""
     values = parse_range(text, scalar)
     # nan differs from itself as a double, so it goes on to the model's own check
-    if np.unique(values, equal_nan=False).size < values.size:
+    if gio._distinct(values).size < values.size:
         raise ConfigError(f"--values {text!r}: sweep values must be distinct")
     return values
 
@@ -113,8 +114,9 @@ def _single_from_topology(waveguide, topology):
 def _nested_from_topology(waveguide, topology):
     from .nested import NestedParams
 
-    if topology.classification != "nested":
-        raise ConfigError(f"/emitters: topology is {topology.classification!r}, not nested")
+    kind = classify_topology(topology)
+    if kind != "nested":
+        raise ConfigError(f"/emitters: topology is {kind!r}, not nested")
     a, b = topology.emitters
     inner, outer = (a, b) if a.span[0] > b.span[0] else (b, a)
     gses = [_two_point_gse(waveguide, em, "/emitters") for em in (inner, outer)]
@@ -125,19 +127,23 @@ def _nested_from_topology(waveguide, topology):
     return NestedParams.from_geometry(*gses)
 
 
+# the two-mode rates of `map --sweep detuning`, frequencies with unit suffix: flag name -> help
+_TWO_MODE = {
+    "f_i": "inner-mode frequency",
+    "kappa_i_g": "inner radiative rate",
+    "kappa_o_g": "outer radiative rate",
+    "beta_i": "inner intrinsic rate",
+    "beta_o": "outer intrinsic rate",
+    "j": "coherent coupling",
+    "gamma": "dissipative coupling",
+}
+
+
 def _fitform_from_args(args):
     from .nested import FitFormParams
 
-    return FitFormParams(
-        parse_frequency(args.f_i),
-        parse_frequency(args.f_i),  # the sweep sets f_o
-        parse_frequency(args.kappa_i_g),
-        parse_frequency(args.kappa_o_g),
-        parse_frequency(args.beta_i),
-        parse_frequency(args.beta_o),
-        parse_frequency(args.j),
-        parse_frequency(args.gamma),
-    )
+    q = {name: parse_frequency(getattr(args, name)) for name in _TWO_MODE}
+    return FitFormParams(f_o=q["f_i"], **q)  # the sweep sets f_o
 
 
 def _parse_free(items):
@@ -198,11 +204,9 @@ def _cmd_simulate_general(args):
         gio.write_spectrum_csv(args.reflection_output, Spectrum(grid, result.reflection))
 
 
-# the flags that only one sweep of `map` reads; the other sweep rejects them
-_SWEEP_FLAGS = {
-    "detuning": ("grid", "f_i", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o", "j", "gamma"),
-    "field": ("config", "h_a"),
-}
+# the flags that only one sweep of `map` reads, which the other sweep rejects; and those each needs
+_SWEEP_FLAGS = {"detuning": ("grid", *_TWO_MODE, "eigen_output"), "field": ("config", "h_a")}
+_SWEEP_NEEDS = {"detuning": ("grid", *_TWO_MODE), "field": ("config",)}
 
 
 def _flag_names(names):
@@ -214,10 +218,10 @@ def _cmd_map(args):
     stray = [name for name in _SWEEP_FLAGS[other] if getattr(args, name) is not None]
     if stray:
         raise ConfigError(f"map --sweep {args.sweep} does not take {_flag_names(stray)}")
+    missing = [name for name in _SWEEP_NEEDS[args.sweep] if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"map --sweep {args.sweep} needs {_flag_names(missing)}")
     if args.sweep == "detuning":
-        missing = [name for name in _SWEEP_FLAGS["detuning"] if getattr(args, name) is None]
-        if missing:
-            raise ConfigError(f"map --sweep detuning needs {_flag_names(missing)}")
         from .nested import eigen_traces, map_nested_vs_detuning
 
         q = _fitform_from_args(args)
@@ -230,10 +234,6 @@ def _cmd_map(args):
             eigs, _ = eigen_traces(q, f_o_values)
             gio.write_eigen_csv(args.eigen_output, detunings, eigs)
         return
-    if args.config is None:
-        raise ConfigError("map --sweep field needs --config")
-    if args.eigen_output:
-        raise ConfigError("--eigen-output applies only to map --sweep detuning")
     from .single import map_single_vs_field
 
     waveguide, topology, grid = gio.load_config(args.config)
@@ -356,14 +356,8 @@ def build_parser():
                    help="anisotropy-equivalent field, tesla (field sweep; default 0)")
     p.add_argument("--eigen-output", default=None, help="also emit eigenvalue traces (detuning sweep)")
     p.add_argument("--threads", default=1, type=int, help="accepted for compatibility; has no effect")
-    # two-mode parameters for the detuning sweep, frequencies with unit suffix
-    p.add_argument("--f-i", help="inner-mode frequency")
-    p.add_argument("--kappa-i-g", help="inner radiative rate")
-    p.add_argument("--kappa-o-g", help="outer radiative rate")
-    p.add_argument("--beta-i", help="inner intrinsic rate")
-    p.add_argument("--beta-o", help="outer intrinsic rate")
-    p.add_argument("--j", help="coherent coupling")
-    p.add_argument("--gamma", help="dissipative coupling")
+    for name, text in _TWO_MODE.items():
+        p.add_argument(_flag_names([name]), help=text)
     p.set_defaults(run=_cmd_map)
 
     p = sub.add_parser("fit", help="least-squares fit of one spectrum file")

@@ -115,10 +115,6 @@ class Topology:
                     )
                 seen[x] = em.name
 
-    @property
-    def classification(self):
-        return classify_topology(self)
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -169,30 +165,14 @@ class Spectrum:
 
 
 def phase(f, length, waveguide):
-    """Propagation phase 2*pi*f*length/speed in radians, unreduced.
-
-    Returns (phi, phi_reduced) with the companion value reduced mod 2*pi
-    into [0, 2*pi). At this device's scale (phi/2pi below ~30) reduction
-    of the double-precision value loses under 1e-11 rad.
-    """
+    """Propagation phase 2*pi*f*length/speed in radians, unreduced."""
     _require_finite("f", f)
     _require_finite("length", length)
     if f <= 0:
         raise ModelError(f"phase requires f > 0, got {f}")
     if length < 0:
         raise ModelError(f"phase requires length >= 0, got {length}")
-    phi = TWO_PI * f * length / waveguide.speed
-    reduced = math.remainder(phi, TWO_PI)
-    if reduced < 0:
-        reduced += TWO_PI
-    if reduced >= TWO_PI:  # remainder can round up to 2*pi
-        reduced -= TWO_PI
-    return phi, reduced
-
-
-def phase_at(f, length, waveguide):
-    """Unreduced propagation phase only (vectorized over f)."""
-    return TWO_PI * np.asarray(f) * length / waveguide.speed
+    return TWO_PI * f * length / waveguide.speed
 
 
 def classify_topology(t):

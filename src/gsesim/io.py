@@ -166,6 +166,12 @@ def write_map_csv(path, columns):
     _write_table(path, ["sweep_value", "frequency_hz", "s21_mag", "s21_db"], blocks)
 
 
+def _distinct(column):
+    """np.unique(column, equal_nan=False) without the numpy.ma import that np.unique makes."""
+    ordered = np.sort(column)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
@@ -182,7 +188,7 @@ def read_map_csv(path):
     table = _read_table(path, pick, 2)
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
-    sweep, freqs = np.unique(table[:, 0]), np.unique(table[:, 1])
+    sweep, freqs = _distinct(table[:, 0]), _distinct(table[:, 1])
     # the row-major cell index, built in place of the sweep column (exact: far below 2**53)
     table[:, 0] = np.searchsorted(sweep, table[:, 0])
     table[:, 0] *= freqs.size
@@ -283,7 +289,8 @@ def _get(node, key, pointer, kind=None):
     if not isinstance(node, dict) or key not in node:
         raise ConfigError(f"missing key at {pointer}/{key}")
     value = node[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON true or false is a Python int, but never a valid value here
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ConfigError(f"wrong type at {pointer}/{key}: expected {kind}")
     return value
 

@@ -65,8 +65,8 @@ class NestedParams:
         f_ref = 0.5 * (inner.f_res + outer.f_res)
         wg = inner.waveguide
         gap = 0.5 * (outer.length - inner.length)
-        phi1 = phase(f_ref, gap, wg)[0]
-        phi2 = phase(f_ref, inner.length, wg)[0]
+        phi1 = phase(f_ref, gap, wg)
+        phi2 = phase(f_ref, inner.length, wg)
         return cls(inner, outer, phi1, phi2, phi1)
 
 

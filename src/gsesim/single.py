@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    FrequencyGrid,
-    ModelError,
-    Spectrum,
-    Waveguide,
-    field_to_frequency,
-    phase,
-    phase_at,
-)
+from .core import TWO_PI, ModelError, Spectrum, Waveguide, field_to_frequency, phase
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class SingleGseParams:
     def phi(self, at_f=None):
         """Unreduced propagation phase across the ensemble."""
         f = self.f_res if at_f is None else at_f
-        return phase(f, self.length, self.waveguide)[0]
+        return phase(f, self.length, self.waveguide)
 
 
 def giant_decay(p, at_f=None):
@@ -84,20 +76,14 @@ def s21_values(p, f, self_consistent_phase=False):
     """Complex S21 at probe frequencies f (array-valued)."""
     f = np.asarray(f, dtype=float)
     if self_consistent_phase:
-        phi = phase_at(f, p.length, p.waveguide)
+        phi = TWO_PI * f * p.length / p.waveguide.speed
     else:
         phi = p.phi()
     kappa_g = 2.0 * p.kappa * (1.0 + np.cos(phi))
     shift = p.kappa * np.sin(phi)
     denom = 1j * (f - p.f_res - shift) - kappa_g - p.beta
-    singular = np.abs(denom) == 0.0
-    if np.any(singular):
-        # kappa_G + beta = 0 with an exactly on-resonance probe point:
-        # unit transmission with zero linewidth.
-        denom = np.where(singular, 1.0, denom)
-        out = 1.0 + kappa_g / denom
-        return np.where(singular, 1.0 + 0j, out)
-    return 1.0 + kappa_g / denom
+    # denom = 0 only where kappa_G + beta = 0 at an on-resonance probe point: unit transmission
+    return 1.0 + np.divide(kappa_g, denom, out=np.zeros_like(denom), where=denom != 0)
 
 
 def s21_single(p, grid, self_consistent_phase=False):

@@ -163,7 +163,7 @@ GOOD_TWO_MODE = [("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g
                  ("--beta-i", "1.54MHz"), ("--beta-o", "0.86MHz"), ("--j", "1.01MHz"),
                  ("--gamma", "0.000328MHz")]
 TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in GOOD_TWO_MODE]
-DETUNING_ONLY = {"--grid", *(flag for flag, _ in GOOD_TWO_MODE)}
+DETUNING_ONLY = {"--grid", "--eigen-output", *(flag for flag, _ in GOOD_TWO_MODE)}
 FIELD_ONLY = {"--config", "--h-a"}
 
 SUBCOMMANDS = {

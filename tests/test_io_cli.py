@@ -16,7 +16,7 @@ import gsesim
 import test_golden as golden
 from gsesim import cli, core, fitting
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
-from gsesim.core import FrequencyGrid, ModelError, Spectrum
+from gsesim.core import FrequencyGrid, ModelError, Spectrum, classify_topology
 from gsesim.io import (
     _write_table,
     ConfigError,
@@ -106,6 +106,15 @@ def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def emitters_config(path, *emitters):
+    """Write make_config's document with these emitters, each a list of (position_m, kappa_hz)."""
+    doc = json.loads(open(make_config(path.parent)).read())
+    doc["emitters"] = [{"name": f"e{k}", "f_res_hz": 4.33e9, "beta_hz": BETA_INNER,
+                        "points": [{"position_m": x, "kappa_hz": kappa} for x, kappa in points]}
+                       for k, points in enumerate(emitters)]
+    path.write_text(json.dumps(doc))
 
 
 class TestSpectrumCsv:
@@ -367,7 +376,7 @@ class TestConfig:
     def test_valid_config_loads(self, tmp_path):
         wg, topo, grid = load_config(make_config(tmp_path))
         assert wg.speed == SPEED
-        assert topo.classification == "single"
+        assert classify_topology(topo) == "single"
         assert grid.n_points == 801
 
     @pytest.mark.parametrize("n_points", [2.7, 101.5, float("nan"), float("inf")])
@@ -381,6 +390,26 @@ class TestConfig:
         doc = json.loads(open(make_config(tmp_path)).read())
         doc["probe"]["n_points"] = 101.0
         assert parse_config(doc)[2].n_points == 101
+
+    @pytest.mark.parametrize("pointer, key, value", [
+        ("/waveguide", "speed_mps", True), ("/emitters/0/points/0", "kappa_hz", True),
+        ("/emitters/0", "beta_hz", False), ("/probe", "n_points", True),
+    ])
+    def test_json_booleans_are_not_numbers(self, tmp_path, capsys, pointer, key, value):
+        # a JSON boolean is a Python int: these loaded as 1 m/s, 1 Hz, 0 Hz and
+        # one probe point
+        doc = json.loads(open(make_config(tmp_path)).read())
+        node = doc
+        for part in pointer.split("/")[1:]:
+            node = node[int(part) if part.isdigit() else part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"^wrong type at {pointer}/{key}: "):
+            parse_config(doc)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["simulate-single", "--config", str(tmp_path / "config.json"),
+                     "--output", str(tmp_path / "out.csv")]) == 2
+        assert f"config error: wrong type at {pointer}/{key}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestSynthNoise:
@@ -531,6 +560,25 @@ class TestCli:
         out, eig = tmp_path / "map.csv", tmp_path / "eig.csv"
         assert main(["map", *argv, "--output", str(out), "--eigen-output", str(eig)]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--sweep=field", "--values=0.15:0.16:3"], "map --sweep field needs --config"),
+        (["--sweep=field", "--values=0.15:0.16:3", "--config={c}", "--eigen-output=eig.csv"],
+         "map --sweep field does not take --eigen-output"),
+        (["--sweep=field", "--values=0.15:0.16:3", "--config={c}", "--grid=4.34GHz:4.36GHz:21", "--j=1MHz"],
+         "map --sweep field does not take --grid, --j"),
+        (["--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz:21", *TWO_MODE, "--h-a=0.1"],
+         "map --sweep detuning does not take --h-a"),
+        (["--sweep=detuning", "--values=-5MHz:5MHz:3", *TWO_MODE[2:-2]],
+         "map --sweep detuning needs --grid, --f-i, --gamma"),
+    ], ids=["field-without-config", "field-with-eigen-output", "field-with-detuning-flags",
+            "detuning-with-h-a", "detuning-missing-three"])
+    def test_map_names_the_flags_a_sweep_rejects_or_needs(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        config = make_config(tmp_path)
+        assert main(["map", *(a.format(c=config) for a in argv), "--output=map.csv"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -887,6 +935,43 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate-nested", "--config=braided.json"], "/emitters: topology is 'braided', not nested"),
+        (["simulate-nested", "--config=lopsided.json"], "/emitters: simulate-nested needs a symmetric nesting"),
+        (["simulate-single", "--config=one.json"], "/emitters/0: emitter 'e0' needs exactly two points"),
+        (["simulate-single", "--config=three.json"], "/emitters/0: emitter 'e0' needs exactly two points"),
+        (["simulate-single", "--config=unequal.json"],
+         "/emitters/0: emitter 'e0' has unequal rates; use simulate-general"),
+        (["fit", "--data=d.csv", "--model=single", "--free=f_res"],
+         "--free 'f_res': expected name=guess or name=guess:lo:hi"),
+        (["fit", "--data=d.csv", "--model=single", "--free=f_res=x"], "--free 'f_res=x': could not convert"),
+        (["fit", "--data=d.csv", "--model=single", "--free=f_res=4.3e9", "--fixed=beta"],
+         "--fixed 'beta': expected name=value"),
+        (["fit", "--data=d.csv", "--model=single", "--free=f_res=4.3e9", "--fixed=beta=x"],
+         "--fixed 'beta=x': could not convert"),
+        (["fit-geometry", "--dataset=d.csv", "--free=kappa=7.6e5"], "--dataset 'd.csv': expected F_RES=PATH"),
+        (["fit-geometry", "--dataset=4.2GHz=m.csv", "--free=kappa=7.6e5"],
+         "--dataset m.csv: geometry fit needs complex data"),
+        (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz", *TWO_MODE],
+         "grid '4.34GHz:4.36GHz' must be f_start:f_stop:n_points"),
+    ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
+            "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
+            "fixed-not-a-number", "dataset-no-equals", "dataset-magnitude-only", "grid-two-parts"])
+    def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        k = KAPPA_INNER
+        emitters_config(tmp_path / "braided.json", [(0.0, k), (0.1, k)], [(0.05, k), (0.15, k)])
+        emitters_config(tmp_path / "lopsided.json", [(0.0, k), (0.2, k)], [(0.05, k), (0.1, k)])
+        emitters_config(tmp_path / "one.json", [(0.0, k)])
+        emitters_config(tmp_path / "three.json", [(0.0, k), (0.04, k), (0.08, k)])
+        emitters_config(tmp_path / "unequal.json", [(0.0, k), (L_INNER, 2 * k)])
+        assert main(["synth", "--config", make_config(tmp_path), "--output", "d.csv"]) == 0
+        (tmp_path / "m.csv").write_text("frequency_hz,s21_mag\n4.3e9,0.9\n4.4e9,0.8\n")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([*argv, "--output", "out.csv"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def _fresh_python(*args):
     src = os.path.dirname(os.path.dirname(gsesim.__file__))
@@ -949,6 +1034,21 @@ class TestColdStart:
                 modules = proc.stdout.splitlines()[-1].split()
                 loaded[command] = [m for m in modules if m not in ("cli", "core", "io")]
         assert loaded == COMMAND_MODULES
+
+    def test_map_and_read_map_csv_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma, 12-19 ms of a cold process
+        config = make_config(tmp_path, n_points=51)
+        proc = _fresh_python("-c", (
+            "import sys; from gsesim.cli import main; from gsesim.io import read_map_csv; "
+            f"assert main(['map', '--sweep=field', '--values=0.154:0.156:3', '--config={config}', "
+            f"'--output={tmp_path / 'field.csv'}']) == 0; "
+            "assert main(['map', '--sweep=detuning', '--values=-5MHz:5MHz:3', '--grid=4.34GHz:4.36GHz:21', "
+            f"*{TWO_MODE!r}, '--output={tmp_path / 'detuning.csv'}']) == 0; "
+            f"read_map_csv({str(tmp_path / 'detuning.csv')!r}); "
+            "print('numpy.ma' in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_public_names_are_their_submodules_objects(self):
         star = {}

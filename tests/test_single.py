@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ class TestTransmission:
         p = params_at_phase(math.pi, beta=0.0)  # kappa_G + beta = 0
         on_res = s21_values(p, np.array([p.f_res]))
         assert on_res[0] == 1.0 + 0j
+
+    @pytest.mark.parametrize("self_consistent_phase", [False, True])
+    def test_no_coupling_is_exactly_transparent(self, self_consistent_phase):
+        # kappa = beta = 0 makes the denominator 0 at the grid point on f_res
+        p = SingleGseParams(0.0, 0.0, L_INNER, 4.35e9, Waveguide(SPEED))
+        grid = FrequencyGrid(4.34e9, 4.36e9, 201)
+        assert p.f_res in grid.frequencies
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s21 = s21_values(p, grid.frequencies, self_consistent_phase)
+        assert np.array_equal(s21, np.ones(201, dtype=complex))
 
 
 class TestFieldMap:
