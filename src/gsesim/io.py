@@ -326,7 +326,7 @@ def parse_config(doc):
         try:
             emitters.append(
                 Emitter(
-                    str(_get(em, "name", ptr)),
+                    _get(em, "name", ptr, str),
                     float(_get(em, "f_res_hz", ptr, _NUM)),
                     float(_get(em, "beta_hz", ptr, _NUM)),
                     tuple(kappas),

@@ -208,46 +208,45 @@ def s21_nested_fitform(q, grid):
     return Spectrum(grid, s21_fitform_values(q, grid.frequencies))
 
 
-def eigen_traces(q, f_o_sweep, ep_tol=None):
-    """Complex eigenvalue branches of the 2x2 coupled-mode matrix.
+def eigen_traces(q, f_o_sweep):
+    """Complex eigenvalue branches of the 2x2 coupled-mode matrix, in closed form.
 
     Sweeps the outer resonance over f_o_sweep and returns (eigs, ep_flags)
-    where eigs has shape (n, 2). Branches are continued by maximal
-    eigenvector overlap between adjacent sweep points, not by sorting, so
-    they stay smooth through near-degeneracies. ep_flags marks sweep
-    points where the eigenvalues are degenerate within ep_tol (default:
-    1e-9 of the coupling scale).
+    where eigs has shape (n, 2). With a = f_i - i(kappa_i_g + beta_i),
+    b = f_o - i(kappa_o_g + beta_o), c = j - i*gamma, m = (a + b)/2 and
+    w = (a - b)/2, column 1 is m + s and column 2 is m - s, where
+    s = sqrt(w - ic) * sqrt(w + ic) with principal roots. Along a real f_o
+    sweep Im(w +- ic) = -dK/2 +- j is constant, with
+    dK = (kappa_i_g + beta_i) - (kappa_o_g + beta_o), so neither factor
+    crosses its branch cut: the branches are continuous in f_o for any
+    sweep order, with no tracking between points. The factor w +- ic
+    vanishes only when dK = +-2j exactly, at f_o = f_i +- 2*gamma: that is
+    an exceptional point. For each one inside [min, max] of the sweep,
+    ep_flags marks the nearest sweep value at or below it and the nearest
+    at or above it.
     """
-    f_o_sweep = np.asarray(f_o_sweep, dtype=float)
-    if f_o_sweep.size == 0:
+    f_o = np.asarray(f_o_sweep, dtype=float).ravel()
+    if f_o.size == 0:
         raise ModelError("eigen_traces needs a non-empty sweep")
-    coupling = q.j - 1j * q.gamma
-    if ep_tol is None:
-        ep_tol = 1e-9 * max(abs(coupling), 1.0)
+    if not np.all(np.isfinite(f_o)):
+        raise ModelError("f_o_sweep must be finite")
+    a = q.f_i - 1j * (q.kappa_i_g + q.beta_i)
+    b = f_o - 1j * (q.kappa_o_g + q.beta_o)
+    c = q.j - 1j * q.gamma
+    # halving first keeps a - b from overflowing at finite extremes
+    m = a / 2 + b / 2
+    w = a / 2 - b / 2
+    plus, minus = w + 1j * c, w - 1j * c
+    s = np.sqrt(minus) * np.sqrt(plus)
+    eigs = np.stack((m + s, m - s), axis=1)
+    if not np.all(np.isfinite(eigs)):
+        raise ModelError("eigenvalues overflow: a rate or frequency is too large")
 
-    h = np.empty((f_o_sweep.size, 2, 2), dtype=complex)
-    h[:, 0, 0] = q.f_i - 1j * (q.kappa_i_g + q.beta_i)
-    h[:, 0, 1] = h[:, 1, 0] = coupling
-    h[:, 1, 1] = f_o_sweep - 1j * (q.kappa_o_g + q.beta_o)
-    vals, vecs = np.linalg.eig(h)
-
-    # Each branch keeps to the eigenvector it overlaps most with at the
-    # previous sweep point. Between adjacent raw eigenvector sets the
-    # branches cross when the off-diagonal overlaps win; a swap carried
-    # from the previous point flips that test, so the swap state is the
-    # running parity of crossings. A tie keeps the raw order and restarts
-    # the parity.
-    overlap = np.abs(vecs[:-1].conj().transpose(0, 2, 1) @ vecs[1:])
-    straight = overlap[:, 0, 0] + overlap[:, 1, 1]
-    crossed = overlap[:, 0, 1] + overlap[:, 1, 0]
-    cross = np.concatenate(([False], straight < crossed))
-    tie = np.concatenate(([True], ~(straight < crossed) & ~(crossed < straight)))
-    parity = np.cumsum(cross)
-    restart = np.maximum.accumulate(np.where(tie, np.arange(tie.size), 0))
-    swapped = (parity - parity[restart]) % 2 == 1
-
-    eigs = np.where(swapped[:, None], vals[:, ::-1], vals)
-    flags = np.abs(vals[:, 0] - vals[:, 1]) < ep_tol
+    flags = np.zeros(f_o.size, dtype=bool)
+    for sign, factor in ((1, plus), (-1, minus)):
+        f_ep = q.f_i + 2 * sign * q.gamma
+        if factor[0].imag == 0 and f_o.min() <= f_ep <= f_o.max():
+            flags |= (f_o == f_o[f_o <= f_ep].max()) | (f_o == f_o[f_o >= f_ep].min())
     return eigs, flags
 
 

@@ -411,6 +411,19 @@ class TestConfig:
         assert f"config error: wrong type at {pointer}/{key}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("name", [None, ["inner"], 7], ids=["null", "list", "number"])
+    def test_emitter_name_must_be_a_string(self, tmp_path, capsys, name):
+        # str() used to pass these through: "name": null loaded as 'None'
+        doc = json.loads(open(make_config(tmp_path)).read())
+        doc["emitters"][0]["name"] = name
+        with pytest.raises(ConfigError, match="^wrong type at /emitters/0/name: "):
+            parse_config(doc)
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["simulate-single", "--config", str(tmp_path / "config.json"),
+                     "--output", str(tmp_path / "out.csv")]) == 2
+        assert "config error: wrong type at /emitters/0/name: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestSynthNoise:
     def test_seed_reproducibility(self):

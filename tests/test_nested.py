@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,11 +174,10 @@ class TestFitForm:
             dataclasses.replace(q, **{name: value})
 
 
-def eigen_traces_loop(q, f_o_sweep, ep_tol):
-    """One 2x2 eig per sweep point, branches permuted by maximal overlap."""
+def eigen_traces_loop(q, f_o_sweep):
+    """One 2x2 eig per sweep point, branches permuted by maximal eigenvector overlap."""
     coupling = q.j - 1j * q.gamma
     eigs = np.empty((len(f_o_sweep), 2), dtype=complex)
-    flags = np.zeros(len(f_o_sweep), dtype=bool)
     prev_vecs = None
     for n, f_o in enumerate(f_o_sweep):
         h = np.array([
@@ -190,9 +190,19 @@ def eigen_traces_loop(q, f_o_sweep, ep_tol):
             if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
                 vals, vecs = vals[::-1], vecs[:, ::-1]
         eigs[n] = vals
-        flags[n] = abs(vals[0] - vals[1]) < ep_tol
         prev_vecs = vecs
-    return eigs, flags
+    return eigs
+
+
+def eigen_reference(q, f_o):
+    """Both eigenvalues at one sweep point, to 40 digits, of the matrix eigen_traces builds."""
+    with mpmath.workdps(40):
+        a = mpmath.mpc(q.f_i, -(q.kappa_i_g + q.beta_i))
+        b = mpmath.mpc(f_o, -(q.kappa_o_g + q.beta_o))
+        c = mpmath.mpc(q.j, -q.gamma)
+        m, w = (a + b) / 2, (a - b) / 2
+        s = mpmath.sqrt(w * w + c * c)
+        return complex(m + s), complex(m - s)
 
 
 EIGEN_SWEEPS = [
@@ -200,13 +210,14 @@ EIGEN_SWEEPS = [
      np.linspace(4.34e9, 4.36e9, 81)),
     (FitFormParams(4.35e9, 4.35e9, 1.15 * MHZ, 1.26e2, 1.54 * MHZ, 0.86 * MHZ, 1.01 * MHZ, 3.28e2),
      np.linspace(4.34e9, 4.36e9, 801)),
+    # through both exceptional points at f_i +- 2*gamma
     (FitFormParams(4.96e9, 4.96e9, 0.5 * MHZ, 0.5 * MHZ, 0.0, 0.0, 0.0, 1.0 * MHZ),
      4.96e9 + np.linspace(-2, 2, 40001) * 2 * MHZ),
     # equal damping, no coupling: exactly degenerate at zero detuning
     (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.0, 0.0, 0.0, 0.0),
      np.linspace(4.34e9, 4.36e9, 101)),
     (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.0, 0.0, 1.0 * MHZ, 0.0), np.full(5, 4.35e9)),
-    # back and forth through the avoided crossing, and out of order: many swaps
+    # back and forth through the avoided crossing, and out of order
     (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.5 * MHZ, 0.5 * MHZ, 1.01 * MHZ, 0.0),
      4.35e9 + 5 * MHZ * np.sin(np.linspace(0, 6 * np.pi, 301))),
     (FitFormParams(4.35e9, 4.35e9, 1.0 * MHZ, 1.0 * MHZ, 0.5 * MHZ, 0.5 * MHZ, 1.01 * MHZ, 0.0),
@@ -217,41 +228,54 @@ EIGEN_SWEEPS = [
 class TestEigenTraces:
     @pytest.mark.parametrize("q, sweep", EIGEN_SWEEPS)
     def test_batched_equals_per_point_loop(self, q, sweep):
-        ep_tol = 1e-9 * max(abs(q.j - 1j * q.gamma), 1.0)
-        eigs, flags = eigen_traces(q, sweep)
-        ref_eigs, ref_flags = eigen_traces_loop(q, sweep, ep_tol)
-        assert np.array_equal(eigs, ref_eigs)
-        assert np.array_equal(flags, ref_flags)
+        # the per-point loop is the 40-digit reference; the pair matches as a set
+        eigs, _ = eigen_traces(q, sweep)
+        for (l1, l2), f_o in zip(eigs, sweep):
+            r1, r2 = eigen_reference(q, f_o)
+            err = min(max(abs(l1 - r1), abs(l2 - r2)), max(abs(l1 - r2), abs(l2 - r1)))
+            assert err <= 1e-14 * max(abs(r1), abs(r2)), f_o
 
-    def test_overlap_ties_and_crossings_follow_the_loop(self, monkeypatch):
-        # exact ties between the two overlap sums do not come out of real
-        # 2x2 spectra; a stub eig returning fixed bases by outer frequency
-        # (identity, swapped identity, Hadamard) makes crossings and ties
-        bases = {0.0: np.eye(2), 1.0: np.eye(2)[:, ::-1], 2.0: np.array([[1, 1], [1, -1]]) / math.sqrt(2)}
+    @pytest.mark.parametrize("q, sweep", EIGEN_SWEEPS[-2:])
+    def test_labels_depend_on_f_o_alone(self, q, sweep):
+        # unsorted sweeps: each point's pair is what the sorted sweep gives it
+        order = np.argsort(sweep)
+        assert np.array_equal(eigen_traces(q, sweep[order])[0], eigen_traces(q, sweep)[0][order])
 
-        def stub_eig(h):
-            h = np.asarray(h)
-            vecs = np.array([bases[f_o] for f_o in np.ravel(h[..., 1, 1].real)], dtype=complex)
-            return np.stack([h[..., 0, 0], h[..., 1, 1]], axis=-1), vecs.reshape(h.shape)
-
-        monkeypatch.setattr(np.linalg, "eig", stub_eig)
-        q = FitFormParams(10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        # swapped at 1 and 4 only: each tie (2, 3, 7, 9) drops a carried swap
-        sweep = np.array([0, 1, 2, 1, 0, 1, 1, 2, 2, 0], dtype=float)
-        eigs, flags = eigen_traces(q, sweep)
-        ref_eigs, ref_flags = eigen_traces_loop(q, sweep, 1e-9)
-        assert np.array_equal(eigs, ref_eigs) and np.array_equal(flags, ref_flags)
-        assert np.array_equal(eigs[:, 0] != q.f_i, [0, 1, 0, 0, 1, 0, 0, 0, 0, 0])
-
-    def test_batched_equals_loop_on_random_sweeps(self):
+    def test_labels_follow_the_overlap_loop_on_fine_sweeps(self):
+        # where the step is below a tenth of the smallest split, eigenvector
+        # overlap follows the continuous branches too; its first point keeps
+        # LAPACK's order, so the columns may be swapped for the whole sweep
         rng = np.random.default_rng(7)
-        for _ in range(40):
+        checked = 0
+        while checked < 40:
             f_i = rng.uniform(4e9, 5e9)
             q = FitFormParams(f_i, f_i, *rng.uniform(0, 3e6, 4), rng.uniform(-2e6, 2e6), rng.uniform(-3e6, 3e6))
-            sweep = f_i + np.linspace(-1, 1, int(rng.integers(1, 500))) * rng.uniform(1e5, 2e7)
-            eigs, flags = eigen_traces(q, sweep)
-            ref_eigs, ref_flags = eigen_traces_loop(q, sweep, 1e-9 * max(abs(q.j - 1j * q.gamma), 1.0))
-            assert np.array_equal(eigs, ref_eigs) and np.array_equal(flags, ref_flags)
+            sweep = f_i + np.linspace(-1, 1, int(rng.integers(2, 500))) * rng.uniform(1e5, 2e7)
+            eigs, _ = eigen_traces(q, sweep)
+            if np.diff(sweep).max() >= 0.1 * np.abs(eigs[:, 0] - eigs[:, 1]).min():
+                continue
+            ref = eigen_traces_loop(q, sweep)
+            same = np.abs(eigs - ref).max(axis=1) < np.abs(eigs - ref[:, ::-1]).max(axis=1)
+            assert same.all() or not same.any()
+            checked += 1
+
+    def test_finite_extremes_stay_finite(self):
+        # f_i - f_o overflows a double here; their halves do not
+        q = FitFormParams(1.7e308, 1.7e308, 1e6, 1e6, 0.0, 0.0, 1e6, 0.0)
+        eigs, _ = eigen_traces(q, [-1.7e308, 1.7e308])
+        assert np.all(np.isfinite(eigs))
+
+    def test_overflowing_rates_raise(self):
+        # each rate is finite, but kappa_i_g + beta_i is not
+        q = FitFormParams(4e9, 4e9, 1e308, 0.0, 1e308, 0.0, 0.0, 0.0)
+        with pytest.raises(ModelError, match="overflow"):
+            eigen_traces(q, [4e9])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sweep(self, value):
+        q = EIGEN_SWEEPS[0][0]
+        with pytest.raises(ModelError, match="f_o_sweep"):
+            eigen_traces(q, [4.35e9, value])
 
     def test_repulsion_splitting_equals_2j(self):
         # equal dampings: at zero detuning the real-part splitting is 2J
@@ -280,15 +304,29 @@ class TestEigenTraces:
         assert steps.max() < 0.6 * MHZ
 
     def test_exceptional_point_flagged(self):
-        # J = 0, Gamma > 0: eigenvalues coalesce where |detuning| = 2*Gamma
+        # J = 0, Gamma > 0, equal dampings: eigenvalues coalesce where
+        # |detuning| = 2*Gamma. The flags bracket each such point, on a sweep
+        # through it and on one shifted by half a step
         gamma = 1.0 * MHZ
         f_i = 4.96e9
         q = FitFormParams(f_i, f_i, 0.5 * MHZ, 0.5 * MHZ, 0.0, 0.0, 0.0, gamma)
-        sweep = f_i + np.linspace(-2, 2, 40001) * gamma * 2
-        _, flags = eigen_traces(q, sweep, ep_tol=2e2)
-        crossing = sweep[flags] - f_i
-        assert crossing.size > 0
-        assert np.min(np.abs(np.abs(crossing) - 2 * gamma)) < 1e3
+        for shift in (0.0, 0.5e-4):
+            sweep = f_i + (np.linspace(-2, 2, 40001) + shift) * gamma * 2
+            _, flags = eigen_traces(q, sweep)
+            step = np.diff(sweep).max()
+            near = []
+            for ep in (f_i - 2 * gamma, f_i + 2 * gamma):
+                near.append(flags & (np.abs(sweep - ep) <= step))
+                assert 1 <= np.count_nonzero(near[-1]) <= 2
+                assert sweep[near[-1]].min() <= ep <= sweep[near[-1]].max()
+            assert not np.any(flags & ~near[0] & ~near[1])
+
+    def test_missed_exceptional_point_flags_nothing(self):
+        # the EP condition dK = +-2J missed by 1e-6 relative
+        f_i = 4.96e9
+        q = FitFormParams(f_i, f_i, 0.5 * MHZ * (1 + 1e-6), 0.5 * MHZ, 0.0, 0.0, 0.0, 1.0 * MHZ)
+        _, flags = eigen_traces(q, f_i + np.linspace(-2, 2, 40001) * 2 * MHZ)
+        assert not flags.any()
 
 
 class TestStrongCoupling:
