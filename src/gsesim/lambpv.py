@@ -7,11 +7,11 @@ Abel-regularized principal-value integrals over photon frequency,
     B(x) = PV int_0^inf  w*sin(w*x) / (w +- 1) dw
 
 in units of the magnon frequency, with x the phase across the ensemble.
-Both close in terms of the sine and cosine integrals; this module carries
-the closed forms, an independent quadrature oracle, and the physical
-decay/shift decomposition (2*pi*cos(x), -pi*sin(x)) that assembles into
-the interference-modulated decay rate 2*kappa*(1 + cos x) and shift
-kappa*sin(x).
+Both close in terms of the sine and cosine integrals, which `sici`
+evaluates together; this module carries the closed forms, an independent
+quadrature oracle, and the physical decay/shift decomposition
+(2*pi*cos(x), -pi*sin(x)) that assembles into the interference-modulated
+decay rate 2*kappa*(1 + cos x) and shift kappa*sin(x).
 
 The oracle uses numpy alone. It rotates the contour onto the imaginary
 axis, w = i*s, where the integrand decays like exp(-s*x), and sums it with
@@ -88,36 +88,29 @@ def _e1_imag_axis(x):
     raise ModelError(f"continued fraction for E1(i*{x}) did not converge")
 
 
-def si(x):
-    """Sine integral Si(x) = int_0^x sin(t)/t dt (odd in x)."""
-    if not math.isfinite(x):
-        raise ModelError(f"si requires finite x, got {x!r}")
-    if x < 0:
-        return -si(-x)
-    if x == 0.0:
-        return 0.0
-    if x < _SERIES_SPLIT:
-        return _sici_series(x)[0]
-    return _HALF_PI + _e1_imag_axis(x).imag
+def sici(x):
+    """Sine and cosine integrals (Si(x), Ci(x)) for finite x > 0, from one evaluation.
 
-
-def ci(x):
-    """Cosine integral Ci(x) for x > 0 (log-singular at the origin)."""
+    Si(x) = int_0^x sin(t)/t dt, and Ci(x) is log-singular at the origin.
+    """
     if not math.isfinite(x) or x <= 0:
-        raise ModelError(f"ci requires finite x > 0, got {x!r}")
+        raise ModelError(f"sici requires finite x > 0, got {x!r}")
     if x < _SERIES_SPLIT:
-        return _sici_series(x)[1]
-    return -_e1_imag_axis(x).real
+        return _sici_series(x)
+    e1 = _e1_imag_axis(x)
+    return _HALF_PI + e1.imag, -e1.real
 
 
 def m_aux(x):
     """Auxiliary M(x): A(+ branch) = -pi*M(x), A(- branch) = pi*M(x) - pi*sin(x)."""
-    return (-math.cos(x) * ci(x) + math.sin(x) * (_HALF_PI - si(x))) / math.pi
+    s, c = sici(x)
+    return (-math.cos(x) * c + math.sin(x) * (_HALF_PI - s)) / math.pi
 
 
 def n_aux(x):
     """Auxiliary N(x): B(+ branch) = 1/x - pi*N(x)."""
-    return (math.cos(x) * (_HALF_PI - si(x)) + math.sin(x) * ci(x)) / math.pi
+    s, c = sici(x)
+    return (math.cos(x) * (_HALF_PI - s) + math.sin(x) * c) / math.pi
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,7 @@ def pv_closed(x, branch):
     the non-decaying piece; checked against pv_quadrature on both branches.
     """
     _check_branch(x, branch)
-    s, c = si(x), ci(x)
+    s, c = sici(x)
     if branch == "+":
         a = math.cos(x) * c + math.sin(x) * (s - _HALF_PI)
         b = 1.0 / x - math.cos(x) * (_HALF_PI - s) - math.sin(x) * c

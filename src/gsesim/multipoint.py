@@ -127,6 +127,15 @@ class EffectiveModel:
         return np.diag(self.diag) + self.coupling
 
 
+def _finite_phase(phi):
+    """phi, a propagation phase 2*pi*f*d/v its caller formed under np.errstate;
+    ModelError, not numpy warnings or a LAPACK failure, when it is not finite."""
+    if not np.all(np.isfinite(phi)):
+        raise ModelError("propagation phase 2*pi*f*d/v is not finite: a distance or frequency "
+                         "is too large, or the waveguide speed too small")
+    return phi
+
+
 def _check_markov(t, waveguide):
     positions = [x for em in t.emitters for x in em.positions]
     span = max(positions) - min(positions)
@@ -173,7 +182,8 @@ class _Points:
     def drives(self, speed):
         """Port-1 drive sum_p sqrt(kappa_p)*exp(-i*2*pi*f_res*x_p/v) of every
         emitter, each at its own resonance (N,)."""
-        theta = TWO_PI * (self.f_res[self.owner] * self.x) / speed
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = _finite_phase(TWO_PI * (self.f_res[self.owner] * self.x) / speed)
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 
 
@@ -188,9 +198,10 @@ def _phase_factors(grid, d, speed):
     b = math.isqrt(nf)
     df = (grid.f_stop - grid.f_start) / (nf - 1)
     a = np.arange(-(-nf // b))
-    coarse = np.exp(-1j * (TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed))
-    fine = np.exp(-1j * (TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed))
-    return coarse, fine
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _finite_phase(TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed)
+        fine = _finite_phase(TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed)
+    return np.exp(-1j * coarse), np.exp(-1j * fine)
 
 
 def _phasors(coarse, fine, start, stop, cols=slice(None)):
@@ -231,8 +242,9 @@ def _assemble(pts, speed, lamb_sign):
     pair's mean resonance; lamb_sign=-1 flips the diagonal Lamb shift.
     """
     f_pt = pts.f_res[pts.owner]
-    f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
-    phi = TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
+        phi = _finite_phase(TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed)
     root = np.sqrt(np.outer(pts.kappa, pts.kappa))
 
     def block_sums(s):
@@ -452,7 +464,10 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         # phases between points exact however far the layout sits from 0,
         # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
         x0 = pts.x.min()
-        factors = _phase_factors(grid, pts.x - x0, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = pts.x - x0
+            refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
+        factors = _phase_factors(grid, d, v)
         u = _grid_drives(pts, *factors, f.size)
 
     path, min_pairing = "solve", None
@@ -472,7 +487,7 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             path = "pole-residues"
         s21, refl = result
     if convention != "resonance":
-        refl = refl * np.exp(2j * (TWO_PI * (f * x0) / v))
+        refl = refl * np.exp(1j * refl_phase)
     if convention != "probe" and np.max(np.abs(s21) ** 2 + np.abs(refl) ** 2) > 1.0 + _PASSIVITY_TOL:
         # a constant message, so the warnings registry reports it once per call site
         warnings.warn(

@@ -233,12 +233,14 @@ def eigen_traces(q, f_o_sweep):
     a = q.f_i - 1j * (q.kappa_i_g + q.beta_i)
     b = f_o - 1j * (q.kappa_o_g + q.beta_o)
     c = q.j - 1j * q.gamma
-    # halving first keeps a - b from overflowing at finite extremes
-    m = a / 2 + b / 2
-    w = a / 2 - b / 2
-    plus, minus = w + 1j * c, w - 1j * c
-    s = np.sqrt(minus) * np.sqrt(plus)
-    eigs = np.stack((m + s, m - s), axis=1)
+    # halving first keeps a - b from overflowing at finite extremes; what
+    # still overflows is caught by the check below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a / 2 + b / 2
+        w = a / 2 - b / 2
+        plus, minus = w + 1j * c, w - 1j * c
+        s = np.sqrt(minus) * np.sqrt(plus)
+        eigs = np.stack((m + s, m - s), axis=1)
     if not np.all(np.isfinite(eigs)):
         raise ModelError("eigenvalues overflow: a rate or frequency is too large")
 

@@ -905,6 +905,26 @@ class TestCli:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("convention", ["resonance", "mixed", "probe"])
+    @pytest.mark.parametrize("layout", ["far-point", "slow-guide"])
+    def test_overflowing_phase_exits_3(self, tmp_path, layout, convention):
+        # every value is finite, but 2*pi*f*d/v overflows: 'resonance' and
+        # 'mixed' exited 1 with a LinAlgError traceback from the eigensolver,
+        # 'probe' exited 3 after numpy RuntimeWarnings
+        k = KAPPA_INNER
+        cfg = tmp_path / "config.json"
+        far = 1e300 if layout == "far-point" else 0.12
+        emitters_config(cfg, [(0.0, k), (L_INNER, k)], [(0.04, k), (far, k)])
+        if layout == "slow-guide":
+            cfg.write_text(cfg.read_text().replace(f'"speed_mps": {SPEED!r}', '"speed_mps": 1e-300'))
+        proc = _fresh_python("-m", "gsesim.cli", "simulate-general", "--config", str(cfg),
+                             "--convention", convention, "--output", str(tmp_path / "g.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert "numeric failure: propagation phase 2*pi*f*d/v is not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("argv, message", [
         (["pv-check", "--x=-1:1:3"], "(the phase across the ensemble), got -1.0"),
         (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], "B must be finite, got nan"),

@@ -270,6 +270,11 @@ class TestEigenTraces:
         q = FitFormParams(4e9, 4e9, 1e308, 0.0, 1e308, 0.0, 0.0, 0.0)
         with pytest.raises(ModelError, match="overflow"):
             eigen_traces(q, [4e9])
+        # every input is finite, but w + ic overflows: the ModelError comes
+        # without a numpy RuntimeWarning first
+        q = FitFormParams(1.7e308, 1.7e308, 1e6, 1e6, 0.0, 0.0, 0.0, 1e308)
+        with pytest.raises(ModelError, match="overflow"):
+            eigen_traces(q, [-1.7e308])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sweep(self, value):

@@ -25,13 +25,6 @@ def test_detuning_maps(tmp_path):
     assert "2|J| from a hyperbola fit" in proc.stdout
 
 
-def test_pv_validation(tmp_path):
-    proc = run_script("pv_validation.py", "--n", "5", "--output", str(tmp_path / "pv.csv"))
-    assert proc.returncode == 0, proc.stderr
-    for name in ("pv.csv", "pv.csv.minus"):
-        assert len((tmp_path / name).read_text().splitlines()) == 6
-
-
 def test_reproduce_device_rates():
     proc = run_script("reproduce_device_rates.py")
     assert proc.returncode == 0, proc.stderr
