@@ -57,7 +57,7 @@ def main():
         map_path = outdir / f"{name}_map.csv"
         write_map_csv(map_path, columns)
 
-        eigs, ep_flags = eigen_traces(params, params.f_o + detunings)
+        eigs, _ = eigen_traces(params, params.f_o + detunings)
         write_eigen_csv(outdir / f"{name}_eigen.csv", detunings, eigs)
 
         mag = np.array([np.abs(s.s21) for _, s in columns])
@@ -71,12 +71,6 @@ def main():
             total = params.kappa_i_g + params.kappa_o_g + params.beta_i + params.beta_o
             print(f"  merged linewidth at zero detuning {width / MHZ:.3f} MHz "
                   f"(total rate sum = {total / MHZ:.3f} MHz)")
-        # eigen_traces flags only the sweep points next to an exceptional
-        # point, which needs dK = +-2J to hold exactly; neither working point
-        # meets it, so this line prints nothing for them
-        if np.any(ep_flags):
-            edges = detunings[ep_flags] / MHZ
-            print(f"  exceptional-point crossings near detuning(s) {edges} MHz")
 
 
 if __name__ == "__main__":

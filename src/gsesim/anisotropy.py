@@ -70,6 +70,7 @@ def resonance_full(p, theta_h):
     cross term vanishes; rejects parameter sets with a negative radicand
     (unsaturated or unphysical regime).
     """
+    _require_finite("theta", theta_h)
     c2 = math.cos(2.0 * theta_h)
     c4 = math.cos(4.0 * theta_h)
     first = p.H_e0 + p.H_A * (1.5 + 0.5 * c4 + (-15.0 / 8.0 + 2.0 * c2 - c4 / 8.0))
@@ -77,7 +78,9 @@ def resonance_full(p, theta_h):
     radicand = first * second
     if radicand <= 0:
         raise ModelError(f"negative radicand at theta={theta_h}: unphysical regime")
-    return p.gamma * math.sqrt(radicand)
+    f = p.gamma * math.sqrt(radicand)
+    _require_finite("resonance frequency", f)
+    return f
 
 
 def angular_factor(theta_h):
@@ -91,7 +94,11 @@ def resonance_simple(p, theta_h):
 
     Valid for H_A << H_e0 and phi0 = pi/4; even and pi-periodic in theta.
     """
-    return p.gamma * (p.H_e0 + p.H_A * angular_factor(theta_h))
+    _require_finite("theta", theta_h)
+    with np.errstate(over="ignore"):
+        f = p.gamma * (p.H_e0 + p.H_A * angular_factor(theta_h))
+    _require_finite("resonance frequency", f)
+    return f
 
 
 def h_a_for_tuning_range(tuning_range_hz, gamma=GAMMA_2PI):
@@ -101,7 +108,6 @@ def h_a_for_tuning_range(tuning_range_hz, gamma=GAMMA_2PI):
 
 def angle_sweep(p, thetas, which="simple"):
     """Resonance frequency at each angle, in input order."""
-    _require_finite("theta", *thetas)
     if which == "simple":
         return [float(resonance_simple(p, th)) for th in thetas]
     if which == "full":

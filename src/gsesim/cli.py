@@ -105,10 +105,12 @@ def _two_point_gse(waveguide, em, pointer):
     return SingleGseParams(k1, em.beta, em.span[1] - em.span[0], em.f_res, waveguide)
 
 
-def _single_from_topology(waveguide, topology):
+def _load_single(path):
+    """(SingleGseParams, FrequencyGrid) of a config with one two-point emitter."""
+    waveguide, topology, grid = gio.load_config(path)
     if len(topology.emitters) != 1:
         raise ConfigError("/emitters: this command needs exactly one emitter")
-    return _two_point_gse(waveguide, topology.emitters[0], "/emitters/0")
+    return _two_point_gse(waveguide, topology.emitters[0], "/emitters/0"), grid
 
 
 def _nested_from_topology(waveguide, topology):
@@ -179,8 +181,7 @@ def _parse_fixed(items):
 def _cmd_simulate_single(args):
     from .single import s21_single
 
-    waveguide, topology, grid = gio.load_config(args.config)
-    p = _single_from_topology(waveguide, topology)
+    p, grid = _load_single(args.config)
     spectrum = s21_single(p, grid, self_consistent_phase=args.self_consistent_phase)
     gio.write_spectrum_csv(args.output, spectrum)
 
@@ -236,8 +237,7 @@ def _cmd_map(args):
         return
     from .single import map_single_vs_field
 
-    waveguide, topology, grid = gio.load_config(args.config)
-    p = _single_from_topology(waveguide, topology)
+    p, grid = _load_single(args.config)
     fields = _sweep_values(args.values)
     columns = map_single_vs_field(p, fields, 0.0 if args.h_a is None else args.h_a, grid)
     gio.write_map_csv(args.output, columns)
@@ -307,8 +307,7 @@ def _cmd_synth(args):
         raise ConfigError(f"--seed {args.seed}: must be >= 0")
     if not 0 <= args.noise_sigma < np.inf:
         raise ConfigError(f"--noise-sigma {args.noise_sigma}: must be finite and >= 0")
-    waveguide, topology, grid = gio.load_config(args.config)
-    p = _single_from_topology(waveguide, topology)
+    p, grid = _load_single(args.config)
     spectrum = s21_single(p, grid)
     noisy = spectrum.s21 + gio.synth_noise(grid.n_points, args.noise_sigma, args.seed)
     gio.write_spectrum_csv(args.output, Spectrum(grid, noisy))

@@ -36,6 +36,15 @@ def _require_finite(name, *values):
             raise ModelError(f"{name} must be finite, got {float(v)!r}")
 
 
+def _finite_phase(phi):
+    """phi, a propagation phase 2*pi*f*d/v its caller formed under np.errstate;
+    ModelError, not numpy warnings or a LAPACK failure, when it is not finite."""
+    if not np.all(np.isfinite(phi)):
+        raise ModelError("propagation phase 2*pi*f*d/v is not finite: a distance or frequency "
+                         "is too large, or the waveguide speed too small")
+    return phi
+
+
 @dataclass(frozen=True)
 class Waveguide:
     """Non-dispersive waveguide carrying traveling microwave photons.
@@ -172,7 +181,8 @@ def phase(f, length, waveguide):
         raise ModelError(f"phase requires f > 0, got {f}")
     if length < 0:
         raise ModelError(f"phase requires length >= 0, got {length}")
-    return TWO_PI * f * length / waveguide.speed
+    with np.errstate(over="ignore", invalid="ignore"):  # map's field sweep passes numpy scalars
+        return _finite_phase(TWO_PI * f * length / waveguide.speed)
 
 
 def classify_topology(t):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ModelError, ParameterNameError, TWO_PI
+from .core import ModelError, ParameterNameError, TWO_PI, _finite_phase
 from .nested import FitFormParams
 from .single import giant_decay
 
@@ -40,9 +40,8 @@ def single_model(f, q):
     """
     f = np.asarray(f, dtype=float)
     kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], q["speed"]
-    phi = TWO_PI * f_res * length / speed
-    if not math.isfinite(phi):
-        raise ModelError(f"interference phase {phi!r} is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # the optimizer passes numpy scalars
+        phi = _finite_phase(TWO_PI * f_res * length / speed)
     cos, sin = math.cos(phi), math.sin(phi)
     kappa_g = 2.0 * kappa * (1.0 + cos)
     den = 1j * (f - f_res - kappa * sin) - kappa_g - q["beta"]

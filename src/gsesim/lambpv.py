@@ -117,8 +117,6 @@ def n_aux(x):
 class PvResult:
     """Values of the two regularized integrals at one argument."""
 
-    argument: float
-    branch: str
     a_value: float
     b_value: float
 
@@ -148,7 +146,7 @@ def pv_closed(x, branch):
     else:
         a = -math.cos(x) * c - math.sin(x) * (s + _HALF_PI)
         b = 1.0 / x + math.cos(x) * (s + _HALF_PI) - math.sin(x) * c
-    return PvResult(x, branch, a, b)
+    return PvResult(a, b)
 
 
 def pv_quadrature(x, branch):
@@ -180,7 +178,7 @@ def pv_quadrature(x, branch):
         )
     if branch == "-":
         value += 1j * math.pi * complex(math.cos(x), math.sin(x))
-    return PvResult(x, branch, value.real, value.imag)
+    return PvResult(value.real, value.imag)
 
 
 def decay_shift_decomposition(x):

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelError, Spectrum, TWO_PI
+from .core import ModelError, Spectrum, TWO_PI, _finite_phase
 
 # The pole-residue expansion is used only when every eigenvector r_k of H
 # (unit 2-norm) has |r_k^T r_k| >= _MIN_PAIRING and the bilinear Gram
@@ -111,7 +111,6 @@ class EffectiveModel:
     drive:    complex port-1 drive amplitude per emitter
     """
 
-    n: int
     diag: np.ndarray = field(repr=False)
     coupling: np.ndarray = field(repr=False)
     drive: np.ndarray = field(repr=False)
@@ -125,15 +124,6 @@ class EffectiveModel:
     @property
     def hamiltonian(self):
         return np.diag(self.diag) + self.coupling
-
-
-def _finite_phase(phi):
-    """phi, a propagation phase 2*pi*f*d/v its caller formed under np.errstate;
-    ModelError, not numpy warnings or a LAPACK failure, when it is not finite."""
-    if not np.all(np.isfinite(phi)):
-        raise ModelError("propagation phase 2*pi*f*d/v is not finite: a distance or frequency "
-                         "is too large, or the waveguide speed too small")
-    return phi
 
 
 def _check_markov(t, waveguide):
@@ -241,12 +231,6 @@ def _assemble(pts, speed, lamb_sign):
     Diagonal blocks are evaluated at f_res_j, off-diagonal blocks at the
     pair's mean resonance; lamb_sign=-1 flips the diagonal Lamb shift.
     """
-    f_pt = pts.f_res[pts.owner]
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
-        phi = _finite_phase(TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed)
-    root = np.sqrt(np.outer(pts.kappa, pts.kappa))
-
     def block_sums(s):
         # blocks (j, l) and (l, j) of the symmetric s differ only in summation
         # order; averaging them makes H exactly complex symmetric, which the
@@ -254,10 +238,17 @@ def _assemble(pts, speed, lamb_sign):
         b = pts.emitter_sums(pts.emitter_sums(s, axis=0), axis=1)
         return 0.5 * (b + b.T)
 
-    j = 0.5 * block_sums(root * np.sin(phi))
-    gamma = block_sums(root * np.cos(phi))
-    j[np.diag_indices_from(j)] *= lamb_sign
-    hrel = j - 1j * (gamma + np.diag(pts.beta))
+    f_pt = pts.f_res[pts.owner]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
+        phi = _finite_phase(TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed)
+        root = np.sqrt(np.outer(pts.kappa, pts.kappa))
+        j = 0.5 * block_sums(root * np.sin(phi))
+        gamma = block_sums(root * np.cos(phi))
+        j[np.diag_indices_from(j)] *= lamb_sign
+        hrel = j - 1j * (gamma + np.diag(pts.beta))
+    if not np.all(np.isfinite(hrel)):
+        raise ModelError("effective Hamiltonian is not finite: a coupling rate is too large")
     return hrel
 
 
@@ -267,13 +258,13 @@ def build_effective(t, waveguide):
     The diagonal of emitter j is evaluated at f_res_j and the (j, l)
     coupling at (f_res_j + f_res_l)/2.
     """
-    _check_markov(t, waveguide)
     pts = _Points.of(t)
     hrel = _assemble(pts, waveguide.speed, 1)
     coupling = hrel.copy()
     np.fill_diagonal(coupling, 0.0)
     drive = pts.drives(waveguide.speed)
-    return EffectiveModel(len(pts.f_res), pts.f_res + np.diagonal(hrel), coupling, drive)
+    _check_markov(t, waveguide)
+    return EffectiveModel(pts.f_res + np.diagonal(hrel), coupling, drive)
 
 
 @dataclass(frozen=True)
@@ -451,7 +442,6 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     """
     if convention not in ("resonance", "probe", "mixed"):
         raise ModelError(f"unknown convention {convention!r}")
-    _check_markov(t, waveguide)
     pts = _Points.of(t)
     v = waveguide.speed
     f = grid.frequencies
@@ -469,14 +459,16 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
         factors = _phase_factors(grid, d, v)
         u = _grid_drives(pts, *factors, f.size)
+        if convention == "mixed":
+            hrel = _assemble(pts, v, -1)
+    # only once the model is formed: a run that cannot form it fails with one message
+    _check_markov(t, waveguide)
 
     path, min_pairing = "solve", None
     if convention == "probe":
         step = _block_rows(f.size, pts.f_res.size)
         s21, refl = _solve(_probe_resolvent(pts, f, factors, u, step), f.size, u)
     else:
-        if convention == "mixed":
-            hrel = _assemble(pts, v, -1)
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()

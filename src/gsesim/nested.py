@@ -20,7 +20,7 @@ modules is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -182,10 +182,7 @@ class FitFormParams:
                 raise ModelError(f"{name} must be >= 0")
 
     def detuned(self, f_o):
-        return FitFormParams(
-            self.f_i, f_o, self.kappa_i_g, self.kappa_o_g,
-            self.beta_i, self.beta_o, self.j, self.gamma,
-        )
+        return replace(self, f_o=f_o)
 
 
 def s21_fitform_values(q, f):

@@ -15,11 +15,12 @@ each probe frequency instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TWO_PI, ModelError, Spectrum, Waveguide, field_to_frequency, phase
+from .core import (TWO_PI, ModelError, Spectrum, Waveguide, _finite_phase, _require_finite,
+                   field_to_frequency, phase)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,7 @@ class SingleGseParams:
     waveguide: Waveguide
 
     def __post_init__(self):
+        _require_finite("single-GSE parameters", self.kappa, self.beta, self.length, self.f_res)
         if self.kappa < 0:
             raise ModelError("kappa must be >= 0")
         if self.beta < 0:
@@ -75,15 +77,17 @@ def lamb_shift(p, at_f=None):
 def s21_values(p, f, self_consistent_phase=False):
     """Complex S21 at probe frequencies f (array-valued)."""
     f = np.asarray(f, dtype=float)
-    if self_consistent_phase:
-        phi = TWO_PI * f * p.length / p.waveguide.speed
-    else:
-        phi = p.phi()
-    kappa_g = 2.0 * p.kappa * (1.0 + np.cos(phi))
-    shift = p.kappa * np.sin(phi)
-    denom = 1j * (f - p.f_res - shift) - kappa_g - p.beta
-    # denom = 0 only where kappa_G + beta = 0 at an on-resonance probe point: unit transmission
-    return 1.0 + np.divide(kappa_g, denom, out=np.zeros_like(denom), where=denom != 0)
+    # a rate that overflows the lineshape leaves non-finite values, which Spectrum rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if self_consistent_phase:
+            phi = _finite_phase(TWO_PI * f * p.length / p.waveguide.speed)
+        else:
+            phi = p.phi()
+        kappa_g = 2.0 * p.kappa * (1.0 + np.cos(phi))
+        shift = p.kappa * np.sin(phi)
+        denom = 1j * (f - p.f_res - shift) - kappa_g - p.beta
+        # denom = 0 only where kappa_G + beta = 0 at an on-resonance probe point: unit transmission
+        return 1.0 + np.divide(kappa_g, denom, out=np.zeros_like(denom), where=denom != 0)
 
 
 def s21_single(p, grid, self_consistent_phase=False):
@@ -97,9 +101,4 @@ def map_single_vs_field(p, fields, H_A, grid):
     Each field sets f_res through the Kittel relation; returns a list of
     (field_tesla, Spectrum) pairs in input order.
     """
-    columns = []
-    for b in fields:
-        f_res = field_to_frequency(b, H_A)
-        pb = SingleGseParams(p.kappa, p.beta, p.length, f_res, p.waveguide)
-        columns.append((b, s21_single(pb, grid)))
-    return columns
+    return [(b, s21_single(replace(p, f_res=field_to_frequency(b, H_A)), grid)) for b in fields]

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gsesim
 from gsesim.core import Emitter, FrequencyGrid, Topology, Waveguide
 from gsesim.single import SingleGseParams
 
@@ -68,3 +73,11 @@ def resonance_at_phase_multiple(n, length=L_INNER, speed=SPEED):
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def fresh_python(*args, cwd=None, env=None):
+    """Run the interpreter on args in a new process that imports this gsesim, with env added."""
+    src = os.path.dirname(os.path.dirname(gsesim.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          capture_output=True, text=True, timeout=120)

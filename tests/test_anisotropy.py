@@ -72,6 +72,18 @@ class TestResonanceLaws:
         with pytest.raises(ModelError):
             resonance_full(p, math.pi / 2)
 
+    def test_non_finite_angle_or_frequency_raises_model_error(self):
+        # resonance_full(p, inf) raised ValueError: math domain error, the
+        # NaN angles returned NaN, and fields this large returned inf
+        p = AnisotropyParams(0.155, 0.0035)
+        for law, theta in ((resonance_full, math.inf), (resonance_full, math.nan), (resonance_simple, math.nan)):
+            with pytest.raises(ModelError, match=f"theta must be finite, got {theta}"):
+                law(p, theta)
+        huge = AnisotropyParams(1e308, 1e306)
+        for law in (resonance_full, resonance_simple):
+            with pytest.raises(ModelError, match="resonance frequency must be finite, got inf"):
+                law(huge, 0.0)
+
     def test_regime_warning_threshold(self):
         with pytest.warns(AnisotropyRegimeWarning):
             AnisotropyParams(0.1, 0.02)

@@ -61,16 +61,12 @@ against a 40-digit reference the largest error fell from 2.3e-6 to
 
 import hashlib
 import json
-import os
 import platform
-import subprocess
-import sys
 
 import pytest
 
-import gsesim
 from gsesim.cli import main
-from conftest import TWO_MODE
+from conftest import TWO_MODE, fresh_python
 
 F_RES = 4330917874.396135
 
@@ -229,10 +225,7 @@ def test_eigen_csv_matches_golden_on_other_host_classes(tmp_path, env):
     either, so that case is left out.
     """
     argv = next(argv for argv in RUNS if "--eigen-output" in argv)
-    src = os.path.dirname(os.path.dirname(gsesim.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from gsesim.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True, timeout=120)
+    proc = fresh_python("-c", "import sys; from gsesim.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
+                        cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256((tmp_path / "eigen.csv").read_bytes()).hexdigest() == GOLDEN["eigen.csv"]

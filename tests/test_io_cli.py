@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -29,7 +28,7 @@ from gsesim.io import (
     write_map_csv,
     write_spectrum_csv,
 )
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE, fresh_python
 from reference import _write_table as write_table_per_row
 
 # any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
@@ -329,7 +328,7 @@ class TestWriteTable:
         # import: a writer that repeats the scalars without end fails there
         # with MemoryError instead of hanging the suite
         path = tmp_path / "angle.csv"
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import os, resource, sys\n"
             "from gsesim.io import write_anisotropy_csv\n"
             "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
@@ -905,24 +904,53 @@ class TestCli:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("convention", ["resonance", "mixed", "probe"])
+    @pytest.mark.parametrize("command", [
+        ["simulate-general", "--convention", "resonance"], ["simulate-general", "--convention", "mixed"],
+        ["simulate-general", "--convention", "probe"], ["simulate-single"],
+        ["simulate-single", "--self-consistent-phase"], ["synth"], ["map", "--sweep", "field", "--values", "0.1:0.2:3"],
+    ], ids=["resonance", "mixed", "probe", "single", "single-self-consistent", "synth", "map-field"])
     @pytest.mark.parametrize("layout", ["far-point", "slow-guide"])
-    def test_overflowing_phase_exits_3(self, tmp_path, layout, convention):
-        # every value is finite, but 2*pi*f*d/v overflows: 'resonance' and
-        # 'mixed' exited 1 with a LinAlgError traceback from the eigensolver,
-        # 'probe' exited 3 after numpy RuntimeWarnings
+    def test_overflowing_phase_exits_3(self, tmp_path, layout, command):
+        # every value is finite, but 2*pi*f*d/v overflows: simulate-general's
+        # 'resonance' and 'mixed' exited 1 with a LinAlgError traceback from
+        # the eigensolver, and the other commands exited 3 after numpy
+        # RuntimeWarnings (and a MarkovWarning from simulate-general)
         k = KAPPA_INNER
         cfg = tmp_path / "config.json"
         far = 1e300 if layout == "far-point" else 0.12
-        emitters_config(cfg, [(0.0, k), (L_INNER, k)], [(0.04, k), (far, k)])
+        emitters = [[(0.04, k), (far, k)]]
+        if command[0] == "simulate-general":
+            emitters.insert(0, [(0.0, k), (L_INNER, k)])
+        emitters_config(cfg, *emitters)
         if layout == "slow-guide":
             cfg.write_text(cfg.read_text().replace(f'"speed_mps": {SPEED!r}', '"speed_mps": 1e-300'))
-        proc = _fresh_python("-m", "gsesim.cli", "simulate-general", "--config", str(cfg),
-                             "--convention", convention, "--output", str(tmp_path / "g.csv"))
+        proc = fresh_python("-m", "gsesim.cli", *command, "--config", str(cfg), "--output", str(tmp_path / "g.csv"))
         assert proc.returncode == 3, proc.stderr
-        assert "numeric failure: propagation phase 2*pi*f*d/v is not finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("numeric failure: propagation phase 2*pi*f*d/v is not finite")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate-general", "--convention", "resonance"], "effective Hamiltonian is not finite"),
+        (["simulate-general", "--convention", "mixed"], "effective Hamiltonian is not finite"),
+        (["anisotropy", "--h-e0", "1e308", "--h-a", "1e306", "--theta", "0deg:90deg:3", "--which", "simple"],
+         "resonance frequency must be finite, got inf"),
+        (["anisotropy", "--h-e0", "1e308", "--h-a", "1e306", "--theta", "0deg:90deg:3", "--which", "full"],
+         "resonance frequency must be finite, got inf"),
+    ], ids=["general-resonance", "general-mixed", "anisotropy-simple", "anisotropy-full"])
+    def test_overflowing_rate_or_field_exits_3(self, tmp_path, argv, message):
+        # a 1e300 Hz coupling rate overflowed sqrt(kappa_p*kappa_q): 'resonance'
+        # and 'mixed' exited 1 with a LinAlgError traceback after numpy
+        # RuntimeWarnings. Fields that overflow the resonance wrote inf in every
+        # row and exited 0, 'simple' after an overflow RuntimeWarning
+        cfg = tmp_path / "config.json"
+        emitters_config(cfg, [(0.0, 1e300), (L_INNER, 1e300)], [(0.04, KAPPA_INNER), (0.12, KAPPA_INNER)])
+        if argv[0] == "simulate-general":
+            argv = [*argv, "--config", str(cfg)]
+        proc = fresh_python("-m", "gsesim.cli", *argv, "--output", str(tmp_path / "out.csv"))
+        assert proc.returncode == 3, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"numeric failure: {message}")
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv, message", [
@@ -1006,14 +1034,6 @@ class TestCli:
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def _fresh_python(*args):
-    src = os.path.dirname(os.path.dirname(gsesim.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
-
-
 # the submodules beyond cli, core and io that each command of the golden runs loads
 COMMAND_MODULES = {
     "simulate-single": ["single"],
@@ -1034,7 +1054,7 @@ LOADED_SUBMODULES = "print(' '.join(sorted(m[7:] for m in sys.modules if m.start
 class TestColdStart:
     def test_bare_import_loads_no_submodule(self):
         names = ["core", "single", "nested", "multipoint", "anisotropy", "lambpv", "fitting"]
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import sys, gsesim; "
             f"{LOADED_SUBMODULES}; "
             f"assert all(getattr(gsesim, m) is sys.modules['gsesim.' + m] for m in {names!r})"
@@ -1043,8 +1063,8 @@ class TestColdStart:
         assert proc.stdout == "\n"
 
     def test_cli_parser_loads_only_core_and_io(self):
-        proc = _fresh_python("-c", f"import sys; from gsesim.cli import build_parser; build_parser(); "
-                                   f"{LOADED_SUBMODULES}")
+        proc = fresh_python("-c", f"import sys; from gsesim.cli import build_parser; build_parser(); "
+                                  f"{LOADED_SUBMODULES}")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["cli", "core", "io"]
 
@@ -1060,8 +1080,8 @@ class TestColdStart:
         for argv in golden.RUNS:
             command = " ".join(argv[:3]) if argv[0] == "map" else argv[0]
             if command not in loaded:
-                proc = _fresh_python("-c", "import sys; from gsesim.cli import main; "
-                                           f"assert main(sys.argv[1:]) == 0; {LOADED_SUBMODULES}", *argv)
+                proc = fresh_python("-c", "import sys; from gsesim.cli import main; "
+                                          f"assert main(sys.argv[1:]) == 0; {LOADED_SUBMODULES}", *argv)
                 assert proc.returncode == 0, proc.stderr
                 # pv-check prints its summary first
                 modules = proc.stdout.splitlines()[-1].split()
@@ -1071,7 +1091,7 @@ class TestColdStart:
     def test_map_and_read_map_csv_leave_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma, 12-19 ms of a cold process
         config = make_config(tmp_path, n_points=51)
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import sys; from gsesim.cli import main; from gsesim.io import read_map_csv; "
             f"assert main(['map', '--sweep=field', '--values=0.154:0.156:3', '--config={config}', "
             f"'--output={tmp_path / 'field.csv'}']) == 0; "
@@ -1100,7 +1120,7 @@ class TestColdStart:
         assert gsesim.ParameterNameError is fitting.ParameterNameError is core.ParameterNameError
 
     def test_cli_import_loads_no_scipy(self):
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import gsesim.cli, sys; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
         ))
@@ -1108,7 +1128,7 @@ class TestColdStart:
 
     def test_pv_check_loads_no_scipy(self, tmp_path):
         out = tmp_path / "pv.csv"
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import sys; from gsesim.cli import main; "
             f"assert main(['pv-check', '--x', '0.5:50:40', '--output', {str(out)!r}]) == 0; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
@@ -1133,7 +1153,7 @@ class TestColdStart:
              f"--free=length={L_INNER!r}:0.01:0.5", f"--fixed=speed={SPEED!r}",
              "--output", str(tmp_path / "geometry.json")],
         ]
-        proc = _fresh_python("-c", (
+        proc = fresh_python("-c", (
             "import sys; from gsesim.cli import main; "
             f"assert [main(argv) for argv in {runs!r}] == [0, 0]; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
@@ -1147,8 +1167,8 @@ class TestColdStart:
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"pv{threads}.csv"
-            proc = _fresh_python("-m", "gsesim.cli", "pv-check", "--x", "0.5:20:12",
-                                 "--branch", "-", "--threads", threads, "--output", str(out))
+            proc = fresh_python("-m", "gsesim.cli", "pv-check", "--x", "0.5:20:12",
+                                "--branch", "-", "--threads", threads, "--output", str(out))
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

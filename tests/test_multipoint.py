@@ -211,7 +211,7 @@ class TestEffectiveModel:
     def test_symmetric_coupling_enforced(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex)
         with pytest.raises(ModelError):
-            EffectiveModel(2, np.array([4e9 - 1j, 4e9 - 1j]), bad, np.ones(2, dtype=complex))
+            EffectiveModel(np.array([4e9 - 1j, 4e9 - 1j]), bad, np.ones(2, dtype=complex))
 
     def test_build_matches_closed_forms(self):
         wg = Waveguide(SPEED)
@@ -227,6 +227,13 @@ class TestEffectiveModel:
         j_ref, gamma_ref = coupling_strengths(p)
         assert model.coupling[0, 1] == pytest.approx(j_ref - 1j * gamma_ref, rel=1e-12)
         assert -model.diag[1].imag == pytest.approx(giant_decay(inner) + BETA_INNER, rel=1e-12)
+
+    def test_overflowing_rate_raises_model_error(self, waveguide):
+        # sqrt(kappa_p*kappa_q) overflowed with RuntimeWarnings, and the
+        # non-finite H reached the eigensolver, which raised LinAlgError
+        t = Topology((Emitter("e", 4.35e9, 0.0, (1e300, 1e300), (0.0, L_INNER)),))
+        with pytest.raises(ModelError, match="effective Hamiltonian is not finite"):
+            build_effective(t, waveguide)
 
     def test_markov_warning_for_long_delay(self):
         wg = Waveguide(SPEED)

@@ -1,19 +1,14 @@
 """Smoke tests of scripts/: each runs in a fresh process with small arguments."""
 
 import os
-import subprocess
-import sys
 
-import gsesim
+from conftest import fresh_python
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
 def run_script(name, *args):
-    src = os.path.dirname(os.path.dirname(gsesim.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120)
+    return fresh_python(os.path.join(SCRIPTS, name), *args)
 
 
 def test_detuning_maps(tmp_path):

@@ -142,3 +142,12 @@ class TestFieldMap:
             SingleGseParams(1e6, -1.0, 0.1, 4e9, wg)
         with pytest.raises(ModelError):
             SingleGseParams(1e6, 0.0, 0.0, 4e9, wg)
+
+    def test_non_finite_values_and_phases_raise_model_error(self):
+        # the NaN rate passed, and giant_decay returned NaN; the phase across
+        # 1e300 m overflowed, and math.cos raised ValueError: math domain error
+        wg = Waveguide(SPEED)
+        with pytest.raises(ModelError, match="single-GSE parameters must be finite, got nan"):
+            SingleGseParams(math.nan, 0.0, 0.1, 4e9, wg)
+        with pytest.raises(ModelError, match="propagation phase 2\\*pi\\*f\\*d/v is not finite"):
+            giant_decay(SingleGseParams(1e6, 0.0, 1e300, 4e9, wg))
