@@ -40,7 +40,8 @@ def single_model(f, q):
     """
     f = np.asarray(f, dtype=float)
     kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], q["speed"]
-    with np.errstate(over="ignore", invalid="ignore"):  # the optimizer passes numpy scalars
+    # the optimizer passes numpy scalars, and a fixed speed may be 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi = _finite_phase(TWO_PI * f_res * length / speed)
     cos, sin = math.cos(phi), math.sin(phi)
     kappa_g = 2.0 * kappa * (1.0 + cos)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelError
+from .core import ModelError, _require_finite
 
 EULER_GAMMA = 0.5772156649015328606
 _HALF_PI = 0.5 * math.pi
@@ -140,12 +140,15 @@ def pv_closed(x, branch):
     """
     _check_branch(x, branch)
     s, c = sici(x)
-    if branch == "+":
-        a = math.cos(x) * c + math.sin(x) * (s - _HALF_PI)
-        b = 1.0 / x - math.cos(x) * (_HALF_PI - s) - math.sin(x) * c
-    else:
-        a = -math.cos(x) * c - math.sin(x) * (s + _HALF_PI)
-        b = 1.0 / x + math.cos(x) * (s + _HALF_PI) - math.sin(x) * c
+    # 1/x overflows at subnormal x: a numpy x warns, a float returns inf
+    with np.errstate(over="ignore"):
+        if branch == "+":
+            a = math.cos(x) * c + math.sin(x) * (s - _HALF_PI)
+            b = 1.0 / x - math.cos(x) * (_HALF_PI - s) - math.sin(x) * c
+        else:
+            a = -math.cos(x) * c - math.sin(x) * (s + _HALF_PI)
+            b = 1.0 / x + math.cos(x) * (s + _HALF_PI) - math.sin(x) * c
+    _require_finite(f"A(x), B(x) at x={float(x)!r}", a, b)
     return PvResult(a, b)
 
 

@@ -45,12 +45,18 @@ order with an owner index:
   b = isqrt(nf) and m = a*b + c this is a coarse factor at f_0 + a*b*df
   times a fine one at c*df: about 2*sqrt(nf) exponentials per distance
   instead of nf, formed once per call, and one complex product per entry,
-  as accurate as one exponential per entry. The drives never form that
-  nf x P product: u[a*b + c, j] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p])
-  * fine[c, p] is one (n_a x M) by (M x b) matrix product per emitter,
-  batched over the emitters with the same number M of points. The probe
-  assembly takes each block's rows of the product; row m depends on m
-  alone, so blocks of rows agree whatever the blocking.
+  as accurate as one exponential per entry. Under 'probe' each block of
+  frequencies forms its own rows of that table, scales them by
+  sqrt(kappa_p) and sums each emitter's columns for its drives
+  u_j = sum_{p in j} sqrt(kappa_p)*exp(-i*k*d_p); the a_p are the
+  conjugates of the same entries, so Gamma and the drives share every
+  exponential. The sums run along each row, so row m depends on m alone
+  and no frequency's drives depend on the blocking; no array spans the
+  grid and the points or emitters. 'mixed' needs the drives on the whole
+  grid for its pole residues and never forms the nf x P table:
+  u[a*b + c, j] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p]) * fine[c, p]
+  is one (n_a x M) by (M x b) matrix product per emitter, batched over the
+  emitters with the same number M of points.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -194,18 +200,18 @@ def _phase_factors(grid, d, speed):
     return np.exp(-1j * coarse), np.exp(-1j * fine)
 
 
-def _phasors(coarse, fine, start, stop, cols=slice(None)):
-    """Grid rows start:stop of exp(-i*2*pi*f_m*d/v) from its factors, at the
-    distances cols, shape (stop - start, d[cols].size)."""
+def _phasors(coarse, fine, start, stop):
+    """Grid rows start:stop of exp(-i*2*pi*f_m*d/v) from its factors, shape
+    (stop - start, d.size)."""
     b = fine.shape[0]
     first = start // b
-    fine = fine[:, cols]
-    table = (coarse[first : (stop - 1) // b + 1, None, cols] * fine).reshape(-1, fine.shape[1])
+    table = (coarse[first : (stop - 1) // b + 1, None] * fine).reshape(-1, fine.shape[1])
     return table[start - first * b : stop - first * b]
 
 
 def _grid_drives(pts, coarse, fine, nf):
-    """Drives u[m, j] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (nf, N).
+    """Drives u[m, j] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (nf, N),
+    for the pole residues under 'mixed'.
 
     With the factors of _phase_factors, u[a*b + c, j] is the (a, c) entry of
     the product of (sqrt(kappa_p)*coarse[a, p]) and fine[c, p] over j's
@@ -283,34 +289,42 @@ class SMatrixResult:
     min_pairing: float | None
 
 
-def _probe_resolvent(pts, f, factors, u, step):
-    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a.
+def _probe_resolvent(pts, f, factors, step):
+    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a
+    and returns the drives u there, shape (sl.stop - sl.start, N).
 
-    The couplings J come from the prefix-sum identity of the module
-    docstring; the dissipative sums factor through the drive amplitudes,
-    Gamma_jl = Re(u_j * conj(u_l)). Rebuilding them from the very
-    exponentials used in the drive keeps the anti-Hermitian part exactly
-    consistent with the in/out coupling, so lossless topologies scatter
-    unitarily to machine precision even near decoupling points where the
-    resolvent amplifies rounding. factors are _phase_factors of the
-    distances from the first point, in emitter order. The prefix-sum
-    buffers hold step frequencies and are refilled block by block.
+    Each block forms its rows of sqrt(kappa_p)*exp(-i*k*d_p) once: the sums
+    over each emitter's points are its drives, and the conjugates, taken in
+    order along the guide, the a_p of the prefix-sum identity of the module
+    docstring that gives J. The dissipative sums factor through the drives,
+    Gamma_jl = Re(u_j * conj(u_l)). Taking both from the very exponentials
+    of the drives keeps the anti-Hermitian part exactly consistent with the
+    in/out coupling, so lossless topologies scatter unitarily to machine
+    precision even near decoupling points where the resolvent amplifies
+    rounding. factors are _phase_factors of the distances from the first
+    point, in emitter order. The prefix-sum buffers hold step frequencies
+    and are refilled block by block.
     """
     n = pts.f_res.size
     order = np.argsort(pts.x)
-    root = np.sqrt(pts.kappa[order, None])
+    root = np.sqrt(pts.kappa)
     owners = pts.owner[order]
     sums_buf = np.empty(n * step * n)
     left_buf = np.empty(2 * step * n)
 
     def resolvent(sl, a):
         nb = a.shape[0]
+        ph = _phasors(*factors, sl.start, sl.stop)
+        ph.real *= root
+        ph.imag *= root
+        u = pts.emitter_sums(ph, axis=1)
         # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows, points
-        # in order along the guide
-        ph = _phasors(*factors, sl.start, sl.stop, order).T
+        # in order along the guide; rebinding ph frees the emitter-order
+        # table before a_pts is allocated
+        ph = ph[:, order].T
         a_pts = np.empty((order.size, 2, nb))
-        np.multiply(root, ph.real, out=a_pts[:, 0])
-        np.multiply(-root, ph.imag, out=a_pts[:, 1])
+        a_pts[:, 0] = ph.real
+        np.negative(ph.imag, out=a_pts[:, 1])
         del ph
         # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so far
         left = left_buf[: 2 * nb * n].reshape(2, nb, n)
@@ -324,12 +338,13 @@ def _probe_resolvent(pts, f, factors, u, step):
 
         np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
         a.real *= -0.5
-        ur, ui = u[sl].real, u[sl].imag
+        ur, ui = u.real, u.imag
         np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
         k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not nb*N*N
         for i in range(0, nb, k):
             a.imag[i : i + k] += ui[i : i + k, :, None] * ui[i : i + k, None, :]
         np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
+        return u
 
     return resolvent
 
@@ -343,13 +358,20 @@ def _scattering(u, w, gw):
     return s21, refl
 
 
-def _shifted(hrel, detuning, a):
-    """Write f*I - H for a frequency-independent hrel = H - diag(f_res) into a.
+def _fixed_resolvent(hrel, f, f_res, u):
+    """resolvent(sl, a) for _solve with a frequency-independent hrel = H - diag(f_res).
 
-    detuning = f - f_res, shape (nf, N); a has shape (nf, N, N).
+    It writes f*I - H at the grid rows sl into a and returns the rows sl of
+    the drives u, given as (N,) or on the whole grid (nf, N).
     """
-    a[:] = -hrel
-    np.einsum("fii->fi", a)[...] += detuning
+    u = np.broadcast_to(u, (f.size, f_res.size))
+
+    def resolvent(sl, a):
+        a[:] = -hrel
+        np.einsum("fii->fi", a)[...] += f[sl, None] - f_res
+        return u[sl]
+
+    return resolvent
 
 
 def _block_rows(nf, n):
@@ -357,28 +379,27 @@ def _block_rows(nf, n):
     return min(nf, max(1, _BLOCK_BYTES // (16 * n * n)))
 
 
-def _solve(resolvent, nf, u):
+def _solve(resolvent, nf, n):
     """Scattering on nf frequencies by batched solves, one block at a time.
 
     resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
-    a; u is (N,) or (nf, N) and w = conj(u). One buffer of at most one block
-    holds f - H, and each block is solved and scattered before the next.
+    a and returns the drives u there, (sl.stop - sl.start, N); w = conj(u).
+    One buffer of at most one block holds f - H, and each block is solved
+    and scattered before the next.
     """
-    n = u.shape[-1]
     step = _block_rows(nf, n)
     buf = np.empty(step * n * n, dtype=complex)
     s21, refl = np.empty(nf, dtype=complex), np.empty(nf, dtype=complex)
-    u = np.broadcast_to(u, (nf, n))
     for start in range(0, nf, step):
         sl = slice(start, min(start + step, nf))
         a = buf[: (sl.stop - start) * n * n].reshape(-1, n, n)
-        resolvent(sl, a)
-        w = np.conj(u[sl])
+        u = resolvent(sl, a)
+        w = np.conj(u)
         try:
             gw = np.linalg.solve(a, w[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise ModelError("singular resolvent on the frequency grid") from exc
-        s21[sl], refl[sl] = _scattering(u[sl], w, gw)
+        s21[sl], refl[sl] = _scattering(u, w, gw)
     return s21, refl
 
 
@@ -458,23 +479,23 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             d = pts.x - x0
             refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
         factors = _phase_factors(grid, d, v)
-        u = _grid_drives(pts, *factors, f.size)
         if convention == "mixed":
-            hrel = _assemble(pts, v, -1)
+            hrel, u = _assemble(pts, v, -1), _grid_drives(pts, *factors, f.size)
     # only once the model is formed: a run that cannot form it fails with one message
     _check_markov(t, waveguide)
 
+    n = pts.f_res.size
     path, min_pairing = "solve", None
     if convention == "probe":
-        step = _block_rows(f.size, pts.f_res.size)
-        s21, refl = _solve(_probe_resolvent(pts, f, factors, u, step), f.size, u)
+        resolvent = _probe_resolvent(pts, f, factors, _block_rows(f.size, n))
+        s21, refl = _solve(resolvent, f.size, n)
     else:
         # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
         # rounds against the GHz scale
         f0 = pts.f_res.mean()
         min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
         if result is None:
-            result = _solve(lambda sl, a: _shifted(hrel, f[sl, None] - pts.f_res, a), f.size, u)
+            result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n)
         else:
             path = "pole-residues"
         s21, refl = result

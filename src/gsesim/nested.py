@@ -100,6 +100,8 @@ def _self_energy(gse, phi, lamb_sign):
     )
 
 
+# a rate that overflows the model leaves non-finite values, which the function rejects
+@np.errstate(over="ignore", invalid="ignore")
 def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     """Matrix transmission of the nested pair on a frequency grid.
 
@@ -109,8 +111,8 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     convention is what `phase_ref='resonance'` selects). With
     phase_ref='probe' the diagonals and the coupling are re-evaluated at
     each probe frequency, making the model fully self-consistent.
-    A singular resolvent or a non-finite result on the grid raises
-    ModelError.
+    A singular resolvent, an overflowing model or a non-finite result on
+    the grid raises ModelError.
     """
     if phase_ref not in ("resonance", "probe"):
         raise ModelError(f"phase_ref must be 'resonance' or 'probe', got {phase_ref!r}")
@@ -148,14 +150,15 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     a = (f - p.outer.f_res) - self_o
     d = (f - p.inner.f_res) - self_i
     det = a * d - off * off
-    if np.any(det == 0):
-        raise ModelError("singular resolvent on the frequency grid")
 
     # S21 = 1 - i * u . (f*I - H)^-1 . conj(u), solved in closed 2x2 form
     w_o, w_i = np.conj(u_o), np.conj(u_i)
-    s21 = 1.0 - 1j * (
-        u_o * (d * w_o - off * w_i) + u_i * (-off * w_o + a * w_i)
-    ) / det
+    num = u_o * (d * w_o - off * w_i) + u_i * (-off * w_o + a * w_i)
+    if not (np.all(np.isfinite(det)) and np.all(np.isfinite(num))):
+        raise ModelError("nested resolvent is not finite: a coupling rate is too large")
+    if np.any(det == 0):
+        raise ModelError("singular resolvent on the frequency grid")
+    s21 = 1.0 - 1j * num / det
     if not np.all(np.isfinite(s21)):
         raise ModelError("singular resolvent on the frequency grid")
     return Spectrum(grid, s21)

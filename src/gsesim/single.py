@@ -62,7 +62,9 @@ def giant_decay(p, at_f=None):
     Bounded by [0, 4*kappa]; vanishes when phi is an odd multiple of pi
     (destructive interference between the two coupling points).
     """
-    return 2.0 * p.kappa * (1.0 + math.cos(p.phi(at_f)))
+    rate = 2.0 * p.kappa * (1.0 + math.cos(p.phi(at_f)))
+    _require_finite("giant decay rate", rate)  # 2*kappa overflows near the largest float
+    return rate
 
 
 def lamb_shift(p, at_f=None):

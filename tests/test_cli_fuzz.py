@@ -4,15 +4,18 @@ Every example runs in process in a fresh directory that holds a few valid
 and invalid input files. Arguments are drawn from small pools that mix
 valid values with malformed ones: missing unit suffixes, reversed ranges,
 counts of 0 or 1, negative, NaN and infinite numbers, negative seeds,
-fractional grid sizes, missing paths and non-UTF-8 files. The output
-flags (`--output`, `--manifest`, `--reflection-output`, `--eigen-output`)
-draw from one shared pool that also names an input file, so that outputs
-collide with each other and with inputs. Every name of that pool that is
-not an input and whose directory exists holds sentinel bytes before the
-run. Whatever the arguments:
+fractional grid sizes, missing paths and non-UTF-8 files, and finite
+configs whose phases or rates overflow (a point at 1e300 m, a speed of
+1e-300 m/s, a rate of 1e300 Hz). The output flags (`--output`,
+`--manifest`, `--reflection-output`, `--eigen-output`) draw from one
+shared pool that also names an input file, so that outputs collide with
+each other and with inputs. Every name of that pool that is not an input
+and whose directory exists holds sentinel bytes before the run. Whatever
+the arguments:
 
 - main returns 0, 2, 3 or 4 (argparse's own exits count as their code) and
-  no other exception escapes;
+  no other exception escapes, numpy's RuntimeWarning included: the test
+  turns it into an error, so an overflow that leaks one fails here;
 - the run's inputs, and every file it was not told to write, keep their
   bytes;
 - a failed run leaves every file as it found it, sentinels included;
@@ -51,9 +54,9 @@ def _emitter(name, beta, kappa, positions):
             "points": [{"position_m": x, "kappa_hz": kappa} for x in positions]}
 
 
-def _config(emitters, n_points=101):
+def _config(emitters, n_points=101, speed=SPEED):
     return json.dumps({
-        "waveguide": {"speed_mps": SPEED},
+        "waveguide": {"speed_mps": speed},
         "emitters": emitters,
         "probe": {"f_start_hz": F_RES - 20e6, "f_stop_hz": F_RES + 20e6, "n_points": n_points},
     })
@@ -69,6 +72,12 @@ def _inputs():
         "braided.json": _config([_emitter("a", 1.4e6, 0.7e6, (0.0, 0.1)),
                                  _emitter("b", 1.6e6, 0.8e6, (0.05, 0.15))]),
         "frac.json": _config([single], n_points=2.7),
+        # finite values whose phases or rates overflow
+        "far.json": _config([_emitter("inner", BETA_INNER, KAPPA_INNER, (0.0, 1e300))]),
+        "slow.json": _config([single], speed=1e-300),
+        "strong.json": _config([_emitter("inner", BETA_INNER, 1e300, (0.0, L_INNER))]),
+        "strong_nested.json": _config([_emitter("outer", 1.39e6, 1e300, (0.0, L_OUTER)),
+                                       _emitter("inner", BETA_INNER, 1e300, (gap, gap + L_INNER))]),
         # 10**17 doubles exceed any address space: the request fails at once
         "huge.json": _config([single], n_points=10**17),
         "bad.json": b'{"waveguide": {"speed_mps": 3.26e7}, "in\xffvalid": 1}',
@@ -86,7 +95,7 @@ def _inputs():
 INPUTS = _inputs()
 
 CONFIGS = ["single.json", "nested.json", "braided.json", "frac.json", "huge.json",
-           "bad.json", "missing.json"]
+           "bad.json", "missing.json", "far.json", "slow.json", "strong.json", "strong_nested.json"]
 DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json"]
 # shared by every output flag; single.json is also the most drawn config
 PATHS = ["out.csv", "man.json", "refl.csv", "eigen.csv", "./out.csv", "out.csv.manifest.json",
@@ -120,7 +129,7 @@ GRIDS = ["4.34GHz:4.36GHz:51", "4.36GHz:4.34GHz:51", "4.34GHz:4.36GHz:1",
 THETAS = ["0deg:180deg:13", "180deg:0deg:2", "0deg:0deg:1", "0:180:13", "0deg:180deg:0",
           "nandeg:1deg:3", "0rad:infrad:3"]
 XS = ["0.5:20:5", "20:0.5:3", "0:1:3", "-1:1:3", "nan:1:2", "0.5:inf:2", "1:2:0", "1:2",
-      "1e3:2e3:2", "2:2:1"]
+      "1e3:2e3:2", "2:2:1", "1e-320:1e-319:2"]
 
 
 def _arg(flag, values, required=False, good=1):
@@ -253,6 +262,8 @@ def run_in_fresh_dir(argv, before=BEFORE):
         return code, files
 
 
+# the first mark takes precedence: a RuntimeWarning fails the run, other warnings are ignored
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
@@ -286,6 +297,11 @@ def run_in_fresh_dir(argv, before=BEFORE):
           "--h-a=0.5", "--output=out.csv"])
 @example(["anisotropy", "--output=out.csv", "--manifest=nodir/m.json", "--h-e0=0.155",
           "--h-a=0.0035", "--theta=0deg:180deg:13"])
+@example(["simulate-nested", "--config=strong_nested.json", "--phase-ref=probe", "--output=out.csv"])
+@example(["simulate-general", "--config=strong.json", "--convention=mixed", "--output=out.csv"])
+@example(["simulate-single", "--config=slow.json", "--output=out.csv"])
+@example(["synth", "--config=far.json", "--output=out.csv"])
+@example(["pv-check", "--x=1e-320:1e-319:2", "--output=out.csv"])
 def test_cli_main_exits_with_a_documented_code(argv):
     code, files = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)

@@ -57,6 +57,16 @@ closed form m +- sqrt(w - ic)*sqrt(w + ic). Every branch kept its label;
 the eigenvalues moved by at most 2.9e-6 Hz (6.6e-16 of max|lambda|), and
 against a 40-digit reference the largest error fell from 2.3e-6 to
 6.8e-7 Hz. Every other digest stayed as it was.
+
+general_probe.csv, general_probe_refl.csv and the manifest of their run
+were re-captured when each frequency block of the 'probe' solve began to
+form its drives from its own rows of the phasor table, summed per
+emitter, in place of the whole-grid batched product. Against the parent,
+S21 moved by at most 4.6e-16 and the reflection by 3.6e-16; on the
+multipoint-scatter layouts of seed 1, |dS21| and |dS11| stayed within
+1.4e-14 and 2.6e-14 (the lossless N = 32 layout) and within 2.1e-15
+elsewhere. 'resonance' and 'mixed' stayed bit for bit, and every other
+digest stayed as it was.
 """
 
 import hashlib
@@ -167,9 +177,9 @@ GOLDEN = {
     "g2.csv.manifest.json": "7e1db671bb3073b2463b8e9acb15664cfe2a0ce53d42662064ad866a35837233",
     "general_mixed.csv": "954c3098ae389eddd919b680067e267d02cc7f09b3734d37ecd90829274efaf3",
     "general_mixed.csv.manifest.json": "e6c8e134d88bcb75720ccfecc7f114005cb3e013766454ef669ba8a77d96553d",
-    "general_probe.csv": "3ea0a03caea4f8783ddf0724d830a6ecd8710133a0587da8e00f87df25faa3d7",
-    "general_probe.csv.manifest.json": "e0fd261ce38eceaa5b10f8bfb8e9d86bec7d9e2cc9ce92bfa8d8c298ea104bc1",
-    "general_probe_refl.csv": "be3730e32da96c94993e0854d1eed6a09ab2057869c5def69d908ac52deafbc6",
+    "general_probe.csv": "7127bd2a4900a9639deef616f75e75ec825c892c712b3ed5939c42ea8266d862",
+    "general_probe.csv.manifest.json": "9381160eb2de1405bbebdaad3930545f2e4dcc636d5bb2a7d83f1c4cab157e4e",
+    "general_probe_refl.csv": "37fae361acfa0d03aba20f565bbaa2a3474ae37f9bff9190992a44707310bdb0",
     "general_resonance.csv": "9462dfbf6518a7390cc9561f285ad739936c0cd72ae3a36723caf1b6787b1a49",
     "general_resonance.csv.manifest.json": "947375edf4535324cd55dff9a708bcff95f2ce615b8061465fbfa225ce620ccd",
     "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",

@@ -28,7 +28,7 @@ from gsesim.io import (
     write_map_csv,
     write_spectrum_csv,
 )
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, SPEED, TWO_MODE, fresh_python
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, TWO_MODE, fresh_python
 from reference import _write_table as write_table_per_row
 
 # any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
@@ -946,6 +946,26 @@ class TestCli:
         cfg = tmp_path / "config.json"
         emitters_config(cfg, [(0.0, 1e300), (L_INNER, 1e300)], [(0.04, KAPPA_INNER), (0.12, KAPPA_INNER)])
         if argv[0] == "simulate-general":
+            argv = [*argv, "--config", str(cfg)]
+        proc = fresh_python("-m", "gsesim.cli", *argv, "--output", str(tmp_path / "out.csv"))
+        assert proc.returncode == 3, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"numeric failure: {message}")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pv-check", "--x", "1e-320:1e-319:2"], "A(x), B(x) at x=1e-320 must be finite, got inf"),
+        (["simulate-nested", "--phase-ref", "resonance"], "nested resolvent is not finite"),
+        (["simulate-nested", "--phase-ref", "probe"], "nested resolvent is not finite"),
+    ], ids=["pv-check", "nested-resonance", "nested-probe"])
+    def test_overflowing_closed_form_exits_3(self, tmp_path, argv, message):
+        # pv-check printed numpy's overflow warning from 1/x, then exited 3 on
+        # a quadrature residual of 1.7e31; simulate-nested on 1e300 Hz rates
+        # printed numpy RuntimeWarnings, then named a singular resolvent
+        cfg = tmp_path / "config.json"
+        gap = (L_OUTER - L_INNER) / 2
+        emitters_config(cfg, [(0.0, 1e300), (L_OUTER, 1e300)], [(gap, 1e300), (gap + L_INNER, 1e300)])
+        if argv[0] == "simulate-nested":
             argv = [*argv, "--config", str(cfg)]
         proc = fresh_python("-m", "gsesim.cli", *argv, "--output", str(tmp_path / "out.csv"))
         assert proc.returncode == 3, proc.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -70,6 +71,16 @@ class TestClosedForms:
             pv_closed(0.0, "+")
         with pytest.raises(PvDivergence):
             pv_quadrature(0.0, "-")
+
+    @pytest.mark.parametrize("x", [1e-320, np.float64(1e-320)], ids=["float", "numpy"])
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_overflowing_closed_form_raises_model_error(self, x, branch):
+        # 1/x overflows at subnormal x: a float returned B = inf without a
+        # word, and a numpy float warned first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="A\\(x\\), B\\(x\\) at x=1e-320 must be finite, got inf"):
+                pv_closed(x, branch)
 
     def test_branch_validation(self):
         with pytest.raises(ModelError):

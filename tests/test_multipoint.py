@@ -586,6 +586,22 @@ class TestFrequencyBlocks:
         assert res.path == "solve"
         assert peak <= 10.5e6
 
+    @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
+    def test_probe_peak_memory_does_not_grow_with_the_grid(self, waveguide):
+        # each block forms its drives from its own exponentials: whole-grid
+        # drives and their batched product took N = 32 x 4 on 20 001 points to
+        # a 22 MB peak. 'resonance' and 'mixed' get no long-grid case: their
+        # pole residues hold nf x N arrays by design
+        t = interleaved(np.random.default_rng(6), 32, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 20001)
+        tracemalloc.start()
+        try:
+            passive_checked_s_matrix(t, waveguide, grid, convention="probe")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
 
 def direct_factors(grid, d, speed):
     """mp._phase_factors with one exponential per frequency and distance:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -127,6 +128,17 @@ class TestMatrixTransmission:
         assert grid.frequencies[1] == 4.35e9
         with pytest.raises(ModelError, match="singular"):
             s21_nested_matrix(p, grid, phase_ref=phase_ref)
+
+    @pytest.mark.parametrize("kappa", [1e300, 1e308])
+    @pytest.mark.parametrize("phase_ref", ["resonance", "probe"])
+    def test_overflowing_rates_raise_model_error(self, phase_ref, kappa):
+        # the determinant and S21 overflowed with numpy RuntimeWarnings, and
+        # the error named a singular resolvent
+        p = make_pair(kappa_i=kappa, kappa_o=kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="nested resolvent is not finite: a coupling rate is too large"):
+                s21_nested_matrix(p, grid_around(4.35e9, 10 * MHZ, n=11), phase_ref=phase_ref)
 
     def test_geometry_invariants(self):
         wg = Waveguide(SPEED)

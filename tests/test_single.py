@@ -61,6 +61,16 @@ class TestRates:
         f_shift = p0.f_res + SPEED / L_INNER
         assert giant_decay(p0, f_shift) == pytest.approx(giant_decay(p0), rel=1e-9)
 
+    def test_overflowing_decay_raises_model_error(self):
+        # 2*kappa*(1 + cos(phi)) overflowed to inf in float arithmetic, without
+        # a warning; lamb_shift is bounded by kappa and cannot overflow
+        p = SingleGseParams(1e308, 0.0, 0.0828, 4.33e9, Waveguide(3.26e7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="giant decay rate must be finite, got inf"):
+                giant_decay(p)
+            assert abs(lamb_shift(p)) <= p.kappa
+
 
 class TestTransmission:
     def test_dip_depth_at_full_constructive_point(self):
