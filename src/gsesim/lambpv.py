@@ -32,6 +32,7 @@ from .core import ModelError, _require_finite
 EULER_GAMMA = 0.5772156649015328606
 _HALF_PI = 0.5 * math.pi
 _SERIES_SPLIT = 4.0
+_ASYMPTOTIC_SPLIT = 1e9  # the next terms of f and g, 2/x^2 and 6/x^2 of them, are below 1e-17 here
 _RESIDUAL_TOL = 1e-5  # largest quadrature residual pv_quadrature accepts
 
 
@@ -97,6 +98,13 @@ def sici(x):
         raise ModelError(f"sici requires finite x > 0, got {x!r}")
     if x < _SERIES_SPLIT:
         return _sici_series(x)
+    if x >= _ASYMPTOTIC_SPLIT:
+        # Si = pi/2 - f*cos(x) - g*sin(x), Ci = f*sin(x) - g*cos(x) with the
+        # auxiliary functions f ~ 1/x, g ~ 1/x^2 (Abramowitz & Stegun
+        # 5.2.8-5.2.9, 5.2.34-5.2.35); from about x = 7e12 on, the continued
+        # fraction stalls short of its tolerance at some x
+        f, g = 1.0 / x, 1.0 / x / x
+        return _HALF_PI - f * math.cos(x) - g * math.sin(x), f * math.sin(x) - g * math.cos(x)
     e1 = _e1_imag_axis(x)
     return _HALF_PI + e1.imag, -e1.real
 

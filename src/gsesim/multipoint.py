@@ -68,6 +68,10 @@ order with an owner index:
   the eigenvectors are not mutually orthogonal in this sense (a
   degenerate eigenvalue), it falls back to the batched solve, in the same
   blocks of frequencies.
+- The batched solve of 'probe' and of that fallback is an elimination along
+  the frequency axis up to _MAX_ELIMINATION_N emitters: LAPACK pays a fixed
+  cost per small matrix, and its bits follow the OpenBLAS kernel. Larger N
+  go to np.linalg.solve.
 """
 
 from __future__ import annotations
@@ -93,6 +97,12 @@ _MAX_CROSS_PAIRING = 1e-10
 # max(1, _BLOCK_BYTES // (16 * N^2)) frequencies. The probe assembly's own
 # temporaries per block are a fraction of this.
 _BLOCK_BYTES = 4 << 20
+
+# _solve eliminates along the frequency axis up to this many emitters and
+# calls LAPACK above it. Per matrix at 2001 frequencies, with rows swapped
+# at about half of them, the elimination is 1.6x (N = 4) to 15x (N = 1)
+# faster, level to 1.5x faster at N = 5, and up to 1.8x slower at N = 8.
+_MAX_ELIMINATION_N = 4
 
 # 'resonance' and 'mixed' emit PassivityWarning when |S21|^2 + |S11|^2
 # exceeds 1 + _PASSIVITY_TOL anywhere on the grid: rounding alone stays
@@ -379,13 +389,52 @@ def _block_rows(nf, n):
     return min(nf, max(1, _BLOCK_BYTES // (16 * n * n)))
 
 
+def _eliminate(a, w):
+    """a^-1 w for a block a (nb, N, N) and w (nb, N), by Gaussian elimination
+    with partial pivoting vectorized along the frequency axis.
+
+    Each entry of the system is one contiguous (nb,) copy, so every step is
+    a ufunc call on same-length 1-D arrays: frequency f's arithmetic depends
+    on f alone, whatever the blocking, and no BLAS kernel is involved. The
+    pivot of each column is its entry of largest modulus at each frequency;
+    rows swap only at the frequencies that need it. A zero or overflowing
+    pivot leaves non-finite values, which _scattering rejects.
+    """
+    n = w.shape[1]
+    at = a.transpose(1, 2, 0).copy()
+    rows = [[*at[i], w[:, i].copy()] for i in range(n)]  # row i: entries (i, 0..N-1), then w_i
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            rk = rows[k]
+            best = np.abs(rk[k])
+            for ri in rows[k + 1 :]:
+                mag = np.abs(ri[k])
+                take = mag > best
+                if take.any():
+                    for j in range(k, n + 1):
+                        rk[j], ri[j] = np.where(take, ri[j], rk[j]), np.where(take, rk[j], ri[j])
+                    best = np.maximum(best, mag)
+            for ri in rows[k + 1 :]:
+                m = ri[k] / rk[k]
+                for j in range(k + 1, n + 1):
+                    ri[j] -= m * rk[j]
+        x = [None] * n
+        for i in reversed(range(n)):
+            s = rows[i][n]
+            for j in range(i + 1, n):
+                s -= rows[i][j] * x[j]
+            x[i] = s / rows[i][i]
+    return np.stack(x, axis=1)
+
+
 def _solve(resolvent, nf, n):
     """Scattering on nf frequencies by batched solves, one block at a time.
 
     resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
     a and returns the drives u there, (sl.stop - sl.start, N); w = conj(u).
     One buffer of at most one block holds f - H, and each block is solved
-    and scattered before the next.
+    and scattered before the next: by _eliminate up to _MAX_ELIMINATION_N
+    emitters, by LAPACK above.
     """
     step = _block_rows(nf, n)
     buf = np.empty(step * n * n, dtype=complex)
@@ -395,10 +444,13 @@ def _solve(resolvent, nf, n):
         a = buf[: (sl.stop - start) * n * n].reshape(-1, n, n)
         u = resolvent(sl, a)
         w = np.conj(u)
-        try:
-            gw = np.linalg.solve(a, w[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ModelError("singular resolvent on the frequency grid") from exc
+        if n <= _MAX_ELIMINATION_N:
+            gw = _eliminate(a, w)
+        else:
+            try:
+                gw = np.linalg.solve(a, w[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise ModelError("singular resolvent on the frequency grid") from exc
         s21[sl], refl[sl] = _scattering(u, w, gw)
     return s21, refl
 

@@ -67,6 +67,16 @@ multipoint-scatter layouts of seed 1, |dS21| and |dS11| stayed within
 1.4e-14 and 2.6e-14 (the lossless N = 32 layout) and within 2.1e-15
 elsewhere. 'resonance' and 'mixed' stayed bit for bit, and every other
 digest stayed as it was.
+
+general_probe.csv, general_probe_refl.csv and the manifest of their run
+were re-captured when the batched solve of up to four emitters moved from
+LAPACK to an elimination along the frequency axis. Against the parent,
+S21 moved by at most 4.6e-16 and the reflection by 4.0e-16; on the
+multipoint-scatter layouts of seeds 1 and 7, the N = 2 'probe' tasks and
+the nested pair at its exceptional point moved by at most 4.8e-16, and
+every task with N >= 8 stayed bit for bit. Every other digest stayed as
+it was. The two data files now read the same under other OpenBLAS cores,
+which test_probe_csvs_match_golden_on_other_blas_cores pins.
 """
 
 import hashlib
@@ -177,9 +187,9 @@ GOLDEN = {
     "g2.csv.manifest.json": "7e1db671bb3073b2463b8e9acb15664cfe2a0ce53d42662064ad866a35837233",
     "general_mixed.csv": "954c3098ae389eddd919b680067e267d02cc7f09b3734d37ecd90829274efaf3",
     "general_mixed.csv.manifest.json": "e6c8e134d88bcb75720ccfecc7f114005cb3e013766454ef669ba8a77d96553d",
-    "general_probe.csv": "7127bd2a4900a9639deef616f75e75ec825c892c712b3ed5939c42ea8266d862",
-    "general_probe.csv.manifest.json": "9381160eb2de1405bbebdaad3930545f2e4dcc636d5bb2a7d83f1c4cab157e4e",
-    "general_probe_refl.csv": "37fae361acfa0d03aba20f565bbaa2a3474ae37f9bff9190992a44707310bdb0",
+    "general_probe.csv": "2a9c98c62939b103a3e08360287a91d5011fa37d4435154e93a369ba76f9a09e",
+    "general_probe.csv.manifest.json": "f50327079927b2ef44d516c99145495582c07350221d838694118cb8602f012d",
+    "general_probe_refl.csv": "ea829bf47ff91d1afa5c848dfcbd895779242c3593979649812e96f8e7ff0f3c",
     "general_resonance.csv": "9462dfbf6518a7390cc9561f285ad739936c0cd72ae3a36723caf1b6787b1a49",
     "general_resonance.csv.manifest.json": "947375edf4535324cd55dff9a708bcff95f2ce615b8061465fbfa225ce620ccd",
     "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",
@@ -222,8 +232,17 @@ HOST_CLASSES = {
 }
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the emulated host classes are x86-64 ones")
+X86_64 = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                            reason="the emulated host classes are x86-64 ones")
+
+
+def _run_fresh(tmp_path, argv, env):
+    proc = fresh_python("-c", "import sys; from gsesim.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
+                        cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@X86_64
 @pytest.mark.parametrize("env", HOST_CLASSES.values(), ids=HOST_CLASSES.keys())
 def test_eigen_csv_matches_golden_on_other_host_classes(tmp_path, env):
     """The closed-form eigen.csv does not depend on the BLAS kernel or on AVX-512.
@@ -234,8 +253,20 @@ def test_eigen_csv_matches_golden_on_other_host_classes(tmp_path, env):
     (map_detuning.csv among them), and eigen.csv is not promised there
     either, so that case is left out.
     """
-    argv = next(argv for argv in RUNS if "--eigen-output" in argv)
-    proc = fresh_python("-c", "import sys; from gsesim.cli import main; sys.exit(main(sys.argv[1:]))", *argv,
-                        cwd=tmp_path, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(tmp_path, next(argv for argv in RUNS if "--eigen-output" in argv), env)
     assert hashlib.sha256((tmp_path / "eigen.csv").read_bytes()).hexdigest() == GOLDEN["eigen.csv"]
+
+
+@X86_64
+@pytest.mark.parametrize("host", ["openblas-prescott", "openblas-haswell"])
+def test_probe_csvs_match_golden_on_other_blas_cores(tmp_path, host):
+    """The braided 'probe' run calls no BLAS or LAPACK routine: its data files
+    read the same under other OpenBLAS core types.
+
+    The numpy-without-x86-v4 host class is left out: without AVX-512 both
+    files still differ, through np.log10 in the dB column of io._db.
+    """
+    (tmp_path / "braided.json").write_text(json.dumps(BRAIDED))
+    _run_fresh(tmp_path, next(argv for argv in RUNS if "--reflection-output" in argv), HOST_CLASSES[host])
+    for name in ("general_probe.csv", "general_probe_refl.csv"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN[name], name

@@ -780,6 +780,14 @@ class TestCli:
         assert body["abs_err_a"].max() <= 1e-6
         assert body["abs_err_b"].max() <= 1e-6
 
+    def test_pv_check_at_the_largest_floats(self, tmp_path):
+        # exited 3: the continued fraction for E1(i*x) did not converge
+        out = str(tmp_path / "pv.csv")
+        assert main(["pv-check", "--x", "1e308:1.7e308:2", "--output", out]) == 0
+        body = np.genfromtxt(out, delimiter=",", names=True)
+        assert body.size == 2
+        assert all(np.all(np.isfinite(body[name])) for name in body.dtype.names)
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
         out = tmp_path / "noisy.csv"

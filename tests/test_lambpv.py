@@ -27,6 +27,14 @@ class TestSiCi:
         assert si == pytest.approx(float(mpmath.si(x)), rel=1e-14, abs=1e-15)
         assert ci == pytest.approx(float(mpmath.ci(x)), rel=1e-13, abs=1e-15)
 
+    @pytest.mark.parametrize("x", np.geomspace(10.0, 1.7e308, 61))
+    def test_against_multiprecision_up_to_the_largest_float(self, x):
+        # the continued fraction for E1(i*x) did not converge from about 5e307
+        si, ci = sici(float(x))
+        with mpmath.workdps(30):
+            assert si == pytest.approx(float(mpmath.si(x)), rel=1e-15)
+            assert ci == pytest.approx(float(mpmath.ci(x)), rel=1e-15)
+
     def test_si_asymptote(self):
         assert sici(1e4)[0] == pytest.approx(math.pi / 2, abs=2e-4)
 

@@ -602,6 +602,100 @@ class TestFrequencyBlocks:
             tracemalloc.stop()
         assert peak <= 12e6
 
+    @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("n", range(1, mp._MAX_ELIMINATION_N + 1))
+    def test_eliminated_outputs_do_not_depend_on_the_blocking(self, monkeypatch, waveguide, convention, n):
+        # the same check at the N that _eliminate solves: a complex product
+        # with a broadcast operand changes its bits at one-frequency blocks
+        t = interleaved(np.random.default_rng(5), n, 3)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 201)
+        monkeypatch.setattr(mp, "_MIN_PAIRING", np.inf)
+        default = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
+        for budget in (1, 7 * 16 * n * n):
+            monkeypatch.setattr(mp, "_BLOCK_BYTES", budget)
+            blocked = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
+            assert np.array_equal(blocked.transmission.s21, default.transmission.s21)
+            assert np.array_equal(blocked.reflection, default.reflection)
+
+
+def random_batch(seed, nb, n, scale=1.0):
+    """(a, u): nb complex n x n matrices and drives, entries of modulus about scale."""
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.normal(size=(nb, n, n)) + 1j * rng.normal(size=(nb, n, n)))
+    u = scale * (rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n)))
+    return a, u
+
+
+def solve_batch(a, u):
+    """mp._solve on the fixed batch a with drives u, one frequency per row."""
+    def resolvent(sl, buf):
+        buf[:] = a[sl]
+        return u[sl]
+
+    return mp._solve(resolvent, *u.shape)
+
+
+batches = dict(seed=st.integers(0, 2**32 - 1), nb=st.integers(1, 24), n=st.integers(1, mp._MAX_ELIMINATION_N))
+
+
+class TestElimination:
+    """_eliminate: partial pivoting along the frequency axis, against LAPACK."""
+
+    @given(**batches, zero_lead=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lapack(self, seed, nb, n, zero_lead):
+        a, u = random_batch(seed, nb, n)
+        if zero_lead and n > 1:
+            a[::2, 0, 0] = 0.0  # pivoting must act at these frequencies
+        w = np.conj(u)
+        a0, w0 = a.copy(), w.copy()
+        x = mp._eliminate(a, w)
+        assert np.array_equal(a, a0) and np.array_equal(w, w0)
+        ref = np.linalg.solve(a, w[..., None])[..., 0]
+        cond = np.linalg.cond(a)
+        err = np.linalg.norm(x - ref, axis=1)
+        assert np.all(err <= 64 * n * np.finfo(float).eps * cond * np.linalg.norm(ref, axis=1))
+
+    @given(**batches, cuts=st.lists(st.integers(1, 23), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_splits_give_the_same_bits(self, seed, nb, n, cuts):
+        a, u = random_batch(seed, nb, n)
+        a[1::3, 0, 0] = 0.0
+        w = np.conj(u)
+        edges = [0, *sorted({c for c in cuts if c < nb}), nb]
+        parts = [mp._eliminate(a[i:j], w[i:j]) for i, j in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(parts), mp._eliminate(a, w))
+
+    @given(**batches, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_singular_frequency_raises(self, seed, nb, n, data):
+        a, u = random_batch(seed, nb, n)
+        f = data.draw(st.integers(0, nb - 1))
+        a[f, :, data.draw(st.integers(0, n - 1))] = 0.0  # a zero column: exactly singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match="singular resolvent"):
+                solve_batch(a, u)
+
+    @given(**batches, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_entries_are_finite_or_model_error(self, seed, nb, n, data):
+        values = [0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]
+        pick = data.draw(st.lists(st.sampled_from(values), min_size=2, max_size=2))
+        a, u = random_batch(seed, nb, n)
+        rng = np.random.default_rng(seed)
+        # a random share of the entries is replaced by the drawn extremes
+        mask = rng.random(a.shape) < 0.5
+        a[mask] = pick[0] + 1j * pick[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                s21, refl = solve_batch(a, u)
+            except ModelError:
+                return
+        assert np.all(np.isfinite(s21)) and np.all(np.isfinite(refl))
+
 
 def direct_factors(grid, d, speed):
     """mp._phase_factors with one exponential per frequency and distance:
