@@ -39,7 +39,7 @@ def _require_finite(name, *values):
 def _finite_phase(phi):
     """phi, a propagation phase 2*pi*f*d/v its caller formed under np.errstate;
     ModelError, not numpy warnings or a LAPACK failure, when it is not finite."""
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ModelError("propagation phase 2*pi*f*d/v is not finite: a distance or frequency "
                          "is too large, or the waveguide speed too small")
     return phi
@@ -144,7 +144,10 @@ class FrequencyGrid:
 
     @property
     def frequencies(self):
-        return np.linspace(self.f_start, self.f_stop, self.n_points)
+        # near the largest float the last point can round past it before
+        # linspace sets it to f_stop: the result is finite, the warning spurious
+        with np.errstate(over="ignore"):
+            return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ class Spectrum:
             raise ModelError(
                 f"spectrum length {s21.shape} does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(s21)):
+        if not np.isfinite(s21).all():
             raise ModelError("spectrum contains non-finite values")
 
     @property

@@ -35,8 +35,9 @@ order with an owner index:
   buffer holding f - H for one block of frequencies (Gamma a few
   frequencies at a time), which one batched call solves and turns into S21
   and reflection before the next block is assembled. A block holds as many
-  frequencies as fit in _BLOCK_BYTES, so no buffer grows with the grid,
-  and no frequency's arithmetic depends on the blocking. The f - H and
+  frequencies as fit in _BLOCK_BYTES (_block_rows counts what a block
+  holds per frequency), so no buffer grows with the grid, and no
+  frequency's arithmetic depends on the blocking. The f - H and
   prefix-sum buffers are allocated once per call and refilled block by
   block, so their pages fault in once per call, not once per block: the
   allocator unmaps arrays this large when they are freed.
@@ -53,8 +54,8 @@ order with an owner index:
   exponential. The sums run along each row, so row m depends on m alone
   and no frequency's drives depend on the blocking; no array spans the
   grid and the points or emitters. 'mixed' needs the drives on the whole
-  grid for its pole residues and never forms the nf x P table:
-  u[a*b + c, j] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p]) * fine[c, p]
+  grid for its pole residues, as N rows, and never forms the nf x P table:
+  u[j, a*b + c] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p]) * fine[c, p]
   is one (n_a x M) by (M x b) matrix product per emitter, batched over the
   emitters with the same number M of points.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
@@ -63,7 +64,10 @@ order with an owner index:
   `s_matrix` diagonalizes H - f0 (f0 the mean resonance, which keeps
   detuning coordinates) once and sums the pole residues: O(N^3 + nf*N^2)
   instead of O(nf*N^3), plus one step of iterative refinement that keeps
-  the error at the level of the solve. Near an exceptional point
+  the error at the level of the solve. It works in eigen-coordinates on N
+  rows along the grid, so each product is one N x N matrix times an
+  N x nf array and S21 and the reflection contract there, with no
+  solution transformed back. Near an exceptional point
   r_k^T r_k -> 0 and the residues lose their accuracy; there, and whenever
   the eigenvectors are not mutually orthogonal in this sense (a
   degenerate eigenvalue), it falls back to the batched solve, in the same
@@ -71,7 +75,12 @@ order with an owner index:
 - The batched solve of 'probe' and of that fallback is an elimination along
   the frequency axis up to _MAX_ELIMINATION_N emitters: LAPACK pays a fixed
   cost per small matrix, and its bits follow the OpenBLAS kernel. Larger N
-  go to np.linalg.solve.
+  go to np.linalg.solve. The layout follows the solver. Up to the limit
+  every entry of f - H, every drive, prefix sum and a_p is one contiguous
+  row along the block's frequencies, so each numpy call runs along the
+  frequency axis and the elimination reads the rows as they are. Above it
+  f - H and the prefix sums stay frequency-major, the block LAPACK takes;
+  there each call already runs over N x N entries.
 """
 
 from __future__ import annotations
@@ -93,15 +102,18 @@ from .core import ModelError, Spectrum, TWO_PI, _finite_phase
 _MIN_PAIRING = 1e-2
 _MAX_CROSS_PAIRING = 1e-10
 
-# Bytes of f - H held at once by the batched solve: a block holds
-# max(1, _BLOCK_BYTES // (16 * N^2)) frequencies. The probe assembly's own
-# temporaries per block are a fraction of this.
+# Bytes one block of the batched solve holds: f - H (16*N^2 per frequency)
+# and, up to _MAX_ELIMINATION_N, the probe assembly's rows too (_block_rows),
+# which at N <= 4 outweigh f - H. At 2001 points every block of N <= 4
+# emitters with up to 8 points each is the whole grid.
 _BLOCK_BYTES = 4 << 20
 
 # _solve eliminates along the frequency axis up to this many emitters and
-# calls LAPACK above it. Per matrix at 2001 frequencies, with rows swapped
-# at about half of them, the elimination is 1.6x (N = 4) to 15x (N = 1)
-# faster, level to 1.5x faster at N = 5, and up to 1.8x slower at N = 8.
+# calls LAPACK above it; the layout of each block switches with it. Per
+# matrix at 2001 frequencies, with rows swapped at about half of them, the
+# elimination is 1.6x (N = 4) to 15x (N = 1) faster, level to 1.5x faster
+# at N = 5, and up to 1.8x slower at N = 8. The whole 'probe' assembly in
+# rows along the frequencies was 22-58 % slower at N = 8 to 64.
 _MAX_ELIMINATION_N = 4
 
 # 'resonance' and 'mixed' emit PassivityWarning when |S21|^2 + |S11|^2
@@ -188,8 +200,7 @@ class _Points:
     def drives(self, speed):
         """Port-1 drive sum_p sqrt(kappa_p)*exp(-i*2*pi*f_res*x_p/v) of every
         emitter, each at its own resonance (N,)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            theta = _finite_phase(TWO_PI * (self.f_res[self.owner] * self.x) / speed)
+        theta = _finite_phase(TWO_PI * (self.f_res[self.owner] * self.x) / speed)
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 
 
@@ -204,9 +215,8 @@ def _phase_factors(grid, d, speed):
     b = math.isqrt(nf)
     df = (grid.f_stop - grid.f_start) / (nf - 1)
     a = np.arange(-(-nf // b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = _finite_phase(TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed)
-        fine = _finite_phase(TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed)
+    coarse = _finite_phase(TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed)
+    fine = _finite_phase(TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed)
     return np.exp(-1j * coarse), np.exp(-1j * fine)
 
 
@@ -220,7 +230,7 @@ def _phasors(coarse, fine, start, stop):
 
 
 def _grid_drives(pts, coarse, fine, nf):
-    """Drives u[m, j] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (nf, N),
+    """Drives u[j, m] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (N, nf),
     for the pole residues under 'mixed'.
 
     With the factors of _phase_factors, u[a*b + c, j] is the (a, c) entry of
@@ -230,14 +240,14 @@ def _grid_drives(pts, coarse, fine, nf):
     sizes = np.diff(pts.starts, append=pts.x.size)
     scaled = (coarse * np.sqrt(pts.kappa)).T
     fine = fine.T
-    u = np.empty((nf, sizes.size), dtype=complex)
+    u = np.empty((sizes.size, nf), dtype=complex)
     for m in set(sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
         js = np.flatnonzero(sizes == m)
         idx = pts.starts[js, None] + np.arange(m)  # points of each emitter with m of them
         prod = np.matmul(scaled[idx].transpose(0, 2, 1), fine[idx])
         # a slice scatters three times faster than an index array
         cols = js if js.size < sizes.size else slice(None)
-        u[:, cols] = prod.reshape(js.size, -1)[:, :nf].T
+        u[cols] = prod.reshape(js.size, -1)[:, :nf]
     return u
 
 
@@ -255,15 +265,15 @@ def _assemble(pts, speed, lamb_sign):
         return 0.5 * (b + b.T)
 
     f_pt = pts.f_res[pts.owner]
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
-        phi = _finite_phase(TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed)
-        root = np.sqrt(np.outer(pts.kappa, pts.kappa))
-        j = 0.5 * block_sums(root * np.sin(phi))
-        gamma = block_sums(root * np.cos(phi))
-        j[np.diag_indices_from(j)] *= lamb_sign
-        hrel = j - 1j * (gamma + np.diag(pts.beta))
-    if not np.all(np.isfinite(hrel)):
+    f_ref = 0.5 * (f_pt[:, None] + f_pt[None, :])
+    phi = _finite_phase(TWO_PI * (f_ref * np.abs(pts.x[:, None] - pts.x[None, :])) / speed)
+    root = np.sqrt(pts.kappa[:, None] * pts.kappa)
+    j = 0.5 * block_sums(root * np.sin(phi))
+    gamma = block_sums(root * np.cos(phi))
+    j.reshape(-1)[:: j.shape[0] + 1] *= lamb_sign
+    gamma.reshape(-1)[:: j.shape[0] + 1] += pts.beta
+    hrel = j - 1j * gamma
+    if not np.isfinite(hrel).all():
         raise ModelError("effective Hamiltonian is not finite: a coupling rate is too large")
     return hrel
 
@@ -275,10 +285,11 @@ def build_effective(t, waveguide):
     coupling at (f_res_j + f_res_l)/2.
     """
     pts = _Points.of(t)
-    hrel = _assemble(pts, waveguide.speed, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hrel = _assemble(pts, waveguide.speed, 1)
+        drive = pts.drives(waveguide.speed)
     coupling = hrel.copy()
-    np.fill_diagonal(coupling, 0.0)
-    drive = pts.drives(waveguide.speed)
+    coupling.reshape(-1)[:: drive.size + 1] = 0.0
     _check_markov(t, waveguide)
     return EffectiveModel(pts.f_res + np.diagonal(hrel), coupling, drive)
 
@@ -300,8 +311,8 @@ class SMatrixResult:
 
 
 def _probe_resolvent(pts, f, factors, step):
-    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a
-    and returns the drives u there, shape (sl.stop - sl.start, N).
+    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a,
+    given as (N, N, nb), and returns the drives u there, (N, nb).
 
     Each block forms its rows of sqrt(kappa_p)*exp(-i*k*d_p) once: the sums
     over each emitter's points are its drives, and the conjugates, taken in
@@ -313,9 +324,12 @@ def _probe_resolvent(pts, f, factors, step):
     precision even near decoupling points where the resolvent amplifies
     rounding. factors are _phase_factors of the distances from the first
     point, in emitter order. The prefix-sum buffers hold step frequencies
-    and are refilled block by block.
+    and are refilled block by block, in the memory order of a: each entry
+    one row along the frequencies up to _MAX_ELIMINATION_N emitters,
+    frequency-major above.
     """
     n = pts.f_res.size
+    rows_major = n <= _MAX_ELIMINATION_N
     order = np.argsort(pts.x)
     root = np.sqrt(pts.kappa)
     owners = pts.owner[order]
@@ -323,11 +337,11 @@ def _probe_resolvent(pts, f, factors, step):
     left_buf = np.empty(2 * step * n)
 
     def resolvent(sl, a):
-        nb = a.shape[0]
+        nb = a.shape[2]
         ph = _phasors(*factors, sl.start, sl.stop)
         ph.real *= root
         ph.imag *= root
-        u = pts.emitter_sums(ph, axis=1)
+        u = pts.emitter_sums(ph.T, axis=0) if rows_major else pts.emitter_sums(ph, axis=1).T
         # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows, points
         # in order along the guide; rebinding ph frees the emitter-order
         # table before a_pts is allocated
@@ -336,34 +350,50 @@ def _probe_resolvent(pts, f, factors, step):
         a_pts[:, 0] = ph.real
         np.negative(ph.imag, out=a_pts[:, 1])
         del ph
-        # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so far
-        left = left_buf[: 2 * nb * n].reshape(2, nb, n)
-        sums = sums_buf[: n * nb * n].reshape(n, nb, n)  # sums[j, :, l] = Im(sum_{p in j} a_p * C_l(x_p))
+        # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so
+        # far, and sums[j, l] = Im(sum_{p in j} a_p * C_l(x_p)), both as
+        # (lead, N, nb) views, frequency-major in memory above the limit
+        shape = (n, nb) if rows_major else (nb, n)
+        left = left_buf[: 2 * n * nb].reshape(2, *shape)
+        sums = sums_buf[: n * n * nb].reshape(n, *shape)
+        if not rows_major:
+            left, sums = left.transpose(0, 2, 1), sums.transpose(0, 2, 1)
         left.fill(0.0)
         sums.fill(0.0)
         for a_p, j in zip(a_pts, owners):
-            sums[j] += np.einsum("kf,kfl->fl", a_p, left)
-            left[0, :, j] -= a_p[1]
-            left[1, :, j] += a_p[0]
+            sums[j] += np.einsum("kf,klf->lf", a_p, left)
+            left[0, j] -= a_p[1]
+            left[1, j] += a_p[0]
 
-        np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
-        a.real *= -0.5
-        ur, ui = u.real, u.imag
-        np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
-        k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not nb*N*N
-        for i in range(0, nb, k):
-            a.imag[i : i + k] += ui[i : i + k, :, None] * ui[i : i + k, None, :]
-        np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
+        # J, Gamma and the detuning, each ufunc call in a's memory order
+        k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not N*N*nb
+        if rows_major:
+            ur, ui = u.real, u.imag
+            np.add(sums, sums.transpose(1, 0, 2), out=a.real)
+            a.real *= -0.5
+            np.multiply(ur[:, None], ur, out=a.imag)
+            for i in range(0, nb, k):
+                a.imag[..., i : i + k] += ui[:, None, i : i + k] * ui[:, i : i + k]
+            np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
+        else:
+            a, sums = a.transpose(2, 0, 1), sums.transpose(0, 2, 1)
+            ur, ui = u.real.T, u.imag.T
+            np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
+            a.real *= -0.5
+            np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
+            for i in range(0, nb, k):
+                a.imag[i : i + k] += ui[i : i + k, :, None] * ui[i : i + k, None, :]
+            np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
         return u
 
     return resolvent
 
 
 def _scattering(u, w, gw):
-    """S21 and reflection from gw = (f*I - H)^-1 w at every frequency."""
-    s21 = 1.0 - 1j * np.einsum("...j,...j->...", u, gw)
-    refl = -1j * np.einsum("...j,...j->...", w, gw)
-    if not (np.all(np.isfinite(s21)) and np.all(np.isfinite(refl))):
+    """S21 and reflection from gw = (f*I - H)^-1 w, all three summed over their first axis."""
+    s21 = 1.0 - 1j * np.einsum("j...,j...->...", u, gw)
+    refl = -1j * np.einsum("j...,j...->...", w, gw)
+    if not (np.isfinite(s21).all() and np.isfinite(refl).all()):
         raise ModelError("singular resolvent on the frequency grid")
     return s21, refl
 
@@ -371,38 +401,44 @@ def _scattering(u, w, gw):
 def _fixed_resolvent(hrel, f, f_res, u):
     """resolvent(sl, a) for _solve with a frequency-independent hrel = H - diag(f_res).
 
-    It writes f*I - H at the grid rows sl into a and returns the rows sl of
-    the drives u, given as (N,) or on the whole grid (nf, N).
+    It writes f*I - H at the grid rows sl into a, (N, N, nb), and returns
+    the rows sl of the drives u, given as (N,) or on the whole grid (N, nf).
     """
-    u = np.broadcast_to(u, (f.size, f_res.size))
+    u = np.broadcast_to(u.reshape(f_res.size, -1), (f_res.size, f.size))
 
     def resolvent(sl, a):
-        a[:] = -hrel
-        np.einsum("fii->fi", a)[...] += f[sl, None] - f_res
-        return u[sl]
+        a[...] = -hrel[:, :, None]
+        np.einsum("iif->if", a)[...] += f[sl] - f_res[:, None]
+        return u[:, sl]
 
     return resolvent
 
 
-def _block_rows(nf, n):
-    """Frequencies per block: f - H of one block fills at most _BLOCK_BYTES."""
-    return min(nf, max(1, _BLOCK_BYTES // (16 * n * n)))
+def _block_rows(nf, n, points=0):
+    """Frequencies per block, so that what a block holds per frequency fills at
+    most _BLOCK_BYTES: f - H, 16*N^2 bytes, and up to _MAX_ELIMINATION_N also
+    the prefix sums, 8*N^2, and the rows of the drives and of the `points`
+    coupling points under 'probe', 32*(N + points)."""
+    per_frequency = 16 * n * n
+    if n <= _MAX_ELIMINATION_N:
+        per_frequency += 8 * n * n + 32 * (n + points)
+    return min(nf, max(1, _BLOCK_BYTES // per_frequency))
 
 
 def _eliminate(a, w):
-    """a^-1 w for a block a (nb, N, N) and w (nb, N), by Gaussian elimination
-    with partial pivoting vectorized along the frequency axis.
+    """a^-1 w for a block a (N, N, nb) and w (N, nb), by Gaussian elimination
+    with partial pivoting vectorized along the frequency axis; returns (N, nb).
 
-    Each entry of the system is one contiguous (nb,) copy, so every step is
-    a ufunc call on same-length 1-D arrays: frequency f's arithmetic depends
-    on f alone, whatever the blocking, and no BLAS kernel is involved. The
-    pivot of each column is its entry of largest modulus at each frequency;
-    rows swap only at the frequencies that need it. A zero or overflowing
-    pivot leaves non-finite values, which _scattering rejects.
+    Each entry a[i, j] is one (nb,) row, which the elimination overwrites in
+    place; w stays as it is. Every step is a ufunc call on same-length 1-D
+    arrays: frequency f's arithmetic depends on f alone, whatever the
+    blocking, and no BLAS kernel is involved. The pivot of each column is
+    its entry of largest modulus at each frequency; rows swap only at the
+    frequencies that need it. A zero or overflowing pivot leaves non-finite
+    values, which _scattering rejects.
     """
-    n = w.shape[1]
-    at = a.transpose(1, 2, 0).copy()
-    rows = [[*at[i], w[:, i].copy()] for i in range(n)]  # row i: entries (i, 0..N-1), then w_i
+    n = w.shape[0]
+    rows = [[*a[i], w[i].copy()] for i in range(n)]  # row i: entries (i, 0..N-1), then w_i
     with np.errstate(all="ignore"):
         for k in range(n - 1):
             rk = rows[k]
@@ -424,31 +460,36 @@ def _eliminate(a, w):
             for j in range(i + 1, n):
                 s -= rows[i][j] * x[j]
             x[i] = s / rows[i][i]
-    return np.stack(x, axis=1)
+    return np.stack(x)
 
 
-def _solve(resolvent, nf, n):
+def _solve(resolvent, nf, n, points=0):
     """Scattering on nf frequencies by batched solves, one block at a time.
 
     resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
-    a and returns the drives u there, (sl.stop - sl.start, N); w = conj(u).
+    a, (N, N, nb), and returns the drives u there, (N, nb); w = conj(u).
     One buffer of at most one block holds f - H, and each block is solved
     and scattered before the next: by _eliminate up to _MAX_ELIMINATION_N
-    emitters, by LAPACK above.
+    emitters, with each entry one contiguous row, and by LAPACK above, on
+    the same buffer frequency-major. points sizes the blocks (_block_rows).
     """
-    step = _block_rows(nf, n)
+    step = _block_rows(nf, n, points)
+    eliminate = n <= _MAX_ELIMINATION_N
     buf = np.empty(step * n * n, dtype=complex)
     s21, refl = np.empty(nf, dtype=complex), np.empty(nf, dtype=complex)
     for start in range(0, nf, step):
         sl = slice(start, min(start + step, nf))
-        a = buf[: (sl.stop - start) * n * n].reshape(-1, n, n)
+        nb = sl.stop - start
+        a = buf[: n * n * nb].reshape((n, n, nb) if eliminate else (nb, n, n))
+        if not eliminate:
+            a = a.transpose(1, 2, 0)
         u = resolvent(sl, a)
         w = np.conj(u)
-        if n <= _MAX_ELIMINATION_N:
+        if eliminate:
             gw = _eliminate(a, w)
         else:
             try:
-                gw = np.linalg.solve(a, w[..., None])[..., 0]
+                gw = np.linalg.solve(a.transpose(2, 0, 1), w.T[..., None])[..., 0].T
             except np.linalg.LinAlgError as exc:
                 raise ModelError("singular resolvent on the frequency grid") from exc
         s21[sl], refl[sl] = _scattering(u, w, gw)
@@ -458,33 +499,46 @@ def _solve(resolvent, nf, n):
 def _pole_residues(hrel, detuning, z, u):
     """Scattering from the eigenexpansion of H - f0 = hrel + diag(detuning).
 
-    z = f - f0 on the grid and detuning = f_res - f0. Returns the minimum
-    |r_k^T r_k| and the scattering, or None in its place when the expansion
-    is not accurate (see _MIN_PAIRING); raises ModelError when a grid point
-    sits exactly on a pole.
+    z = f - f0 on the grid, detuning = f_res - f0 and u the drives, (N,) or
+    (N, nf). With the unit eigenvectors as the columns of R, (f - H)^-1 w =
+    R q with q = R^T w / den, den_k = (z - lambda_k) * r_k^T r_k. The
+    eigendecomposition is accurate relative to the norm of H, which the
+    spread of the resonances dominates; one step of iterative refinement in
+    exact detuning coordinates (z - detuning is f - f_res to the last bit)
+    adds t = R^T (w - (z - detuning)*(R q) + hrel R q) / den, which brings
+    the error down to the solve's. S21 = 1 - i (R^T u).(q + t) and the
+    reflection is -i (R^T w).(q + t). Returns the minimum |r_k^T r_k| and
+    the scattering, or None in its place when the expansion is not
+    accurate (see _MIN_PAIRING). A pole on the grid leaves non-finite
+    values under the caller's np.errstate, which _scattering rejects.
     """
-    w = np.conj(u)
-    lam, r = np.linalg.eig(hrel + np.diag(detuning))
+    n = detuning.size
+    h = hrel.copy()
+    h.reshape(-1)[:: n + 1] += detuning
+    lam, r = np.linalg.eig(h)
     gram = r.T @ r
-    pairing = np.diagonal(gram).copy()
-    np.fill_diagonal(gram, 0.0)
-    min_pairing = float(np.min(np.abs(pairing)))
-    if min_pairing < _MIN_PAIRING or np.max(np.abs(gram)) > _MAX_CROSS_PAIRING:
+    pairing = gram.diagonal().copy()
+    gram.reshape(-1)[:: n + 1] = 0.0
+    min_pairing = float(np.abs(pairing).min())
+    if min_pairing < _MIN_PAIRING or np.abs(gram).max() > _MAX_CROSS_PAIRING:
         return min_pairing, None
-    den = (z[:, None] - lam) * pairing
-    if np.any(den == 0):
-        raise ModelError("singular resolvent on the frequency grid")
-
-    def resolve(b):
-        return ((b @ r) / den) @ r.T
-
-    gw = resolve(w)
-    # The eigendecomposition is accurate relative to the norm of H, which
-    # the spread of the resonances dominates. One step of iterative
-    # refinement against f - H in exact detuning coordinates (z - detuning
-    # is f - f_res to the last bit) brings the error down to the solve's.
-    gw += resolve(w - (z[:, None] - detuning) * gw + gw @ hrel)
-    return min_pairing, _scattering(u, w, gw)
+    # every (N, nf) array is freed as soon as it is spent: at N = 32 on
+    # 2001 points each is a fifth of the traced peak
+    u = u.reshape(n, -1)
+    den = z - lam[:, None]
+    den *= pairing[:, None]
+    rw = r.T @ np.conj(u)
+    gw = r @ (rw / den)
+    res = hrel @ gw
+    gw *= z - detuning[:, None]
+    res -= gw
+    del gw
+    res += np.conj(u)  # the residual w - (f - H) R q
+    qt = r.T @ res  # q + t = R^T (w + residual) / den
+    del res
+    qt += rw
+    qt /= den
+    return min_pairing, _scattering(r.T @ u, rw, qt)
 
 
 def s_matrix(t, waveguide, grid, convention="resonance"):
@@ -518,42 +572,43 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     pts = _Points.of(t)
     v = waveguide.speed
     f = grid.frequencies
-
-    if convention == "resonance":
-        hrel, u = _assemble(pts, v, 1), pts.drives(v)
-    else:
-        # one phase common to every drive cancels from S21 and enters the
-        # reflection twice: drives taken from the first point keep the
-        # phases between points exact however far the layout sits from 0,
-        # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
-        x0 = pts.x.min()
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = pts.x - x0
-            refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
-        factors = _phase_factors(grid, d, v)
-        if convention == "mixed":
-            hrel, u = _assemble(pts, v, -1), _grid_drives(pts, *factors, f.size)
-    # only once the model is formed: a run that cannot form it fails with one message
-    _check_markov(t, waveguide)
-
     n = pts.f_res.size
     path, min_pairing = "solve", None
-    if convention == "probe":
-        resolvent = _probe_resolvent(pts, f, factors, _block_rows(f.size, n))
-        s21, refl = _solve(resolvent, f.size, n)
-    else:
-        # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
-        # rounds against the GHz scale
-        f0 = pts.f_res.mean()
-        min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
-        if result is None:
-            result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n)
+    # one errstate for the whole evaluation: every non-finite value it lets
+    # through ends in one of the ModelError checks
+    with np.errstate(all="ignore"):
+        if convention == "resonance":
+            hrel, u = _assemble(pts, v, 1), pts.drives(v)
         else:
-            path = "pole-residues"
-        s21, refl = result
-    if convention != "resonance":
-        refl = refl * np.exp(1j * refl_phase)
-    if convention != "probe" and np.max(np.abs(s21) ** 2 + np.abs(refl) ** 2) > 1.0 + _PASSIVITY_TOL:
+            # one phase common to every drive cancels from S21 and enters the
+            # reflection twice: drives taken from the first point keep the
+            # phases between points exact however far the layout sits from 0,
+            # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
+            x0 = pts.x.min()
+            refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
+            factors = _phase_factors(grid, pts.x - x0, v)
+            if convention == "mixed":
+                hrel, u = _assemble(pts, v, -1), _grid_drives(pts, *factors, f.size)
+        # only once the model is formed: a run that cannot form it fails with one message
+        _check_markov(t, waveguide)
+
+        if convention == "probe":
+            resolvent = _probe_resolvent(pts, f, factors, _block_rows(f.size, n, pts.x.size))
+            s21, refl = _solve(resolvent, f.size, n, pts.x.size)
+        else:
+            # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
+            # rounds against the GHz scale
+            f0 = pts.f_res.mean()
+            min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
+            if result is None:
+                result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n)
+            else:
+                path = "pole-residues"
+            s21, refl = result
+        if convention != "resonance":
+            refl = refl * np.exp(1j * refl_phase)
+        gain = convention != "probe" and (np.abs(s21) ** 2 + np.abs(refl) ** 2).max() > 1.0 + _PASSIVITY_TOL
+    if gain:
         # a constant message, so the warnings registry reports it once per call site
         warnings.warn(
             "|S21|^2 + |S11|^2 exceeds 1 on the grid: this convention takes the "

@@ -479,6 +479,80 @@ class TestPhysicsProperties:
         assert np.max(np.abs(engine - closed)) < 1e-10
 
 
+# finite extremes, subnormals and non-finite values
+EXTREME = st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-300, 1e-12, 1e12, 1e300, 1.7976931348623157e308,
+                           math.inf, math.nan])
+
+
+@st.composite
+def extreme_cases(draw):
+    """(topology, waveguide, grid): an ordinary case with one to four of its
+    numbers (resonances, rates, positions, speed, grid ends) replaced by
+    extremes of either sign, or the ModelError that building it raised."""
+    t = draw(topologies())
+    positions = [x for e in t.emitters for x in e.positions]
+    numbers = positions + [x for e in t.emitters for x in (e.f_res, e.beta, *e.kappa_points)]
+    numbers += [SPEED, 4.3e9, 4.4e9]
+    for i, x, negative in draw(st.lists(st.tuples(st.integers(0, len(numbers) - 1), EXTREME, st.booleans()),
+                                        min_size=1, max_size=4)):
+        numbers[i] = -x if negative else x
+    x_it, it = iter(numbers[: len(positions)]), iter(numbers[len(positions) :])
+    try:
+        emitters = []
+        for j, em in enumerate(t.emitters):
+            m = len(em.positions)
+            emitters.append(Emitter(f"e{j}", next(it), next(it), tuple(next(it) for _ in range(m)),
+                                    tuple(sorted(next(x_it) for _ in range(m)))))
+        speed, f_lo, f_hi = it
+        return Topology(tuple(emitters)), Waveguide(speed), FrequencyGrid(f_lo, f_hi, draw(st.integers(2, 9)))
+    except ModelError as exc:
+        return exc
+
+
+def overflowing_gamma():
+    """Five emitters, one with rates of 1e300 and 1.8e308 Hz: |u_j|^2 overflows
+    in the Gamma of the 'probe' solve, which LAPACK serves at N = 5."""
+    t = interleaved(np.random.default_rng(0), 5, 2)
+    first = replace(t.emitters[0], kappa_points=(1e300, 1.7976931348623157e308))
+    return Topology((first, *t.emitters[1:])), Waveguide(SPEED), FrequencyGrid(4.3e9, 4.4e9, 8)
+
+
+class TestExtremeInputs:
+    """Any numbers reach the caller as finite results or one ModelError, never a RuntimeWarning."""
+
+    @given(case=extreme_cases(), convention=st.sampled_from(CONVENTIONS))
+    @example(case=overflowing_gamma(), convention="probe")
+    @example(case=(interleaved(np.random.default_rng(0), 1, 4), Waveguide(SPEED),
+                   FrequencyGrid(4.3e9, 1.7976931348623157e308, 4)), convention="resonance")
+    @settings(max_examples=300, deadline=None)
+    def test_s_matrix_is_finite_or_model_error(self, case, convention):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", MarkovWarning)
+            warnings.simplefilter("ignore", PassivityWarning)
+            try:
+                res = s_matrix(*case, convention=convention)
+            except ModelError:
+                return
+        assert np.isfinite(res.transmission.s21).all() and np.isfinite(res.reflection).all()
+
+    @given(case=extreme_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_build_effective_is_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", MarkovWarning)
+            try:
+                model = build_effective(*case[:2])
+            except ModelError:
+                return
+        assert all(np.isfinite(a).all() for a in (model.diag, model.coupling, model.drive))
+
+
 def _forbid_solve(*args):
     raise AssertionError("the batched solve ran")
 
@@ -602,17 +676,50 @@ class TestFrequencyBlocks:
             tracemalloc.stop()
         assert peak <= 12e6
 
+    def test_eliminated_probe_blocks_count_every_row(self, waveguide):
+        # up to _MAX_ELIMINATION_N a block holds the phasor rows, their
+        # guide-order copy and the prefix sums besides f - H; sized by f - H
+        # alone, N = 2 x 4 on 100 001 points peaked at 30.7 MiB
+        t = interleaved(np.random.default_rng(6), 2, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 100001)
+        tracemalloc.start()
+        try:
+            passive_checked_s_matrix(t, waveguide, grid, convention="probe")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
+    @pytest.mark.parametrize("convention, bound_mib", [("resonance", 5.2), ("mixed", 7.5)])
+    def test_pole_residue_peak_memory(self, waveguide, convention, bound_mib):
+        # N = 32 x 4 on 2001 points: each (N, nf) array of the expansion is
+        # about 1 MiB, so every extra temporary shows
+        t = interleaved(np.random.default_rng(6), 32, 4)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PassivityWarning)
+                res = s_matrix(t, waveguide, grid, convention=convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.path == "pole-residues"
+        assert peak <= bound_mib * 2**20
+
     @pytest.mark.filterwarnings("ignore::gsesim.multipoint.MarkovWarning")
     @pytest.mark.parametrize("convention", CONVENTIONS)
     @pytest.mark.parametrize("n", range(1, mp._MAX_ELIMINATION_N + 1))
     def test_eliminated_outputs_do_not_depend_on_the_blocking(self, monkeypatch, waveguide, convention, n):
         # the same check at the N that _eliminate solves: a complex product
-        # with a broadcast operand changes its bits at one-frequency blocks
+        # with a broadcast operand changes its bits at one-frequency blocks.
+        # Blocks here also count the prefix sums and the rows of the drives
+        # and points, so the budgets give blocks of 1 to 20 frequencies
         t = interleaved(np.random.default_rng(5), n, 3)
         grid = FrequencyGrid(4.3e9, 4.4e9, 201)
         monkeypatch.setattr(mp, "_MIN_PAIRING", np.inf)
         default = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
-        for budget in (1, 7 * 16 * n * n):
+        for budget in (1, 7 * 16 * n * n, 40 * 16 * n * n):
             monkeypatch.setattr(mp, "_BLOCK_BYTES", budget)
             blocked = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
             assert np.array_equal(blocked.transmission.s21, default.transmission.s21)
@@ -630,10 +737,17 @@ def random_batch(seed, nb, n, scale=1.0):
 def solve_batch(a, u):
     """mp._solve on the fixed batch a with drives u, one frequency per row."""
     def resolvent(sl, buf):
-        buf[:] = a[sl]
-        return u[sl]
+        buf[...] = a[sl].transpose(1, 2, 0)
+        return u[sl].T
 
     return mp._solve(resolvent, *u.shape)
+
+
+def eliminate(a, w):
+    """mp._eliminate on a batch a (nb, N, N) with w (nb, N), each entry copied
+    into one row; returns the solutions (nb, N) and the rows of w it was given."""
+    rows = w.T.copy()
+    return mp._eliminate(a.transpose(1, 2, 0).copy(), rows).T, rows
 
 
 batches = dict(seed=st.integers(0, 2**32 - 1), nb=st.integers(1, 24), n=st.integers(1, mp._MAX_ELIMINATION_N))
@@ -649,9 +763,8 @@ class TestElimination:
         if zero_lead and n > 1:
             a[::2, 0, 0] = 0.0  # pivoting must act at these frequencies
         w = np.conj(u)
-        a0, w0 = a.copy(), w.copy()
-        x = mp._eliminate(a, w)
-        assert np.array_equal(a, a0) and np.array_equal(w, w0)
+        x, rows = eliminate(a, w)
+        assert np.array_equal(rows, w.T)  # _scattering reads w after the elimination
         ref = np.linalg.solve(a, w[..., None])[..., 0]
         cond = np.linalg.cond(a)
         err = np.linalg.norm(x - ref, axis=1)
@@ -664,8 +777,8 @@ class TestElimination:
         a[1::3, 0, 0] = 0.0
         w = np.conj(u)
         edges = [0, *sorted({c for c in cuts if c < nb}), nb]
-        parts = [mp._eliminate(a[i:j], w[i:j]) for i, j in zip(edges, edges[1:])]
-        assert np.array_equal(np.concatenate(parts), mp._eliminate(a, w))
+        parts = [eliminate(a[i:j], w[i:j])[0] for i, j in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(parts), eliminate(a, w)[0])
 
     @given(**batches, data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -791,7 +904,7 @@ def unequal_layout(rng, sizes=(3, 1, 8, 2, 1, 3), x0=40.0):
 
 
 def grid_drives(t, grid):
-    """mp._grid_drives of a topology from its first coupling point, shape (nf, N)."""
+    """mp._grid_drives of a topology from its first coupling point, shape (N, nf)."""
     pts = mp._Points.of(t)
     return mp._grid_drives(pts, *mp._phase_factors(grid, pts.x - pts.x.min(), SPEED), grid.n_points)
 
@@ -833,8 +946,8 @@ class TestGridDrives:
         direct = np.stack([drive_vector(e, grid.frequencies, SPEED) for e in shifted], axis=-1)
         scale = max(sum(math.sqrt(k) for k in e.kappa_points) for e in t.emitters)
         u = grid_drives(t, grid)
-        assert u.shape == (nf, len(t.emitters))
-        err = np.max(np.abs(u - ref))
+        assert u.shape == (len(t.emitters), nf)
+        err = np.max(np.abs(u.T - ref))
         assert err <= np.max(np.abs(direct - ref)) + 1e-15 * scale
         assert err < 1e-13 * scale
 
@@ -845,7 +958,7 @@ class TestGridDrives:
         relabelled = Topology(tuple(t.emitters[j] for j in perm))
         grid = FrequencyGrid(4.3e9, 4.4e9, 211)
         u, u_relabelled = grid_drives(t, grid), grid_drives(relabelled, grid)
-        assert np.max(np.abs(u_relabelled - u[:, perm])) <= 1e-15 * np.max(np.abs(u))
+        assert np.max(np.abs(u_relabelled - u[perm])) <= 1e-15 * np.max(np.abs(u))
         a = passive_checked_s_matrix(t, waveguide, grid, convention=convention)
         b = passive_checked_s_matrix(relabelled, waveguide, grid, convention=convention)
         assert np.max(np.abs(a.transmission.s21 - b.transmission.s21)) < 1e-13

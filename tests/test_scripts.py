@@ -1,5 +1,6 @@
 """Smoke tests of scripts/: each runs in a fresh process with small arguments."""
 
+import json
 import os
 
 from conftest import fresh_python
@@ -24,3 +25,14 @@ def test_reproduce_device_rates():
     proc = run_script("reproduce_device_rates.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("(closest of 8 phase assignments)") == 2
+
+
+def test_call_times():
+    proc = run_script("call_times.py", "--repeats", "1", "--points", "101")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["points"], report["repeats"]) == (101, 1)
+    names = {f"{kind}_n{n}" for n in (2, 8, 32) for kind in ("resonance", "mixed", "probe", "build_effective")}
+    assert set(report["calls"]) == names
+    for times in report["calls"].values():
+        assert times["cold_ms"] > 0 and times["warm_ms"] > 0 and times["peak_mib"] > 0
