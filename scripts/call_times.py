@@ -3,7 +3,9 @@
 
 Each call is `s_matrix` under one convention, or `build_effective`, on a
 seeded layout of N = 2, 8 or 32 emitters with four interleaved coupling
-points each. For every call the script reports:
+points each, plus `s_matrix` under 'probe' at N = 64 with eight points each
+on 501 points, the largest case of the multipoint-scatter benchmark. For
+every call the script reports:
 
 - cold_ms: the median over the repeats of the call timed right after a
   fixed loop of interpreter bytecode, small numpy ufuncs and small LAPACK
@@ -36,6 +38,7 @@ from gsesim.multipoint import build_effective, s_matrix
 SIZES = (2, 8, 32)
 POINTS_PER_EMITTER = 4
 CONVENTIONS = ("resonance", "mixed", "probe")
+LARGE_PROBE = (64, 8, 501)  # emitters, points per emitter, grid points
 
 
 def layout(rng, n, m):
@@ -59,6 +62,9 @@ def calls(points):
         for convention in CONVENTIONS:
             out.append((f"{convention}_n{n}", lambda t=t, c=convention: s_matrix(t, wg, grid, convention=c)))
         out.append((f"build_effective_n{n}", lambda t=t: build_effective(t, wg)))
+    n, m, nf = LARGE_PROBE
+    t, large = layout(np.random.default_rng([6, n]), n, m), FrequencyGrid(4.3e9, 4.4e9, nf)
+    out.append((f"probe_n{n}_m{m}", lambda: s_matrix(t, wg, large, convention="probe")))
     return out
 
 
@@ -114,7 +120,7 @@ def measure(points, repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--points", type=int, default=2001)
+    parser.add_argument("--points", type=int, default=2001, help="grid points of every case but probe_n64_m8")
     parser.add_argument("--output", help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.points < 2:

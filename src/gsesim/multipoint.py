@@ -27,20 +27,20 @@ order with an owner index:
   sin(k*|x_p - x_q|) * sqrt(kappa_p*kappa_q) = sgn(x_p - x_q) * Im(a_p * conj(a_q)),
   so J_jl = Im(sum_{p in j} a_p * C_l(x_p)) - 1/2 * Im(A_j * conj(A_l)), where
   C_l(x) is the sum of conj(a_q) over the points of l left of x (a prefix
-  sum along the guide) and A_j the sum of a_p over j. The last term is
-  antisymmetric in (j, l) while J is symmetric, so J is the symmetric part
-  of the first. One pass along the guide accumulates it, vectorized over
-  frequency and emitters: O(P*N) per frequency instead of O(P^2) of
-  trigonometry. -J, Gamma + beta and the detuning go straight into a
-  buffer holding f - H for one block of frequencies (Gamma a few
-  frequencies at a time), which one batched call solves and turns into S21
-  and reflection before the next block is assembled. A block holds as many
-  frequencies as fit in _BLOCK_BYTES (_block_rows counts what a block
-  holds per frequency), so no buffer grows with the grid, and no
-  frequency's arithmetic depends on the blocking. The f - H and
-  prefix-sum buffers are allocated once per call and refilled block by
-  block, so their pages fault in once per call, not once per block: the
-  allocator unmaps arrays this large when they are freed.
+  sum along the guide) and A_j the sum of a_p over j. As conj(A_l) = u_l,
+  the drive of l (below), the last term is sum_{p in j} Im(a_p * (-u_l/2)):
+  prefix sums that start at -u_l/2 give J itself in one pass along the
+  guide, vectorized over frequency and emitters, O(P*N) per frequency
+  instead of O(P^2) of trigonometry. -J, Gamma + beta and the detuning go
+  straight into a buffer holding f - H for one block of frequencies (Gamma
+  one (N x 2)(2 x N) product per frequency above _MAX_ELIMINATION_N),
+  which one batched call solves and turns into S21 and reflection before
+  the next block is assembled. A block holds as many frequencies as fit in
+  _BLOCK_BYTES (_block_rows counts what a block holds per frequency), so no
+  buffer grows with the grid, and no frequency's arithmetic depends on the
+  blocking. The f - H and prefix-sum buffers are allocated once per call
+  and refilled block by block, so their pages fault in once per call, not
+  once per block: the allocator unmaps arrays this large when freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   exp(-i*2*pi*f_m*d/v) on every grid frequency f_m = f_0 + m*df. With
   b = isqrt(nf) and m = a*b + c this is a coarse factor at f_0 + a*b*df
@@ -315,24 +315,27 @@ def _probe_resolvent(pts, f, factors, step):
     given as (N, N, nb), and returns the drives u there, (N, nb).
 
     Each block forms its rows of sqrt(kappa_p)*exp(-i*k*d_p) once: the sums
-    over each emitter's points are its drives, and the conjugates, taken in
-    order along the guide, the a_p of the prefix-sum identity of the module
-    docstring that gives J. The dissipative sums factor through the drives,
-    Gamma_jl = Re(u_j * conj(u_l)). Taking both from the very exponentials
-    of the drives keeps the anti-Hermitian part exactly consistent with the
-    in/out coupling, so lossless topologies scatter unitarily to machine
-    precision even near decoupling points where the resolvent amplifies
-    rounding. factors are _phase_factors of the distances from the first
-    point, in emitter order. The prefix-sum buffers hold step frequencies
-    and are refilled block by block, in the memory order of a: each entry
-    one row along the frequencies up to _MAX_ELIMINATION_N emitters,
-    frequency-major above.
+    over each emitter's points are its drives (plain adds of its columns up
+    to _MAX_ELIMINATION_N), and the conjugates, taken in order along the
+    guide, the a_p of the prefix-sum identity of the module docstring, whose
+    prefix sums start at -u_l/2 to give J itself. The dissipative sums
+    factor through the drives, Gamma_jl = Re(u_j * conj(u_l)) = Re u_j *
+    Re u_l + Im u_j * Im u_l, one (N x 2)(2 x N) product per frequency above
+    the limit. Taking both from the exponentials of the drives keeps the
+    anti-Hermitian part exactly consistent with the in/out coupling, so
+    lossless topologies scatter unitarily to machine precision even near
+    decoupling points where the resolvent amplifies rounding. factors are
+    _phase_factors of the distances from the first point, in emitter order.
+    The prefix-sum buffers hold step frequencies and are refilled block by
+    block, in the memory order of a: each entry one row along the
+    frequencies up to the limit, frequency-major above.
     """
     n = pts.f_res.size
     rows_major = n <= _MAX_ELIMINATION_N
     order = np.argsort(pts.x)
     root = np.sqrt(pts.kappa)
     owners = pts.owner[order]
+    later = np.flatnonzero(pts.owner[1:] == pts.owner[:-1]) + 1 if rows_major else []
     sums_buf = np.empty(n * step * n)
     left_buf = np.empty(2 * step * n)
 
@@ -341,48 +344,44 @@ def _probe_resolvent(pts, f, factors, step):
         ph = _phasors(*factors, sl.start, sl.stop)
         ph.real *= root
         ph.imag *= root
-        u = pts.emitter_sums(ph.T, axis=0) if rows_major else pts.emitter_sums(ph, axis=1).T
-        # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows, points
-        # in order along the guide; rebinding ph frees the emitter-order
-        # table before a_pts is allocated
+        u = ph.T[pts.starts] if rows_major else pts.emitter_sums(ph, axis=1).T
+        for p in later:  # each emitter's other columns, added to its first
+            u[pts.owner[p]] += ph[:, p]
+        # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows in order along the
+        # guide; rebinding ph frees the emitter-order table before a_pts is allocated
         ph = ph[:, order].T
         a_pts = np.empty((order.size, 2, nb))
         a_pts[:, 0] = ph.real
         np.negative(ph.imag, out=a_pts[:, 1])
         del ph
-        # (Im, Re) of C_l: conj(a_q) summed over the points q of l passed so
-        # far, and sums[j, l] = Im(sum_{p in j} a_p * C_l(x_p)), both as
-        # (lead, N, nb) views, frequency-major in memory above the limit
+        # (Im, Re) of C_l: -u_l/2 plus conj(a_q) summed over the points q of l
+        # passed so far, and sums[j, l] = Im(sum_{p in j} a_p * C_l(x_p)) = J_jl,
+        # both as (lead, N, nb) views, frequency-major in memory above the limit
         shape = (n, nb) if rows_major else (nb, n)
         left = left_buf[: 2 * n * nb].reshape(2, *shape)
         sums = sums_buf[: n * n * nb].reshape(n, *shape)
         if not rows_major:
             left, sums = left.transpose(0, 2, 1), sums.transpose(0, 2, 1)
-        left.fill(0.0)
+        np.multiply(u.imag, -0.5, out=left[0])
+        np.multiply(u.real, -0.5, out=left[1])
         sums.fill(0.0)
         for a_p, j in zip(a_pts, owners):
             sums[j] += np.einsum("kf,klf->lf", a_p, left)
             left[0, j] -= a_p[1]
             left[1, j] += a_p[0]
 
-        # J, Gamma and the detuning, each ufunc call in a's memory order
-        k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not N*N*nb
+        # -J, Gamma and the detuning, each ufunc call in a's memory order
+        np.negative(sums.transpose(2, 0, 1), out=a.transpose(2, 0, 1).real)
         if rows_major:
-            ur, ui = u.real, u.imag
-            np.add(sums, sums.transpose(1, 0, 2), out=a.real)
-            a.real *= -0.5
-            np.multiply(ur[:, None], ur, out=a.imag)
+            np.multiply(u.real[:, None], u.real, out=a.imag)
+            k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not N*N*nb
             for i in range(0, nb, k):
-                a.imag[..., i : i + k] += ui[:, None, i : i + k] * ui[:, i : i + k]
+                a.imag[..., i : i + k] += u.imag[:, None, i : i + k] * u.imag[:, i : i + k]
             np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
         else:
-            a, sums = a.transpose(2, 0, 1), sums.transpose(0, 2, 1)
-            ur, ui = u.real.T, u.imag.T
-            np.add(sums.transpose(1, 0, 2), sums.transpose(1, 2, 0), out=a.real)
-            a.real *= -0.5
-            np.multiply(ur[:, :, None], ur[:, None, :], out=a.imag)
-            for i in range(0, nb, k):
-                a.imag[i : i + k] += ui[i : i + k, :, None] * ui[i : i + k, None, :]
+            a = a.transpose(2, 0, 1)
+            uf = u.T.view(float).reshape(nb, n, 2)
+            np.matmul(uf, uf.transpose(0, 2, 1), out=a.imag)
             np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
         return u
 

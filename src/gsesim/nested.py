@@ -44,8 +44,8 @@ class NestedParams:
     phi3: float
 
     def __post_init__(self):
-        if min(self.phi1, self.phi2, self.phi3) < 0:
-            raise ModelError("propagation phases must be >= 0")
+        if not (min(self.phi1, self.phi2, self.phi3) >= 0 and math.isfinite(self.phi1 + self.phi2 + self.phi3)):
+            raise ModelError("propagation phases must be >= 0 and have a finite sum")
         if self.outer.length <= self.inner.length:
             raise ModelError("nesting requires L_o > L_i")
         if self.inner.waveguide != self.outer.waveguide:

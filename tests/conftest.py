@@ -1,9 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import gsesim
 from gsesim.core import Emitter, FrequencyGrid, Topology, Waveguide
@@ -69,6 +71,20 @@ def grid_around(f0, half_span, n=2001):
 def resonance_at_phase_multiple(n, length=L_INNER, speed=SPEED):
     """Frequency whose propagation phase across `length` is exactly 2*pi*n."""
     return n * speed / length
+
+
+# finite extremes, subnormals and non-finite values
+EXTREME = st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-300, 1e-12, 1e12, 1e300, 1.7976931348623157e308,
+                           math.inf, math.nan])
+
+
+def with_extremes(draw, numbers):
+    """numbers with one to four of its entries replaced by EXTREME values of either sign."""
+    numbers = list(numbers)
+    for i, x, negative in draw(st.lists(st.tuples(st.integers(0, len(numbers) - 1), EXTREME, st.booleans()),
+                                        min_size=1, max_size=4)):
+        numbers[i] = -x if negative else x
+    return numbers
 
 
 def rng(seed):

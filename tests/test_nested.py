@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gsesim.core import FrequencyGrid, ModelError, Waveguide
 from gsesim.nested import (
@@ -31,6 +31,7 @@ from conftest import (
     MHZ,
     SPEED,
     grid_around,
+    with_extremes,
 )
 
 
@@ -352,3 +353,82 @@ class TestStrongCoupling:
 
     def test_large_outer_rate_enters_strong_regime(self):
         assert strong_coupling(KAPPA_INNER, 40e6, 1.15 * MHZ, 1.54 * MHZ, 0.86 * MHZ)
+
+
+@st.composite
+def extreme_pairs(draw):
+    """(params, grid): an ordinary nested pair and grid with one to four of
+    their numbers replaced by extremes, or the ModelError that building them
+    raised. The phases come from the lengths, or are given with the pair."""
+    rates = [draw(st.floats(1e5, 2e6)) for _ in range(4)]
+    lengths = sorted(draw(st.lists(st.floats(1e-3, 0.5), min_size=2, max_size=2, unique=True)))
+    phases = [draw(st.floats(0.0, 10.0)) for _ in range(3)]
+    numbers = with_extremes(draw, [*rates, *lengths, *phases, draw(st.floats(4.3e9, 4.4e9)),
+                                   draw(st.floats(4.3e9, 4.4e9)), SPEED, 4.3e9, 4.4e9])
+    k_i, b_i, k_o, b_o, l_i, l_o, p1, p2, p3, f_i, f_o, speed, f_lo, f_hi = numbers
+    try:
+        wg = Waveguide(speed)
+        inner, outer = SingleGseParams(k_i, b_i, l_i, f_i, wg), SingleGseParams(k_o, b_o, l_o, f_o, wg)
+        p = NestedParams(inner, outer, p1, p2, p3) if draw(st.booleans()) else NestedParams.from_geometry(inner, outer)
+        return p, FrequencyGrid(f_lo, f_hi, draw(st.integers(2, 9)))
+    except ModelError as exc:
+        return exc
+
+
+@st.composite
+def extreme_fitforms(draw):
+    """(params, sweep): an ordinary two-mode model and outer-frequency sweep
+    with one to four of their numbers replaced by extremes, or the
+    ModelError that building them raised."""
+    model = [draw(st.floats(4.3e9, 4.4e9)), draw(st.floats(4.3e9, 4.4e9)),
+             *(draw(st.floats(0.0, 2e6)) for _ in range(4)), draw(st.floats(-2e6, 2e6)), draw(st.floats(-2e6, 2e6))]
+    sweep = draw(st.lists(st.floats(4.3e9, 4.4e9), min_size=1, max_size=5))
+    numbers = with_extremes(draw, model + sweep)
+    try:
+        return FitFormParams(*numbers[:8]), np.array(numbers[8:])
+    except ModelError as exc:
+        return exc
+
+
+def given_phases(phi1, phi2, phi3):
+    """(params, grid) of the device pair of make_pair with the phases phi1,
+    phi2 and phi3, or the ModelError that they raise."""
+    p = make_pair()
+    try:
+        return NestedParams(p.inner, p.outer, phi1, phi2, phi3), grid_around(4.35e9, 5e6, 5)
+    except ModelError as exc:
+        return exc
+
+
+class TestExtremeInputs:
+    """Any numbers reach the caller as finite results or one ModelError, never a RuntimeWarning."""
+
+    @given(case=extreme_pairs(), lamb_sign=st.sampled_from([-1, 1]),
+           phase_ref=st.sampled_from(["resonance", "probe"]))
+    @example(case=given_phases(math.inf, 1.0, 1.0), lamb_sign=-1, phase_ref="resonance")
+    @example(case=given_phases(1.7976931348623157e308, 1.7976931348623157e308, 0.0), lamb_sign=-1,
+             phase_ref="resonance")
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_transmission_is_finite_or_model_error(self, case, lamb_sign, phase_ref):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                s21 = s21_nested_matrix(*case, lamb_sign=lamb_sign, phase_ref=phase_ref).s21
+            except ModelError:
+                return
+        assert np.isfinite(s21).all()
+
+    @given(case=extreme_fitforms())
+    @settings(max_examples=300, deadline=None)
+    def test_eigen_traces_are_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                eigs, flags = eigen_traces(*case)
+            except ModelError:
+                return
+        assert np.isfinite(eigs).all() and flags.shape == (case[1].size,)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gsesim.core import FrequencyGrid, ModelError, Waveguide
 from gsesim.single import (
@@ -21,6 +21,7 @@ from conftest import (
     SPEED,
     grid_around,
     resonance_at_phase_multiple,
+    with_extremes,
 )
 
 
@@ -161,3 +162,39 @@ class TestFieldMap:
             SingleGseParams(math.nan, 0.0, 0.1, 4e9, wg)
         with pytest.raises(ModelError, match="propagation phase 2\\*pi\\*f\\*d/v is not finite"):
             giant_decay(SingleGseParams(1e6, 0.0, 1e300, 4e9, wg))
+
+
+@st.composite
+def extreme_singles(draw):
+    """(params, grid, at_f): an ordinary two-point ensemble, grid and phase
+    frequency with one to four of their numbers replaced by extremes, or the
+    ModelError that building them raised."""
+    kappa, beta, length, f_res, speed, f_lo, f_hi, at_f = with_extremes(draw, [
+        draw(st.floats(1e5, 2e6)), draw(st.floats(0.0, 2e6)), draw(st.floats(1e-3, 0.5)),
+        draw(st.floats(4.3e9, 4.4e9)), SPEED, 4.3e9, 4.4e9, draw(st.floats(4.3e9, 4.4e9))])
+    try:
+        p = SingleGseParams(kappa, beta, length, f_res, Waveguide(speed))
+        return p, FrequencyGrid(f_lo, f_hi, draw(st.integers(2, 9))), at_f
+    except ModelError as exc:
+        return exc
+
+
+class TestExtremeInputs:
+    """Any numbers reach the caller as finite results or one ModelError, never a RuntimeWarning."""
+
+    @given(case=extreme_singles())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_are_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        p, grid, at_f = case
+        calls = (lambda: s21_single(p, grid).s21, lambda: s21_single(p, grid, self_consistent_phase=True).s21,
+                 lambda: giant_decay(p), lambda: giant_decay(p, at_f))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    value = call()
+                except ModelError:
+                    continue
+            assert np.isfinite(value).all()
