@@ -71,6 +71,7 @@ def resonance_full(p, theta_h):
     (unsaturated or unphysical regime).
     """
     _require_finite("theta", theta_h)
+    _require_finite("4*theta", 4.0 * float(theta_h))  # the phase of the fourth harmonic
     c2 = math.cos(2.0 * theta_h)
     c4 = math.cos(4.0 * theta_h)
     first = p.H_e0 + p.H_A * (1.5 + 0.5 * c4 + (-15.0 / 8.0 + 2.0 * c2 - c4 / 8.0))
@@ -95,6 +96,7 @@ def resonance_simple(p, theta_h):
     Valid for H_A << H_e0 and phi0 = pi/4; even and pi-periodic in theta.
     """
     _require_finite("theta", theta_h)
+    _require_finite("4*theta", 4.0 * float(theta_h))
     with np.errstate(over="ignore"):
         f = p.gamma * (p.H_e0 + p.H_A * angular_factor(theta_h))
     _require_finite("resonance frequency", f)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .core import ModelError, ParameterNameError, TWO_PI, _finite_phase
-from .nested import FitFormParams
+from .nested import FitFormParams, _fitform_terms
 from .single import giant_decay
 
 
@@ -39,8 +39,8 @@ def single_model(f, q):
     through phi = 2*pi*f_res*length/speed.
     """
     f = np.asarray(f, dtype=float)
-    kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], q["speed"]
-    # the optimizer passes numpy scalars, and a fixed speed may be 0
+    # a fixed speed may be 0: as a numpy scalar it divides to inf, which _finite_phase rejects
+    kappa, f_res, length, speed = q["kappa"], q["f_res"], q["length"], np.float64(q["speed"])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi = _finite_phase(TWO_PI * f_res * length / speed)
     cos, sin = math.cos(phi), math.sin(phi)
@@ -81,21 +81,15 @@ def nested_fitform_model(f, q):
     """Two-mode fit form and its partials, (S21, {name: dS21/dname}).
 
     Needs f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma. S21 is
-    1 - num/den, formed in the operations of s21_fitform_values and equal
-    to it; each parameter moves num and den, and
+    1 - num/den from the terms s21_fitform_values forms, so the two are
+    equal; each parameter moves num and den, and
     d S21 = (num*d_den/den - d_num)/den.
     """
     for name in ("kappa_i_g", "kappa_o_g", "beta_i", "beta_o"):
         if q[name] < 0:
             raise ModelError(f"{name} must be >= 0")
-    f = np.asarray(f, dtype=float)
+    d_o, d_i, c, root, num, den = _fitform_terms(np.asarray(f, dtype=float), **q)
     k_i, k_o = q["kappa_i_g"], q["kappa_o_g"]
-    d_o = f - q["f_o"] + 1j * (k_o + q["beta_o"])
-    d_i = f - q["f_i"] + 1j * (k_i + q["beta_i"])
-    c = q["j"] - 1j * q["gamma"]
-    root = math.sqrt(k_i * k_o)
-    num = 2j * root * c + 1j * k_i * d_o + 1j * k_o * d_i
-    den = d_o * d_i - c * c
     inv = 1.0 / den
     ratio = num * inv
     # d root / d kappa, taken as 0 where root vanishes
@@ -182,7 +176,9 @@ class FitProblem:
             raise ModelError(f"unknown model {self.model!r}")
         if not self.free:
             raise ModelError("at least one free parameter required")
-        if np.any(np.diff(self.freqs) <= 0):
+        if not (np.isfinite(self.freqs).all() and np.isfinite(self.data).all()):
+            raise ModelError("frequencies and data must be finite")
+        if np.any(self.freqs[1:] <= self.freqs[:-1]):
             raise ModelError("frequency grid must be strictly increasing")
         if len(self.freqs) < 2 * len(self.free):
             raise ModelError(
@@ -245,7 +241,7 @@ def _sigma_from_jacobian(jac, residual, names):
     dof = max(residual.size - len(names), 1)
     s2 = float(residual @ residual) / dof
     norms = np.linalg.norm(jac, axis=0)
-    norms = np.where(norms > 0, norms, 1.0)  # a zero column stays zero, hence flat
+    norms = np.where(norms > 0, norms, math.inf)  # a column whose norm is 0 (or underflows) is flat
     _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
     flat = sv <= _FLAT_SV * sv[0]
     param_bad = np.any(np.abs(vt[flat]) > _FLAT_COMPONENT, axis=0)
@@ -306,6 +302,7 @@ def _column_scale(jac, scale):
     return np.minimum(scale, 1.0 / np.where(norms > 0, norms, 1.0))
 
 
+@np.errstate(all="ignore")  # a non-finite residual, cost or Jacobian is handled below
 def _least_squares(fun, free, tol):
     """Minimize |r(x)|^2 over free: name -> (guess, lower, upper).
 
@@ -327,11 +324,11 @@ def _least_squares(fun, free, tol):
     names = list(free)
     x, lo, hi = (np.array([free[n][k] for n in names], dtype=float) for k in range(3))
     r, jac = fun(x)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+    cost = 0.5 * float(r @ r)
+    if not (math.isfinite(cost) and np.all(np.isfinite(jac))):
         raise FitError("model is not finite at the initial guess")
     scale = _column_scale(jac, np.inf)
     delta = float(np.linalg.norm(x / scale)) or 1.0
-    cost = 0.5 * float(r @ r)
     nfev = 1
     while True:
         g = jac.T @ r
@@ -353,10 +350,10 @@ def _least_squares(fun, free, tol):
             step_norm = float(np.linalg.norm(step / scale))
             r_new, jac_new = fun(x_new)
             nfev += 1
-            if not (np.all(np.isfinite(r_new)) and np.all(np.isfinite(jac_new))):
+            cost_new = 0.5 * float(r_new @ r_new)
+            if not (math.isfinite(cost_new) and np.all(np.isfinite(jac_new))):
                 delta = 0.25 * step_norm
                 continue
-            cost_new = 0.5 * float(r_new @ r_new)
             reduction = cost - cost_new
             js = jac @ step
             predicted = -float(g @ step + 0.5 * js @ js)
@@ -512,11 +509,13 @@ def merged_linewidth(freqs, magnitude):
     """Full width at half depth of the deepest dip in one |S21| column, Hz."""
     freqs = np.asarray(freqs, dtype=float)
     magnitude = np.asarray(magnitude, dtype=float)
+    if not (np.isfinite(freqs).all() and np.isfinite(magnitude).all()):
+        raise FitError("frequencies and |S21| must be finite")
     depth = 1.0 - magnitude.min()
-    if not depth > 0:  # NaN included
+    if not depth > 0:
         raise FitError("no dip: |S21| never falls below 1")
     below = np.flatnonzero(magnitude < 1.0 - 0.5 * depth)
-    return freqs[below[-1]] - freqs[below[0]]
+    return abs(freqs[below[-1]] - freqs[below[0]])
 
 
 def extract_decay_curve(entries, reference):

@@ -42,22 +42,22 @@ order with an owner index:
   and refilled block by block, so their pages fault in once per call, not
   once per block: the allocator unmaps arrays this large when freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
-  exp(-i*2*pi*f_m*d/v) on every grid frequency f_m = f_0 + m*df. With
-  b = isqrt(nf) and m = a*b + c this is a coarse factor at f_0 + a*b*df
-  times a fine one at c*df: about 2*sqrt(nf) exponentials per distance
-  instead of nf, formed once per call, and one complex product per entry,
-  as accurate as one exponential per entry. Under 'probe' each block of
-  frequencies forms its own rows of that table, scales them by
-  sqrt(kappa_p) and sums each emitter's columns for its drives
-  u_j = sum_{p in j} sqrt(kappa_p)*exp(-i*k*d_p); the a_p are the
-  conjugates of the same entries, so Gamma and the drives share every
-  exponential. The sums run along each row, so row m depends on m alone
-  and no frequency's drives depend on the blocking; no array spans the
-  grid and the points or emitters. 'mixed' needs the drives on the whole
-  grid for its pole residues, as N rows, and never forms the nf x P table:
-  u[j, a*b + c] = sum_{p in j} (sqrt(kappa_p)*coarse[a, p]) * fine[c, p]
-  is one (n_a x M) by (M x b) matrix product per emitter, batched over the
-  emitters with the same number M of points.
+  the phasors sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on every grid frequency
+  f_m = f_0 + m*df. With b = isqrt(nf) and m = a*b + c each is a coarse
+  factor at f_0 + a*b*df, which carries the weight sqrt(kappa_p), times a
+  fine one at c*df: about 2*sqrt(nf) exponentials per point instead of nf,
+  formed once per call as one row per point, and one complex product per
+  entry, as accurate as one exponential per entry. Under 'probe' each
+  block forms its columns of that table, P rows along its frequencies, and
+  adds each emitter's rows for its drives u_j = sum_{p in j}
+  sqrt(kappa_p)*exp(-i*k*d_p); the a_p are the conjugates of the same
+  entries, so Gamma and the drives share every exponential. The rows add
+  entry by entry, so frequency m's drives depend on m alone, not on the
+  blocking; no array spans the grid and the points or emitters. 'mixed'
+  needs the drives on the whole grid for its pole residues, as N rows, and
+  never forms the P x nf table: u[j, a*b + c] = sum_{p in j} coarse[p, a]
+  * fine[p, c] is one (n_a x M) by (M x b) matrix product per emitter,
+  batched over the emitters with the same number M of points.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -75,12 +75,12 @@ order with an owner index:
 - The batched solve of 'probe' and of that fallback is an elimination along
   the frequency axis up to _MAX_ELIMINATION_N emitters: LAPACK pays a fixed
   cost per small matrix, and its bits follow the OpenBLAS kernel. Larger N
-  go to np.linalg.solve. The layout follows the solver. Up to the limit
-  every entry of f - H, every drive, prefix sum and a_p is one contiguous
-  row along the block's frequencies, so each numpy call runs along the
-  frequency axis and the elimination reads the rows as they are. Above it
-  f - H and the prefix sums stay frequency-major, the block LAPACK takes;
-  there each call already runs over N x N entries.
+  go to np.linalg.solve. The phasors, drives and a_p are rows along the
+  block's frequencies at every N, and so, up to the limit, is every entry
+  of f - H and every prefix sum: each numpy call runs along the frequency
+  axis and the elimination reads the rows as they are. Above it f - H and
+  the prefix sums stay frequency-major, the block LAPACK takes; there each
+  call already runs over N x N entries.
 """
 
 from __future__ import annotations
@@ -102,10 +102,12 @@ from .core import ModelError, Spectrum, TWO_PI, _finite_phase
 _MIN_PAIRING = 1e-2
 _MAX_CROSS_PAIRING = 1e-10
 
-# Bytes one block of the batched solve holds: f - H (16*N^2 per frequency)
-# and, up to _MAX_ELIMINATION_N, the probe assembly's rows too (_block_rows),
-# which at N <= 4 outweigh f - H. At 2001 points every block of N <= 4
-# emitters with up to 8 points each is the whole grid.
+# Bytes that size one block of the batched solve: f - H, 16*N^2 per
+# frequency, and up to _MAX_ELIMINATION_N the probe assembly's rows too
+# (_block_rows), which at N <= 4 outweigh f - H; at 2001 points every block
+# of N <= 4 emitters with up to 8 points each is the whole grid. Above the
+# limit a 'probe' block also holds prefix sums (8*N^2 bytes per frequency)
+# and phasor, a_p and drive rows, uncounted: 8.4 MB traced at N = 32 x 4.
 _BLOCK_BYTES = 4 << 20
 
 # _solve eliminates along the frequency axis up to this many emitters and
@@ -204,47 +206,45 @@ class _Points:
         return self.emitter_sums(np.sqrt(self.kappa) * np.exp(-1j * theta))
 
 
-def _phase_factors(grid, d, speed):
-    """Coarse and fine factors of exp(-i*2*pi*f_m*d/v) on a uniform grid.
+def _phase_factors(grid, d, weights, speed):
+    """Factors of weights*exp(-i*2*pi*f_m*d/v) on a uniform grid, one row per distance.
 
-    Row m = a*b + c of the grid, b = isqrt(nf), is coarse[a] * fine[c]:
-    coarse holds ceil(nf/b) rows at f_0 + (a*b)*df, formed as np.linspace
-    forms the grid, and fine b rows at c*df; both have d.size columns.
+    Column m = a*b + c of the grid, b = isqrt(nf), is coarse[:, a] * fine[:, c]:
+    coarse holds weights times ceil(nf/b) columns at f_0 + (a*b)*df, formed
+    as np.linspace forms the grid, and fine b columns at c*df.
     """
     nf = grid.n_points
     b = math.isqrt(nf)
     df = (grid.f_stop - grid.f_start) / (nf - 1)
     a = np.arange(-(-nf // b))
-    coarse = _finite_phase(TWO_PI * (((a * b) * df + grid.f_start)[:, None] * d) / speed)
-    fine = _finite_phase(TWO_PI * ((np.arange(b) * df)[:, None] * d) / speed)
-    return np.exp(-1j * coarse), np.exp(-1j * fine)
+    coarse = _finite_phase(TWO_PI * (d[:, None] * ((a * b) * df + grid.f_start)) / speed)
+    fine = _finite_phase(TWO_PI * (d[:, None] * (np.arange(b) * df)) / speed)
+    return np.exp(-1j * coarse) * weights[:, None], np.exp(-1j * fine)
 
 
 def _phasors(coarse, fine, start, stop):
-    """Grid rows start:stop of exp(-i*2*pi*f_m*d/v) from its factors, shape
-    (stop - start, d.size)."""
-    b = fine.shape[0]
+    """Grid columns start:stop of weights*exp(-i*2*pi*f_m*d/v) from its factors,
+    as rows along the frequencies, shape (d.size, stop - start)."""
+    b = fine.shape[1]
     first = start // b
-    table = (coarse[first : (stop - 1) // b + 1, None] * fine).reshape(-1, fine.shape[1])
-    return table[start - first * b : stop - first * b]
+    table = (coarse[:, first : (stop - 1) // b + 1, None] * fine[:, None]).reshape(fine.shape[0], -1)
+    return table[:, start - first * b : stop - first * b]
 
 
 def _grid_drives(pts, coarse, fine, nf):
     """Drives u[j, m] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (N, nf),
     for the pole residues under 'mixed'.
 
-    With the factors of _phase_factors, u[a*b + c, j] is the (a, c) entry of
-    the product of (sqrt(kappa_p)*coarse[a, p]) and fine[c, p] over j's
-    points: one batched matmul per point count, no nf x P table.
+    With the factors of _phase_factors weighted by sqrt(kappa_p), u[j, a*b + c]
+    is the (a, c) entry of the product of coarse[p, a] and fine[p, c] over
+    j's points: one batched matmul per point count, no P x nf table.
     """
     sizes = np.diff(pts.starts, append=pts.x.size)
-    scaled = (coarse * np.sqrt(pts.kappa)).T
-    fine = fine.T
     u = np.empty((sizes.size, nf), dtype=complex)
     for m in set(sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
         js = np.flatnonzero(sizes == m)
         idx = pts.starts[js, None] + np.arange(m)  # points of each emitter with m of them
-        prod = np.matmul(scaled[idx].transpose(0, 2, 1), fine[idx])
+        prod = np.matmul(coarse[idx].transpose(0, 2, 1), fine[idx])
         # a slice scatters three times faster than an index array
         cols = js if js.size < sizes.size else slice(None)
         u[cols] = prod.reshape(js.size, -1)[:, :nf]
@@ -314,26 +314,27 @@ def _probe_resolvent(pts, f, factors, step):
     """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a,
     given as (N, N, nb), and returns the drives u there, (N, nb).
 
-    Each block forms its rows of sqrt(kappa_p)*exp(-i*k*d_p) once: the sums
-    over each emitter's points are its drives (plain adds of its columns up
-    to _MAX_ELIMINATION_N), and the conjugates, taken in order along the
-    guide, the a_p of the prefix-sum identity of the module docstring, whose
-    prefix sums start at -u_l/2 to give J itself. The dissipative sums
-    factor through the drives, Gamma_jl = Re(u_j * conj(u_l)) = Re u_j *
-    Re u_l + Im u_j * Im u_l, one (N x 2)(2 x N) product per frequency above
-    the limit. Taking both from the exponentials of the drives keeps the
-    anti-Hermitian part exactly consistent with the in/out coupling, so
-    lossless topologies scatter unitarily to machine precision even near
-    decoupling points where the resolvent amplifies rounding. factors are
-    _phase_factors of the distances from the first point, in emitter order.
-    The prefix-sum buffers hold step frequencies and are refilled block by
-    block, in the memory order of a: each entry one row along the
-    frequencies up to the limit, frequency-major above.
+    Each block forms its table of sqrt(kappa_p)*exp(-i*k*d_p) once, one row
+    along its frequencies per point, from factors, the _phase_factors of the
+    distances from the first point in emitter order weighted by
+    sqrt(kappa_p). The sums of each emitter's rows are its drives (plain
+    adds up to _MAX_ELIMINATION_N, np.add.reduceat above), and the
+    conjugate rows, taken in order along the guide, the a_p of the
+    prefix-sum identity of the module docstring, whose prefix sums start at
+    -u_l/2 to give J itself. The dissipative sums factor through the drives,
+    Gamma_jl = Re(u_j * conj(u_l)) = Re u_j * Re u_l + Im u_j * Im u_l, one
+    (N x 2)(2 x N) product per frequency above the limit. Taking both from
+    the exponentials of the drives keeps the anti-Hermitian part exactly
+    consistent with the in/out coupling, so lossless topologies scatter
+    unitarily to machine precision even near decoupling points where the
+    resolvent amplifies rounding. The prefix-sum buffers hold step
+    frequencies and are refilled block by block in the memory order of a:
+    each entry one row along the frequencies up to the limit,
+    frequency-major above.
     """
     n = pts.f_res.size
     rows_major = n <= _MAX_ELIMINATION_N
     order = np.argsort(pts.x)
-    root = np.sqrt(pts.kappa)
     owners = pts.owner[order]
     later = np.flatnonzero(pts.owner[1:] == pts.owner[:-1]) + 1 if rows_major else []
     sums_buf = np.empty(n * step * n)
@@ -342,14 +343,12 @@ def _probe_resolvent(pts, f, factors, step):
     def resolvent(sl, a):
         nb = a.shape[2]
         ph = _phasors(*factors, sl.start, sl.stop)
-        ph.real *= root
-        ph.imag *= root
-        u = ph.T[pts.starts] if rows_major else pts.emitter_sums(ph, axis=1).T
-        for p in later:  # each emitter's other columns, added to its first
-            u[pts.owner[p]] += ph[:, p]
+        u = ph[pts.starts] if rows_major else pts.emitter_sums(ph, axis=0)
+        for p in later:  # each emitter's other rows, added to its first
+            u[pts.owner[p]] += ph[p]
         # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows in order along the
         # guide; rebinding ph frees the emitter-order table before a_pts is allocated
-        ph = ph[:, order].T
+        ph = ph[order]
         a_pts = np.empty((order.size, 2, nb))
         a_pts[:, 0] = ph.real
         np.negative(ph.imag, out=a_pts[:, 1])
@@ -380,7 +379,7 @@ def _probe_resolvent(pts, f, factors, step):
             np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
         else:
             a = a.transpose(2, 0, 1)
-            uf = u.T.view(float).reshape(nb, n, 2)
+            uf = u.view(float).reshape(n, nb, 2).transpose(1, 0, 2)
             np.matmul(uf, uf.transpose(0, 2, 1), out=a.imag)
             np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
         return u
@@ -414,10 +413,10 @@ def _fixed_resolvent(hrel, f, f_res, u):
 
 
 def _block_rows(nf, n, points=0):
-    """Frequencies per block, so that what a block holds per frequency fills at
-    most _BLOCK_BYTES: f - H, 16*N^2 bytes, and up to _MAX_ELIMINATION_N also
-    the prefix sums, 8*N^2, and the rows of the drives and of the `points`
-    coupling points under 'probe', 32*(N + points)."""
+    """Frequencies per block, so that the bytes per frequency it counts fill
+    at most _BLOCK_BYTES (see there): f - H, 16*N^2, and up to
+    _MAX_ELIMINATION_N also the prefix sums, 8*N^2, and the rows of the
+    drives and of the `points` coupling points under 'probe', 32*(N + points)."""
     per_frequency = 16 * n * n
     if n <= _MAX_ELIMINATION_N:
         per_frequency += 8 * n * n + 32 * (n + points)
@@ -585,7 +584,7 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             # where 2*pi*f*x/v rounds to 1e-11 rad at 50 m
             x0 = pts.x.min()
             refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
-            factors = _phase_factors(grid, pts.x - x0, v)
+            factors = _phase_factors(grid, pts.x - x0, np.sqrt(pts.kappa), v)
             if convention == "mixed":
                 hrel, u = _assemble(pts, v, -1), _grid_drives(pts, *factors, f.size)
         # only once the model is formed: a run that cannot form it fails with one message

@@ -188,18 +188,20 @@ class FitFormParams:
         return replace(self, f_o=f_o)
 
 
+def _fitform_terms(f, f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma):
+    """(d_o, d_i, c, root, num, den) of the two-mode fit form S21 = 1 - num/den
+    at frequencies f, with c = j - i*gamma and root = sqrt(kappa_i_g*kappa_o_g)."""
+    d_o = f - f_o + 1j * (kappa_o_g + beta_o)
+    d_i = f - f_i + 1j * (kappa_i_g + beta_i)
+    c = j - 1j * gamma
+    root = math.sqrt(kappa_i_g * kappa_o_g)
+    num = 2j * root * c + 1j * kappa_i_g * d_o + 1j * kappa_o_g * d_i
+    return d_o, d_i, c, root, num, d_o * d_i - c * c
+
+
 def s21_fitform_values(q, f):
     """Complex two-mode fit-model transmission at probe frequencies f."""
-    f = np.asarray(f, dtype=float)
-    d_o = f - q.f_o + 1j * (q.kappa_o_g + q.beta_o)
-    d_i = f - q.f_i + 1j * (q.kappa_i_g + q.beta_i)
-    coupling = q.j - 1j * q.gamma
-    num = (
-        2j * math.sqrt(q.kappa_i_g * q.kappa_o_g) * coupling
-        + 1j * q.kappa_i_g * d_o
-        + 1j * q.kappa_o_g * d_i
-    )
-    den = d_o * d_i - (1j * q.gamma - q.j) ** 2
+    *_, num, den = _fitform_terms(np.asarray(f, dtype=float), **vars(q))
     return 1.0 - num / den
 
 

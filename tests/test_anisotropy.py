@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gsesim.anisotropy import (
     ANGULAR_FACTOR_MAX,
@@ -17,6 +18,7 @@ from gsesim.anisotropy import (
     resonance_simple,
 )
 from gsesim.core import GAMMA_2PI, ModelError
+from conftest import with_extremes
 
 
 class TestAngularFactor:
@@ -102,3 +104,44 @@ class TestSweep:
         assert out == [float(resonance_simple(p, th)) for th in thetas]
         with pytest.raises(ModelError):
             angle_sweep(p, thetas, which="bogus")
+
+
+@st.composite
+def extreme_anisotropy(draw):
+    """(H_e0, H_A, gamma, thetas): an ordinary crystal and three angles with
+    one to four of the numbers replaced by extremes."""
+    numbers = with_extremes(draw, [draw(st.floats(0.05, 0.5)), draw(st.floats(-5e-3, 5e-3)), GAMMA_2PI,
+                                   *(draw(st.floats(0.0, 2 * math.pi)) for _ in range(3))])
+    return numbers[:3], numbers[3:]
+
+
+class TestExtremeInputs:
+    """Any numbers reach the caller as finite frequencies or one ModelError,
+    never a RuntimeWarning or another exception."""
+
+    @given(case=extreme_anisotropy())
+    # a fault of the parent: an angle whose 2*theta overflows raised
+    # ValueError (math domain error) under the full law, and the simple law
+    # warned on it (invalid value in cos)
+    @example(case=([0.5, 0.0, GAMMA_2PI], [1.7976931348623157e308, 0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_laws_are_finite_or_model_error(self, case):
+        params, thetas = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", AnisotropyRegimeWarning)
+            try:
+                p = AnisotropyParams(*params)
+            except ModelError:
+                return
+            for law in (resonance_full, resonance_simple):
+                for theta in thetas:
+                    try:
+                        assert math.isfinite(law(p, theta))
+                    except ModelError:
+                        pass
+            for which in ("simple", "full"):
+                try:
+                    assert np.isfinite(angle_sweep(p, thetas, which)).all()
+                except ModelError:
+                    pass

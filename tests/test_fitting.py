@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gsesim.fitting as fitting
 from gsesim.core import ModelError, Waveguide
 from gsesim.fitting import (
+    MODEL_PARAMS,
+    MODELS,
     DegeneracyWarning,
     FitError,
     FitProblem,
@@ -25,7 +27,8 @@ from gsesim.fitting import (
 )
 from gsesim.io import synth_noise
 from gsesim.nested import FitFormParams, s21_fitform_values
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, MHZ, SPEED
+from gsesim.single import SingleGseParams
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, MHZ, SPEED, with_extremes
 
 TRUE_SINGLE = {
     "f_res": 4.35e9,
@@ -609,3 +612,209 @@ class TestMapAnalysis:
         mag[[3, 5, 7]] = [0.2, np.nan, 0.2]
         with pytest.raises(FitError):
             width(np.linspace(4.3e9, 4.4e9, 11), mag)
+
+
+# bounds of every fit parameter; true values and guesses are drawn inside them
+RANGES = {
+    **dict.fromkeys(("f_res", "f_i", "f_o"), (4.33e9, 4.37e9)),
+    **dict.fromkeys(("kappa", "kappa_g", "beta", "kappa_i_g", "kappa_o_g", "beta_i", "beta_o"), (0.0, 4e6)),
+    **dict.fromkeys(("j", "gamma"), (-2e6, 2e6)),
+    "length": (0.01, 0.5),
+    "speed": (1e7, 1e8),
+}
+
+
+def inside(draw, name):
+    lo, hi = RANGES[name]
+    return draw(st.floats(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
+
+
+def spectrum(model, f_lo, f_hi, q, noise=0.0, n=41):
+    """(freqs, S21) of model on n points with noise added to the middle one,
+    warnings off: the numbers may be extreme, and the fit, not this, is under test."""
+    with np.errstate(all="ignore"):
+        freqs = np.linspace(f_lo, f_hi, n)
+        s21 = np.asarray(MODELS[model](freqs, q)[0], dtype=complex) * np.ones(n)
+        s21[n // 2] += noise
+    return freqs, s21
+
+
+def fit_case(model, q, free, f_lo=4.33e9, f_hi=4.37e9, noise=0.0, magnitude=False, db=False):
+    """(model, freqs, data, free, fixed, magnitude_only, db_scale) of a fit of
+    model to its own spectrum at q, the names not in free fixed at q."""
+    freqs, data = spectrum(model, f_lo, f_hi, q, noise)
+    fixed = {n: v for n, v in q.items() if n not in free}
+    return model, freqs, np.abs(data) if magnitude else data, free, fixed, magnitude, magnitude and db
+
+
+def with_fixed(case, **values):
+    """fit_case case with the fixed values replaced."""
+    model, freqs, data, free, fixed, *modes = case
+    return (model, freqs, data, free, {**fixed, **values}, *modes)
+
+
+def geometry_case(kappa, beta, length, speed, f_res, guesses, noise=0.0):
+    """(datasets, free, fixed) of a geometry fit to single-GSE spectra 30 MHz
+    either side of each resonance in f_res, with speed fixed."""
+    datasets = []
+    for f0 in f_res:
+        q = dict(f_res=f0, kappa=kappa, beta=beta, length=length, speed=speed)
+        datasets.append((f0, *spectrum("single", f0 - 30e6, f0 + 30e6, q, noise)))
+    free = {n: (g, *RANGES[n]) for n, g in zip(("kappa", "beta", "length"), guesses)}
+    return datasets, free, {"speed": speed}
+
+
+def decay_case(f_res, kappa_g, beta, half_span, reference, noise=0.0):
+    """(entries, reference) of extract_decay_curve on single_giant spectra at f_res."""
+    q = dict(kappa_g=kappa_g, beta=beta)
+    return [(f0, *spectrum("single_giant", f0 - half_span, f0 + half_span, dict(q, f_res=f0), noise))
+            for f0 in f_res], reference
+
+
+def dip(f_lo, f_hi, f0, width, depth, noise=0.0):
+    """(freqs, |S21|) of one Lorentzian dip on 21 points, noise added to the middle one."""
+    with np.errstate(all="ignore"):
+        freqs = np.linspace(f_lo, f_hi, 21)
+        magnitude = 1.0 - depth / (1.0 + ((freqs - f0) / width) ** 2)
+        magnitude[10] += noise
+    return freqs, magnitude
+
+
+@st.composite
+def extreme_fits(draw):
+    """fit_case of any model with some names free, with one to four of its
+    numbers (grid ends, true values, guesses, bounds, a data point) replaced
+    by extremes, or the ModelError that forming the data raised."""
+    model = draw(st.sampled_from(sorted(MODEL_PARAMS)))
+    names = MODEL_PARAMS[model]
+    free_names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    per_name = [[inside(draw, n), inside(draw, n), *RANGES[n]] for n in names]
+    numbers = with_extremes(draw, [4.33e9, 4.37e9, 0.0, *(x for row in per_name for x in row)])
+    (f_lo, f_hi, noise), rows = numbers[:3], np.reshape(numbers[3:], (-1, 4))
+    q = dict(zip(names, rows[:, 0].tolist()))
+    free = {n: tuple(row[1:].tolist()) for n, row in zip(names, rows) if n in free_names}
+    try:
+        return fit_case(model, q, free, f_lo, f_hi, noise, draw(st.booleans()), draw(st.booleans()))
+    except ModelError as exc:
+        return exc
+
+
+@st.composite
+def extreme_geometries(draw):
+    """geometry_case at three resonances with one to four numbers replaced
+    by extremes, or the ModelError that forming the data raised."""
+    truth, guesses = ([inside(draw, n) for n in ("kappa", "beta", "length")] for _ in range(2))
+    numbers = with_extremes(draw, [*truth, SPEED, 4.0e9, 4.4e9, 4.8e9, *guesses, 0.0])
+    try:
+        return geometry_case(*numbers[:4], numbers[4:7], numbers[7:10], numbers[10])
+    except ModelError as exc:
+        return exc
+
+
+@st.composite
+def extreme_decay_entries(draw):
+    """decay_case at two resonances with one to four numbers, those of the
+    reference ensemble included, replaced by extremes, or the ModelError
+    that forming the data or the reference raised."""
+    numbers = with_extremes(draw, [4.34e9, 4.36e9, inside(draw, "kappa_g"), inside(draw, "beta"), 30e6,
+                                   KAPPA_INNER, L_INNER, SPEED, 0.0])
+    *f_res, kappa_g, beta, half_span, kappa, length, speed, noise = numbers
+    try:
+        reference = SingleGseParams(kappa, BETA_INNER, length, 4.35e9, Waveguide(speed))
+        return decay_case(f_res, kappa_g, beta, half_span, reference, noise)
+    except ModelError as exc:
+        return exc
+
+
+@st.composite
+def extreme_dips(draw):
+    """dip with one to four of its numbers replaced by extremes."""
+    return dip(*with_extremes(draw, [4.33e9, 4.37e9, draw(st.floats(4.34e9, 4.36e9)), draw(st.floats(1e6, 1e7)),
+                                     draw(st.floats(0.1, 0.9)), 0.0]))
+
+
+def finite_fit(result):
+    """Finite estimates and residual; a sigma is finite or, along a flat direction, inf."""
+    assert all(math.isfinite(v) for v in result.values.values())
+    assert math.isfinite(result.residual_norm)
+    assert all(s >= 0 for s in result.sigmas.values())
+
+
+GIANT = dict(f_res=4.35e9, kappa_g=4e5, beta=4e5)
+DEVICE = dict(TRUE_SINGLE, kappa=2.2e-308)  # a subnormal Jacobian column: every S21 within 1e-313 of 1
+REFERENCE = SingleGseParams(KAPPA_INNER, BETA_INNER, L_INNER, 4.35e9, Waveguide(SPEED))
+
+
+class TestExtremeInputs:
+    """Any numbers reach the caller as finite results or one ModelError
+    (FitError included), never a RuntimeWarning or another exception."""
+
+    @given(case=extreme_fits())
+    # faults of the parent: np.diff warned on a grid ending in inf; |r|^2
+    # overflowed; 1/sv overflowed, and the sigma was NaN, on a Jacobian
+    # column whose norm underflows; a fixed speed of 0 raised ZeroDivisionError
+    @example(case=fit_case("single_giant", GIANT, {"f_res": (4.35e9, 4.33e9, 4.37e9)}, f_hi=math.inf))
+    @example(case=fit_case("single_giant", GIANT, {"f_res": (4.35e9, 4.33e9, 4.37e9)}, noise=1e300))
+    @example(case=fit_case("single", DEVICE, {"f_res": (4.34e9, 4.33e9, 4.37e9)}))
+    @example(case=with_fixed(fit_case("single", TRUE_SINGLE, {"kappa": (4e5, 0.0, 4e6)}), speed=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_is_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        model, freqs, data, free, fixed, magnitude_only, db_scale = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            try:
+                result = fit(FitProblem(freqs, data, model, free, fixed, magnitude_only, db_scale))
+            except ModelError:
+                return
+        finite_fit(result)
+
+    @given(case=extreme_geometries())
+    # a fault of the parent: the Jacobian's column norms overflowed at a resonance of 1e300 Hz
+    @example(case=geometry_case(KAPPA_INNER, BETA_INNER, L_INNER, SPEED, (1e300, 4.4e9, 4.8e9),
+                                (7e5, 1.5e6, 0.08)))
+    @settings(max_examples=100, deadline=None)
+    def test_geometry_fit_is_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            try:
+                result = fit_global_geometry(*case)
+            except ModelError:
+                return
+        finite_fit(result)
+
+    @given(case=extreme_decay_entries())
+    # a fault of the parent: a norm of the trust-region set-up overflowed on spectra 1e300 Hz wide
+    @example(case=decay_case((4.34e9, 4.36e9), 4e5, 4e5, 1e300, REFERENCE))
+    @settings(max_examples=100, deadline=None)
+    def test_decay_curve_is_finite_or_model_error(self, case):
+        if isinstance(case, ModelError):
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            try:
+                rows = extract_decay_curve(*case)
+            except ModelError:
+                return
+        assert np.isfinite(rows).all()
+
+    @given(case=extreme_dips())
+    # faults of the parent: a -inf point raised IndexError, and a descending
+    # grid gave a negative width
+    @example(case=dip(4.33e9, 4.37e9, 4.35e9, 4e6, 0.5, noise=-math.inf))
+    @example(case=dip(4.37e9, 4.33e9, 4.35e9, 4e6, 0.5))
+    @settings(max_examples=300, deadline=None)
+    def test_merged_linewidth_is_finite_or_model_error(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                width = merged_linewidth(*case)
+            except ModelError:
+                return
+        assert math.isfinite(width) and width >= 0

@@ -98,6 +98,17 @@ of seeds 1-3, |dS21| and |dS11| stayed within 1.6e-14 and 3.4e-14 (the
 lossless N = 32 layouts) and within 2.6e-15 elsewhere. Every other digest
 stayed bit for bit, and the two data files still read the same under the
 other OpenBLAS cores.
+
+general_probe.csv, general_probe_refl.csv and the manifest of their run
+were re-captured when the coarse grid factors began to carry the
+sqrt(kappa_p) weights, so that each phasor is (sqrt(kappa_p)*coarse)*fine
+in place of (coarse*fine)*sqrt(kappa_p), laid out as one row along the
+frequencies per coupling point. Against the parent, S21 moved by at most
+2.8e-16 and the reflection by 3.0e-16; on the multipoint-scatter layouts
+of seeds 1-3, |dS21| and |dS11| stayed within 1.1e-14 and 1.8e-14 (the
+lossless N = 32 layouts). 'mixed' takes the same weighted factors and
+stayed bit for bit, as did every other digest, and the two data files
+still read the same under the other OpenBLAS cores.
 """
 
 import hashlib
@@ -208,9 +219,9 @@ GOLDEN = {
     "g2.csv.manifest.json": "7e1db671bb3073b2463b8e9acb15664cfe2a0ce53d42662064ad866a35837233",
     "general_mixed.csv": "8b49ee2aa44e852e59299a564733e5864ab919a9043b7301ecdd4c7dcdb0bff0",
     "general_mixed.csv.manifest.json": "90b03603fec22bd43a07575aa8b04bb1e28700b4dee051a2449370715fca6b87",
-    "general_probe.csv": "99211c13b8272f4a81daa5c0ed05bcdd195d6e285d07dd514439efd1ead6b6b7",
-    "general_probe.csv.manifest.json": "2d9b70779a7ef90c13803efce6834a3d80477b60e18d6e7722f0cde9419590d9",
-    "general_probe_refl.csv": "3817ed2835df8d0ec5889612359b48838a01e219facda838946fdd45ac4294c8",
+    "general_probe.csv": "e1d633e1811196723e67bb2c34ec2a456813c6f3ea345cf9980ee84d13e40e6b",
+    "general_probe.csv.manifest.json": "d3d11cb693101998336b25a1b0f6da531d60a8e76daf20f2c3820d16c3401235",
+    "general_probe_refl.csv": "e15ce7c544e8abb8bfb5907b75d8bc08c01a44d744a06b886fa8d7fef2695180",
     "general_resonance.csv": "f2c26320f6ca56ad2e07d0e1a1de8276e60b58237a5ec026fab02426fccb9928",
     "general_resonance.csv.manifest.json": "27b16fea7f219f4f51f198865a37b79b871b293fc25d98dbc6284326f8746b99",
     "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from gsesim.lambpv import (
     pv_quadrature,
     sici,
 )
+from conftest import with_extremes
 
 
 class TestSiCi:
@@ -198,3 +200,22 @@ class TestDecomposition:
         d, s = decay_shift_decomposition(math.pi / 2)
         assert d == pytest.approx(0.0, abs=1e-12)
         assert s == pytest.approx(-math.pi, rel=1e-15)
+
+
+class TestExtremeInputs:
+    """Any argument reaches the caller as finite values or one ModelError
+    (PvDivergence and PvConvergenceError included), never a RuntimeWarning
+    or another exception."""
+
+    @given(data=st.data(), branch=st.sampled_from(["+", "-"]))
+    @settings(max_examples=300, deadline=None)
+    def test_integrals_are_finite_or_model_error(self, data, branch):
+        x, = with_extremes(data.draw, [data.draw(st.floats(1e-3, 1e3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (sici, lambda x: dataclasses.astuple(pv_closed(x, branch)),
+                         lambda x: dataclasses.astuple(pv_quadrature(x, branch))):
+                try:
+                    assert all(math.isfinite(v) for v in call(x))
+                except ModelError:
+                    pass

@@ -387,7 +387,7 @@ def probe_block(t, grid):
     in memory as _solve lays out a block."""
     pts = mp._Points.of(t)
     n, nf = pts.f_res.size, grid.n_points
-    factors = mp._phase_factors(grid, pts.x - pts.x.min(), SPEED)
+    factors = mp._phase_factors(grid, pts.x - pts.x.min(), np.sqrt(pts.kappa), SPEED)
     if n <= mp._MAX_ELIMINATION_N:
         a = np.empty((n, n, nf), dtype=complex)
     else:
@@ -835,11 +835,11 @@ class TestElimination:
         assert np.all(np.isfinite(s21)) and np.all(np.isfinite(refl))
 
 
-def direct_factors(grid, d, speed):
+def direct_factors(grid, d, weights, speed):
     """mp._phase_factors with one exponential per frequency and distance:
-    the whole grid as coarse factors and one fine row of ones."""
-    coarse = np.exp(-1j * (mp.TWO_PI * (grid.frequencies[:, None] * d) / speed))
-    return coarse, np.ones((1, d.size), dtype=complex)
+    the whole grid as weighted coarse factors and one fine column of ones."""
+    coarse = np.exp(-1j * (mp.TWO_PI * (d[:, None] * grid.frequencies) / speed)) * weights[:, None]
+    return coarse, np.ones((d.size, 1), dtype=complex)
 
 
 def probe_reference(t, f, dps=30):
@@ -870,33 +870,40 @@ def probe_reference(t, f, dps=30):
 
 
 class TestGridPhasors:
-    """exp(-i*k*d) on a uniform grid from a coarse and a fine table."""
+    """weights*exp(-i*k*d) on a uniform grid from a coarse and a fine table,
+    one row along the frequencies per distance."""
 
     @pytest.mark.parametrize("nf", [2, 3, 7, 211, 2001])
     def test_as_accurate_as_one_exponential_per_frequency(self, nf):
-        # distances measured from a first point 40 m out, phases up to 250 rad
+        # distances measured from a first point 40 m out, phases up to 250 rad;
+        # weights of order one, so the bounds stay absolute
         grid = FrequencyGrid(4.3e9, 4.4e9, nf)
         x0 = 40.0 + math.pi / 100
         d = (x0 + np.array([0.0, 1e-3, 0.0371, 0.1, 0.2183, 0.295])) - x0
+        weights = np.array([1.0, 0.5, 0.731, 1.25, 0.9, 1.5])
         with mpmath.workdps(40):
             df = (mpmath.mpf(grid.f_stop) - grid.f_start) / (nf - 1)
             ref = np.array([
-                [complex(mpmath.expj(-2 * mpmath.pi * (grid.f_start + m * df) * dj / SPEED)) for dj in d]
-                for m in range(nf)
+                [complex(wj * mpmath.expj(-2 * mpmath.pi * (grid.f_start + m * df) * dj / SPEED)) for m in range(nf)]
+                for dj, wj in zip(d, weights)
             ])
-        table = np.max(np.abs(mp._phasors(*mp._phase_factors(grid, d, SPEED), 0, nf) - ref))
-        direct = np.max(np.abs(direct_factors(grid, d, SPEED)[0] - ref))
-        # the product of the two factors rounds once more, by about 2e-16
-        assert table <= direct + 1e-15
+        table = mp._phasors(*mp._phase_factors(grid, d, weights, SPEED), 0, nf)
+        assert table.shape == (d.size, nf)
+        direct = np.max(np.abs(direct_factors(grid, d, weights, SPEED)[0] - ref))
+        # the products with the fine factor and the weight round once more
+        # each, by about 2e-16 of the weight
+        assert np.max(np.abs(table - ref)) <= direct + 1e-15
         assert direct < 1e-13
 
     def test_rows_do_not_depend_on_the_blocking(self):
         grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
-        factors = mp._phase_factors(grid, np.linspace(0.0, 0.3, 9), SPEED)
+        factors = mp._phase_factors(grid, np.linspace(0.0, 0.3, 9), np.linspace(0.5, 1.5, 9), SPEED)
         whole = mp._phasors(*factors, 0, 2001)
-        assert whole.shape == (2001, 9)
+        assert whole.shape == (9, 2001)
         for start, stop in ((0, 1), (5, 9), (43, 46), (256, 512), (1999, 2001)):
-            assert np.array_equal(mp._phasors(*factors, start, stop), whole[start:stop])
+            block = mp._phasors(*factors, start, stop)
+            assert block.strides[1] == block.itemsize  # each row contiguous along the frequencies
+            assert np.array_equal(block, whole[:, start:stop])
 
     def test_lossless_n32_probe_against_30_digit_reference(self, monkeypatch, waveguide):
         # the factored phasors move the outputs by up to about 1e-12 from one
@@ -931,7 +938,8 @@ def unequal_layout(rng, sizes=(3, 1, 8, 2, 1, 3), x0=40.0):
 def grid_drives(t, grid):
     """mp._grid_drives of a topology from its first coupling point, shape (N, nf)."""
     pts = mp._Points.of(t)
-    return mp._grid_drives(pts, *mp._phase_factors(grid, pts.x - pts.x.min(), SPEED), grid.n_points)
+    factors = mp._phase_factors(grid, pts.x - pts.x.min(), np.sqrt(pts.kappa), SPEED)
+    return mp._grid_drives(pts, *factors, grid.n_points)
 
 
 def long_double_drives(emitters, grid):

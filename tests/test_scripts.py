@@ -27,12 +27,35 @@ def test_reproduce_device_rates():
     assert proc.stdout.count("(closest of 8 phase assignments)") == 2
 
 
+CALL_NAMES = {f"{kind}_n{n}" for n in (2, 8, 32) for kind in ("resonance", "mixed", "probe", "build_effective")}
+CALL_NAMES |= {"probe_n4", "probe_n64_m8"}
+
+
 def test_call_times():
     proc = run_script("call_times.py", "--repeats", "1", "--points", "101")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert (report["points"], report["repeats"]) == (101, 1)
-    names = {f"{kind}_n{n}" for n in (2, 8, 32) for kind in ("resonance", "mixed", "probe", "build_effective")}
-    assert set(report["calls"]) == names | {"probe_n64_m8"}
+    assert set(report["calls"]) == CALL_NAMES
     for times in report["calls"].values():
         assert times["cold_ms"] > 0 and times["warm_ms"] > 0 and times["peak_mib"] > 0
+
+
+def test_call_times_against_a_second_tree(tmp_path):
+    # the tree holding this test against itself, imported under another
+    # package name: both columns are timed, alternating call by call
+    root = os.path.dirname(SCRIPTS)
+    proc = run_script("call_times.py", "--repeats", "2", "--points", "101", "--against", root)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["against"] == root
+    assert set(report["calls"]) == CALL_NAMES
+    for entry in report["calls"].values():
+        for tree in ("this", "against"):
+            times = entry[tree]
+            assert times["cold_ms"] > 0 and times["warm_ms"] > 0 and times["peak_mib"] > 0
+        for kind in ("cold", "warm"):
+            assert entry[f"{kind}_change"] > -1
+            assert 0 <= entry[f"{kind}_wins"] <= 2
+    missing = run_script("call_times.py", "--repeats", "1", "--against", str(tmp_path))
+    assert missing.returncode == 2 and "no gsesim package" in missing.stderr
