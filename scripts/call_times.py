@@ -3,10 +3,12 @@
 
 Each call is `s_matrix` under one convention, or `build_effective`, on a
 seeded layout of N = 2, 8 or 32 emitters with four interleaved coupling
-points each; `s_matrix` under 'probe' at N = 4, the largest N whose blocks
-are laid out along the frequencies; and `s_matrix` under 'probe' at N = 64
-with eight points each on 501 points, the largest case of the
-multipoint-scatter benchmark. For every call the script reports:
+points each; `s_matrix` under 'probe' at N = _MAX_ELIMINATION_N of
+gsesim.multipoint (4), the largest N whose blocks are laid out along the
+frequencies, with this tree's N for both trees under --against; and
+`s_matrix` under 'probe' at N = 64 with eight points each on 501 points,
+the largest case of the multipoint-scatter benchmark. For every call the
+script reports:
 
 - cold_ms: the median over the repeats of the call timed right after a
   fixed loop of interpreter bytecode, small numpy ufuncs and small LAPACK
@@ -45,12 +47,11 @@ import warnings
 
 import numpy as np
 
-import gsesim
+import gsesim.multipoint
 
 SIZES = (2, 8, 32)
 POINTS_PER_EMITTER = 4
 CONVENTIONS = ("resonance", "mixed", "probe")
-SWITCH_PROBE = 4  # emitters: the blocks of 'probe' leave the frequency-axis layout above this N
 LARGE_PROBE = (64, 8, 501)  # emitters, points per emitter, grid points
 
 
@@ -81,7 +82,7 @@ def calls(points, package):
         for convention in CONVENTIONS:
             out.append((f"{convention}_n{n}", lambda t=t, c=convention: mp.s_matrix(t, wg, grid, convention=c)))
         out.append((f"build_effective_n{n}", lambda t=t: mp.build_effective(t, wg)))
-    n = SWITCH_PROBE
+    n = gsesim.multipoint._MAX_ELIMINATION_N  # emitters: 'probe' blocks leave the frequency axis above this N
     out.append((f"probe_n{n}", probe(layout(np.random.default_rng([6, n]), n, POINTS_PER_EMITTER, core))))
     n, m, nf = LARGE_PROBE
     out.append((f"probe_n{n}_m{m}", probe(layout(np.random.default_rng([6, n]), n, m, core),

@@ -161,6 +161,8 @@ def _parse_free(items):
             hi = float(vals[2]) if len(vals) == 3 else np.inf
         except ValueError as exc:
             raise ConfigError(f"--free {item!r}: {exc}") from None
+        if name in free:
+            raise ConfigError(f"--free {item!r}: parameter {name!r} is given twice")
         free[name] = (guess, lo, hi)
     return free
 
@@ -171,6 +173,8 @@ def _parse_fixed(items):
         name, _, value = item.partition("=")
         if not name or not value:
             raise ConfigError(f"--fixed {item!r}: expected name=value")
+        if name in fixed:
+            raise ConfigError(f"--fixed {item!r}: parameter {name!r} is given twice")
         try:
             fixed[name] = float(value)
         except ValueError as exc:

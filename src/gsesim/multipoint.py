@@ -33,14 +33,16 @@ order with an owner index:
   guide, vectorized over frequency and emitters, O(P*N) per frequency
   instead of O(P^2) of trigonometry. -J, Gamma + beta and the detuning go
   straight into a buffer holding f - H for one block of frequencies (Gamma
-  one (N x 2)(2 x N) product per frequency above _MAX_ELIMINATION_N),
-  which one batched call solves and turns into S21 and reflection before
-  the next block is assembled. A block holds as many frequencies as fit in
-  _BLOCK_BYTES (_block_rows counts what a block holds per frequency), so no
-  buffer grows with the grid, and no frequency's arithmetic depends on the
-  blocking. The f - H and prefix-sum buffers are allocated once per call
-  and refilled block by block, so their pages fault in once per call, not
-  once per block: the allocator unmaps arrays this large when freed.
+  the products of the drives' real and imaginary parts, two entry by entry
+  up to _MAX_ELIMINATION_N, one (N x 2)(2 x N) product per frequency
+  above), which one batched call solves and turns into S21 and reflection
+  before the next block is assembled. _BLOCK_BYTES is the one memory
+  budget: s_matrix sizes the blocks from it once per call (_block_rows
+  counts what a block holds per frequency), so no buffer grows with the
+  grid, and no frequency's arithmetic depends on the blocking. The f - H
+  and prefix-sum buffers are allocated once per call and refilled block by
+  block, so their pages fault in once per call, not once per block: the
+  allocator unmaps arrays this large when freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   the phasors sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on every grid frequency
   f_m = f_0 + m*df. With b = isqrt(nf) and m = a*b + c each is a coarse
@@ -102,12 +104,15 @@ from .core import ModelError, Spectrum, TWO_PI, _finite_phase
 _MIN_PAIRING = 1e-2
 _MAX_CROSS_PAIRING = 1e-10
 
-# Bytes that size one block of the batched solve: f - H, 16*N^2 per
-# frequency, and up to _MAX_ELIMINATION_N the probe assembly's rows too
-# (_block_rows), which at N <= 4 outweigh f - H; at 2001 points every block
-# of N <= 4 emitters with up to 8 points each is the whole grid. Above the
-# limit a 'probe' block also holds prefix sums (8*N^2 bytes per frequency)
-# and phasor, a_p and drive rows, uncounted: 8.4 MB traced at N = 32 x 4.
+# The module's one memory budget: s_matrix sizes every block of the batched
+# solve from it (_block_rows). Per frequency a block counts f - H, 16*N^2
+# bytes, and up to _MAX_ELIMINATION_N the whole probe assembly too: prefix
+# sums and Gamma's temporary, 8*N^2 each, and the rows of the drives and
+# points, which at N <= 4 outweigh f - H; at 2001 points every block of
+# N <= 4 emitters with up to 8 points each is the whole grid. Above the
+# limit it counts f - H alone: a 'probe' block also holds prefix sums
+# (8*N^2 bytes per frequency) and phasor, a_p and drive rows, uncounted,
+# 8.0 MiB traced at N = 32 x 4 on 2001 points for 4 MiB counted.
 _BLOCK_BYTES = 4 << 20
 
 # _solve eliminates along the frequency axis up to this many emitters and
@@ -322,15 +327,17 @@ def _probe_resolvent(pts, f, factors, step):
     conjugate rows, taken in order along the guide, the a_p of the
     prefix-sum identity of the module docstring, whose prefix sums start at
     -u_l/2 to give J itself. The dissipative sums factor through the drives,
-    Gamma_jl = Re(u_j * conj(u_l)) = Re u_j * Re u_l + Im u_j * Im u_l, one
-    (N x 2)(2 x N) product per frequency above the limit. Taking both from
-    the exponentials of the drives keeps the anti-Hermitian part exactly
-    consistent with the in/out coupling, so lossless topologies scatter
-    unitarily to machine precision even near decoupling points where the
-    resolvent amplifies rounding. The prefix-sum buffers hold step
-    frequencies and are refilled block by block in the memory order of a:
-    each entry one row along the frequencies up to the limit,
-    frequency-major above.
+    Gamma_jl = Re(u_j * conj(u_l)) = Re u_j * Re u_l + Im u_j * Im u_l, two
+    products entry by entry up to the limit and one (N x 2)(2 x N) product
+    per frequency above. Taking both from the exponentials of the drives
+    keeps the anti-Hermitian part exactly consistent with the in/out
+    coupling, so lossless topologies scatter unitarily to machine precision
+    even near decoupling points where the resolvent amplifies rounding.
+    step is the block size the caller took from _block_rows and passes to
+    _solve too: the prefix-sum buffers hold step frequencies and are
+    refilled block by block in the memory order of a, each entry one row
+    along the frequencies up to the limit, frequency-major above, where
+    _block_rows leaves them and the rows of the block uncounted.
     """
     n = pts.f_res.size
     rows_major = n <= _MAX_ELIMINATION_N
@@ -373,15 +380,11 @@ def _probe_resolvent(pts, f, factors, step):
         np.negative(sums.transpose(2, 0, 1), out=a.transpose(2, 0, 1).real)
         if rows_major:
             np.multiply(u.real[:, None], u.real, out=a.imag)
-            k = max(1, 32768 // (n * n))  # frequencies per chunk: 256 KiB of temporary, not N*N*nb
-            for i in range(0, nb, k):
-                a.imag[..., i : i + k] += u.imag[:, None, i : i + k] * u.imag[:, i : i + k]
-            np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
+            a.imag += u.imag[:, None] * u.imag
         else:
-            a = a.transpose(2, 0, 1)
             uf = u.view(float).reshape(n, nb, 2).transpose(1, 0, 2)
-            np.matmul(uf, uf.transpose(0, 2, 1), out=a.imag)
-            np.einsum("fii->fi", a)[...] += (f[sl, None] - pts.f_res) + 1j * pts.beta
+            np.matmul(uf, uf.transpose(0, 2, 1), out=a.transpose(2, 0, 1).imag)
+        np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
         return u
 
     return resolvent
@@ -413,13 +416,15 @@ def _fixed_resolvent(hrel, f, f_res, u):
 
 
 def _block_rows(nf, n, points=0):
-    """Frequencies per block, so that the bytes per frequency it counts fill
-    at most _BLOCK_BYTES (see there): f - H, 16*N^2, and up to
-    _MAX_ELIMINATION_N also the prefix sums, 8*N^2, and the rows of the
-    drives and of the `points` coupling points under 'probe', 32*(N + points)."""
+    """Frequencies per block of the batched solve, so that the bytes per
+    frequency it counts fill at most _BLOCK_BYTES (see there): f - H,
+    16*N^2, and up to _MAX_ELIMINATION_N also the prefix sums and the
+    Gamma temporary, 8*N^2 each, and the rows of the drives and of the
+    `points` coupling points under 'probe', 32*(N + points); above it f - H
+    alone. s_matrix calls it once per evaluation, for every block."""
     per_frequency = 16 * n * n
     if n <= _MAX_ELIMINATION_N:
-        per_frequency += 8 * n * n + 32 * (n + points)
+        per_frequency += 16 * n * n + 32 * (n + points)
     return min(nf, max(1, _BLOCK_BYTES // per_frequency))
 
 
@@ -461,17 +466,16 @@ def _eliminate(a, w):
     return np.stack(x)
 
 
-def _solve(resolvent, nf, n, points=0):
-    """Scattering on nf frequencies by batched solves, one block at a time.
+def _solve(resolvent, nf, n, step):
+    """Scattering on nf frequencies by batched solves, in blocks of step.
 
     resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
     a, (N, N, nb), and returns the drives u there, (N, nb); w = conj(u).
-    One buffer of at most one block holds f - H, and each block is solved
-    and scattered before the next: by _eliminate up to _MAX_ELIMINATION_N
+    One buffer of one block holds f - H, and each block is solved and
+    scattered before the next: by _eliminate up to _MAX_ELIMINATION_N
     emitters, with each entry one contiguous row, and by LAPACK above, on
-    the same buffer frequency-major. points sizes the blocks (_block_rows).
+    the same buffer frequency-major.
     """
-    step = _block_rows(nf, n, points)
     eliminate = n <= _MAX_ELIMINATION_N
     buf = np.empty(step * n * n, dtype=complex)
     s21, refl = np.empty(nf, dtype=complex), np.empty(nf, dtype=complex)
@@ -559,7 +563,10 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     lossy layouts can exceed 1 (up to 1.65 under 'resonance' and 1.87
     under 'mixed' on random interleaved layouts of 32 emitters). When
     |S21|^2 + |S11|^2 exceeds 1 + 1e-10 anywhere on the grid, they emit
-    one PassivityWarning.
+    one PassivityWarning. 'probe' and 'mixed' are reciprocal: the layout
+    mirrored along the guide (x -> L - x) has the same S21. 'resonance'
+    breaks that above one emitter, as each drive takes the phase at its own
+    emitter's resonance.
 
     A resolvent that is singular somewhere on the grid raises ModelError.
     The result records whether the pole-residue expansion or the batched
@@ -591,15 +598,15 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
         _check_markov(t, waveguide)
 
         if convention == "probe":
-            resolvent = _probe_resolvent(pts, f, factors, _block_rows(f.size, n, pts.x.size))
-            s21, refl = _solve(resolvent, f.size, n, pts.x.size)
+            step = _block_rows(f.size, n, pts.x.size)
+            s21, refl = _solve(_probe_resolvent(pts, f, factors, step), f.size, n, step)
         else:
             # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
             # rounds against the GHz scale
             f0 = pts.f_res.mean()
             min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
             if result is None:
-                result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n)
+                result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n, _block_rows(f.size, n))
             else:
                 path = "pole-residues"
             s21, refl = result

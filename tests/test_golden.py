@@ -1,114 +1,32 @@
 """Golden sha256 values of CLI outputs and manifests.
 
-Each run below exercises one CSV writer, and the fit reads synth.csv
-back through the spectrum reader. The CSV digests were recorded from the
-row-by-row csv.writer implementation and fit.json from the row-by-row
-csv.reader one; fit.json.manifest.json was recorded once the fit manifest
-recorded --free, --fixed and --db. pv.csv and its manifest were recorded
-once the quadrature oracle became the contour rule: its a_quad, b_quad and
-abs_err columns moved in their last digits, while the x, a_closed and
-b_closed columns stayed byte-identical. Any change to the bytes a command
-emits, including its manifest, fails here. Runs use relative paths,
-because manifests record the paths they were given.
+Any change to the bytes a command emits, including its manifest, fails
+here. Runs use relative paths, because manifests record the paths they
+were given. What each digest covers:
 
-The simulate-nested run (nested.csv) and the fit-geometry run on three
-synth spectra (geometry.json, from g0.csv, g1.csv and g2.csv) were
-captured, with their manifests, at the parent of the change that removed
-the unused options of NestedParams.from_geometry and fit_global_geometry,
-so that change is checked to be byte-identical.
+- single.csv, synth.csv, map_field.csv, map_detuning.csv, anisotropy.csv
+  and pv.csv: one CSV writer each, over the single-GSE closed form, the
+  two-mode fit form of the nested pair, the anisotropy law and the
+  principal-value integrals (pv.csv holds the closed forms and the
+  quadrature oracle side by side).
+- eigen.csv: the complex-eigenvalue traces of the detuning map.
+- fit.json: the single_giant fit of synth.csv, read back through the
+  spectrum reader.
+- nested.csv: simulate-nested, the nested matrix transmission.
+- g0.csv, g1.csv, g2.csv and geometry.json: three synth spectra and the
+  geometry fit over them.
+- general_resonance.csv, general_mixed.csv, general_probe.csv and
+  general_probe_refl.csv: the N-emitter engine on a braided three-emitter
+  layout under each convention, and the 'probe' reflection.
+- each *.manifest.json: the run record main writes, with every parsed
+  argument and the sha256 of each file the run reads.
 
-The three simulate-general runs on a braided three-emitter layout
-(general_*.csv) cover the N-emitter engine. general_resonance.csv and its
-manifest were captured at the parent of the change that builds the grid
-phasors from a coarse and a fine table, which leaves 'resonance' alone.
-general_mixed.csv, general_probe.csv, general_probe_refl.csv and their
-manifests were recorded after that change: the tables round the drive and
-probe phases differently from one exponential per frequency, which moves
-S21 and the reflection in their last digits (by up to 1e-13 under 'mixed'
-and 6e-12 under 'probe' on the benchmark layouts).
-
-fit.json, geometry.json and their manifests were re-captured when the fits
-moved from scipy's trust-region reflective solver with finite-difference
-Jacobians to the numpy Levenberg-Marquardt solver on closed-form
-Jacobians: the fitted values moved by at most 3e-10 (fit) and 3.3e-9
-(geometry) relative, both fits end at a cost no higher than before, and n_iter,
-which counts evaluations, changed (9 -> 7 and 14 -> 17). Every other
-digest stayed as it was.
-
-All 15 manifest digests were re-captured when main began to record each
-run itself: the config block holds every parsed argument, where each
-command used to pick a few by hand, and a new inputs block holds the
-sha256 of each file the run reads. Every data-file digest stayed as it
-was.
-
-general_mixed.csv, general_probe.csv, general_probe_refl.csv and the two
-manifests of their runs were re-captured when the grid drives became one
-batched product of the coarse and fine factors per point count instead
-of a sum over the nf x P phasor table. Against the parent, S21 moved by
-at most 4.7e-16 under 'mixed' and 4.6e-16 under 'probe', and the probe
-reflection by 3.6e-16; on the multipoint-scatter layouts of seed 1,
-|dS21| and |dS11| stayed within 1.0e-15 and 1.2e-15 under 'mixed' and
-1.4e-14 and 2.6e-14 under 'probe'. Every other digest, 'resonance'
-included, stayed as it was.
-
-eigen.csv and map_detuning.csv.manifest.json, which records its digest,
-were re-captured when eigen_traces moved from a batched LAPACK eig to the
-closed form m +- sqrt(w - ic)*sqrt(w + ic). Every branch kept its label;
-the eigenvalues moved by at most 2.9e-6 Hz (6.6e-16 of max|lambda|), and
-against a 40-digit reference the largest error fell from 2.3e-6 to
-6.8e-7 Hz. Every other digest stayed as it was.
-
-general_probe.csv, general_probe_refl.csv and the manifest of their run
-were re-captured when each frequency block of the 'probe' solve began to
-form its drives from its own rows of the phasor table, summed per
-emitter, in place of the whole-grid batched product. Against the parent,
-S21 moved by at most 4.6e-16 and the reflection by 3.6e-16; on the
-multipoint-scatter layouts of seed 1, |dS21| and |dS11| stayed within
-1.4e-14 and 2.6e-14 (the lossless N = 32 layout) and within 2.1e-15
-elsewhere. 'resonance' and 'mixed' stayed bit for bit, and every other
-digest stayed as it was.
-
-general_probe.csv, general_probe_refl.csv and the manifest of their run
-were re-captured when the batched solve of up to four emitters moved from
-LAPACK to an elimination along the frequency axis. Against the parent,
-S21 moved by at most 4.6e-16 and the reflection by 4.0e-16; on the
-multipoint-scatter layouts of seeds 1 and 7, the N = 2 'probe' tasks and
-the nested pair at its exceptional point moved by at most 4.8e-16, and
-every task with N >= 8 stayed bit for bit. Every other digest stayed as
-it was. The two data files now read the same under other OpenBLAS cores,
-which test_probe_csvs_match_golden_on_other_blas_cores pins.
-
-general_resonance.csv, general_mixed.csv and the manifests of their runs
-were re-captured when the pole residues moved to eigen-coordinates on N
-rows along the grid: S21 = 1 - i (R^T u).(q + t) with the refinement step
-folded into q + t, in place of transforming the refined solution back.
-Against the parent, S21 moved by at most 6.7e-16 under 'resonance' and
-5.7e-16 under 'mixed', and the reflection by 3.7e-16 and 3.5e-16; on the
-multipoint-scatter layouts of seed 1, |dS21| and |dS11| stayed within
-4.0e-15 and 3.0e-15. Every 'probe' output, the fallback solve and every
-other digest stayed bit for bit.
-
-general_probe.csv, general_probe_refl.csv and the manifest of their run
-were re-captured when the 'probe' prefix sums began at -u_l/2, so that the
-pass along the guide gives J itself with no symmetrisation pass, and when
-the drives of up to four emitters became plain adds of each emitter's
-rows in place of np.add.reduceat. Against the parent, S21 moved by at most
-4.5e-16 and the reflection by 3.5e-16; on the multipoint-scatter layouts
-of seeds 1-3, |dS21| and |dS11| stayed within 1.6e-14 and 3.4e-14 (the
-lossless N = 32 layouts) and within 2.6e-15 elsewhere. Every other digest
-stayed bit for bit, and the two data files still read the same under the
-other OpenBLAS cores.
-
-general_probe.csv, general_probe_refl.csv and the manifest of their run
-were re-captured when the coarse grid factors began to carry the
-sqrt(kappa_p) weights, so that each phasor is (sqrt(kappa_p)*coarse)*fine
-in place of (coarse*fine)*sqrt(kappa_p), laid out as one row along the
-frequencies per coupling point. Against the parent, S21 moved by at most
-2.8e-16 and the reflection by 3.0e-16; on the multipoint-scatter layouts
-of seeds 1-3, |dS21| and |dS11| stayed within 1.1e-14 and 1.8e-14 (the
-lossless N = 32 layouts). 'mixed' takes the same weighted factors and
-stayed bit for bit, as did every other digest, and the two data files
-still read the same under the other OpenBLAS cores.
+test_cli_outputs_match_golden_digests pins every digest on the host class
+tier-1 runs on. Other host classes, emulated through a child process's
+environment, pin two groups: eigen.csv under the OpenBLAS Prescott and
+Haswell cores and with numpy's X86_V4 targets off, and general_probe.csv
+and general_probe_refl.csv under the two OpenBLAS cores, as the braided
+'probe' run calls no BLAS or LAPACK routine.
 """
 
 import hashlib

@@ -1038,6 +1038,15 @@ class TestCli:
          "--fixed 'beta': expected name=value"),
         (["fit", "--data=d.csv", "--model=single", "--free=f_res=4.3e9", "--fixed=beta=x"],
          "--fixed 'beta=x': could not convert"),
+        (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9", "--free=f_res=4.36e9",
+          "--free=kappa_g=1e6", "--free=beta=1e6"],
+         "--free 'f_res=4.36e9': parameter 'f_res' is given twice"),
+        (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9", "--free=kappa_g=1e6",
+          "--fixed=beta=1e6", "--fixed=beta=2e6"],
+         "--fixed 'beta=2e6': parameter 'beta' is given twice"),
+        (["fit-geometry", "--dataset=4.35GHz=d.csv", "--free=kappa=7.6e5", "--free=beta=1.6e6",
+          "--free=length=0.083", "--fixed=speed=3.26e7", "--fixed=speed=3.3e7"],
+         "--fixed 'speed=3.3e7': parameter 'speed' is given twice"),
         (["fit-geometry", "--dataset=d.csv", "--free=kappa=7.6e5"], "--dataset 'd.csv': expected F_RES=PATH"),
         (["fit-geometry", "--dataset=4.2GHz=m.csv", "--free=kappa=7.6e5"],
          "--dataset m.csv: geometry fit needs complex data"),
@@ -1045,7 +1054,8 @@ class TestCli:
          "grid '4.34GHz:4.36GHz' must be f_start:f_stop:n_points"),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
-            "fixed-not-a-number", "dataset-no-equals", "dataset-magnitude-only", "grid-two-parts"])
+            "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
+            "dataset-no-equals", "dataset-magnitude-only", "grid-two-parts"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER

@@ -378,13 +378,13 @@ class TestSMatrix:
         bound = 1e-12 + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1)
         assert np.all(np.abs(res.transmission.s21 - s21) < bound)
         assert np.all(np.abs(res.reflection - refl) < bound)
-        j = -probe_block(t, grid).real  # -J plus the detuning on the diagonal, which cancels below
+        j = -probe_block(t, grid)[0].real  # -J plus the detuning on the diagonal, which cancels below
         assert np.abs(j - j.transpose(1, 0, 2)).max() <= 4 * np.finfo(float).eps * rates
 
 
 def probe_block(t, grid):
-    """f*I - H on the whole grid from mp._probe_resolvent, (N, N, nf), laid out
-    in memory as _solve lays out a block."""
+    """(f*I - H, u) on the whole grid from mp._probe_resolvent: f - H (N, N, nf),
+    laid out in memory as _solve lays out a block, and the drives u (N, nf)."""
     pts = mp._Points.of(t)
     n, nf = pts.f_res.size, grid.n_points
     factors = mp._phase_factors(grid, pts.x - pts.x.min(), np.sqrt(pts.kappa), SPEED)
@@ -392,13 +392,29 @@ def probe_block(t, grid):
         a = np.empty((n, n, nf), dtype=complex)
     else:
         a = np.empty((nf, n, n), dtype=complex).transpose(1, 2, 0)
-    mp._probe_resolvent(pts, grid.frequencies, factors, nf)(slice(0, nf), a)
-    return a
+    u = mp._probe_resolvent(pts, grid.frequencies, factors, nf)(slice(0, nf), a)
+    return a, u
 
 
 def two_point(e, positions):
     """Emitter e as a two-point ensemble at positions, both at e's first rate."""
     return Emitter(e.name, e.f_res, e.beta, (e.kappa_points[0],) * 2, positions)
+
+
+def mirror(t):
+    """t and its mirror image x -> L - x, L the sum of its outermost positions.
+
+    Every position is first put on a 2^-40 m lattice, where L - x is exact:
+    the mirror then keeps each distance between points to the bit.
+    """
+    snap = Topology(tuple(replace(e, positions=tuple(round(x * 2**40) / 2**40 for x in e.positions))
+                          for e in t.emitters))
+    xs = [x for e in snap.emitters for x in e.positions]
+    ends = min(xs) + max(xs)
+    return snap, Topology(tuple(
+        replace(e, kappa_points=e.kappa_points[::-1], positions=tuple(ends - x for x in e.positions[::-1]))
+        for e in snap.emitters
+    ))
 
 
 @st.composite
@@ -467,6 +483,46 @@ class TestPhysicsProperties:
         res = quiet_s_matrix(t, PROPERTY_GRID, "probe")
         total = np.abs(res.transmission.s21) ** 2 + np.abs(res.reflection) ** 2
         assert np.max(total) <= 1.0 + 1e-10
+
+    @given(t=topologies(beta=RATE))
+    @settings(max_examples=40, deadline=None)
+    def test_probe_loss_is_the_power_the_emitters_absorb(self, t):
+        # 1 - |S21|^2 - |S11|^2 = 2 sum_j beta_j |(G w)_j|^2 with G = (f - H)^-1,
+        # G w solved here from the f - H that 'probe' assembles
+        res = quiet_s_matrix(t, PROPERTY_GRID, "probe")
+        a, u = probe_block(t, PROPERTY_GRID)
+        gw = np.linalg.solve(a.transpose(2, 0, 1), np.conj(u).T[..., None])[..., 0]
+        beta = np.array([e.beta for e in t.emitters])
+        absorbed = 2.0 * np.sum(beta * np.abs(gw) ** 2, axis=-1)
+        lost = 1.0 - np.abs(res.transmission.s21) ** 2 - np.abs(res.reflection) ** 2
+        rates = sum(sum(e.kappa_points) for e in t.emitters)
+        assert np.all(np.abs(lost - absorbed) < 1e-12 + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1))
+
+    @given(t=topologies(), convention=st.sampled_from(("probe", "mixed")))
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_layout_transmits_the_same(self, t, convention):
+        # reciprocity: S12 is the S21 of the layout mirrored along the guide.
+        # Each side is within the oracle test's bound of the pair-sum
+        # reference, and the two references agree
+        rates = sum(sum(e.kappa_points) for e in t.emitters)
+        bound = 1e-12
+        s21 = []
+        for layout in mirror(t):
+            s21.append(quiet_s_matrix(layout, PROPERTY_GRID, convention).transmission.s21)
+            gw = reference_s_matrix(layout, PROPERTY_GRID, convention)[2]
+            bound = bound + 1e-13 * rates * np.sum(np.abs(gw) ** 2, axis=-1)
+        assert np.all(np.abs(s21[0] - s21[1]) < bound)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_resonance_breaks_the_mirror_above_one_emitter(self, n):
+        # each drive takes the phase at its own emitter's resonance, so the
+        # mirror shifts the drives by phases that differ between emitters
+        t, m = mirror(interleaved(np.random.default_rng([31, n]), n, 4))
+        s21, s21_m = (quiet_s_matrix(x, PROPERTY_GRID, "resonance").transmission.s21 for x in (t, m))
+        if n == 1:
+            assert np.max(np.abs(s21 - s21_m)) < 1e-12
+        else:
+            assert np.max(np.abs(s21 - s21_m)) > 1e-2
 
     @given(t=topologies(sizes=st.just([2])).map(
         lambda t: Topology((two_point(t.emitters[0], t.emitters[0].positions),))))
@@ -739,7 +795,7 @@ class TestFrequencyBlocks:
         # the same check at the N that _eliminate solves: a complex product
         # with a broadcast operand changes its bits at one-frequency blocks.
         # Blocks here also count the prefix sums and the rows of the drives
-        # and points, so the budgets give blocks of 1 to 20 frequencies
+        # and points, so the budgets give blocks of 1 to 16 frequencies
         t = interleaved(np.random.default_rng(5), n, 3)
         grid = FrequencyGrid(4.3e9, 4.4e9, 201)
         monkeypatch.setattr(mp, "_MIN_PAIRING", np.inf)
@@ -765,7 +821,7 @@ def solve_batch(a, u):
         buf[...] = a[sl].transpose(1, 2, 0)
         return u[sl].T
 
-    return mp._solve(resolvent, *u.shape)
+    return mp._solve(resolvent, *u.shape, mp._block_rows(*u.shape))
 
 
 def eliminate(a, w):
