@@ -148,38 +148,39 @@ def _fitform_from_args(args):
     return FitFormParams(f_o=q["f_i"], **q)  # the sweep sets f_o
 
 
-def _parse_free(items):
-    free = {}
-    for item in items:
-        name, _, rest = item.partition("=")
-        vals = rest.split(":")
-        if not name or not rest or len(vals) not in (1, 3):
-            raise ConfigError(f"--free {item!r}: expected name=guess or name=guess:lo:hi")
-        try:
-            guess = float(vals[0])
-            lo = float(vals[1]) if len(vals) == 3 else -np.inf
-            hi = float(vals[2]) if len(vals) == 3 else np.inf
-        except ValueError as exc:
-            raise ConfigError(f"--free {item!r}: {exc}") from None
-        if name in free:
-            raise ConfigError(f"--free {item!r}: parameter {name!r} is given twice")
-        free[name] = (guess, lo, hi)
-    return free
+def _guess_and_bounds(text):
+    """(guess, lo, hi) of a --free value `guess` or `guess:lo:hi`; a bare guess is unbounded."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ValueError("expected name=guess or name=guess:lo:hi")
+    return tuple(map(float, parts if len(parts) == 3 else [text, "-inf", "inf"]))
 
 
-def _parse_fixed(items):
-    fixed = {}
+# NAME=VALUE flags in the order main parses them: the usage errors quote, the value's converter, may a name repeat
+_ITEMS = {"dataset": ("F_RES=PATH", str, True),
+          "free": ("name=guess or name=guess:lo:hi", _guess_and_bounds, False),
+          "fixed": ("name=value", float, False)}
+
+
+def _parse_items(flag, items):
+    """[(name, value)] of one NAME=VALUE flag's items, each split at its first '='.
+
+    An empty side, then a name given twice where the flag forbids it, then a
+    value its converter rejects raise ConfigError quoting the item.
+    """
+    usage, convert, repeats = _ITEMS[flag]
+    pairs = []
     for item in items:
-        name, _, value = item.partition("=")
-        if not name or not value:
-            raise ConfigError(f"--fixed {item!r}: expected name=value")
-        if name in fixed:
-            raise ConfigError(f"--fixed {item!r}: parameter {name!r} is given twice")
+        name, _, text = item.partition("=")
         try:
-            fixed[name] = float(value)
+            if not name or not text:
+                raise ValueError(f"expected {usage}")
+            if not repeats and name in dict(pairs):
+                raise ValueError(f"parameter {name!r} is given twice")
+            pairs.append((name, convert(text)))
         except ValueError as exc:
-            raise ConfigError(f"--fixed {item!r}: {exc}") from None
-    return fixed
+            raise ConfigError(f"--{flag} {item!r}: {exc}") from None
+    return pairs
 
 
 def _cmd_simulate_single(args):
@@ -251,30 +252,21 @@ def _cmd_fit(args):
     from .fitting import FitProblem, fit
 
     freqs, data, magnitude_only = gio.read_spectrum_csv(args.data)
-    problem = FitProblem(
-        freqs, data, args.model,
-        free=_parse_free(args.free),
-        fixed=_parse_fixed(args.fixed),
-        magnitude_only=magnitude_only,
-        db_scale=args.db,
-    )
-    result = fit(problem)
-    gio.write_fit_report(args.output, result)
+    problem = FitProblem(freqs, data, args.model, free=dict(args.free), fixed=dict(args.fixed),
+                         magnitude_only=magnitude_only, db_scale=args.db)
+    gio.write_fit_report(args.output, fit(problem))
 
 
 def _cmd_fit_geometry(args):
     from .fitting import fit_global_geometry
 
     datasets = []
-    for item in args.dataset:
-        f_res_text, _, path = item.partition("=")
-        if not path:
-            raise ConfigError(f"--dataset {item!r}: expected F_RES=PATH")
+    for f_res_text, path in args.dataset:
         freqs, data, magnitude_only = gio.read_spectrum_csv(path)
         if magnitude_only:
             raise ConfigError(f"--dataset {path}: geometry fit needs complex data")
         datasets.append((parse_frequency(f_res_text), freqs, data))
-    result = fit_global_geometry(datasets, free=_parse_free(args.free), fixed=_parse_fixed(args.fixed))
+    result = fit_global_geometry(datasets, free=dict(args.free), fixed=dict(args.fixed))
     gio.write_fit_report(args.output, result)
 
 
@@ -428,10 +420,14 @@ def main(argv=None):
     outputs = [getattr(args, k) for k in flags]
     manifest = args.manifest or args.output + ".manifest.json"
     written = outputs + [manifest]
-    inputs = [p for p in (getattr(args, "config", None), getattr(args, "data", None),
-                          *(item.partition("=")[2] for item in getattr(args, "dataset", []))) if p]
     real, temporary = {}, {}
     try:
+        # the manifest keeps the raw items in config; the command gets the parsed pairs
+        for flag in _ITEMS:
+            if hasattr(args, flag):
+                setattr(args, flag, _parse_items(flag, getattr(args, flag)))
+        inputs = [p for p in (getattr(args, "config", None), getattr(args, "data", None),
+                              *(path for _, path in getattr(args, "dataset", []))) if p]
         seen = set(map(os.path.realpath, inputs))
         for path in written:
             real[path] = os.path.realpath(path)

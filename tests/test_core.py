@@ -86,6 +86,10 @@ class TestClassification:
         with pytest.raises(ModelError):
             Topology((a, b))
 
+    def test_empty_topology_rejected(self):
+        with pytest.raises(ModelError, match="topology needs at least one emitter"):
+            Topology(())
+
 
 class TestFieldToFrequency:
     def test_working_point(self):

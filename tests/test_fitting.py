@@ -601,6 +601,13 @@ class TestMapAnalysis:
         splitting = avoided_crossing_splitting(detunings, f, mag)
         assert splitting == pytest.approx(2 * j_true, rel=0.05)
 
+    def test_avoided_crossing_needs_five_two_dip_columns(self):
+        f = np.linspace(-10, 10, 2001)
+        two = 1.0 - 0.5 * np.exp(-((f - 3.0) ** 2)) - 0.5 * np.exp(-((f + 3.0) ** 2))
+        one = 1.0 - 0.5 * np.exp(-(f**2))
+        with pytest.raises(FitError, match="too few two-dip columns for an avoided-crossing fit"):
+            avoided_crossing_splitting(np.arange(5.0), f, np.array([two, two, one, two, two]))
+
     def test_merged_linewidth(self):
         f = np.linspace(-10, 10, 20001)
         mag = 1.0 - 0.8 / (1.0 + (f / 2.0) ** 2)  # half width 2 -> FWHM 4

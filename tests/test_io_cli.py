@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gsesim
 import test_golden as golden
-from gsesim import cli, core, fitting
+from gsesim import cli, core, fitting, multipoint
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, ModelError, Spectrum, classify_topology
 from gsesim.io import (
@@ -256,9 +256,11 @@ class TestSpectrumCsv:
              ":3: repeats the cell of line 2 "),
             # the reader used to return three empty arrays
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n", "map.csv: no data rows"),
+            ("sweep,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n",
+             r"map.csv:1: unexpected map header \['sweep', 'frequency_hz', 's21_mag', 's21_db'\]"),
         ],
         ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency", "duplicate-cell",
-             "duplicate-cell-signed-zero", "header-only"],
+             "duplicate-cell-signed-zero", "header-only", "wrong-header"],
     )
     def test_malformed_map_rejected(self, tmp_path, text, where):
         path = tmp_path / "map.csv"
@@ -700,11 +702,15 @@ class TestCli:
                 f"length={L_INNER!r}:0.01:0.5"]
         fixed = [f"speed={SPEED!r}"]
         report = str(tmp_path / "geometry.json")
+        # two datasets may share a resonance, and the inputs list each file once
+        datasets.append(datasets[0])
         assert main(["fit-geometry", *(f"--dataset={d}" for d in datasets),
                      *(f"--free={v}" for v in free), *(f"--fixed={v}" for v in fixed),
                      "--output", report]) == 0
-        config = json.loads(open(report + ".manifest.json").read())["config"]
-        assert config["free"] == free and config["fixed"] == fixed
+        manifest = json.loads(open(report + ".manifest.json").read())
+        config = manifest["config"]
+        assert config["free"] == free and config["fixed"] == fixed and config["dataset"] == datasets
+        assert sorted(manifest["inputs"]) == sorted(str(tmp_path / f"d{k}.csv") for k in range(3))
 
     def test_manifest_tells_apart_runs_that_write_different_bytes(self, tmp_path):
         # these two runs write different spectra; their manifests used to
@@ -1071,6 +1077,51 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["fit", "--data=db.csv", "--model=single", "--free=f_res=4.3e9"], 4,
+         "i/o error: db.csv: need either s21_re/s21_im or s21_mag columns"),
+        (["simulate-single", "--config=none.json"], 2, "config error: /emitters: must list at least one emitter"),
+        (["simulate-general", "--config=shared.json"], 2,
+         "config error: /emitters: coupling point 0.05 m shared by 'e0' and 'e1'"),
+        (["simulate-general", "--config=reversed.json"], 2,
+         "config error: /probe: grid requires f_stop > f_start > 0"),
+        (["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", "--free=kappa=7.6e5"], 3,
+         "numeric failure: geometry fit needs at least 3 datasets"),
+    ], ids=["data-without-s21-columns", "no-emitters", "shared-coupling-point", "reversed-probe-grid",
+            "geometry-two-datasets"])
+    def test_input_faults_exit_with_one_line(self, tmp_path, monkeypatch, capsys, argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        k = KAPPA_INNER
+        emitters_config(tmp_path / "none.json")
+        emitters_config(tmp_path / "shared.json", [(0.0, k), (0.05, k)], [(0.05, k), (0.1, k)])
+        doc = json.loads(open(make_config(tmp_path)).read())
+        probe = doc["probe"]
+        probe["f_start_hz"], probe["f_stop_hz"] = probe["f_stop_hz"], probe["f_start_hz"]
+        (tmp_path / "reversed.json").write_text(json.dumps(doc))
+        assert main(["synth", "--config", "config.json", "--output", "d.csv"]) == 0
+        (tmp_path / "db.csv").write_text("frequency_hz,s21_db\n4.3e9,-1.0\n4.4e9,-2.0\n")
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([*argv, "--output", "out.csv"]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_singular_lapack_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        # above _MAX_ELIMINATION_N emitters 'probe' solves with LAPACK; its
+        # LinAlgError on a singular block leaves as a numeric failure
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.chdir(tmp_path)
+        n = multipoint._MAX_ELIMINATION_N + 1
+        emitters_config(tmp_path / "many.json", *([(0.01 * j, KAPPA_INNER)] for j in range(n)))
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        argv = ["simulate-general", "--convention=probe", "--config=many.json", "--output=g.csv"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numeric failure: singular resolvent on the frequency grid\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 # the submodules beyond cli, core and io that each command of the golden runs loads
 COMMAND_MODULES = {
@@ -1127,8 +1178,12 @@ class TestColdStart:
         assert loaded == COMMAND_MODULES
 
     def test_map_and_read_map_csv_leave_numpy_ma_unloaded(self, tmp_path):
-        # np.unique imports numpy.ma, 12-19 ms of a cold process
+        # np.unique(x) imports numpy.ma, 12-19 ms of a cold process: this is why
+        # io._distinct (map --values, read_map_csv) and the set of point counts
+        # in multipoint._grid_drives ('mixed' on emitters of 2 and 1 points) exist
         config = make_config(tmp_path, n_points=51)
+        k = KAPPA_INNER
+        emitters_config(tmp_path / "mixed.json", [(0.0, k), (L_INNER, k)], [(0.05, k)])
         proc = fresh_python("-c", (
             "import sys; from gsesim.cli import main; from gsesim.io import read_map_csv; "
             f"assert main(['map', '--sweep=field', '--values=0.154:0.156:3', '--config={config}', "
@@ -1136,6 +1191,8 @@ class TestColdStart:
             "assert main(['map', '--sweep=detuning', '--values=-5MHz:5MHz:3', '--grid=4.34GHz:4.36GHz:21', "
             f"*{TWO_MODE!r}, '--output={tmp_path / 'detuning.csv'}']) == 0; "
             f"read_map_csv({str(tmp_path / 'detuning.csv')!r}); "
+            f"assert main(['simulate-general', '--convention=mixed', '--config={tmp_path / 'mixed.json'}', "
+            f"'--output={tmp_path / 'general.csv'}']) == 0; "
             "print('numpy.ma' in sys.modules)"
         ))
         assert proc.returncode == 0, proc.stderr

@@ -214,6 +214,16 @@ class TestEffectiveModel:
         with pytest.raises(ModelError):
             EffectiveModel(np.array([4e9 - 1j, 4e9 - 1j]), bad, np.ones(2, dtype=complex))
 
+    def test_gain_on_the_diagonal_rejected(self):
+        with pytest.raises(ModelError, match="diagonal imaginary parts must be non-positive"):
+            EffectiveModel(np.array([4e9 - 1j, 4e9 + 1j]), np.zeros((2, 2), dtype=complex),
+                           np.ones(2, dtype=complex))
+
+    def test_hamiltonian_is_diagonal_plus_coupling(self):
+        coupling = np.array([[0.0, 1.0 - 2.0j], [1.0 - 2.0j, 0.0]])
+        model = EffectiveModel(np.array([4e9 - 1j, 4.1e9 - 3j]), coupling, np.ones(2, dtype=complex))
+        assert np.array_equal(model.hamiltonian, [[4e9 - 1j, 1.0 - 2.0j], [1.0 - 2.0j, 4.1e9 - 3j]])
+
     def test_build_matches_closed_forms(self):
         wg = Waveguide(SPEED)
         t = Topology((

@@ -117,6 +117,10 @@ class TestMatrixTransmission:
         assert plus[0].real - minus[0].real == pytest.approx(2 * shift, abs=1e-5)
         assert plus[0].imag == minus[0].imag
 
+    def test_unknown_phase_ref_raises(self):
+        with pytest.raises(ModelError, match="phase_ref must be 'resonance' or 'probe', got 'x'"):
+            s21_nested_matrix(make_pair(), grid_around(4.35e9, 5 * MHZ, 11), phase_ref="x")
+
     @pytest.mark.parametrize("phase_ref", ["resonance", "probe"])
     def test_pole_on_grid_raises(self, phase_ref):
         # kappa = beta = 0 on both ensembles puts both poles on the real
@@ -288,6 +292,10 @@ class TestEigenTraces:
         q = FitFormParams(1.7e308, 1.7e308, 1e6, 1e6, 0.0, 0.0, 0.0, 1e308)
         with pytest.raises(ModelError, match="overflow"):
             eigen_traces(q, [-1.7e308])
+
+    def test_rejects_empty_sweep(self):
+        with pytest.raises(ModelError, match="eigen_traces needs a non-empty sweep"):
+            eigen_traces(EIGEN_SWEEPS[0][0], [])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sweep(self, value):
