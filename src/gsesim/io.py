@@ -98,7 +98,8 @@ def _read_table(path, pick, coordinates):
     line number.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+        with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline()
         if not header:
             raise DataFormatError(f"{path}: empty file")
@@ -232,10 +233,14 @@ def write_pv_csv(path, rows):
 
 
 def write_fit_report(path, result):
-    """Emit the fit result as a stable-key-order JSON report."""
+    """Emit the fit result as a stable-key-order JSON report.
+
+    A sigma that is not finite, as along a direction the data do not
+    determine, is written as null: JSON has no infinity.
+    """
     payload = {
         "params": {k: float(v) for k, v in result.values.items()},
-        "sigmas": {k: float(v) for k, v in result.sigmas.items()},
+        "sigmas": {k: float(v) if math.isfinite(v) else None for k, v in result.sigmas.items()},
         "residual_norm": float(result.residual_norm),
         "converged": bool(result.converged),
         "n_iter": int(result.n_iter),
@@ -355,8 +360,9 @@ def parse_config(doc):
 
 
 def load_config(path):
-    """Read and validate a JSON run configuration from disk."""
-    with open(path, encoding="utf-8") as fh:
+    """Read and validate a JSON run configuration from disk, with or without
+    a leading UTF-8 byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -53,13 +53,15 @@ order with an owner index:
   block forms its columns of that table, P rows along its frequencies, and
   adds each emitter's rows for its drives u_j = sum_{p in j}
   sqrt(kappa_p)*exp(-i*k*d_p); the a_p are the conjugates of the same
-  entries, so Gamma and the drives share every exponential. The rows add
-  entry by entry, so frequency m's drives depend on m alone, not on the
-  blocking; no array spans the grid and the points or emitters. 'mixed'
-  needs the drives on the whole grid for its pole residues, as N rows, and
-  never forms the P x nf table: u[j, a*b + c] = sum_{p in j} coarse[p, a]
-  * fine[p, c] is one (n_a x M) by (M x b) matrix product per emitter,
-  batched over the emitters with the same number M of points.
+  entries, so Gamma and the drives share every exponential. At every N the
+  rows add in point order, one vectorized add per point rank over the
+  emitters that have a point of that rank, entry by entry, so frequency m's
+  drives depend on m alone, not on the blocking; no array spans the grid
+  and the points or emitters. 'mixed' needs the drives on the whole grid
+  for its pole residues, as N rows, and never forms the P x nf table:
+  u[j, a*b + c] = sum_{p in j} coarse[p, a] * fine[p, c] is one
+  (n_a x M) by (M x b) matrix product per emitter, batched over the
+  emitters with the same number M of points.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
@@ -187,6 +189,7 @@ class _Points:
     kappa: np.ndarray  # per-point radiative rates, Hz
     owner: np.ndarray  # emitter index of each point
     starts: np.ndarray  # index of each emitter's first point
+    sizes: np.ndarray  # number of points of each emitter
     f_res: np.ndarray  # per emitter
     beta: np.ndarray  # per emitter
 
@@ -199,6 +202,7 @@ class _Points:
             np.array([k for em in ems for k in em.kappa_points]),
             np.repeat(np.arange(len(ems)), sizes),
             np.cumsum([0] + sizes[:-1]),
+            np.array(sizes),
             np.array([em.f_res for em in ems]),
             np.array([em.beta for em in ems]),
         )
@@ -247,14 +251,13 @@ def _grid_drives(pts, coarse, fine, nf):
     is the (a, c) entry of the product of coarse[p, a] and fine[p, c] over
     j's points: one batched matmul per point count, no P x nf table.
     """
-    sizes = np.diff(pts.starts, append=pts.x.size)
-    u = np.empty((sizes.size, nf), dtype=complex)
-    for m in set(sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
-        js = np.flatnonzero(sizes == m)
+    u = np.empty((pts.sizes.size, nf), dtype=complex)
+    for m in set(pts.sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
+        js = np.flatnonzero(pts.sizes == m)
         idx = pts.starts[js, None] + np.arange(m)  # points of each emitter with m of them
         prod = np.matmul(coarse[idx].transpose(0, 2, 1), fine[idx])
         # a slice scatters three times faster than an index array
-        cols = js if js.size < sizes.size else slice(None)
+        cols = js if js.size < pts.sizes.size else slice(None)
         u[cols] = prod.reshape(js.size, -1)[:, :nf]
     return u
 
@@ -325,8 +328,8 @@ def _probe_resolvent(pts, f, factors, step):
     Each block forms its table of sqrt(kappa_p)*exp(-i*k*d_p) once, one row
     along its frequencies per point, from factors, the _phase_factors of the
     distances from the first point in emitter order weighted by
-    sqrt(kappa_p). The sums of each emitter's rows are its drives (plain
-    adds up to _MAX_ELIMINATION_N, np.add.reduceat above), and the
+    sqrt(kappa_p). The sums of each emitter's rows are its drives, added in
+    point order at every N, one vectorized add per point rank, and the
     conjugate rows, taken in order along the guide, the a_p of the
     prefix-sum identity of the module docstring, whose prefix sums start at
     -u_l/2 to give J itself. The dissipative sums factor through the drives,
@@ -345,17 +348,20 @@ def _probe_resolvent(pts, f, factors, step):
     n = pts.f_res.size
     rows_major = n <= _MAX_ELIMINATION_N
     order = np.argsort(pts.x)
-    owners = pts.owner[order]
-    later = np.flatnonzero(pts.owner[1:] == pts.owner[:-1]) + 1 if rows_major else []
+    # rank k >= 1: the emitters with a (k+1)-th point, a slice below the
+    # smallest point count, where every emitter has one, and those points
+    low = pts.sizes.min()
+    ranks = [(js, pts.starts[js] + k) for k in range(1, pts.sizes.max())
+             for js in [slice(None) if k < low else np.flatnonzero(pts.sizes > k)]]
     sums_buf = np.empty(n * step * n)
     left_buf = np.empty(2 * step * n)
 
     def resolvent(sl, a):
         nb = a.shape[2]
         ph = _phasors(*factors, sl.start, sl.stop)
-        u = ph[pts.starts] if rows_major else pts.emitter_sums(ph, axis=0)
-        for p in later:  # each emitter's other rows, added to its first
-            u[pts.owner[p]] += ph[p]
+        u = ph[pts.starts]
+        for js, idx in ranks:  # each emitter's rows added to its first in point order, rank by rank
+            u[js] += ph[idx]
         # a_p = sqrt(kappa_p)*exp(i*k*(x_p - x_0)) as (re, im) rows in order along the
         # guide; rebinding ph frees the emitter-order table before a_pts is allocated
         ph = ph[order]
@@ -374,7 +380,7 @@ def _probe_resolvent(pts, f, factors, step):
         np.multiply(u.imag, -0.5, out=left[0])
         np.multiply(u.real, -0.5, out=left[1])
         sums.fill(0.0)
-        for a_p, j in zip(a_pts, owners):
+        for a_p, j in zip(a_pts, pts.owner[order]):
             sums[j] += np.einsum("kf,klf->lf", a_p, left)
             left[0, j] -= a_p[1]
             left[1, j] += a_p[0]

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -27,6 +28,14 @@ TWO_MODE = [
     "--f-i", "4.35GHz", "--kappa-i-g", "1.15MHz", "--kappa-o-g", "0.000126MHz",
     "--beta-i", "1.54MHz", "--beta-o", "0.86MHz", "--j", "1.01MHz", "--gamma", "0.000328MHz",
 ]
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON,
+    as jq and JavaScript do."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def pytest_configure(config):

@@ -22,6 +22,8 @@ the arguments:
 - a successful run leaves exactly the files it found, its data outputs and
   its manifest, and the manifest lists each data output once, with the
   sha256 of the bytes on disk;
+- the manifest and a fit's report parse as standard JSON, which has no
+  NaN or Infinity;
 - a successful `map` run names no flag that only the other sweep reads;
 - a successful run is reproduced from its manifest alone: the command line
   rebuilt from its `config` block, run in a fresh directory that holds only
@@ -44,7 +46,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from gsesim.cli import main
 from gsesim.core import FrequencyGrid, Waveguide
 from gsesim.single import SingleGseParams, s21_values
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, strict_json
 
 F_RES = 4.35e9
 
@@ -324,7 +326,10 @@ def test_cli_main_exits_with_a_documented_code(argv):
     elif "--help" not in argv:
         assert len({*data_outputs, norm(manifest)}) == len(data_outputs) + 1, argv
         assert sorted(files) == sorted({*BEFORE, *data_outputs, norm(manifest)}), (argv, sorted(files))
-        record = json.loads(files[norm(manifest)])
+        # every manifest and fit report is standard JSON, without NaN or Infinity
+        record = strict_json(files[norm(manifest)])
+        if argv[0] in ("fit", "fit-geometry"):
+            strict_json(files[norm(opts["--output"])])
         recorded = record["outputs"]
         assert sorted(norm(p) for p in recorded) == sorted(data_outputs), (argv, recorded)
         for path, digest in recorded.items():

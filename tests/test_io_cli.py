@@ -5,6 +5,7 @@ import os
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gsesim
 import test_golden as golden
-from gsesim import cli, core, fitting, multipoint
+from gsesim import cli, core, fitting, multipoint, nested
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, ModelError, Spectrum, classify_topology
 from gsesim.io import (
@@ -28,7 +29,7 @@ from gsesim.io import (
     write_map_csv,
     write_spectrum_csv,
 )
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, TWO_MODE, fresh_python
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, TWO_MODE, fresh_python, strict_json
 from reference import _write_table as write_table_per_row
 
 # any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
@@ -313,6 +314,34 @@ class TestBulkParse:
         assert magnitude_only and same_doubles(freqs, [1e9, 2e9]) and same_doubles(data, [0.9, 0.8])
 
 
+def with_bom(path):
+    """A copy of path behind a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write."""
+    copy = path.with_name("bom-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads like the same file without it."""
+
+    def test_spectrum(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, Spectrum(FrequencyGrid(4.3e9, 4.4e9, 11), np.linspace(0.1, 0.9, 11) + 0.2j))
+        plain, bom = read_spectrum_csv(path), read_spectrum_csv(with_bom(path))
+        assert [np.asarray(x).tobytes() for x in plain] == [np.asarray(x).tobytes() for x in bom]
+
+    def test_map(self, tmp_path):
+        grid = FrequencyGrid(4.3e9, 4.4e9, 11)
+        path = tmp_path / "map.csv"
+        write_map_csv(path, [(float(v), Spectrum(grid, np.full(11, 0.5 + 0.1j * v))) for v in range(3)])
+        plain, bom = read_map_csv(path), read_map_csv(with_bom(path))
+        assert all(same_doubles(a, b) for a, b in zip(plain, bom))
+
+    def test_config(self, tmp_path):
+        path = Path(make_config(tmp_path))
+        assert load_config(with_bom(path)) == load_config(path)
+
+
 class TestWriteTable:
     @settings(max_examples=200, deadline=None)
     @given(blocks=table_blocks())
@@ -533,6 +562,28 @@ class TestCli:
         assert out["converged"]
         assert out["params"]["kappa_g"] == pytest.approx(4 * KAPPA_INNER, rel=0.05)
         assert out["params"]["beta"] == pytest.approx(BETA_INNER, rel=0.05)
+
+    def test_fit_report_is_strict_json(self, tmp_path):
+        # a noisy two-mode spectrum with all eight parameters free leaves a
+        # flat direction: every sigma is infinite, and the report writes null
+        q = nested.FitFormParams(4.96e9, 4.96e9, 2.98e6, 2.78e6, 1.84e6, 1.28e6, 6.11e2, 2.89e6)
+        grid = FrequencyGrid(4.93e9, 4.99e9, 3001)
+        data = tmp_path / "two_mode.csv"
+        write_spectrum_csv(data, Spectrum(grid, nested.s21_fitform_values(q, grid.frequencies)
+                                          + synth_noise(grid.n_points, 0.005, 1)))
+        free = ["f_i=4.9602e9:4.9e9:5e9", "f_o=4.9598e9:4.9e9:5e9", "kappa_i_g=3.04e6:0:2e7",
+                "kappa_o_g=2.84e6:0:2e7", "beta_i=1.88e6:0:2e7", "beta_o=1.31e6:0:2e7", "j=1e5:-1e7:1e7",
+                "gamma=2e6:0:2e7"]
+        report = tmp_path / "fit.json"
+        with pytest.warns(fitting.DegeneracyWarning):
+            code = main(["fit", "--data", str(data), "--model", "nested_fitform", "--output", str(report),
+                         *(arg for item in free for arg in ("--free", item))])
+        assert code == 0
+        out = strict_json(report.read_text())
+        assert out["converged"] and set(out["sigmas"]) == set(vars(q))
+        assert all(sigma is None for sigma in out["sigmas"].values())
+        assert all(math.isfinite(value) for value in out["params"].values())
+        strict_json(Path(str(report) + ".manifest.json").read_text())
 
     def test_detuning_map_and_eigen_traces(self, tmp_path):
         out = str(tmp_path / "map.csv")

@@ -392,17 +392,18 @@ class TestSMatrix:
         assert np.abs(j - j.transpose(1, 0, 2)).max() <= 4 * np.finfo(float).eps * rates
 
 
-def probe_block(t, grid):
-    """(f*I - H, u) on the whole grid from mp._probe_resolvent: f - H (N, N, nf),
-    laid out in memory as _solve lays out a block, and the drives u (N, nf)."""
+def probe_block(t, grid, start=0, stop=None):
+    """(f*I - H, u) on the grid rows start:stop (all by default) from
+    mp._probe_resolvent, as one block: f - H (N, N, nb), laid out in memory
+    as _solve lays out a block, and the drives u (N, nb)."""
     pts = mp._Points.of(t)
-    n, nf = pts.f_res.size, grid.n_points
+    n, nb = pts.f_res.size, (stop or grid.n_points) - start
     factors = mp._phase_factors(grid, pts.x - pts.x.min(), np.sqrt(pts.kappa), SPEED)
     if n <= mp._MAX_ELIMINATION_N:
-        a = np.empty((n, n, nf), dtype=complex)
+        a = np.empty((n, n, nb), dtype=complex)
     else:
-        a = np.empty((nf, n, n), dtype=complex).transpose(1, 2, 0)
-    u = mp._probe_resolvent(pts, grid.frequencies, factors, nf)(slice(0, nf), a)
+        a = np.empty((nb, n, n), dtype=complex).transpose(1, 2, 0)
+    u = mp._probe_resolvent(pts, grid.frequencies, factors, nb)(slice(start, start + nb), a)
     return a, u
 
 
@@ -1062,6 +1063,25 @@ class TestGridDrives:
         b = passive_checked_s_matrix(relabelled, waveguide, grid, convention=convention)
         assert np.max(np.abs(a.transmission.s21 - b.transmission.s21)) < 1e-13
         assert np.max(np.abs(a.reflection - b.reflection)) < 1e-13
+
+
+class TestProbeDrives:
+    """The drives of each 'probe' block, from the phasor rows of its frequencies."""
+
+    @pytest.mark.parametrize("sizes", [(1, 12, 3), (9, 1, 8, 3), (3, 12, 1, 9, 8), (12, 8, 9, 1, 3, 12, 8)])
+    @pytest.mark.parametrize("start, stop", [(0, 1), (1000, 1001), (0, 7), (1994, 2001)])
+    def test_drives_are_the_in_order_sums_of_the_rows(self, sizes, start, stop):
+        # each emitter's rows added one after the other in point order, to
+        # the bit, on either side of _MAX_ELIMINATION_N and in blocks of one
+        # frequency as of seven
+        t = unequal_layout(np.random.default_rng(len(sizes)), sizes)
+        grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+        x = np.array([x for e in t.emitters for x in e.positions])
+        kappa = np.array([k for e in t.emitters for k in e.kappa_points])
+        rows = mp._phasors(*mp._phase_factors(grid, x - x.min(), np.sqrt(kappa), SPEED), start, stop)
+        firsts = np.cumsum((0,) + sizes[:-1])
+        expected = [sum(rows[p + 1 : p + m], rows[p]) for p, m in zip(firsts, sizes)]
+        assert np.array_equal(probe_block(t, grid, start, stop)[1], np.array(expected))
 
 
 class TestPassivityWarning:
