@@ -156,19 +156,20 @@ def _guess_and_bounds(text):
     return tuple(map(float, parts if len(parts) == 3 else [text, "-inf", "inf"]))
 
 
-# NAME=VALUE flags in the order main parses them: the usage errors quote, the value's converter, may a name repeat
-_ITEMS = {"dataset": ("F_RES=PATH", str, True),
-          "free": ("name=guess or name=guess:lo:hi", _guess_and_bounds, False),
-          "fixed": ("name=value", float, False)}
+# NAME=VALUE flags in the order main parses them: the usage errors quote, the converters of the
+# name and of the value, may a name repeat
+_ITEMS = {"dataset": ("F_RES=PATH", parse_frequency, str, True),
+          "free": ("name=guess or name=guess:lo:hi", str, _guess_and_bounds, False),
+          "fixed": ("name=value", str, float, False)}
 
 
 def _parse_items(flag, items):
     """[(name, value)] of one NAME=VALUE flag's items, each split at its first '='.
 
     An empty side, then a name given twice where the flag forbids it, then a
-    value its converter rejects raise ConfigError quoting the item.
+    name or a value its converter rejects raise ConfigError quoting the item.
     """
-    usage, convert, repeats = _ITEMS[flag]
+    usage, convert_name, convert, repeats = _ITEMS[flag]
     pairs = []
     for item in items:
         name, _, text = item.partition("=")
@@ -177,7 +178,7 @@ def _parse_items(flag, items):
                 raise ValueError(f"expected {usage}")
             if not repeats and name in dict(pairs):
                 raise ValueError(f"parameter {name!r} is given twice")
-            pairs.append((name, convert(text)))
+            pairs.append((convert_name(name), convert(text)))
         except ValueError as exc:
             raise ConfigError(f"--{flag} {item!r}: {exc}") from None
     return pairs
@@ -261,11 +262,11 @@ def _cmd_fit_geometry(args):
     from .fitting import fit_global_geometry
 
     datasets = []
-    for f_res_text, path in args.dataset:
+    for f_res, path in args.dataset:
         freqs, data, magnitude_only = gio.read_spectrum_csv(path)
         if magnitude_only:
             raise ConfigError(f"--dataset {path}: geometry fit needs complex data")
-        datasets.append((parse_frequency(f_res_text), freqs, data))
+        datasets.append((f_res, freqs, data))
     result = fit_global_geometry(datasets, free=dict(args.free), fixed=dict(args.fixed))
     gio.write_fit_report(args.output, result)
 

@@ -27,7 +27,12 @@ class ModelError(ValueError):
 
 
 class ParameterNameError(ModelError):
-    """The free and fixed parameters do not name exactly a model's parameters."""
+    """The free and fixed parameters are not a valid set for a model.
+
+    They miss a model parameter, name one the model does not have or name one
+    both free and fixed; or a free guess is not finite or not inside bounds
+    lo < hi, or a fixed value is not finite.
+    """
 
 
 def _require_finite(name, *values):

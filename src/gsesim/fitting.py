@@ -147,10 +147,10 @@ def _check_params(expected, free, fixed):
         raise ParameterNameError(f"parameters {both} are given both free and fixed")
     for name, (guess, lo, hi) in free.items():
         if not (lo <= guess <= hi and lo < hi and math.isfinite(guess)):
-            raise ModelError(f"initial guess for {name!r} must be finite and inside bounds lo < hi")
+            raise ParameterNameError(f"initial guess for {name!r} must be finite and inside bounds lo < hi")
     bad = sorted(n for n, v in fixed.items() if not math.isfinite(v))
     if bad:
-        raise ModelError(f"fixed parameters {bad} must be finite")
+        raise ParameterNameError(f"fixed parameters {bad} must be finite")
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,8 @@ def _sigma_from_jacobian(jac, residual, names):
     component above _FLAT_COMPONENT in a flat direction is unidentifiable.
     """
     dof = max(residual.size - len(names), 1)
-    s2 = float(residual @ residual) / dof
+    # einsum, not a BLAS dot: its sum is the same on every OpenBLAS core
+    s2 = float(np.einsum("i,i->", residual, residual)) / dof
     norms = np.linalg.norm(jac, axis=0)
     norms = np.where(norms > 0, norms, math.inf)  # a column whose norm is 0 (or underflows) is flat
     _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)

@@ -232,6 +232,13 @@ def write_pv_csv(path, rows):
     )
 
 
+def _write_json(path, payload):
+    """Write payload as JSON with sorted keys, two-space indents and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_fit_report(path, result):
     """Emit the fit result as a stable-key-order JSON report.
 
@@ -245,9 +252,7 @@ def write_fit_report(path, result):
         "converged": bool(result.converged),
         "n_iter": int(result.n_iter),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def synth_noise(n, noise_sigma, seed):
@@ -285,9 +290,7 @@ def write_manifest(path, config, inputs, outputs):
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": {str(name): sha256_file(p) for name, p in outputs.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def _get(node, key, pointer, kind=None):
@@ -303,6 +306,15 @@ def _get(node, key, pointer, kind=None):
 _NUM = (int, float)
 
 
+@contextlib.contextmanager
+def _at(pointer):
+    """Raise a ModelError from the block as a ConfigError at pointer; other errors pass through."""
+    try:
+        yield
+    except ModelError as exc:
+        raise ConfigError(f"{pointer}: {exc}") from None
+
+
 def parse_config(doc):
     """Validate a run-configuration document into model objects.
 
@@ -312,10 +324,8 @@ def parse_config(doc):
     Topology, FrequencyGrid); errors carry JSON-pointer paths.
     """
     wg_node = _get(doc, "waveguide", "", dict)
-    try:
+    with _at("/waveguide/speed_mps"):
         waveguide = Waveguide(float(_get(wg_node, "speed_mps", "/waveguide", _NUM)))
-    except ModelError as exc:
-        raise ConfigError(f"/waveguide/speed_mps: {exc}") from None
 
     em_node = _get(doc, "emitters", "", list)
     if not em_node:
@@ -328,7 +338,7 @@ def parse_config(doc):
         for k, pt in enumerate(points):
             kappas.append(float(_get(pt, "kappa_hz", f"{ptr}/points/{k}", _NUM)))
             positions.append(float(_get(pt, "position_m", f"{ptr}/points/{k}", _NUM)))
-        try:
+        with _at(ptr):
             emitters.append(
                 Emitter(
                     _get(em, "name", ptr, str),
@@ -338,13 +348,9 @@ def parse_config(doc):
                     tuple(positions),
                 )
             )
-        except ModelError as exc:
-            raise ConfigError(f"{ptr}: {exc}") from None
 
-    try:
+    with _at("/emitters"):
         topology = Topology(tuple(emitters))
-    except ModelError as exc:
-        raise ConfigError(f"/emitters: {exc}") from None
 
     pr = _get(doc, "probe", "", dict)
     f_start = float(_get(pr, "f_start_hz", "/probe", _NUM))
@@ -352,10 +358,8 @@ def parse_config(doc):
     n_points = _get(pr, "n_points", "/probe", _NUM)
     if isinstance(n_points, float) and not n_points.is_integer():
         raise ConfigError(f"/probe/n_points: expected an integer, got {n_points!r}")
-    try:
+    with _at("/probe"):
         grid = FrequencyGrid(f_start, f_stop, int(n_points))
-    except ModelError as exc:
-        raise ConfigError(f"/probe: {exc}") from None
     return waveguide, topology, grid
 
 

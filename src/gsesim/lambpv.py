@@ -44,29 +44,24 @@ class PvConvergenceError(ModelError):
     """The quadrature oracle failed to converge to the requested residual."""
 
 
-def _sici_series(x):
-    # alternating Taylor series; below the split point the largest term is
-    # ~e^4, so cancellation costs at most ~2 digits
-    total, num, k = 0.0, x, 0
+def _alternating_sum(x, num, n):
+    """Sum of the terms num/n until one is negligible; each step multiplies num by
+    -x^2/((n+1)(n+2)) and adds 2 to n."""
+    total = 0.0
     while True:
-        term = num / (2 * k + 1)
+        term = num / n
         total += term
         if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-        num *= -x * x / ((2 * k + 2) * (2 * k + 3))
-        k += 1
-    si_val = total
+            return total
+        num *= -x * x / ((n + 1) * (n + 2))
+        n += 2
 
-    total, num, k = 0.0, 0.5 * x * x, 1
-    while True:
-        term = num / (2 * k)
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-        num *= -x * x / ((2 * k + 1) * (2 * k + 2))
-        k += 1
-    ci_val = EULER_GAMMA + math.log(x) - total
-    return si_val, ci_val
+
+def _sici_series(x):
+    # alternating Taylor series (Abramowitz & Stegun 5.2.14, 5.2.16): Si over
+    # odd powers, Ci - gamma - ln x over even ones; below the split point the
+    # largest term is ~e^4, so cancellation costs at most ~2 digits
+    return _alternating_sum(x, x, 1), EULER_GAMMA + math.log(x) - _alternating_sum(x, 0.5 * x * x, 2)
 
 
 def _e1_imag_axis(x):

@@ -39,10 +39,12 @@ def strict_json(text):
 
 
 def pytest_configure(config):
-    # an unasserted PassivityWarning fails the test. This sits here, not in
+    # an unasserted gsesim warning fails the test. This sits here, not in
     # pyproject's filterwarnings, which also governs perfbench/selftest.py:
     # its fixtures run the benchmark's non-passive layouts without asserting it
-    config.addinivalue_line("filterwarnings", "error::gsesim.multipoint.PassivityWarning")
+    for warning in ("multipoint.PassivityWarning", "multipoint.MarkovWarning", "fitting.DegeneracyWarning",
+                    "anisotropy.AnisotropyRegimeWarning"):
+        config.addinivalue_line("filterwarnings", f"error::gsesim.{warning}")
 
 
 @pytest.fixture(scope="session")

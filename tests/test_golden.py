@@ -23,10 +23,11 @@ were given. What each digest covers:
 
 test_cli_outputs_match_golden_digests pins every digest on the host class
 tier-1 runs on. Other host classes, emulated through a child process's
-environment, pin two groups: eigen.csv under the OpenBLAS Prescott and
-Haswell cores and with numpy's X86_V4 targets off, and general_probe.csv
-and general_probe_refl.csv under the two OpenBLAS cores, as the braided
-'probe' run calls no BLAS or LAPACK routine.
+environment, pin three groups: eigen.csv and fit.json under the OpenBLAS
+Prescott and Haswell cores and with numpy's X86_V4 targets off, and
+general_probe.csv and general_probe_refl.csv under the two OpenBLAS cores,
+as the braided 'probe' run calls no BLAS or LAPACK routine. geometry.json
+still follows the OpenBLAS core, through np.linalg.svd.
 """
 
 import hashlib
@@ -142,8 +143,8 @@ GOLDEN = {
     "general_probe_refl.csv": "e15ce7c544e8abb8bfb5907b75d8bc08c01a44d744a06b886fa8d7fef2695180",
     "general_resonance.csv": "f2c26320f6ca56ad2e07d0e1a1de8276e60b58237a5ec026fab02426fccb9928",
     "general_resonance.csv.manifest.json": "27b16fea7f219f4f51f198865a37b79b871b293fc25d98dbc6284326f8746b99",
-    "geometry.json": "90c6e94c5186d97031876513c8fbc42949f3a8ab9ab64c0522ff0ba7eaac2f11",
-    "geometry.json.manifest.json": "5fda75411242ff569e141779993149939af5a694bcfc4e41f71d75d7f598d4e7",
+    "geometry.json": "943042466cb2ad262a0283531f37fbd57faece8affe2968a8aed0674b9d94f6f",
+    "geometry.json.manifest.json": "fbdaebc958cd7f7eac88104e70c87af261fc93e0afb576916f8bcd50a6f31b2b",
     "map_detuning.csv": "1b55abdb3ec40dc61db128a74a58909564e68587438e3f227a627c5626cf1cf6",
     "map_detuning.csv.manifest.json": "052e5a3ab6c13ca770abacea91d67bb0f0b485c46e4b9bb6a9dabb4e75795f2e",
     "map_field.csv": "8165f9f1a85eb9b98ab00d0a35cef223625b656e12f855c6c48bcbdf6a0c8281",
@@ -205,6 +206,23 @@ def test_eigen_csv_matches_golden_on_other_host_classes(tmp_path, env):
     """
     _run_fresh(tmp_path, next(argv for argv in RUNS if "--eigen-output" in argv), env)
     assert hashlib.sha256((tmp_path / "eigen.csv").read_bytes()).hexdigest() == GOLDEN["eigen.csv"]
+
+
+@X86_64
+@pytest.mark.parametrize("env", HOST_CLASSES.values(), ids=HOST_CLASSES.keys())
+def test_fit_json_matches_golden_on_other_host_classes(tmp_path, env):
+    """The single_giant fit report does not depend on the BLAS kernel or on AVX-512.
+
+    The golden synth and fit runs go through a fresh process each. The fit
+    reads the complex columns of synth.csv, not the dB column that differs
+    without AVX-512, and sums its squared residual with einsum, not with a
+    BLAS dot product, whose rounding follows the OpenBLAS core.
+    """
+    (tmp_path / "single.json").write_text(json.dumps(CONFIG))
+    for argv in RUNS:
+        if argv[-1] in ("synth.csv", "fit.json"):
+            _run_fresh(tmp_path, argv, env)
+    assert hashlib.sha256((tmp_path / "fit.json").read_bytes()).hexdigest() == GOLDEN["fit.json"]
 
 
 @X86_64

@@ -403,6 +403,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="/emitters/0"):
             load_config(path)
 
+    @pytest.mark.parametrize("path, key, value, message", [
+        (["waveguide"], "speed_mps", 0.0, "/waveguide/speed_mps: waveguide speed must be > 0, got 0.0"),
+        (["emitters", 0], "f_res_hz", 0.0, "/emitters/0: emitter 'e0': f_res must be > 0"),
+        (["emitters", 1, "points", 0], "position_m", 0.0,
+         "/emitters: coupling point 0.0 m shared by 'e0' and 'e1'"),
+        (["probe"], "n_points", 1, "/probe: grid requires n_points >= 2"),
+    ], ids=["waveguide", "emitter", "topology", "probe"])
+    def test_model_faults_carry_the_pointer_of_their_node(self, tmp_path, capsys, path, key, value, message):
+        config = tmp_path / "bad.json"
+        emitters_config(config, [(0.0, KAPPA_INNER), (0.1, KAPPA_INNER)], [(0.05, KAPPA_INNER)])
+        doc = json.loads(config.read_text())
+        node = doc
+        for part in path:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == message
+        config.write_text(json.dumps(doc))
+        assert main(["simulate-general", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_valid_config_loads(self, tmp_path):
         wg, topo, grid = load_config(make_config(tmp_path))
         assert wg.speed == SPEED
@@ -1107,12 +1129,23 @@ class TestCli:
         (["fit-geometry", "--dataset=d.csv", "--free=kappa=7.6e5"], "--dataset 'd.csv': expected F_RES=PATH"),
         (["fit-geometry", "--dataset=4.2GHz=m.csv", "--free=kappa=7.6e5"],
          "--dataset m.csv: geometry fit needs complex data"),
+        # the resonance is parsed with the item, before any file is read
+        (["fit-geometry", "--dataset=4.0XHz=missing.csv", "--free=kappa=7.6e5"],
+         "--dataset '4.0XHz=missing.csv': cannot parse frequency '4.0XHz'"),
+        (["fit-geometry", "--dataset=4.0XHz=d.csv", "--free=kappa=7.6e5"],
+         "--dataset '4.0XHz=d.csv': cannot parse frequency '4.0XHz'"),
+        (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9:4.36e9:4.34e9",
+          "--free=kappa_g=1e6", "--free=beta=1e6"],
+         "initial guess for 'f_res' must be finite and inside bounds lo < hi"),
+        (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9", "--free=kappa_g=1e6",
+          "--fixed=beta=nan"], "fixed parameters ['beta'] must be finite"),
         (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz", *TWO_MODE],
          "grid '4.34GHz:4.36GHz' must be f_start:f_stop:n_points"),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
             "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
-            "dataset-no-equals", "dataset-magnitude-only", "grid-two-parts"])
+            "dataset-no-equals", "dataset-magnitude-only", "dataset-bad-resonance-missing-file",
+            "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
