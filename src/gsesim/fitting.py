@@ -85,9 +85,7 @@ def nested_fitform_model(f, q):
     equal; each parameter moves num and den, and
     d S21 = (num*d_den/den - d_num)/den.
     """
-    for name in ("kappa_i_g", "kappa_o_g", "beta_i", "beta_o"):
-        if q[name] < 0:
-            raise ModelError(f"{name} must be >= 0")
+    FitFormParams(**q)  # its checks: finite values, rates >= 0
     d_o, d_i, c, root, num, den = _fitform_terms(np.asarray(f, dtype=float), **q)
     k_i, k_o = q["kappa_i_g"], q["kappa_o_g"]
     inv = 1.0 / den
@@ -382,15 +380,25 @@ def _least_squares(fun, free, tol):
     return FitResult(dict(zip(names, x)), sigmas, float(np.linalg.norm(r)), nfev, True)
 
 
+def _stacked(problems):
+    """fun(x) -> (residual, Jacobian) of problems that share one free layout, stacked in order."""
+    parts = [_residuals(p.model, p.freqs, p.data, p.fixed, list(p.free), p.magnitude_only, p.db_scale)
+             for p in problems]
+
+    def fun(x):
+        residuals, jacobians = zip(*(part(x) for part in parts))
+        return np.concatenate(residuals), np.concatenate(jacobians)
+
+    return fun
+
+
 def fit(problem):
     """Local bounded least-squares fit (Levenberg-Marquardt, see _least_squares).
 
     Returns a FitResult; raises FitError when the optimizer stops without
     meeting a tolerance, including when it runs out of evaluations.
     """
-    fun = _residuals(problem.model, problem.freqs, problem.data, problem.fixed,
-                     list(problem.free), problem.magnitude_only, problem.db_scale)
-    return _least_squares(fun, problem.free, 1e-14)
+    return _least_squares(_stacked([problem]), problem.free, 1e-14)
 
 
 def initial_guess_single(freqs, magnitude):
@@ -415,8 +423,10 @@ def fit_global_geometry(datasets, free, fixed=None):
     sees length and speed only through the delay length/speed, so one of
     them must be fixed (ParameterNameError otherwise); the interference
     phase differs between datasets through f_res, which is what pins the
-    delay. A warning is issued when the resonances span less than one
-    interference period of the initial guess.
+    delay. Each dataset is checked as a "single" FitProblem with its f_res
+    fixed, so a non-finite f_res raises ParameterNameError. A warning is
+    issued when the resonances span less than one interference period of
+    the initial guess.
     """
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")
@@ -424,33 +434,20 @@ def fit_global_geometry(datasets, free, fixed=None):
     _check_params(GEOMETRY_PARAMS, free, fixed)
     if "length" in free and "speed" in free:
         raise ParameterNameError("length and speed enter only as length/speed; fix one")
-    names = list(free)
-    f_res_values = np.array([d[0] for d in datasets], dtype=float)
-    if not np.all(np.isfinite(f_res_values)):
-        raise FitError("dataset resonances must be finite")
-    if np.ptp(f_res_values) == 0:
+    problems = [FitProblem(freqs, s21, "single", free, dict(fixed, f_res=f_res))
+                for f_res, freqs, s21 in datasets]
+    span = np.ptp([d[0] for d in datasets])
+    if span == 0:
         raise FitError("all datasets share one resonance; length and speed degenerate")
-
-    guess = {n: free[n][0] for n in names}
-    guess.update(fixed)
-    period = guess["speed"] / guess["length"]
-    if np.ptp(f_res_values) < period:
+    guess = dict(fixed, **{n: v[0] for n, v in free.items()})
+    if span < guess["speed"] / guess["length"]:
         warnings.warn(
             "resonances span less than one interference period; the delay "
             "length/speed is weakly identifiable",
             DegeneracyWarning,
             stacklevel=2,
         )
-
-    # one complex residual per dataset, each with that dataset's f_res fixed
-    parts = [_residuals("single", freqs, s21, dict(fixed, f_res=f_res), names)
-             for f_res, freqs, s21 in datasets]
-
-    def fun(x):
-        residuals, jacobians = zip(*(part(x) for part in parts))
-        return np.concatenate(residuals), np.concatenate(jacobians)
-
-    return _least_squares(fun, free, 1e-15)
+    return _least_squares(_stacked(problems), free, 1e-15)
 
 
 def dip_positions(freqs, magnitude):

@@ -94,8 +94,9 @@ def _read_table(path, pick, coordinates):
 
     pick maps the header's stripped, unquoted, lower-cased names to the k
     column indices to read; the first `coordinates` of them must be finite.
-    Blank lines are skipped; a bad row raises DataFormatError with its
-    line number.
+    Cells in other columns are not read. Blank lines are skipped; a row
+    that lacks a picked cell, or whose picked cell is not a number, raises
+    DataFormatError with its line number.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first
@@ -139,7 +140,9 @@ def read_spectrum_csv(path):
 
     Auto-detects a complex pair (s21_re, s21_im) versus a magnitude-only
     column (s21_mag). Rejects missing headers, malformed rows (with line
-    numbers), non-finite, unsorted or duplicate frequencies.
+    numbers), non-finite, unsorted or duplicate frequencies. Only the
+    frequency and the picked S21 columns are checked: a row may carry
+    extra cells, or lack a cell of a column that is not read (s21_db).
     """
     def pick(cols):
         if "frequency_hz" not in cols:
@@ -177,9 +180,11 @@ def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
     Cells the file does not list read as NaN. An empty or header-only file
-    raises DataFormatError naming the file; a short row, a non-numeric cell,
-    a non-finite sweep value or frequency, or a cell listed twice (+0.0 and
-    -0.0 are one value) raises it with the line number.
+    raises DataFormatError naming the file; a row without its sweep value,
+    frequency or s21_mag, a non-numeric one among those three, a non-finite
+    sweep value or frequency, or a cell listed twice (+0.0 and -0.0 are one
+    value) raises it with the line number. Only those three columns are
+    read: a row may lack its s21_db or carry extra cells.
     """
     def pick(cols):
         if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:

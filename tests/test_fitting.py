@@ -395,6 +395,17 @@ class TestProblemValidation:
         with pytest.raises(ParameterNameError, match=message):
             FitProblem(f, np.ones(100, dtype=complex), "single_giant", free=free, fixed=fixed)
 
+    @pytest.mark.parametrize("model, free, options, message", [
+        ("two_mode", {"f_res": (4.35e9, 4.3e9, 4.4e9)}, {}, "unknown model 'two_mode'"),
+        ("single_giant", {}, {}, "at least one free parameter required"),
+        ("single_giant", {"f_res": (4.35e9, 4.3e9, 4.4e9)}, {"db_scale": True},
+         "db_scale applies to magnitude-only data"),
+    ], ids=["unknown-model", "nothing-free", "db-without-magnitude"])
+    def test_malformed_problem_is_a_model_error(self, model, free, options, message):
+        f = np.linspace(4.3e9, 4.4e9, 100)
+        with pytest.raises(ModelError, match=message):
+            FitProblem(f, np.ones(100, dtype=complex), model, free=free, **options)
+
     def test_magnitude_only_and_db(self):
         q = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.0 * MHZ}
         f = 4.35e9 + np.linspace(-20, 20, 801) * MHZ
@@ -526,6 +537,33 @@ class TestGeometryFit:
         with pytest.raises(ParameterNameError, match=message):
             fit_global_geometry(self.datasets(), free=self.FREE, fixed=fixed)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "frequencies and data must be finite"),
+        ("inf", "frequencies and data must be finite"),
+        ("decreasing", "frequency grid must be strictly increasing"),
+        ("few-points", "5 points cannot constrain 3 parameters"),
+    ])
+    def test_each_dataset_is_checked_as_a_fit_problem(self, fault, message):
+        ds = self.datasets()[:3]
+        f_res, f, data = ds[1]
+        if fault == "decreasing":
+            f, data = f[::-1], data[::-1]
+        elif fault == "few-points":
+            f, data = f[::125], data[::125]
+        else:
+            data = data.copy()
+            data[250] = complex(fault)
+        ds[1] = (f_res, f, data)
+        with pytest.raises(ModelError, match=message):
+            fit_global_geometry(ds, free=self.FREE, fixed=self.FIXED)
+
+    @pytest.mark.parametrize("f_res", [math.nan, math.inf, -math.inf])
+    def test_non_finite_resonance_is_a_parameter_error(self, f_res):
+        ds = self.datasets()[:3]
+        ds[2] = (f_res, *ds[2][1:])
+        with pytest.raises(ParameterNameError, match=r"fixed parameters \['f_res'\] must be finite"):
+            fit_global_geometry(ds, free=self.FREE, fixed=self.FIXED)
+
     def test_narrow_span_warns(self):
         ds = []
         for k in range(3):
@@ -591,6 +629,14 @@ class TestMapAnalysis:
         # overlapping tails pull the minima slightly inward from +-1
         dips = dip_positions(f, mag)
         assert dips == pytest.approx([-1.0, 1.0], abs=0.1)
+
+    @pytest.mark.parametrize("shape", ["rising", "falling", "flat", "valley-at-the-edges"])
+    def test_dip_positions_without_an_interior_minimum(self, shape):
+        f = np.linspace(-5.0, 5.0, 11)
+        mag = {"rising": 1.0 + f, "falling": 1.0 - f, "flat": np.ones(11),
+               "valley-at-the-edges": np.cos(0.3 * f)}[shape]
+        dips = dip_positions(f, mag)
+        assert dips.shape == (0,)
 
     def test_avoided_crossing_extracts_2j(self):
         j_true = 1.01 * MHZ

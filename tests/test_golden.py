@@ -27,13 +27,18 @@ environment, pin three groups: eigen.csv and fit.json under the OpenBLAS
 Prescott and Haswell cores and with numpy's X86_V4 targets off, and
 general_probe.csv and general_probe_refl.csv under the two OpenBLAS cores,
 as the braided 'probe' run calls no BLAS or LAPACK routine. geometry.json
-still follows the OpenBLAS core, through np.linalg.svd.
+still follows the OpenBLAS core, through np.linalg.svd. When digests
+differ, the failure names them and the host class it ran on.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import platform
 
+import numpy as np
 import pytest
 
 from gsesim.cli import main
@@ -160,6 +165,23 @@ GOLDEN = {
 }
 
 
+def _host_class():
+    """numpy's enabled SIMD dispatch targets and the OpenBLAS core type: the bits of the
+    golden outputs follow both (see ROADMAP "Current state")."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    core = "unknown"
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        corename = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    targets = " ".join(name for name, enabled in __cpu_features__.items() if enabled)
+    return f"numpy SIMD targets {targets}; OpenBLAS core {core}"
+
+
 def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in INPUTS.items():
@@ -171,7 +193,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
         for p in sorted(tmp_path.iterdir())
         if p.name not in INPUTS
     }
-    assert digests == GOLDEN
+    differing = sorted(n for n in GOLDEN.keys() | digests.keys() if digests.get(n) != GOLDEN.get(n))
+    assert digests == GOLDEN, f"{differing} differ on this host class: {_host_class()}"
 
 
 # host classes emulated through the child process's environment alone

@@ -202,6 +202,20 @@ class TestSpectrumCsv:
         with pytest.raises(DataFormatError, match=":6: "):
             read_spectrum_csv(path)
 
+    def test_readers_check_only_the_columns_they_read(self, tmp_path):
+        # extra cells, a missing s21_db and a non-numeric unread cell all pass
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("frequency_hz,s21_re,s21_im,s21_mag,s21_db\n"
+                            "1e9,0.5,0.1\n2e9,0.4,0.2,0.45,x,99\n")
+        freqs, data, magnitude_only = read_spectrum_csv(spectrum)
+        assert not magnitude_only and freqs.tolist() == [1e9, 2e9] and data.tolist() == [0.5 + 0.1j, 0.4 + 0.2j]
+        path = tmp_path / "map.csv"
+        path.write_text("sweep_value,frequency_hz,s21_mag,s21_db\n"
+                        "0.0,1e9,0.5\n0.0,2e9,0.4,x\n1.0,1e9,0.3,-10.5,7\n1.0,2e9,0.2,-14.0\n")
+        sweep, freqs, mag = read_map_csv(path)
+        assert sweep.tolist() == [0.0, 1.0] and freqs.tolist() == [1e9, 2e9]
+        assert mag.tolist() == [[0.5, 0.4], [0.3, 0.2]]
+
     def test_header_only_file_raises_without_warning(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("frequency_hz,s21_re,s21_im,s21_mag,s21_db\r\n")
@@ -1141,11 +1155,21 @@ class TestCli:
           "--fixed=beta=nan"], "fixed parameters ['beta'] must be finite"),
         (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz", *TWO_MODE],
          "grid '4.34GHz:4.36GHz' must be f_start:f_stop:n_points"),
+        (["pv-check", "--x=a:1:3"], "range 'a:1:3': could not convert string to float: 'a'"),
+        (["pv-check", "--x=0.5:1:x"], "range '0.5:1:x': invalid literal for int() with base 10: 'x'"),
+        (["fit", "--data=d.csv", "--model=single", "--free=f_res=1:2"],
+         "--free 'f_res=1:2': expected name=guess or name=guess:lo:hi"),
+        # a dataset's resonance is a fixed f_res of its own fit problem
+        *((["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", f"--dataset={bad}=d.csv",
+            "--free=kappa=7.6e5", "--free=beta=1.6e6", "--free=length=0.083", "--fixed=speed=3.26e7"],
+           "fixed parameters ['f_res'] must be finite") for bad in ("infGHz", "nanGHz")),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
             "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
             "dataset-no-equals", "dataset-magnitude-only", "dataset-bad-resonance-missing-file",
-            "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts"])
+            "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts",
+            "range-start-not-a-number", "range-count-not-an-integer", "free-two-parts",
+            "dataset-infinite-resonance", "dataset-nan-resonance"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
