@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as gio
 from .core import (GAMMA_2PI, MAX_POINTS, FrequencyGrid, ModelError, ParameterNameError, Spectrum,
-                   classify_topology)
+                   _require_finite, classify_topology)
 from .io import ConfigError, DataFormatError
 
 # the names of fitting.MODELS; listed here so that building the parser loads no model module
@@ -56,19 +56,18 @@ def parse_angle(text):
 
 
 def parse_range(text, scalar=float):
-    """'start:stop:count' sweep specification, inclusive endpoints."""
+    """'start:stop:count' sweep specification, inclusive endpoints that must be finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range {text!r} must be start:stop:count")
-    try:
+    with gio._at(f"range {text!r}", ValueError):
         start, stop, count = scalar(parts[0]), scalar(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"range {text!r}: {exc}") from None
     if not 1 <= count <= MAX_POINTS:
         raise ConfigError(f"range {text!r}: count must be between 1 and {MAX_POINTS}")
-    # linspace would turn an infinite endpoint into nan with a warning; nan goes on to the model's check
+    # linspace would turn an infinite endpoint into nan with a warning, and a nan one
+    # would reach the model, whose error names its parameter and not the flag
     for part, value in zip(parts, (start, stop)):
-        if np.isinf(value):
+        if not np.isfinite(value):
             raise ModelError(f"range {text!r}: {part!r} must be finite")
     return np.linspace(start, stop, count)
 
@@ -76,7 +75,6 @@ def parse_range(text, scalar=float):
 def _sweep_values(text, scalar=float):
     """parse_range for map --values: each value is one column of the map file."""
     values = parse_range(text, scalar)
-    # nan differs from itself as a double, so it goes on to the model's own check
     if gio._distinct(values).size < values.size:
         raise ConfigError(f"--values {text!r}: sweep values must be distinct")
     return values
@@ -87,10 +85,8 @@ def _grid_from_arg(text):
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must be f_start:f_stop:n_points")
     f_start, f_stop = parse_frequency(parts[0]), parse_frequency(parts[1])
-    try:
+    with gio._at(f"grid {text!r}", ValueError):
         return FrequencyGrid(f_start, f_stop, int(parts[2]))
-    except (ValueError, ModelError) as exc:
-        raise ConfigError(f"grid {text!r}: {exc}") from None
 
 
 def _two_point_gse(waveguide, em, pointer):
@@ -156,9 +152,16 @@ def _guess_and_bounds(text):
     return tuple(map(float, parts if len(parts) == 3 else [text, "-inf", "inf"]))
 
 
+def _resonance(text):
+    """A --dataset F_RES: a frequency with unit suffix that must be finite."""
+    f_res = parse_frequency(text)
+    _require_finite("F_RES", f_res)
+    return f_res
+
+
 # NAME=VALUE flags in the order main parses them: the usage errors quote, the converters of the
 # name and of the value, may a name repeat
-_ITEMS = {"dataset": ("F_RES=PATH", parse_frequency, str, True),
+_ITEMS = {"dataset": ("F_RES=PATH", _resonance, str, True),
           "free": ("name=guess or name=guess:lo:hi", str, _guess_and_bounds, False),
           "fixed": ("name=value", str, float, False)}
 
@@ -173,14 +176,12 @@ def _parse_items(flag, items):
     pairs = []
     for item in items:
         name, _, text = item.partition("=")
-        try:
+        with gio._at(f"--{flag} {item!r}", ValueError):
             if not name or not text:
                 raise ValueError(f"expected {usage}")
             if not repeats and name in dict(pairs):
                 raise ValueError(f"parameter {name!r} is given twice")
             pairs.append((convert_name(name), convert(text)))
-        except ValueError as exc:
-            raise ConfigError(f"--{flag} {item!r}: {exc}") from None
     return pairs
 
 

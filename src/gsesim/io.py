@@ -312,12 +312,13 @@ _NUM = (int, float)
 
 
 @contextlib.contextmanager
-def _at(pointer):
-    """Raise a ModelError from the block as a ConfigError at pointer; other errors pass through."""
+def _at(where, error=ModelError):
+    """Raise an error of type error from the block as a ConfigError prefixed with where, the
+    place or text the user gave; other errors pass through."""
     try:
         yield
-    except ModelError as exc:
-        raise ConfigError(f"{pointer}: {exc}") from None
+    except error as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_config(doc):
@@ -371,9 +372,7 @@ def parse_config(doc):
 def load_config(path):
     """Read and validate a JSON run configuration from disk, with or without
     a leading UTF-8 byte-order mark."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    # ValueError: a decode error, bytes that are not UTF-8, or an integer too long to convert
+    with open(path, encoding="utf-8-sig") as fh, _at(f"{path}: invalid JSON", ValueError):
+        doc = json.load(fh)
     return parse_config(doc)

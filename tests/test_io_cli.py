@@ -863,7 +863,8 @@ class TestCli:
         cfg.write_bytes(cfg.read_bytes().replace(b'"inner"', b'"in\xffner"'))
         out = tmp_path / "spec.csv"
         assert main(["simulate-single", "--config", str(cfg), "--output", str(out)]) == 2
-        assert f"config error: {cfg}: invalid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: invalid JSON: 'utf-8' codec can't decode byte 0xff" in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_pv_check_rows_within_tolerance(self, tmp_path):
@@ -1076,16 +1077,25 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["pv-check", "--x=-1:1:3"], "(the phase across the ensemble), got -1.0"),
-        (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], "B must be finite, got nan"),
+        (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"],
+         "range '0.1:nan:3': 'nan' must be finite"),
         (["pv-check", "--x", "0:inf:3"], "range '0:inf:3': 'inf' must be finite"),
         (["map", "--sweep", "field", "--config", "{c}", "--values=-inf:0.1:3"],
          "range '-inf:0.1:3': '-inf' must be finite"),
         (["map", "--sweep", "detuning", "--values=-5MHz:infMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
          "range '-5MHz:infMHz:3': 'infMHz' must be finite"),
-    ], ids=["pv-check", "map-field", "pv-check-inf", "map-field-inf", "map-detuning-inf"])
+        (["pv-check", "--x", "nan:1:3"], "range 'nan:1:3': 'nan' must be finite"),
+        (["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "nandeg:1deg:3"],
+         "range 'nandeg:1deg:3': 'nandeg' must be finite"),
+        (["map", "--sweep", "detuning", "--values=-5MHz:nanMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
+         "range '-5MHz:nanMHz:3': 'nanMHz' must be finite"),
+    ], ids=["pv-check", "map-field", "pv-check-inf", "map-field-inf", "map-detuning-inf", "pv-check-nan",
+            "anisotropy-nan", "map-detuning-nan"])
     def test_errors_print_plain_floats(self, tmp_path, capsys, argv, message):
-        # the first two used to print the numpy scalar repr, np.float64(...);
-        # an infinite range endpoint printed numpy's RuntimeWarning from linspace
+        # pv-check and a nan field used to print the numpy scalar repr,
+        # np.float64(...); an infinite range endpoint printed numpy's
+        # RuntimeWarning from linspace, and a nan one reached the model, whose
+        # error named a model parameter (B, f_o, theta, the argument) and not the flag
         config = make_config(tmp_path)
         assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == 3
         err = capsys.readouterr().err
@@ -1159,17 +1169,21 @@ class TestCli:
         (["pv-check", "--x=0.5:1:x"], "range '0.5:1:x': invalid literal for int() with base 10: 'x'"),
         (["fit", "--data=d.csv", "--model=single", "--free=f_res=1:2"],
          "--free 'f_res=1:2': expected name=guess or name=guess:lo:hi"),
-        # a dataset's resonance is a fixed f_res of its own fit problem
-        *((["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", f"--dataset={bad}=d.csv",
+        # a resonance that is not finite is quoted with its item, before any file is read
+        *((["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", f"--dataset={bad}=missing.csv",
             "--free=kappa=7.6e5", "--free=beta=1.6e6", "--free=length=0.083", "--fixed=speed=3.26e7"],
-           "fixed parameters ['f_res'] must be finite") for bad in ("infGHz", "nanGHz")),
+           f"--dataset '{bad}=missing.csv': F_RES must be finite, got {value}")
+          for bad, value in (("infGHz", "inf"), ("nanGHz", "nan"))),
+        *((["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", f"--grid={grid}", *TWO_MODE],
+           f"grid '{grid}': grid must be finite, got {value}")
+          for grid, value in (("4.34GHz:infGHz:21", "inf"), ("nanGHz:4.36GHz:21", "nan"))),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
             "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
             "dataset-no-equals", "dataset-magnitude-only", "dataset-bad-resonance-missing-file",
             "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts",
             "range-start-not-a-number", "range-count-not-an-integer", "free-two-parts",
-            "dataset-infinite-resonance", "dataset-nan-resonance"])
+            "dataset-infinite-resonance", "dataset-nan-resonance", "grid-infinite-stop", "grid-nan-start"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
@@ -1195,12 +1209,20 @@ class TestCli:
          "config error: /probe: grid requires f_stop > f_start > 0"),
         (["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", "--free=kappa=7.6e5"], 3,
          "numeric failure: geometry fit needs at least 3 datasets"),
+        (["simulate-single", "--config=cut.json"], 2,
+         "config error: cut.json: invalid JSON: Expecting value: line 1 column 15 (char 14)"),
+        # Python refuses to convert an integer of more than 4300 digits, with a plain ValueError
+        (["simulate-single", "--config=long.json"], 2,
+         "config error: long.json: invalid JSON: Exceeds the limit (4300 digits) for integer string "
+         "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
     ], ids=["data-without-s21-columns", "no-emitters", "shared-coupling-point", "reversed-probe-grid",
-            "geometry-two-datasets"])
+            "geometry-two-datasets", "config-truncated-json", "config-integer-too-long"])
     def test_input_faults_exit_with_one_line(self, tmp_path, monkeypatch, capsys, argv, code, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
         emitters_config(tmp_path / "none.json")
+        (tmp_path / "cut.json").write_text('{"waveguide": ')
+        (tmp_path / "long.json").write_text("1" * 5000)
         emitters_config(tmp_path / "shared.json", [(0.0, k), (0.05, k)], [(0.05, k), (0.1, k)])
         doc = json.loads(open(make_config(tmp_path)).read())
         probe = doc["probe"]
