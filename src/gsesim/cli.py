@@ -10,6 +10,10 @@ inputs and seed produce identical bytes. gsesim starts no threads of its
 own; numpy's BLAS may run its own pool. Each command imports the model
 modules it calls in its own body, so a process loads only those. Exit
 codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
+A number typed on the command line that is not finite, NaN, inf or one
+that overflows once its unit is applied, is a configuration error where
+it is parsed, quoting the text typed; 3 is left for a finite input the
+computation cannot handle.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import io as gio
 from .core import (GAMMA_2PI, MAX_POINTS, FrequencyGrid, ModelError, ParameterNameError, Spectrum,
-                   _require_finite, classify_topology)
+                   classify_topology)
 from .io import ConfigError, DataFormatError
 
 # the names of fitting.MODELS; listed here so that building the parser loads no model module
@@ -33,15 +37,28 @@ _FREQ_UNITS = {"khz": 1e3, "mhz": 1e6, "ghz": 1e9, "hz": 1.0}
 _ANGLE_UNITS = {"deg": np.pi / 180.0, "rad": 1.0}
 
 
+def _number(text, value=None):
+    """The number typed as text: value if given, else float(text).
+
+    A number that is not finite, NaN, inf or a value that overflows once its
+    unit is applied, raises ConfigError quoting text.
+    """
+    value = float(text) if value is None else value
+    if not np.isfinite(value):
+        raise ConfigError(f"{text!r} must be finite, got {value}")
+    return value
+
+
 def _parse_suffixed(text, units, quantity, suffixes):
     """A number followed by one of the unit suffixes in units, times that unit."""
     t = text.strip().lower()
     for suffix, scale in units.items():
         if t.endswith(suffix):
             try:
-                return float(t[: -len(suffix)]) * scale
+                value = float(t[: -len(suffix)]) * scale
             except ValueError:
                 break
+            return _number(text, value)
     raise ConfigError(f"cannot parse {quantity} {text!r}: need a {suffixes} suffix")
 
 
@@ -55,8 +72,8 @@ def parse_angle(text):
     return _parse_suffixed(text, _ANGLE_UNITS, "angle", "deg/rad")
 
 
-def parse_range(text, scalar=float):
-    """'start:stop:count' sweep specification, inclusive endpoints that must be finite."""
+def parse_range(text, scalar=_number):
+    """'start:stop:count' sweep specification; scalar converts an endpoint, which must be finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range {text!r} must be start:stop:count")
@@ -64,15 +81,10 @@ def parse_range(text, scalar=float):
         start, stop, count = scalar(parts[0]), scalar(parts[1]), int(parts[2])
     if not 1 <= count <= MAX_POINTS:
         raise ConfigError(f"range {text!r}: count must be between 1 and {MAX_POINTS}")
-    # linspace would turn an infinite endpoint into nan with a warning, and a nan one
-    # would reach the model, whose error names its parameter and not the flag
-    for part, value in zip(parts, (start, stop)):
-        if not np.isfinite(value):
-            raise ModelError(f"range {text!r}: {part!r} must be finite")
     return np.linspace(start, stop, count)
 
 
-def _sweep_values(text, scalar=float):
+def _sweep_values(text, scalar=_number):
     """parse_range for map --values: each value is one column of the map file."""
     values = parse_range(text, scalar)
     if gio._distinct(values).size < values.size:
@@ -84,9 +96,8 @@ def _grid_from_arg(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must be f_start:f_stop:n_points")
-    f_start, f_stop = parse_frequency(parts[0]), parse_frequency(parts[1])
     with gio._at(f"grid {text!r}", ValueError):
-        return FrequencyGrid(f_start, f_stop, int(parts[2]))
+        return FrequencyGrid(parse_frequency(parts[0]), parse_frequency(parts[1]), int(parts[2]))
 
 
 def _two_point_gse(waveguide, em, pointer):
@@ -152,16 +163,9 @@ def _guess_and_bounds(text):
     return tuple(map(float, parts if len(parts) == 3 else [text, "-inf", "inf"]))
 
 
-def _resonance(text):
-    """A --dataset F_RES: a frequency with unit suffix that must be finite."""
-    f_res = parse_frequency(text)
-    _require_finite("F_RES", f_res)
-    return f_res
-
-
 # NAME=VALUE flags in the order main parses them: the usage errors quote, the converters of the
 # name and of the value, may a name repeat
-_ITEMS = {"dataset": ("F_RES=PATH", _resonance, str, True),
+_ITEMS = {"dataset": ("F_RES=PATH", parse_frequency, str, True),
           "free": ("name=guess or name=guess:lo:hi", str, _guess_and_bounds, False),
           "fixed": ("name=value", str, float, False)}
 
@@ -303,8 +307,8 @@ def _cmd_synth(args):
 
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed}: must be >= 0")
-    if not 0 <= args.noise_sigma < np.inf:
-        raise ConfigError(f"--noise-sigma {args.noise_sigma}: must be finite and >= 0")
+    if args.noise_sigma < 0:
+        raise ConfigError(f"--noise-sigma {args.noise_sigma}: must be >= 0")
     p, grid = _load_single(args.config)
     spectrum = s21_single(p, grid)
     noisy = spectrum.s21 + gio.synth_noise(grid.n_points, args.noise_sigma, args.seed)
@@ -319,6 +323,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
+        p.register("type", float, _number)  # a type=float flag reads its value with _number
         if config:
             p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--output", required=True, help="output data file")

@@ -327,7 +327,7 @@ def _least_squares(fun, free, tol):
     if not (math.isfinite(cost) and np.all(np.isfinite(jac))):
         raise FitError("model is not finite at the initial guess")
     scale = _column_scale(jac, np.inf)
-    delta = float(np.linalg.norm(x / scale)) or 1.0
+    delta = max(float(np.linalg.norm(x / scale)), 1.0)  # so that a guess near 0 can move off it
     nfev = 1
     while True:
         g = jac.T @ r

@@ -80,13 +80,26 @@ _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=2)
 _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _data_lines(path):
-    """Yield (line number, line) for each non-blank line after the header, as loadtxt rows."""
-    with open(path, encoding="utf-8") as fh:
+def _data_rows(path):
+    """Yield (line number, text) of each row after the header, the lines grouped into rows
+    as loadtxt groups them: a quoted cell may span lines, and blank lines are skipped.
+
+    A row is named by its first line. One that csv cannot read, with a cell longer
+    than its field size limit, raises DataFormatError.
+    """
+    import csv  # error paths only
+
+    with open(path, encoding="utf-8", newline="") as fh:
         next(fh)
-        for lineno, line in enumerate(fh, start=2):
-            if line != "\n":
-                yield lineno, line
+        lines = []  # the lines of the row being read
+        rows = csv.reader(lines.append(line) or line for line in fh)
+        try:
+            for row in rows:
+                if row:
+                    yield rows.line_num + 2 - len(lines), "".join(lines)
+                lines.clear()
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{rows.line_num + 2 - len(lines)}: {exc}") from None
 
 
 def _read_table(path, pick, coordinates):
@@ -122,16 +135,18 @@ def _read_table(path, pick, coordinates):
         except ValueError as exc:
             error = exc
         # error path only: loadtxt's row numbers skip blank lines and start at
-        # 0 or 1 by error kind, so parse line by line to find the bad one
-        for lineno, line in _data_lines(path):
+        # 0 or 1 by error kind, so parse row by row to find the bad one
+        for lineno, text in _data_rows(path):
             try:
-                row = np.loadtxt([line], usecols=usecols, **_LOADTXT)
+                row = np.loadtxt([text], usecols=usecols, **_LOADTXT)
             except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: malformed row {line.rstrip()!r}") from None
+                raise DataFormatError(f"{path}:{lineno}: malformed row {text.rstrip()!r}") from None
             if not np.all(np.isfinite(row[:, :coordinates])):
-                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {line.rstrip()!r}")
+                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {text.rstrip()!r}")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # a guard: the pass above hands loadtxt the rows it failed on as a whole, and no
+    # table is known that fails whole but on none of its rows
     raise DataFormatError(f"{path}: malformed table ({error})")
 
 
@@ -205,10 +220,10 @@ def read_map_csv(path):
     if np.count_nonzero(seen) < cell.size:
         # error path only: find the first repeat and the line it repeats
         first = {}
-        for (lineno, line), c in zip(_data_lines(path), cell.tolist()):
+        for (lineno, text), c in zip(_data_rows(path), cell.tolist()):
             if c in first:
                 raise DataFormatError(
-                    f"{path}:{lineno}: repeats the cell of line {first[c]} {line.rstrip()!r}")
+                    f"{path}:{lineno}: repeats the cell of line {first[c]} {text.rstrip()!r}")
             first[c] = lineno
     mag = np.full((sweep.size, freqs.size), np.nan)
     mag.ravel()[cell] = table[:, 2]

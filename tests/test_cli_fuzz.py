@@ -304,6 +304,9 @@ def run_in_fresh_dir(argv, before=BEFORE):
 @example(["simulate-single", "--config=slow.json", "--output=out.csv"])
 @example(["synth", "--config=far.json", "--output=out.csv"])
 @example(["pv-check", "--x=1e-320:1e-319:2", "--output=out.csv"])
+# typed numbers that are not finite, or overflow once their unit is applied: exit 2, nothing written
+@example(["anisotropy", "--output=out.csv", "--h-e0=nan", "--h-a=0.0035", "--theta=0deg:180deg:7",
+          "--gamma=1e300GHz"])
 def test_cli_main_exits_with_a_documented_code(argv):
     code, files = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)

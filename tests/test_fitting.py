@@ -465,6 +465,22 @@ class TestConvergence:
         assert r.converged and r.n_iter < 20
         assert r.values["kappa_g"] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("guess", [1e-124, 1e-60, 1e-30, 1e-10])
+    def test_tiny_guess_reaches_the_zero_guess_optimum(self, guess):
+        # the trust radius started at |x / scale|: from a tiny guess every step
+        # was shorter than the step test allows, and the fit reported the guess
+        # as converged after 2 evaluations; from 1e-124 the radius underflowed
+        # and _trust_step raised ZeroDivisionError
+        def fitted(g):
+            model, freqs, data, free, fixed, *modes = fit_case("nested_fitform", TWO_MODE_Q,
+                                                               {"gamma": (g, -2e6, 2e6)})
+            return fit(FitProblem(freqs, data, model, free, fixed, *modes))
+
+        zero, tiny = fitted(0.0), fitted(guess)
+        assert zero.values["gamma"] == pytest.approx(TWO_MODE_Q["gamma"], rel=1e-9)
+        assert tiny.values["gamma"] == pytest.approx(zero.values["gamma"], rel=1e-9)
+        assert tiny.residual_norm == pytest.approx(zero.residual_norm, abs=1e-9)
+
 
 class TestGeometryFit:
     # length and speed enter the model only through the delay length/speed,
@@ -794,6 +810,7 @@ def finite_fit(result):
 
 
 GIANT = dict(f_res=4.35e9, kappa_g=4e5, beta=4e5)
+TWO_MODE_Q = dict(f_i=4.334e9, f_o=4.334e9, kappa_i_g=4e5, kappa_o_g=4e5, beta_i=4e5, beta_o=4e5, j=0.0, gamma=1e5)
 DEVICE = dict(TRUE_SINGLE, kappa=2.2e-308)  # a subnormal Jacobian column: every S21 within 1e-313 of 1
 REFERENCE = SingleGseParams(KAPPA_INNER, BETA_INNER, L_INNER, 4.35e9, Waveguide(SPEED))
 
@@ -810,6 +827,8 @@ class TestExtremeInputs:
     @example(case=fit_case("single_giant", GIANT, {"f_res": (4.35e9, 4.33e9, 4.37e9)}, noise=1e300))
     @example(case=fit_case("single", DEVICE, {"f_res": (4.34e9, 4.33e9, 4.37e9)}))
     @example(case=with_fixed(fit_case("single", TRUE_SINGLE, {"kappa": (4e5, 0.0, 4e6)}), speed=0.0))
+    # a tiny guess gave a trust radius that underflowed: ZeroDivisionError in _trust_step
+    @example(case=fit_case("nested_fitform", TWO_MODE_Q, {"gamma": (1e-124, -2e6, 2e6)}))
     @settings(max_examples=200, deadline=None)
     def test_fit_is_finite_or_model_error(self, case):
         if isinstance(case, ModelError):

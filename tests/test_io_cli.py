@@ -108,6 +108,14 @@ def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6)
     return str(path)
 
 
+def exit_code(argv):
+    """main(argv)'s exit code, also where argparse rejects a flag's value and exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def emitters_config(path, *emitters):
     """Write make_config's document with these emitters, each a list of (position_m, kappa_hz)."""
     doc = json.loads(open(make_config(path.parent)).read())
@@ -273,9 +281,19 @@ class TestSpectrumCsv:
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n", "map.csv: no data rows"),
             ("sweep,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n",
              r"map.csv:1: unexpected map header \['sweep', 'frequency_hz', 's21_mag', 's21_db'\]"),
+            # a quoted cell that spans two lines is one row to loadtxt; the error
+            # passes walked lines, and named line 2 for the bad row on line 6
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n1,\"0.5\r\n\",0.1,0.5,-6\r\n1,1.5,0.5,-6\r\n"
+             "1,2.5,0.5,-6\r\n2,x,0.5,-6\r\n", ":6: malformed row '2,x,0.5,-6'$"),
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n1,\"0.5\r\n\",0.1,-6\r\n\r\n1,0.5,0.7,-6\r\n",
+             ":5: repeats the cell of line 2 '1,0.5,0.7,-6'$"),
+            # a row csv cannot split, with a cell beyond its field size limit
+            ("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n0.0,2e9," + "x" * 131073 + "\r\n",
+             r":3: field larger than field limit \(131072\)$"),
         ],
         ids=["empty", "short-row", "non-numeric", "nan-sweep-value", "inf-frequency", "duplicate-cell",
-             "duplicate-cell-signed-zero", "header-only", "wrong-header"],
+             "duplicate-cell-signed-zero", "header-only", "wrong-header", "quoted-cell-across-lines",
+             "duplicate-after-quoted-cell-across-lines", "cell-beyond-csv-field-limit"],
     )
     def test_malformed_map_rejected(self, tmp_path, text, where):
         path = tmp_path / "map.csv"
@@ -890,15 +908,19 @@ class TestCli:
         assert "config error: --seed -1: must be >= 0" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
-    def test_bad_noise_sigma_exits_2(self, tmp_path, capsys, sigma):
+    @pytest.mark.parametrize("sigma, message", [
+        ("-1", "config error: --noise-sigma -1.0: must be >= 0"),
+        ("nan", "argument --noise-sigma: invalid float value: 'nan'"),
+        ("inf", "argument --noise-sigma: invalid float value: 'inf'"),
+    ], ids=["-1", "nan", "inf"])
+    def test_bad_noise_sigma_exits_2(self, tmp_path, capsys, sigma, message):
         # these used to exit 3: "-1" from synth_noise, "nan" and "inf" as a
-        # spectrum with non-finite values
+        # spectrum with non-finite values; argparse now rejects a value that
+        # is not finite as it rejects one that is not a number
         cfg = make_config(tmp_path)
         out = tmp_path / "noisy.csv"
-        assert main(["synth", "--config", cfg, f"--noise-sigma={sigma}", "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: --noise-sigma {float(sigma)}: must be finite and >= 0" in err
+        assert exit_code(["synth", "--config", cfg, f"--noise-sigma={sigma}", "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("argv", [
@@ -984,25 +1006,30 @@ class TestCli:
                                              ("--theta", "nandeg:1deg:3")])
     def test_anisotropy_non_finite_input_exits_3(self, tmp_path, capsys, flag, value):
         # these used to write a curve of nan or inf frequencies and exit 0;
-        # an infinite angle under --which full raised ValueError (exit 1)
+        # an infinite angle under --which full raised ValueError (exit 1).
+        # They then exited 3 from the model's checks; the typed number is now
+        # a configuration error, exit 2, that quotes it
         argv = {"--h-e0": "0.155", "--h-a": "0.0035", "--theta": "0deg:180deg:7", flag: value}
         out = tmp_path / "angles.csv"
-        assert main(["anisotropy", *(f"{k}={v}" for k, v in argv.items()), "--output", str(out)]) == 3
-        assert "must be finite" in capsys.readouterr().err
+        assert exit_code(["anisotropy", *(f"{k}={v}" for k, v in argv.items()), "--output", str(out)]) == 2
+        typed = next(part for part in value.split(":") if part[:3] in ("nan", "inf"))
+        assert repr(typed) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--f-i", "nanHz"), ("--j", "infHz"),
                                              ("--kappa-i-g", "nanHz")])
     def test_non_finite_two_mode_value_exits_3(self, tmp_path, capsys, flag, value):
         # these reached the model, which printed numpy's RuntimeWarning before
-        # the run exited 3 with "spectrum contains non-finite values"
+        # the run exited 3 with "spectrum contains non-finite values"; then the
+        # model's check exited 3 naming its parameter. The typed rate is now a
+        # configuration error, exit 2, that quotes it
         two_mode = dict(zip(TWO_MODE[::2], TWO_MODE[1::2]), **{flag: value})
         argv = ["map", "--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
                 *(f"{k}={v}" for k, v in two_mode.items()), "--output", str(tmp_path / "map.csv")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(argv) == 3
-        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+            assert main(argv) == 2
+        assert f"config error: {value!r} must be finite" in capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
@@ -1075,29 +1102,31 @@ class TestCli:
         assert line.startswith(f"numeric failure: {message}")
         assert list(tmp_path.iterdir()) == [cfg]
 
-    @pytest.mark.parametrize("argv, message", [
-        (["pv-check", "--x=-1:1:3"], "(the phase across the ensemble), got -1.0"),
-        (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"],
-         "range '0.1:nan:3': 'nan' must be finite"),
-        (["pv-check", "--x", "0:inf:3"], "range '0:inf:3': 'inf' must be finite"),
-        (["map", "--sweep", "field", "--config", "{c}", "--values=-inf:0.1:3"],
-         "range '-inf:0.1:3': '-inf' must be finite"),
+    @pytest.mark.parametrize("argv, code, message", [
+        (["pv-check", "--x=-1:1:3"], 3, "(the phase across the ensemble), got -1.0"),
+        (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], 2,
+         "range '0.1:nan:3': 'nan' must be finite, got nan"),
+        (["pv-check", "--x", "0:inf:3"], 2, "range '0:inf:3': 'inf' must be finite, got inf"),
+        (["map", "--sweep", "field", "--config", "{c}", "--values=-inf:0.1:3"], 2,
+         "range '-inf:0.1:3': '-inf' must be finite, got -inf"),
         (["map", "--sweep", "detuning", "--values=-5MHz:infMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
-         "range '-5MHz:infMHz:3': 'infMHz' must be finite"),
-        (["pv-check", "--x", "nan:1:3"], "range 'nan:1:3': 'nan' must be finite"),
-        (["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "nandeg:1deg:3"],
-         "range 'nandeg:1deg:3': 'nandeg' must be finite"),
+         2, "range '-5MHz:infMHz:3': 'infMHz' must be finite, got inf"),
+        (["pv-check", "--x", "nan:1:3"], 2, "range 'nan:1:3': 'nan' must be finite, got nan"),
+        (["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "nandeg:1deg:3"], 2,
+         "range 'nandeg:1deg:3': 'nandeg' must be finite, got nan"),
         (["map", "--sweep", "detuning", "--values=-5MHz:nanMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
-         "range '-5MHz:nanMHz:3': 'nanMHz' must be finite"),
+         2, "range '-5MHz:nanMHz:3': 'nanMHz' must be finite, got nan"),
     ], ids=["pv-check", "map-field", "pv-check-inf", "map-field-inf", "map-detuning-inf", "pv-check-nan",
             "anisotropy-nan", "map-detuning-nan"])
-    def test_errors_print_plain_floats(self, tmp_path, capsys, argv, message):
+    def test_errors_print_plain_floats(self, tmp_path, capsys, argv, code, message):
         # pv-check and a nan field used to print the numpy scalar repr,
         # np.float64(...); an infinite range endpoint printed numpy's
         # RuntimeWarning from linspace, and a nan one reached the model, whose
-        # error named a model parameter (B, f_o, theta, the argument) and not the flag
+        # error named a model parameter (B, f_o, theta, the argument) and not
+        # the flag. A range endpoint that is not finite then exited 3; it is
+        # now a configuration error (exit 2)
         config = make_config(tmp_path)
-        assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == 3
+        assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == code
         err = capsys.readouterr().err
         assert message in err
         assert "np.float64" not in err
@@ -1172,18 +1201,24 @@ class TestCli:
         # a resonance that is not finite is quoted with its item, before any file is read
         *((["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", f"--dataset={bad}=missing.csv",
             "--free=kappa=7.6e5", "--free=beta=1.6e6", "--free=length=0.083", "--fixed=speed=3.26e7"],
-           f"--dataset '{bad}=missing.csv': F_RES must be finite, got {value}")
+           f"--dataset '{bad}=missing.csv': '{bad}' must be finite, got {value}")
           for bad, value in (("infGHz", "inf"), ("nanGHz", "nan"))),
         *((["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", f"--grid={grid}", *TWO_MODE],
-           f"grid '{grid}': grid must be finite, got {value}")
-          for grid, value in (("4.34GHz:infGHz:21", "inf"), ("nanGHz:4.36GHz:21", "nan"))),
+           f"grid '{grid}': '{bad}' must be finite, got {value}")
+          for grid, bad, value in (("4.34GHz:infGHz:21", "infGHz", "inf"), ("nanGHz:4.36GHz:21", "nanGHz", "nan"))),
+        # a finite number that overflows once its unit is applied is not finite either
+        (["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:7", "--gamma=1e300GHz"],
+         "'1e300GHz' must be finite, got inf"),
+        (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:1e300GHz:21", *TWO_MODE],
+         "grid '4.34GHz:1e300GHz:21': '1e300GHz' must be finite, got inf"),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
             "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
             "dataset-no-equals", "dataset-magnitude-only", "dataset-bad-resonance-missing-file",
             "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts",
             "range-start-not-a-number", "range-count-not-an-integer", "free-two-parts",
-            "dataset-infinite-resonance", "dataset-nan-resonance", "grid-infinite-stop", "grid-nan-start"])
+            "dataset-infinite-resonance", "dataset-nan-resonance", "grid-infinite-stop", "grid-nan-start",
+            "gamma-overflows", "grid-stop-overflows"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
@@ -1197,6 +1232,44 @@ class TestCli:
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert main([*argv, "--output", "out.csv"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    # every number typed on the command line, as a template of the one non-finite token {x}
+    TYPED_NUMBERS = {
+        "grid-start": ["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid={x}GHz:4.36GHz:21", *TWO_MODE],
+        "grid-stop": ["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:{x}GHz:21", *TWO_MODE],
+        "detuning-start": ["map", "--sweep=detuning", "--values={x}MHz:5MHz:3", "--grid=4.34GHz:4.36GHz:21",
+                           *TWO_MODE],
+        "field-stop": ["map", "--sweep=field", "--config=config.json", "--values=0.1:{x}:3"],
+        "field-h-a": ["map", "--sweep=field", "--config=config.json", "--values=0.1:0.2:3", "--h-a={x}"],
+        **{f"rate-{flag[2:]}": ["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz:21",
+                                *TWO_MODE, f"{flag}={{x}}MHz"] for flag in TWO_MODE[::2]},
+        "theta-start": ["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta={x}deg:180deg:7"],
+        "gamma": ["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:7", "--gamma={x}GHz"],
+        "h-e0": ["anisotropy", "--h-e0={x}", "--h-a=0.0035", "--theta=0deg:180deg:7"],
+        "h-a": ["anisotropy", "--h-e0=0.155", "--h-a={x}", "--theta=0deg:180deg:7"],
+        "x-stop": ["pv-check", "--x=0.5:{x}:3"],
+        "noise-sigma": ["synth", "--config=config.json", "--noise-sigma={x}"],
+        "dataset": ["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", "--dataset={x}GHz=d.csv",
+                    "--free=kappa=7.6e5", "--free=beta=1.6e6", "--free=length=0.083", "--fixed=speed=3.26e7"],
+    }
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", list(TYPED_NUMBERS))
+    def test_non_finite_typed_number_exits_2_and_is_quoted(self, tmp_path, monkeypatch, capsys, where, x):
+        # a range endpoint, a --h-e0 or --h-a, --gamma and a two-mode rate used
+        # to exit 3 from a model check that named a parameter, not the flag
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        assert main(["synth", "--config=config.json", "--output=d.csv"]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [a.replace("{x}", x) for a in self.TYPED_NUMBERS[where]]
+        typed = next(part for a in argv for part in a.replace("=", ":").split(":") if x in part)
+        assert exit_code([*argv, "--output=out.csv"]) == 2
+        err = capsys.readouterr().err
+        # a ConfigError from the parser of a typed frequency, angle or range, or argparse's type=float
+        assert f"{typed!r} must be finite, got {float(x)}" in err or f"invalid float value: {typed!r}" in err, err
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("argv, code, message", [
