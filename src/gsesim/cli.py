@@ -8,11 +8,19 @@ inputs and the outputs. Outputs are written under temporary names and
 renamed into place only after the whole run has succeeded. Identical
 inputs and seed produce identical bytes. gsesim starts no threads of its
 own; numpy's BLAS may run its own pool. Each command imports the model
-modules it calls in its own body, so a process loads only those. Exit
-codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O error.
-A number typed on the command line that is not finite, NaN, inf or one
-that overflows once its unit is applied, is a configuration error where
-it is parsed, quoting the text typed; 3 is left for a finite input the
+modules it calls in its own body, so a process loads only those.
+
+Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O
+error. main returns the code of a failed run and prints one stderr line,
+`config error: …`, `numeric failure: …` or `i/o error: …`. A command line
+that argparse rejects (a missing or unknown flag, a bad choice, a value
+that is not a number) is a configuration error of the same form, such as
+`config error: argument --h-e0: invalid float value: 'nan'`; only --help
+leaves main through SystemExit. A value gsesim parses from a flag's text
+is named with its flag and quoted: `config error: --x '0.5:nan:3': 'nan'
+must be finite, got nan`. A number typed on the command line that is not
+finite, NaN, inf or one that overflows once its unit is applied, is a
+configuration error where it is parsed; 3 is left for a finite input the
 computation cannot handle.
 """
 
@@ -72,15 +80,25 @@ def parse_angle(text):
     return _parse_suffixed(text, _ANGLE_UNITS, "angle", "deg/rad")
 
 
-def parse_range(text, scalar=_number):
-    """'start:stop:count' sweep specification; scalar converts an endpoint, which must be finite."""
+def _split_range(text, scalar):
+    """(start, stop, count) of 'start:stop:count'; scalar converts an endpoint.
+
+    Raises ConfigError with the bare reason; the caller names the flag.
+    """
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"range {text!r} must be start:stop:count")
-    with gio._at(f"range {text!r}", ValueError):
-        start, stop, count = scalar(parts[0]), scalar(parts[1]), int(parts[2])
+        raise ConfigError("expected start:stop:count")
+    try:
+        return scalar(parts[0]), scalar(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def parse_range(text, scalar=_number):
+    """'start:stop:count' sweep specification; scalar converts an endpoint, which must be finite."""
+    start, stop, count = _split_range(text, scalar)
     if not 1 <= count <= MAX_POINTS:
-        raise ConfigError(f"range {text!r}: count must be between 1 and {MAX_POINTS}")
+        raise ConfigError(f"count must be between 1 and {MAX_POINTS}")
     return np.linspace(start, stop, count)
 
 
@@ -88,16 +106,20 @@ def _sweep_values(text, scalar=_number):
     """parse_range for map --values: each value is one column of the map file."""
     values = parse_range(text, scalar)
     if gio._distinct(values).size < values.size:
-        raise ConfigError(f"--values {text!r}: sweep values must be distinct")
+        raise ConfigError("sweep values must be distinct")
     return values
 
 
-def _grid_from_arg(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid {text!r} must be f_start:f_stop:n_points")
-    with gio._at(f"grid {text!r}", ValueError):
-        return FrequencyGrid(parse_frequency(parts[0]), parse_frequency(parts[1]), int(parts[2]))
+def _flag_names(names):
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _typed(args, name, convert):
+    """convert(text) of the flag name's text; a ValueError it raises is a ConfigError that
+    names the flag and quotes the text, as `--x '0.5:nan:3': 'nan' must be finite, got nan`."""
+    text = getattr(args, name)
+    with gio._at(f"{_flag_names([name])} {text!r}", ValueError):
+        return convert(text)
 
 
 def _two_point_gse(waveguide, em, pointer):
@@ -146,13 +168,6 @@ _TWO_MODE = {
     "j": "coherent coupling",
     "gamma": "dissipative coupling",
 }
-
-
-def _fitform_from_args(args):
-    from .nested import FitFormParams
-
-    q = {name: parse_frequency(getattr(args, name)) for name in _TWO_MODE}
-    return FitFormParams(f_o=q["f_i"], **q)  # the sweep sets f_o
 
 
 def _guess_and_bounds(text):
@@ -221,10 +236,6 @@ _SWEEP_FLAGS = {"detuning": ("grid", *_TWO_MODE, "eigen_output"), "field": ("con
 _SWEEP_NEEDS = {"detuning": ("grid", *_TWO_MODE), "field": ("config",)}
 
 
-def _flag_names(names):
-    return ", ".join("--" + name.replace("_", "-") for name in names)
-
-
 def _cmd_map(args):
     other = "field" if args.sweep == "detuning" else "detuning"
     stray = [name for name in _SWEEP_FLAGS[other] if getattr(args, name) is not None]
@@ -234,11 +245,12 @@ def _cmd_map(args):
     if missing:
         raise ConfigError(f"map --sweep {args.sweep} needs {_flag_names(missing)}")
     if args.sweep == "detuning":
-        from .nested import eigen_traces, map_nested_vs_detuning
+        from .nested import FitFormParams, eigen_traces, map_nested_vs_detuning
 
-        q = _fitform_from_args(args)
-        detunings = _sweep_values(args.values, parse_frequency)
-        grid = _grid_from_arg(args.grid)
+        rates = {name: _typed(args, name, parse_frequency) for name in _TWO_MODE}
+        q = FitFormParams(f_o=rates["f_i"], **rates)  # the sweep sets f_o
+        detunings = _typed(args, "values", lambda text: _sweep_values(text, parse_frequency))
+        grid = _typed(args, "grid", lambda text: FrequencyGrid(*_split_range(text, parse_frequency)))
         f_o_values = q.f_i + detunings
         columns = map_nested_vs_detuning(q, f_o_values, grid)
         gio.write_map_csv(args.output, [(d, s) for d, (_, s) in zip(detunings, columns)])
@@ -249,7 +261,7 @@ def _cmd_map(args):
     from .single import map_single_vs_field
 
     p, grid = _load_single(args.config)
-    fields = _sweep_values(args.values)
+    fields = _typed(args, "values", _sweep_values)
     columns = map_single_vs_field(p, fields, 0.0 if args.h_a is None else args.h_a, grid)
     gio.write_map_csv(args.output, columns)
 
@@ -258,6 +270,8 @@ def _cmd_fit(args):
     from .fitting import FitProblem, fit
 
     freqs, data, magnitude_only = gio.read_spectrum_csv(args.data)
+    if args.db and not magnitude_only:
+        raise ConfigError(f"--db: {args.data} holds complex S21; --db fits magnitude-only data")
     problem = FitProblem(freqs, data, args.model, free=dict(args.free), fixed=dict(args.fixed),
                          magnitude_only=magnitude_only, db_scale=args.db)
     gio.write_fit_report(args.output, fit(problem))
@@ -266,6 +280,8 @@ def _cmd_fit(args):
 def _cmd_fit_geometry(args):
     from .fitting import fit_global_geometry
 
+    if len(args.dataset) < 3 or len({f_res for f_res, _ in args.dataset}) < 2:
+        raise ConfigError("--dataset: geometry fit needs at least 3 datasets on at least 2 resonances")
     datasets = []
     for f_res, path in args.dataset:
         freqs, data, magnitude_only = gio.read_spectrum_csv(path)
@@ -279,8 +295,8 @@ def _cmd_fit_geometry(args):
 def _cmd_anisotropy(args):
     from .anisotropy import AnisotropyParams, angle_sweep
 
-    thetas = parse_range(args.theta, parse_angle)
-    gamma = parse_frequency(args.gamma) if args.gamma else GAMMA_2PI
+    thetas = _typed(args, "theta", lambda text: parse_range(text, parse_angle))
+    gamma = _typed(args, "gamma", parse_frequency) if args.gamma else GAMMA_2PI
     p = AnisotropyParams(args.h_e0, args.h_a, gamma=gamma)
     freqs = angle_sweep(p, thetas, which=args.which)
     gio.write_anisotropy_csv(args.output, thetas, freqs)
@@ -290,7 +306,7 @@ def _cmd_pv_check(args):
     from .lambpv import pv_closed, pv_quadrature
 
     rows = []
-    for x in parse_range(args.x):
+    for x in _typed(args, "x", parse_range):
         closed = pv_closed(x, args.branch)
         quad = pv_quadrature(x, args.branch)
         rows.append((
@@ -315,8 +331,15 @@ def _cmd_synth(args):
     gio.write_spectrum_csv(args.output, Spectrum(grid, noisy))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so that main reports them."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsesim",
         description="Simulate and fit giant-spin-ensemble waveguide spectra.",
     )
@@ -419,16 +442,16 @@ def main(argv=None):
     their final names (through symlinks), one os.replace each. Each rename
     is atomic; the 2-4 renames of a run are not atomic as a group.
     """
-    args = build_parser().parse_args(argv)
-    # the run as given: every parsed argument, the output paths before they turn temporary
-    config = {k: v for k, v in vars(args).items() if k != "run"}
-    # the flags naming data files the command writes, then its manifest; and what it reads
-    flags = [k for k in ("output", "eigen_output", "reflection_output") if getattr(args, k, None)]
-    outputs = [getattr(args, k) for k in flags]
-    manifest = args.manifest or args.output + ".manifest.json"
-    written = outputs + [manifest]
     real, temporary = {}, {}
     try:
+        args = build_parser().parse_args(argv)
+        # the run as given: every parsed argument, the output paths before they turn temporary
+        config = {k: v for k, v in vars(args).items() if k != "run"}
+        # the flags naming data files the command writes, then its manifest; and what it reads
+        flags = [k for k in ("output", "eigen_output", "reflection_output") if getattr(args, k, None)]
+        outputs = [getattr(args, k) for k in flags]
+        manifest = args.manifest or args.output + ".manifest.json"
+        written = outputs + [manifest]
         # the manifest keeps the raw items in config; the command gets the parsed pairs
         for flag in _ITEMS:
             if hasattr(args, flag):

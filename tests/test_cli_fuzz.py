@@ -13,9 +13,13 @@ each other and with inputs. Every name of that pool that is not an input
 and whose directory exists holds sentinel bytes before the run. Whatever
 the arguments:
 
-- main returns 0, 2, 3 or 4 (argparse's own exits count as their code) and
-  no other exception escapes, numpy's RuntimeWarning included: the test
-  turns it into an error, so an overflow that leaks one fails here;
+- main returns 0, 2, 3 or 4 and no exception escapes, numpy's
+  RuntimeWarning included: the test turns it into an error, so an overflow
+  that leaks one fails here. Only `--help` leaves through SystemExit, with
+  code 0; a command line argparse rejects returns 2 like any other
+  configuration error;
+- a failed run prints exactly one stderr line, starting `config error: `
+  for 2, `numeric failure: ` for 3 and `i/o error: ` for 4;
 - the run's inputs, and every file it was not told to write, keep their
   bytes;
 - a failed run leaves every file as it found it, sentinels included;
@@ -239,20 +243,23 @@ def replay_argv(config):
 
 
 def run_in_fresh_dir(argv, before=BEFORE):
-    """main(argv) in a new directory holding before; returns (code, files left),
-    the files as a dict from relative path to bytes."""
+    """main(argv) in a new directory holding before; returns (code, files left,
+    stderr), the files as a dict from relative path to bytes. SystemExit
+    escapes unless argv asks for --help."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in before.items():
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         os.chdir(tmp)
+        err = io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 try:
                     code = main(argv)
-                except SystemExit as exc:  # argparse: 2 on bad usage, 0 on --help
+                except SystemExit as exc:
+                    if "--help" not in argv:
+                        raise
                     code = exc.code
         finally:
             os.chdir(cwd)
@@ -261,7 +268,7 @@ def run_in_fresh_dir(argv, before=BEFORE):
             for name in names:
                 with open(os.path.join(root, name), "rb") as fh:
                     files[os.path.relpath(os.path.join(root, name), tmp)] = fh.read()
-        return code, files
+        return code, files, err.getvalue()
 
 
 # the first mark takes precedence: a RuntimeWarning fails the run, other warnings are ignored
@@ -307,9 +314,14 @@ def run_in_fresh_dir(argv, before=BEFORE):
 # typed numbers that are not finite, or overflow once their unit is applied: exit 2, nothing written
 @example(["anisotropy", "--output=out.csv", "--h-e0=nan", "--h-a=0.0035", "--theta=0deg:180deg:7",
           "--gamma=1e300GHz"])
+# a value argparse rejects: main returns 2 with one line, as for any configuration error
+@example(["simulate-nested", "--config=nested.json", "--lamb-sign=x", "--output=out.csv"])
 def test_cli_main_exits_with_a_documented_code(argv):
-    code, files = run_in_fresh_dir(argv)
+    code, files, err = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
+    if code != 0:
+        prefix = {2: "config error: ", 3: "numeric failure: ", 4: "i/o error: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, code, err)
     norm = os.path.normpath
     opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value wins
     if argv[0] == "map" and code == 0 and "--help" not in argv:
@@ -342,4 +354,4 @@ def test_cli_main_exits_with_a_documented_code(argv):
             assert hashlib.sha256(inputs[norm(path)]).hexdigest() == digest, (argv, path)
         replay = replay_argv(record["config"])
         written = {p: files[p] for p in (*data_outputs, norm(manifest))}
-        assert run_in_fresh_dir(replay, inputs) == (0, {**inputs, **written}), (argv, replay)
+        assert run_in_fresh_dir(replay, inputs)[:2] == (0, {**inputs, **written}), (argv, replay)

@@ -108,14 +108,6 @@ def make_config(tmp_path, f_res=4330917874.396135, n_points=801, half_span=20e6)
     return str(path)
 
 
-def exit_code(argv):
-    """main(argv)'s exit code, also where argparse rejects a flag's value and exits."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def emitters_config(path, *emitters):
     """Write make_config's document with these emitters, each a list of (position_m, kappa_hz)."""
     doc = json.loads(open(make_config(path.parent)).read())
@@ -910,8 +902,8 @@ class TestCli:
 
     @pytest.mark.parametrize("sigma, message", [
         ("-1", "config error: --noise-sigma -1.0: must be >= 0"),
-        ("nan", "argument --noise-sigma: invalid float value: 'nan'"),
-        ("inf", "argument --noise-sigma: invalid float value: 'inf'"),
+        ("nan", "config error: argument --noise-sigma: invalid float value: 'nan'"),
+        ("inf", "config error: argument --noise-sigma: invalid float value: 'inf'"),
     ], ids=["-1", "nan", "inf"])
     def test_bad_noise_sigma_exits_2(self, tmp_path, capsys, sigma, message):
         # these used to exit 3: "-1" from synth_noise, "nan" and "inf" as a
@@ -919,7 +911,7 @@ class TestCli:
         # is not finite as it rejects one that is not a number
         cfg = make_config(tmp_path)
         out = tmp_path / "noisy.csv"
-        assert exit_code(["synth", "--config", cfg, f"--noise-sigma={sigma}", "--output", str(out)]) == 2
+        assert main(["synth", "--config", cfg, f"--noise-sigma={sigma}", "--output", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -1011,7 +1003,7 @@ class TestCli:
         # a configuration error, exit 2, that quotes it
         argv = {"--h-e0": "0.155", "--h-a": "0.0035", "--theta": "0deg:180deg:7", flag: value}
         out = tmp_path / "angles.csv"
-        assert exit_code(["anisotropy", *(f"{k}={v}" for k, v in argv.items()), "--output", str(out)]) == 2
+        assert main(["anisotropy", *(f"{k}={v}" for k, v in argv.items()), "--output", str(out)]) == 2
         typed = next(part for part in value.split(":") if part[:3] in ("nan", "inf"))
         assert repr(typed) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -1022,14 +1014,14 @@ class TestCli:
         # these reached the model, which printed numpy's RuntimeWarning before
         # the run exited 3 with "spectrum contains non-finite values"; then the
         # model's check exited 3 naming its parameter. The typed rate is now a
-        # configuration error, exit 2, that quotes it
+        # configuration error, exit 2, that quotes it and names its flag
         two_mode = dict(zip(TWO_MODE[::2], TWO_MODE[1::2]), **{flag: value})
         argv = ["map", "--sweep", "detuning", "--values=-5MHz:5MHz:3", "--grid", "4.34GHz:4.36GHz:21",
                 *(f"{k}={v}" for k, v in two_mode.items()), "--output", str(tmp_path / "map.csv")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 2
-        assert f"config error: {value!r} must be finite" in capsys.readouterr().err
+        assert f"config error: {flag} {value!r}: {value!r} must be finite" in capsys.readouterr().err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
@@ -1105,17 +1097,17 @@ class TestCli:
     @pytest.mark.parametrize("argv, code, message", [
         (["pv-check", "--x=-1:1:3"], 3, "(the phase across the ensemble), got -1.0"),
         (["map", "--sweep", "field", "--config", "{c}", "--values", "0.1:nan:3"], 2,
-         "range '0.1:nan:3': 'nan' must be finite, got nan"),
-        (["pv-check", "--x", "0:inf:3"], 2, "range '0:inf:3': 'inf' must be finite, got inf"),
+         "--values '0.1:nan:3': 'nan' must be finite, got nan"),
+        (["pv-check", "--x", "0:inf:3"], 2, "--x '0:inf:3': 'inf' must be finite, got inf"),
         (["map", "--sweep", "field", "--config", "{c}", "--values=-inf:0.1:3"], 2,
-         "range '-inf:0.1:3': '-inf' must be finite, got -inf"),
+         "--values '-inf:0.1:3': '-inf' must be finite, got -inf"),
         (["map", "--sweep", "detuning", "--values=-5MHz:infMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
-         2, "range '-5MHz:infMHz:3': 'infMHz' must be finite, got inf"),
-        (["pv-check", "--x", "nan:1:3"], 2, "range 'nan:1:3': 'nan' must be finite, got nan"),
+         2, "--values '-5MHz:infMHz:3': 'infMHz' must be finite, got inf"),
+        (["pv-check", "--x", "nan:1:3"], 2, "--x 'nan:1:3': 'nan' must be finite, got nan"),
         (["anisotropy", "--h-e0", "0.155", "--h-a", "0.0035", "--theta", "nandeg:1deg:3"], 2,
-         "range 'nandeg:1deg:3': 'nandeg' must be finite, got nan"),
+         "--theta 'nandeg:1deg:3': 'nandeg' must be finite, got nan"),
         (["map", "--sweep", "detuning", "--values=-5MHz:nanMHz:3", "--grid", "4.34GHz:4.36GHz:21", *TWO_MODE],
-         2, "range '-5MHz:nanMHz:3': 'nanMHz' must be finite, got nan"),
+         2, "--values '-5MHz:nanMHz:3': 'nanMHz' must be finite, got nan"),
     ], ids=["pv-check", "map-field", "pv-check-inf", "map-field-inf", "map-detuning-inf", "pv-check-nan",
             "anisotropy-nan", "map-detuning-nan"])
     def test_errors_print_plain_floats(self, tmp_path, capsys, argv, code, message):
@@ -1124,7 +1116,7 @@ class TestCli:
         # RuntimeWarning from linspace, and a nan one reached the model, whose
         # error named a model parameter (B, f_o, theta, the argument) and not
         # the flag. A range endpoint that is not finite then exited 3; it is
-        # now a configuration error (exit 2)
+        # now a configuration error (exit 2) that names the flag
         config = make_config(tmp_path)
         assert main([a.format(c=config) for a in argv] + ["--output", str(tmp_path / "out.csv")]) == code
         err = capsys.readouterr().err
@@ -1132,15 +1124,37 @@ class TestCli:
         assert "np.float64" not in err
 
     def test_unknown_fit_model_exits_2_and_names_the_models(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--data", str(tmp_path / "d.csv"), "--model", "bogus", "--free", "a=1",
-                  "--output", str(tmp_path / "fit.json")])
-        assert exc.value.code == 2
-        assert "choose from 'nested_fitform', 'single', 'single_giant'" in capsys.readouterr().err
+        assert main(["fit", "--data", str(tmp_path / "d.csv"), "--model", "bogus", "--free", "a=1",
+                     "--output", str(tmp_path / "fit.json")]) == 2
+        assert capsys.readouterr().err == ("config error: argument --model: invalid choice: 'bogus' "
+                                           "(choose from 'nested_fitform', 'single', 'single_giant')\n")
         assert list(tmp_path.iterdir()) == []
-        with pytest.raises(SystemExit):
+        # --help is the one way out of main through SystemExit
+        with pytest.raises(SystemExit) as exc:
             main(["fit", "--help"])
+        assert exc.value.code == 0
         assert "{nested_fitform,single,single_giant}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["simulate-single", "--output=x.csv"], "the following arguments are required: --config"),
+        (["simulate-nested", "--config=config.json", "--phase-ref=bogus", "--output=x.csv"],
+         "argument --phase-ref: invalid choice: 'bogus' (choose from 'resonance', 'probe')"),
+        (["pv-check", "--x=0.5:1:3", "--bogus=1", "--output=x.csv"], "unrecognized arguments: --bogus=1"),
+        (["synth", "--config=config.json", "--seed", "x", "--output=x.csv"],
+         "argument --seed: invalid int value: 'x'"),
+        (["anisotropy", "--h-e0", "nan", "--h-a=0.0035", "--theta=0deg:1deg:3", "--output=x.csv"],
+         "argument --h-e0: invalid float value: 'nan'"),
+    ], ids=["missing-command", "missing-flag", "bad-choice", "unknown-flag", "seed-not-an-integer", "h-e0-nan"])
+    def test_rejected_command_line_returns_2_with_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # argparse used to print its usage and "gsesim CMD: error: ...", then
+        # raise SystemExit(2) out of main; main now returns 2 with the line
+        # every other configuration error prints
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_fit_model_choices_are_the_fitting_models(self):
         assert cli._FIT_MODELS == tuple(sorted(fitting.MODELS))
@@ -1180,8 +1194,8 @@ class TestCli:
           "--free=length=0.083", "--fixed=speed=3.26e7", "--fixed=speed=3.3e7"],
          "--fixed 'speed=3.3e7': parameter 'speed' is given twice"),
         (["fit-geometry", "--dataset=d.csv", "--free=kappa=7.6e5"], "--dataset 'd.csv': expected F_RES=PATH"),
-        (["fit-geometry", "--dataset=4.2GHz=m.csv", "--free=kappa=7.6e5"],
-         "--dataset m.csv: geometry fit needs complex data"),
+        (["fit-geometry", "--dataset=4.2GHz=m.csv", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv",
+          "--free=kappa=7.6e5"], "--dataset m.csv: geometry fit needs complex data"),
         # the resonance is parsed with the item, before any file is read
         (["fit-geometry", "--dataset=4.0XHz=missing.csv", "--free=kappa=7.6e5"],
          "--dataset '4.0XHz=missing.csv': cannot parse frequency '4.0XHz'"),
@@ -1193,9 +1207,9 @@ class TestCli:
         (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9", "--free=kappa_g=1e6",
           "--fixed=beta=nan"], "fixed parameters ['beta'] must be finite"),
         (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz", *TWO_MODE],
-         "grid '4.34GHz:4.36GHz' must be f_start:f_stop:n_points"),
-        (["pv-check", "--x=a:1:3"], "range 'a:1:3': could not convert string to float: 'a'"),
-        (["pv-check", "--x=0.5:1:x"], "range '0.5:1:x': invalid literal for int() with base 10: 'x'"),
+         "--grid '4.34GHz:4.36GHz': expected start:stop:count"),
+        (["pv-check", "--x=a:1:3"], "--x 'a:1:3': could not convert string to float: 'a'"),
+        (["pv-check", "--x=0.5:1:x"], "--x '0.5:1:x': invalid literal for int() with base 10: 'x'"),
         (["fit", "--data=d.csv", "--model=single", "--free=f_res=1:2"],
          "--free 'f_res=1:2': expected name=guess or name=guess:lo:hi"),
         # a resonance that is not finite is quoted with its item, before any file is read
@@ -1204,13 +1218,21 @@ class TestCli:
            f"--dataset '{bad}=missing.csv': '{bad}' must be finite, got {value}")
           for bad, value in (("infGHz", "inf"), ("nanGHz", "nan"))),
         *((["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", f"--grid={grid}", *TWO_MODE],
-           f"grid '{grid}': '{bad}' must be finite, got {value}")
+           f"--grid '{grid}': '{bad}' must be finite, got {value}")
           for grid, bad, value in (("4.34GHz:infGHz:21", "infGHz", "inf"), ("nanGHz:4.36GHz:21", "nanGHz", "nan"))),
         # a finite number that overflows once its unit is applied is not finite either
         (["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:7", "--gamma=1e300GHz"],
-         "'1e300GHz' must be finite, got inf"),
+         "--gamma '1e300GHz': '1e300GHz' must be finite, got inf"),
         (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:1e300GHz:21", *TWO_MODE],
-         "grid '4.34GHz:1e300GHz:21': '1e300GHz' must be finite, got inf"),
+         "--grid '4.34GHz:1e300GHz:21': '1e300GHz' must be finite, got inf"),
+        # --db fits magnitude-only data; d.csv holds complex S21
+        (["fit", "--data=d.csv", "--model=single_giant", "--free=f_res=4.35e9", "--free=kappa_g=1e6",
+          "--free=beta=1e6", "--db"], "--db: d.csv holds complex S21; --db fits magnitude-only data"),
+        # too few datasets, or one resonance, before any file is read
+        *((["fit-geometry", *datasets, "--free=kappa=7.6e5"],
+           "--dataset: geometry fit needs at least 3 datasets on at least 2 resonances")
+          for datasets in (["--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=missing.csv"],
+                           ["--dataset=4.3GHz=d.csv", "--dataset=4300MHz=missing.csv", "--dataset=4.3GHz=d.csv"])),
     ], ids=["nested-on-braided", "nested-asymmetric", "single-one-point", "single-three-points",
             "single-unequal-rates", "free-no-equals", "free-not-a-number", "fixed-no-equals",
             "fixed-not-a-number", "free-repeated", "fixed-repeated", "geometry-fixed-repeated",
@@ -1218,7 +1240,8 @@ class TestCli:
             "dataset-bad-resonance", "free-bounds-reversed", "fixed-nan", "grid-two-parts",
             "range-start-not-a-number", "range-count-not-an-integer", "free-two-parts",
             "dataset-infinite-resonance", "dataset-nan-resonance", "grid-infinite-stop", "grid-nan-start",
-            "gamma-overflows", "grid-stop-overflows"])
+            "gamma-overflows", "grid-stop-overflows", "db-on-complex-data", "geometry-two-datasets",
+            "geometry-one-resonance"])
     def test_input_errors_exit_2_and_name_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         k = KAPPA_INNER
@@ -1258,7 +1281,9 @@ class TestCli:
     @pytest.mark.parametrize("where", list(TYPED_NUMBERS))
     def test_non_finite_typed_number_exits_2_and_is_quoted(self, tmp_path, monkeypatch, capsys, where, x):
         # a range endpoint, a --h-e0 or --h-a, --gamma and a two-mode rate used
-        # to exit 3 from a model check that named a parameter, not the flag
+        # to exit 3 from a model check that named a parameter, not the flag;
+        # then argparse's rejections raised SystemExit with its usage, and the
+        # rates and --gamma did not name their flag
         monkeypatch.chdir(tmp_path)
         make_config(tmp_path)
         assert main(["synth", "--config=config.json", "--output=d.csv"]) == 0
@@ -1266,10 +1291,12 @@ class TestCli:
         before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         argv = [a.replace("{x}", x) for a in self.TYPED_NUMBERS[where]]
         typed = next(part for a in argv for part in a.replace("=", ":").split(":") if x in part)
-        assert exit_code([*argv, "--output=out.csv"]) == 2
+        flag, _, text = next(a for a in argv if x in a).partition("=")
+        assert main([*argv, "--output=out.csv"]) == 2
         err = capsys.readouterr().err
         # a ConfigError from the parser of a typed frequency, angle or range, or argparse's type=float
-        assert f"{typed!r} must be finite, got {float(x)}" in err or f"invalid float value: {typed!r}" in err, err
+        assert err in (f"config error: {flag} {text!r}: {typed!r} must be finite, got {float(x)}\n",
+                       f"config error: argument {flag}: invalid float value: {typed!r}\n"), err
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("argv, code, message", [
@@ -1280,8 +1307,8 @@ class TestCli:
          "config error: /emitters: coupling point 0.05 m shared by 'e0' and 'e1'"),
         (["simulate-general", "--config=reversed.json"], 2,
          "config error: /probe: grid requires f_stop > f_start > 0"),
-        (["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", "--free=kappa=7.6e5"], 3,
-         "numeric failure: geometry fit needs at least 3 datasets"),
+        (["fit-geometry", "--dataset=4.3GHz=d.csv", "--dataset=4.4GHz=d.csv", "--free=kappa=7.6e5"], 2,
+         "config error: --dataset: geometry fit needs at least 3 datasets on at least 2 resonances"),
         (["simulate-single", "--config=cut.json"], 2,
          "config error: cut.json: invalid JSON: Expecting value: line 1 column 15 (char 14)"),
         # Python refuses to convert an integer of more than 4300 digits, with a plain ValueError
