@@ -16,12 +16,13 @@ error. main returns the code of a failed run and prints one stderr line,
 that argparse rejects (a missing or unknown flag, a bad choice, a value
 that is not a number) is a configuration error of the same form, such as
 `config error: argument --h-e0: invalid float value: 'nan'`; only --help
-leaves main through SystemExit. A value gsesim parses from a flag's text
-is named with its flag and quoted: `config error: --x '0.5:nan:3': 'nan'
-must be finite, got nan`. A number typed on the command line that is not
-finite, NaN, inf or one that overflows once its unit is applied, is a
-configuration error where it is parsed; 3 is left for a finite input the
-computation cannot handle.
+leaves main through SystemExit. A flag is matched only by its full name:
+`--out` is an unknown flag, not `--output`. A value gsesim parses from a
+flag's text is named with its flag and quoted: `config error: --x
+'0.5:nan:3': 'nan' must be finite, got nan`. A number typed on the command
+line that is not finite, NaN, inf or one that overflows once its unit is
+applied, is a configuration error where it is parsed; 3 is left for a
+finite input the computation cannot handle.
 """
 
 from __future__ import annotations
@@ -231,17 +232,16 @@ def _cmd_simulate_general(args):
         gio.write_spectrum_csv(args.reflection_output, Spectrum(grid, result.reflection))
 
 
-# the flags that only one sweep of `map` reads, which the other sweep rejects; and those each needs
-_SWEEP_FLAGS = {"detuning": ("grid", *_TWO_MODE, "eigen_output"), "field": ("config", "h_a")}
-_SWEEP_NEEDS = {"detuning": ("grid", *_TWO_MODE), "field": ("config",)}
+# per sweep of `map`: the flags it needs, then the one it may also take; the other sweep rejects all
+_SWEEPS = {"detuning": ("grid", *_TWO_MODE, "eigen_output"), "field": ("config", "h_a")}
 
 
 def _cmd_map(args):
     other = "field" if args.sweep == "detuning" else "detuning"
-    stray = [name for name in _SWEEP_FLAGS[other] if getattr(args, name) is not None]
+    stray = [name for name in _SWEEPS[other] if getattr(args, name) is not None]
     if stray:
         raise ConfigError(f"map --sweep {args.sweep} does not take {_flag_names(stray)}")
-    missing = [name for name in _SWEEP_NEEDS[args.sweep] if getattr(args, name) is None]
+    missing = [name for name in _SWEEPS[args.sweep][:-1] if getattr(args, name) is None]
     if missing:
         raise ConfigError(f"map --sweep {args.sweep} needs {_flag_names(missing)}")
     if args.sweep == "detuning":
@@ -332,7 +332,16 @@ def _cmd_synth(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise ConfigError, so that main reports them."""
+    """The CLI's parsing rules, which add_subparsers gives every subcommand.
+
+    A flag is matched only by its full name, a type=float value is read
+    with _number, and a usage error raises ConfigError, so that main
+    reports it.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self.register("type", float, _number)
 
     def error(self, message):
         raise ConfigError(message)
@@ -346,11 +355,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
-        p.register("type", float, _number)  # a type=float flag reads its value with _number
         if config:
             p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--output", required=True, help="output data file")
         p.add_argument("--manifest", default=None, help="manifest path (default: OUTPUT.manifest.json)")
+
+    def fit_items(p):
+        p.add_argument("--free", action="append", default=[], required=True,
+                       help="name=guess or name=guess:lo:hi in the parameter's unit, rates in Hz (repeatable)")
+        p.add_argument("--fixed", action="append", default=[], help="name=value (repeatable)")
 
     p = sub.add_parser("simulate-single", help="single two-point ensemble spectrum")
     common(p)
@@ -389,9 +402,7 @@ def build_parser():
     common(p, config=False)
     p.add_argument("--data", required=True, help="spectrum CSV (complex pair or magnitude)")
     p.add_argument("--model", choices=_FIT_MODELS, required=True)
-    p.add_argument("--free", action="append", default=[], required=True,
-                   help="name=guess or name=guess:lo:hi (repeatable; values in Hz)")
-    p.add_argument("--fixed", action="append", default=[], help="name=value (repeatable)")
+    fit_items(p)
     p.add_argument("--db", action="store_true", help="fit magnitude data on a dB scale")
     p.set_defaults(run=_cmd_fit)
 
@@ -399,8 +410,7 @@ def build_parser():
     common(p, config=False)
     p.add_argument("--dataset", action="append", required=True,
                    help="F_RES=PATH with a frequency suffix on F_RES (repeatable, >= 3)")
-    p.add_argument("--free", action="append", default=[], required=True)
-    p.add_argument("--fixed", action="append", default=[])
+    fit_items(p)
     p.set_defaults(run=_cmd_fit_geometry)
 
     p = sub.add_parser("anisotropy", help="crystal-angle to frequency curve")

@@ -100,8 +100,9 @@ def _self_energy(gse, phi, lamb_sign):
     )
 
 
-# a rate that overflows the model leaves non-finite values, which the function rejects
-@np.errstate(over="ignore", invalid="ignore")
+# a rate that overflows the model, or a singular resolvent, leaves non-finite values, which the
+# function rejects
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     """Matrix transmission of the nested pair on a frequency grid.
 
@@ -156,8 +157,6 @@ def s21_nested_matrix(p, grid, lamb_sign=-1, phase_ref="resonance"):
     num = u_o * (d * w_o - off * w_i) + u_i * (-off * w_o + a * w_i)
     if not (np.all(np.isfinite(det)) and np.all(np.isfinite(num))):
         raise ModelError("nested resolvent is not finite: a coupling rate is too large")
-    if np.any(det == 0):
-        raise ModelError("singular resolvent on the frequency grid")
     s21 = 1.0 - 1j * num / det
     if not np.all(np.isfinite(s21)):
         raise ModelError("singular resolvent on the frequency grid")

@@ -30,6 +30,16 @@ TWO_MODE = [
 ]
 
 
+def cli_flags():
+    """{command: the long flags its parser declares, --help aside} of gsesim's CLI."""
+    from gsesim.cli import build_parser
+
+    (commands,) = build_parser()._subparsers._group_actions
+    return {command: {flag for action in parser._actions for flag in action.option_strings
+                      if flag.startswith("--")} - {"--help"}
+            for command, parser in commands.choices.items()}
+
+
 def strict_json(text):
     """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON,
     as jq and JavaScript do."""

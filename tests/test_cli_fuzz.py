@@ -29,6 +29,8 @@ the arguments:
 - the manifest and a fit's report parse as standard JSON, which has no
   NaN or Infinity;
 - a successful `map` run names no flag that only the other sweep reads;
+- a command line that gives a flag by a proper prefix of its name (drawn
+  one time in ten, `--out=out.csv`) exits 2: a prefix is an unknown flag;
 - a successful run is reproduced from its manifest alone: the command line
   rebuilt from its `config` block, run in a fresh directory that holds only
   the inputs checked against its `inputs` sha256, writes the same bytes,
@@ -50,7 +52,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from gsesim.cli import main
 from gsesim.core import FrequencyGrid, Waveguide
 from gsesim.single import SingleGseParams, s21_values
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, strict_json
+from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, cli_flags, strict_json
 
 F_RES = 4.35e9
 
@@ -146,11 +148,11 @@ def _arg(flag, values, required=False, good=1):
     """
     value = st.one_of(*map(st.just, values[:good]), st.sampled_from(values))
     present = st.integers(0, 9).map(lambda k: k > 0) if required else st.booleans()
-    return st.tuples(present, value).map(lambda t: [f"{flag}={t[1]}"] if t[0] else [])
+    return flag, st.tuples(present, value).map(lambda t: [f"{flag}={t[1]}"] if t[0] else [])
 
 
 def _flag(flag):
-    return st.sampled_from([[], [flag]])
+    return flag, st.sampled_from([[], [flag]])
 
 
 def _repeat(flag, values, valid_sets=([],)):
@@ -159,7 +161,7 @@ def _repeat(flag, values, valid_sets=([],)):
     items = st.lists(st.sampled_from(values), max_size=2)
     picks = st.one_of(st.lists(st.sampled_from(values), max_size=4),
                       st.tuples(st.sampled_from(valid_sets), items).map(lambda t: t[0] + t[1]))
-    return picks.map(lambda vs: [f"{flag}={v}" for v in vs])
+    return flag, picks.map(lambda vs: [f"{flag}={v}" for v in vs])
 
 
 def _path(flag, own, required=False):
@@ -181,7 +183,9 @@ TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in GOOD_TWO
 DETUNING_ONLY = {"--grid", "--eigen-output", *(flag for flag, _ in GOOD_TWO_MODE)}
 FIELD_ONLY = {"--config", "--h-a"}
 
-SUBCOMMANDS = {
+# each command's pool: its flags, each with the strategy of its arguments (the helpers above
+# return such (flag, strategy) pairs)
+SUBCOMMANDS = {command: dict(parts) for command, parts in {
     "simulate-single": [*_common(), _flag("--self-consistent-phase")],
     "simulate-nested": [*_common(), _arg("--lamb-sign", ["-1", "1", "0", "x"], good=2),
                         _arg("--phase-ref", ["resonance", "probe", "bogus"], good=2)],
@@ -208,17 +212,31 @@ SUBCOMMANDS = {
                  _arg("--threads", ["1", "4", "-2", "x"], good=2)],
     "synth": [*_common(), _arg("--noise-sigma", ["0.01", *FLOATS]),
               _arg("--seed", ["5", "0", "-1", "x"], good=2)],
-}
+}.items()}
+
+
+def prefixed(argv):
+    """Each argument of argv[1:] with its flag cut to a proper prefix of at least
+    3 characters that is not itself a flag of the command: `--out=x.csv`."""
+    flags = SUBCOMMANDS[argv[0]]
+    cut = []
+    for arg in argv[1:]:
+        flag, equals, value = arg.partition("=")
+        cut += [flag[:n] + equals + value for n in range(3, len(flag)) if flag[:n] not in flags]
+    return cut
 
 
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     argv = [command]
-    for part in SUBCOMMANDS[command]:
+    for part in SUBCOMMANDS[command].values():
         argv += draw(part)
     if draw(st.integers(0, 49)) == 0:
         argv.append("--help")
+    elif draw(st.integers(0, 9)) == 0 and prefixed(argv):
+        # a prefix of a flag is an unknown flag, not that flag
+        argv.append(draw(st.sampled_from(prefixed(argv))))
     return argv
 
 
@@ -244,17 +262,17 @@ def replay_argv(config):
 
 def run_in_fresh_dir(argv, before=BEFORE):
     """main(argv) in a new directory holding before; returns (code, files left,
-    stderr), the files as a dict from relative path to bytes. SystemExit
-    escapes unless argv asks for --help."""
+    stderr, stdout), the files as a dict from relative path to bytes.
+    SystemExit escapes unless argv asks for --help."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in before.items():
             with open(os.path.join(tmp, name), "wb") as fh:
                 fh.write(data)
         os.chdir(tmp)
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     code = main(argv)
                 except SystemExit as exc:
@@ -268,7 +286,7 @@ def run_in_fresh_dir(argv, before=BEFORE):
             for name in names:
                 with open(os.path.join(root, name), "rb") as fh:
                     files[os.path.relpath(os.path.join(root, name), tmp)] = fh.read()
-        return code, files, err.getvalue()
+        return code, files, err.getvalue(), out.getvalue()
 
 
 # the first mark takes precedence: a RuntimeWarning fails the run, other warnings are ignored
@@ -316,12 +334,16 @@ def run_in_fresh_dir(argv, before=BEFORE):
           "--gamma=1e300GHz"])
 # a value argparse rejects: main returns 2 with one line, as for any configuration error
 @example(["simulate-nested", "--config=nested.json", "--lamb-sign=x", "--output=out.csv"])
+# a flag is matched only by its full name: `--thr` is not `--threads`
+@example(["pv-check", "--x=0.5:20:5", "--output=out.csv", "--thr=2"])
 def test_cli_main_exits_with_a_documented_code(argv):
-    code, files, err = run_in_fresh_dir(argv)
+    code, files, err, _ = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     if code != 0:
         prefix = {2: "config error: ", 3: "numeric failure: ", 4: "i/o error: "}[code]
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, code, err)
+    if "--help" not in argv and not {a.partition("=")[0] for a in argv[1:]} <= set(SUBCOMMANDS[argv[0]]):
+        assert code == 2, (argv, code)  # a flag given by a prefix only
     norm = os.path.normpath
     opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value wins
     if argv[0] == "map" and code == 0 and "--help" not in argv:
@@ -355,3 +377,55 @@ def test_cli_main_exits_with_a_documented_code(argv):
         replay = replay_argv(record["config"])
         written = {p: files[p] for p in (*data_outputs, norm(manifest))}
         assert run_in_fresh_dir(replay, inputs)[:2] == (0, {**inputs, **written}), (argv, replay)
+
+
+def test_each_pool_draws_every_flag_its_command_declares():
+    # a flag added to the parser but not to its pool would go unfuzzed
+    assert {command: set(pool) for command, pool in SUBCOMMANDS.items()} == cli_flags()
+
+
+# a valid command line of each subcommand, two of map (one per sweep), that together give every
+# flag a command declares, --help aside
+VALID = {name: [*argv, "--output=out.csv", "--manifest=man.json"] for name, argv in {
+    "simulate-single": ["simulate-single", "--config=single.json", "--self-consistent-phase"],
+    "simulate-nested": ["simulate-nested", "--config=nested.json", "--lamb-sign=1", "--phase-ref=probe"],
+    "simulate-general": ["simulate-general", "--config=braided.json", "--convention=mixed",
+                         "--reflection-output=refl.csv"],
+    "map-detuning": ["map", "--sweep=detuning", f"--values={DETUNINGS[0]}", f"--grid={GRIDS[0]}",
+                     *(f"{flag}={value}" for flag, value in GOOD_TWO_MODE), "--eigen-output=eigen.csv",
+                     "--threads=2"],
+    "map-field": ["map", "--sweep=field", f"--values={FIELDS[0]}", "--config=single.json", "--h-a=0.0035"],
+    "fit": ["fit", "--data=mag.csv", "--model=single_giant", "--free=f_res=4.35e9:4.3e9:4.4e9",
+            "--free=beta=2e6:0:2e7", "--fixed=kappa_g=1e6", "--db"],
+    "fit-geometry": ["fit-geometry", *(f"--dataset={f}=synth.csv" for f in ("4.2GHz", "4.35GHz", "4.7GHz")),
+                     *(f"--free={v}" for v in FREE["single"][1:4]), "--fixed=speed=3.26e7"],
+    "anisotropy": ["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:13", "--which=full",
+                   "--gamma=28GHz"],
+    "pv-check": ["pv-check", "--x=0.5:20:5", "--branch=+", "--threads=4"],
+    "synth": ["synth", "--config=single.json", "--noise-sigma=0.01", "--seed=5"],
+}.items()}
+
+
+def test_valid_lines_run_and_give_every_flag():
+    flags = {}
+    for name, argv in VALID.items():
+        assert run_in_fresh_dir(argv)[0] == 0, argv
+        flags.setdefault(argv[0], set()).update(arg.partition("=")[0] for arg in argv[1:])
+    assert flags == cli_flags()
+
+
+# each flag of each valid line that has a prefix to cut (`--j` and `--x` have none), with an
+# argument that gives it
+ARGS = {(name, arg.partition("=")[0]): arg for name, argv in VALID.items() for arg in argv[1:]
+        if prefixed([argv[0], arg])}
+
+
+@pytest.mark.parametrize("name, flag", sorted(ARGS))
+def test_flag_prefix_is_an_unknown_flag(name, flag):
+    # argparse took any unique prefix of a flag for it: `pv-check ... --out o.csv`
+    # wrote o.csv, and a prefix that a later flag shares would have turned ambiguous
+    argv = VALID[name]
+    for cut in prefixed([argv[0], ARGS[name, flag]]):
+        code, files, err, out = run_in_fresh_dir(argv + [cut])
+        assert (code, out, err) == (2, "", f"config error: unrecognized arguments: {cut}\n"), cut
+        assert files == BEFORE, cut

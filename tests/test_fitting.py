@@ -536,6 +536,11 @@ class TestGeometryFit:
         with pytest.raises(ParameterNameError, match=r"enter only as length/speed; fix one"):
             fit_global_geometry(self.datasets(), free=free)
 
+    def test_two_datasets_are_too_few(self):
+        # the CLI rejects fewer than three --dataset items before it calls the fit
+        with pytest.raises(FitError, match="geometry fit needs at least 3 datasets"):
+            fit_global_geometry(self.datasets()[:2], free=self.FREE, fixed=self.FIXED)
+
     def test_identical_resonances_degenerate(self):
         ds = self.datasets()
         same = [(ds[0][0], f, d) for _, f, d in ds[:3]]

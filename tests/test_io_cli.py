@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import sys
 import tracemalloc
 import warnings
@@ -29,7 +30,8 @@ from gsesim.io import (
     write_map_csv,
     write_spectrum_csv,
 )
-from conftest import BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, TWO_MODE, fresh_python, strict_json
+from conftest import (BETA_INNER, KAPPA_INNER, L_INNER, L_OUTER, SPEED, TWO_MODE, cli_flags, fresh_python,
+                      strict_json)
 from reference import _write_table as write_table_per_row
 
 # any finite double: hypothesis draws ±0.0, subnormals and values near 1e±308
@@ -1155,6 +1157,15 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_readme_examples_parse(self):
+        # the `gsesim ...` lines of README's CLI code block, each `\`-continued line joined; none runs
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("gsesim ")]
+        assert {line.split()[1] for line in lines} == set(cli_flags())
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
 
     def test_fit_model_choices_are_the_fitting_models(self):
         assert cli._FIT_MODELS == tuple(sorted(fitting.MODELS))
