@@ -269,11 +269,10 @@ def _cmd_map(args):
 def _cmd_fit(args):
     from .fitting import FitProblem, fit
 
-    freqs, data, magnitude_only = gio.read_spectrum_csv(args.data)
-    if args.db and not magnitude_only:
+    freqs, data = gio.read_spectrum_csv(args.data)
+    if args.db and np.iscomplexobj(data):
         raise ConfigError(f"--db: {args.data} holds complex S21; --db fits magnitude-only data")
-    problem = FitProblem(freqs, data, args.model, free=dict(args.free), fixed=dict(args.fixed),
-                         magnitude_only=magnitude_only, db_scale=args.db)
+    problem = FitProblem(freqs, data, args.model, free=dict(args.free), fixed=dict(args.fixed), db_scale=args.db)
     gio.write_fit_report(args.output, fit(problem))
 
 
@@ -284,8 +283,8 @@ def _cmd_fit_geometry(args):
         raise ConfigError("--dataset: geometry fit needs at least 3 datasets on at least 2 resonances")
     datasets = []
     for f_res, path in args.dataset:
-        freqs, data, magnitude_only = gio.read_spectrum_csv(path)
-        if magnitude_only:
+        freqs, data = gio.read_spectrum_csv(path)
+        if not np.iscomplexobj(data):
             raise ConfigError(f"--dataset {path}: geometry fit needs complex data")
         datasets.append((f_res, freqs, data))
     result = fit_global_geometry(datasets, free=dict(args.free), fixed=dict(args.fixed))
@@ -403,7 +402,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="spectrum CSV (complex pair or magnitude)")
     p.add_argument("--model", choices=_FIT_MODELS, required=True)
     fit_items(p)
-    p.add_argument("--db", action="store_true", help="fit magnitude data on a dB scale")
+    p.add_argument("--db", action="store_true", help="fit 20*log10 of a magnitude-only file's s21_mag column")
     p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("fit-geometry", help="joint geometry/speed fit across spectra")

@@ -3,8 +3,9 @@
 Two model families are fit in practice: the one-pole single-ensemble form
 (per-resonance decay-rate extraction and the joint geometry fit that pins
 down the coupling-point separation and the photon speed) and the
-eight-parameter two-mode form for the nested pair. Complex data is fitted
-on stacked real/imaginary residuals; magnitude-only data on |S21|. Every
+eight-parameter two-mode form for the nested pair. The dtype of the data
+says what is fitted: complex data is S21, fitted on stacked real/imaginary
+residuals, and real data is |S21|, fitted linearly or in dB. Every
 residual comes with its closed-form Jacobian, and one numpy
 Levenberg-Marquardt solver, `_least_squares`, minimizes them all.
 """
@@ -155,9 +156,11 @@ def _check_params(expected, free, fixed):
 class FitProblem:
     """One spectrum, one model, and the free-parameter layout.
 
-    data may be complex S21 values or real magnitudes (set magnitude_only).
-    free maps parameter name -> (guess, lower, upper); fixed holds the
-    remaining model parameters.
+    freqs is a 1-D grid and data has its shape. The dtype of data says
+    what is fitted: complex data is S21, real data is |S21|. db_scale fits
+    real data on a dB scale; the data stay linear |S21|, as for a
+    magnitude fit. free maps parameter name -> (guess, lower, upper);
+    fixed holds the remaining model parameters.
     """
 
     freqs: np.ndarray = field(repr=False)
@@ -165,15 +168,17 @@ class FitProblem:
     model: str
     free: dict
     fixed: dict = field(default_factory=dict)
-    magnitude_only: bool = False
     db_scale: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
+        object.__setattr__(self, "data", np.asarray(self.data))
         if self.model not in MODELS:
             raise ModelError(f"unknown model {self.model!r}")
         if not self.free:
             raise ModelError("at least one free parameter required")
+        if self.freqs.ndim != 1 or self.data.shape != self.freqs.shape:
+            raise ModelError(f"data of shape {self.data.shape} must match 1-D frequencies, got {self.freqs.shape}")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.data).all()):
             raise ModelError("frequencies and data must be finite")
         if np.any(self.freqs[1:] <= self.freqs[:-1]):
@@ -182,7 +187,7 @@ class FitProblem:
             raise ModelError(
                 f"{len(self.freqs)} points cannot constrain {len(self.free)} parameters"
             )
-        if self.db_scale and not self.magnitude_only:
+        if self.db_scale and np.iscomplexobj(self.data):
             raise ModelError("db_scale applies to magnitude-only data")
         _check_params(MODEL_PARAMS[self.model], self.free, self.fixed)
 
@@ -203,25 +208,31 @@ class FitResult:
     converged: bool
 
 
-def _residuals(model, freqs, data, fixed, names, magnitude_only=False, db_scale=False):
+def _residuals(model, freqs, data, fixed, names, db_scale=False):
     """fun(x) -> (residual, Jacobian) of `model` against data over the free names.
 
-    Magnitude residuals take d|s| = Re(conj(s)*ds)/|s|, and dB residuals
-    20/ln(10) * d|s|/|s|; both are 0 where |s| is below the dB floor.
+    Complex data is S21: the residual stacks the real and imaginary parts
+    of S21 - data. Real data is |S21|: the residual is |S21| - data, or
+    with db_scale 20*log10 of each, both sides floored at _MAG_FLOOR (the
+    data are converted once, here). Magnitude residuals take
+    d|s| = Re(conj(s)*ds)/|s|, and dB residuals 20/ln(10) * d|s|/|s|;
+    both are 0 where |s| is below the floor.
     """
+    data = 20.0 * np.log10(np.maximum(data, _MAG_FLOOR)) if db_scale else data
+
     def fun(x):
         q = dict(fixed)
         q.update(zip(names, x))
         s, partials = MODELS[model](freqs, q)
         ds = np.column_stack([partials[n] for n in names])
-        if magnitude_only:
+        if not np.iscomplexobj(data):
             mag = np.abs(s)
             inv = np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > _MAG_FLOOR)
             dmag = (np.conj(s)[:, None] * ds).real * inv[:, None]
             if db_scale:
                 mag = 20.0 * np.log10(np.maximum(mag, _MAG_FLOOR))
                 dmag *= (20.0 / math.log(10.0)) * inv[:, None]
-            return np.asarray(mag - data, dtype=float), dmag
+            return mag - data, dmag
         r = s - data
         return np.concatenate([r.real, r.imag]), np.concatenate([ds.real, ds.imag])
 
@@ -382,8 +393,7 @@ def _least_squares(fun, free, tol):
 
 def _stacked(problems):
     """fun(x) -> (residual, Jacobian) of problems that share one free layout, stacked in order."""
-    parts = [_residuals(p.model, p.freqs, p.data, p.fixed, list(p.free), p.magnitude_only, p.db_scale)
-             for p in problems]
+    parts = [_residuals(p.model, p.freqs, p.data, p.fixed, list(p.free), p.db_scale) for p in problems]
 
     def fun(x):
         residuals, jacobians = zip(*(part(x) for part in parts))
@@ -418,15 +428,17 @@ def initial_guess_single(freqs, magnitude):
 def fit_global_geometry(datasets, free, fixed=None):
     """Joint single-GSE fit across spectra taken at known resonances.
 
-    datasets: list of (f_res_hz, freqs, complex_s21). free/fixed follow
-    FitProblem conventions over {kappa, beta, length, speed}. The model
-    sees length and speed only through the delay length/speed, so one of
-    them must be fixed (ParameterNameError otherwise); the interference
-    phase differs between datasets through f_res, which is what pins the
-    delay. Each dataset is checked as a "single" FitProblem with its f_res
-    fixed, so a non-finite f_res raises ParameterNameError. A warning is
-    issued when the resonances span less than one interference period of
-    the initial guess.
+    datasets: list of (f_res_hz, freqs, s21). As in FitProblem, complex
+    s21 is S21 and real s21 is |S21|, so real datasets are magnitude fits;
+    the CLI still requires complex data. free/fixed follow FitProblem
+    conventions over {kappa, beta, length, speed}. The model sees length
+    and speed only through the delay length/speed, so one of them must be
+    fixed (ParameterNameError otherwise); the interference phase differs
+    between datasets through f_res, which is what pins the delay. Each
+    dataset is checked as a "single" FitProblem with its f_res fixed, so a
+    non-finite f_res raises ParameterNameError. A warning is issued when
+    the resonances span less than one interference period of the initial
+    guess.
     """
     if len(datasets) < 3:
         raise FitError("geometry fit needs at least 3 datasets")

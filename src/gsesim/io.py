@@ -151,13 +151,15 @@ def _read_table(path, pick, coordinates):
 
 
 def read_spectrum_csv(path):
-    """Parse a spectrum file; returns (freqs, data, magnitude_only).
+    """Parse a spectrum file; returns (freqs, data).
 
     Auto-detects a complex pair (s21_re, s21_im) versus a magnitude-only
-    column (s21_mag). Rejects missing headers, malformed rows (with line
-    numbers), non-finite, unsorted or duplicate frequencies. Only the
-    frequency and the picked S21 columns are checked: a row may carry
-    extra cells, or lack a cell of a column that is not read (s21_db).
+    column (s21_mag), and the dtype of data tells which: complex S21 from
+    the pair, real linear |S21| from s21_mag. Rejects missing headers,
+    malformed rows (with line numbers), non-finite, unsorted or duplicate
+    frequencies. Only the frequency and the picked S21 columns are
+    checked: a row may carry extra cells, or lack a cell of a column that
+    is not read (s21_db).
     """
     def pick(cols):
         if "frequency_hz" not in cols:
@@ -174,9 +176,9 @@ def read_spectrum_csv(path):
     if np.any(freqs[1:] <= freqs[:-1]):
         raise DataFormatError(f"{path}: frequencies must be strictly increasing")
     if table.shape[1] == 2:
-        return freqs, table[:, 1].copy(), True
+        return freqs, table[:, 1].copy()
     # a view keeps -0.0 real parts and infinite imaginary parts, re + 1j*im does not
-    return freqs, np.ascontiguousarray(table[:, 1:]).view(complex).ravel(), False
+    return freqs, np.ascontiguousarray(table[:, 1:]).view(complex).ravel()
 
 
 def write_map_csv(path, columns):

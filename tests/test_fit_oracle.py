@@ -120,7 +120,7 @@ ROUND_TRIPS = {
     "nested-couplings": lambda: test_fitting.TestRoundTrips().test_nested_fitform_recovers_couplings(),
     "scale-equivariance": lambda: test_fitting.TestRoundTrips().test_scale_equivariance(),
     "sqrt-n": lambda: test_fitting.TestRoundTrips().test_sigmas_shrink_like_sqrt_n(),
-    "magnitude-and-db": lambda: test_fitting.TestProblemValidation().test_magnitude_only_and_db(),
+    "magnitude-and-db": lambda: test_fitting.TestProblemValidation().test_magnitude_and_db(),
     "geometry-noiseless": lambda: test_fitting.TestGeometryFit().test_noiseless_recovers_geometry(),
     "geometry-offset": lambda: test_fitting.TestGeometryFit().test_offset_start_still_pins_the_ratio(),
     "geometry-noisy": lambda: test_fitting.TestGeometryFit().test_noisy_recovery_within_a_percent(),

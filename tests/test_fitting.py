@@ -279,8 +279,9 @@ MODEL_POINTS = {
 
 
 def check_model_residuals(model, mode, q):
-    """The residual of `model` at q, fitted to its own complex, magnitude or
-    dB values, has the Jacobian its central differences give."""
+    """The residual of `model` at q, fitted to its own complex values or to
+    its own magnitudes on a linear or dB scale, has the Jacobian its
+    central differences give."""
     if model == "nested_fitform":
         # the narrower mode sets the scale; near a bound state it is dark
         width = np.min(-two_mode_poles(q).imag)
@@ -295,8 +296,8 @@ def check_model_residuals(model, mode, q):
     s = fitting.MODELS[model](f, q)[0]
     if mode != "complex":
         assume(np.min(np.abs(s)) > 1e-2)  # |S21| has a kink at 0
-        s = 20 * np.log10(np.abs(s)) if mode == "db" else np.abs(s)
-    fun = fitting._residuals(model, f, s, {}, list(q), magnitude_only=mode != "complex", db_scale=mode == "db")
+        s = np.abs(s)
+    fun = fitting._residuals(model, f, s, {}, list(q), db_scale=mode == "db")
     assert_jacobian_matches_central_differences(fun, np.array(list(q.values())), fd_steps(q, width))
 
 
@@ -406,21 +407,54 @@ class TestProblemValidation:
         with pytest.raises(ModelError, match=message):
             FitProblem(f, np.ones(100, dtype=complex), model, free=free, **options)
 
-    def test_magnitude_only_and_db(self):
+    def test_magnitude_and_db(self):
+        # real data is |S21| on either scale: db_scale takes the same linear magnitudes
         q = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.0 * MHZ}
         f = 4.35e9 + np.linspace(-20, 20, 801) * MHZ
         mag = np.abs(single_giant_model(f, q)[0])
         for db in (False, True):
-            data = 20 * np.log10(mag) if db else mag
             problem = FitProblem(
-                f, data, "single_giant",
+                f, mag, "single_giant",
                 free={"kappa_g": (0.8 * MHZ, 0, 1e8), "beta": (1.2 * MHZ, 0, 1e8)},
                 fixed={"f_res": 4.35e9},
-                magnitude_only=True,
                 db_scale=db,
             )
             r = fit(problem)
             assert r.values["kappa_g"] == pytest.approx(1.0 * MHZ, rel=1e-6)
+
+    def test_db_scale_floors_a_zero_magnitude(self):
+        # log10(0) warns, which pyproject makes an error: the data take the
+        # model's floor, so a dip that reaches 0 gives a finite dB residual
+        q = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.0 * MHZ}
+        f = 4.35e9 + np.linspace(-20, 20, 801) * MHZ
+        mag = np.abs(single_giant_model(f, q)[0])
+        mag[400] = 0.0
+        problem = FitProblem(f, mag, "single_giant", free={"kappa_g": (0.8 * MHZ, 0, 1e8)},
+                             fixed={"f_res": 4.35e9, "beta": 1.0 * MHZ}, db_scale=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r, jac = fitting._stacked([problem])(np.array([0.8 * MHZ]))
+        model_db = 20 * np.log10(np.abs(single_giant_model(f, dict(q, kappa_g=0.8 * MHZ))[0]))
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(jac))
+        assert r[400] == pytest.approx(model_db[400] + 6000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("freqs_shape, data_shape", [((100,), (50,)), ((100,), (100, 1)), ((100, 1), (100, 1))],
+                             ids=["short-data", "column-data", "column-grid"])
+    def test_data_must_have_the_shape_of_a_1d_grid(self, freqs_shape, data_shape):
+        # numpy's own broadcast and matmul errors escaped fit, as ValueError
+        f = np.linspace(4.3e9, 4.4e9, 100).reshape(freqs_shape)
+        with pytest.raises(ModelError, match="must match 1-D frequencies, got"):
+            fit(FitProblem(f, np.ones(data_shape, dtype=complex), "single_giant",
+                           free={"f_res": (4.35e9, 4.3e9, 4.4e9)}, fixed={"kappa_g": 1e6, "beta": 1e6}))
+
+    def test_geometry_and_decay_fits_check_each_shape(self):
+        datasets = TestGeometryFit().datasets()
+        f_res, freqs, s21 = datasets[3]
+        datasets[3] = (f_res, freqs, s21[:-1])
+        with pytest.raises(ModelError, match=r"data of shape \(500,\) must match"):
+            fit_global_geometry(datasets, free=TestGeometryFit.FREE, fixed=TestGeometryFit.FIXED)
+        with pytest.raises(ModelError, match=r"data of shape \(500,\) must match"):
+            extract_decay_curve([datasets[3]], REFERENCE)
 
     def test_initial_guess_single(self):
         q = {"f_res": 4.35e9, "kappa_g": 1.0 * MHZ, "beta": 1.0 * MHZ}
@@ -714,11 +748,12 @@ def spectrum(model, f_lo, f_hi, q, noise=0.0, n=41):
 
 
 def fit_case(model, q, free, f_lo=4.33e9, f_hi=4.37e9, noise=0.0, magnitude=False, db=False):
-    """(model, freqs, data, free, fixed, magnitude_only, db_scale) of a fit of
-    model to its own spectrum at q, the names not in free fixed at q."""
+    """(model, freqs, data, free, fixed, db_scale) of a fit of model to its
+    own spectrum at q, or with magnitude to its |S21| (in dB with db too),
+    the names not in free fixed at q."""
     freqs, data = spectrum(model, f_lo, f_hi, q, noise)
     fixed = {n: v for n, v in q.items() if n not in free}
-    return model, freqs, np.abs(data) if magnitude else data, free, fixed, magnitude, magnitude and db
+    return model, freqs, np.abs(data) if magnitude else data, free, fixed, magnitude and db
 
 
 def with_fixed(case, **values):
@@ -838,12 +873,12 @@ class TestExtremeInputs:
     def test_fit_is_finite_or_model_error(self, case):
         if isinstance(case, ModelError):
             return
-        model, freqs, data, free, fixed, magnitude_only, db_scale = case
+        model, freqs, data, free, fixed, db_scale = case
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.simplefilter("ignore", DegeneracyWarning)
             try:
-                result = fit(FitProblem(freqs, data, model, free, fixed, magnitude_only, db_scale))
+                result = fit(FitProblem(freqs, data, model, free, fixed, db_scale))
             except ModelError:
                 return
         finite_fit(result)

@@ -132,18 +132,17 @@ class TestSpectrumCsv:
         assert lines[0] == b"frequency_hz,s21_re,s21_im,s21_mag,s21_db"
         assert lines[101].endswith(b",0.0,0.0,0.0,-inf")
         assert lines[-1] == b"" and len(lines) == 259
-        freqs, data, magnitude_only = read_spectrum_csv(path)
-        assert not magnitude_only
+        freqs, data = read_spectrum_csv(path)
+        assert data.dtype == complex
         assert np.array_equal(freqs, grid.frequencies)
         assert np.array_equal(data, s.s21)
 
-    def test_magnitude_only_detected(self, tmp_path):
+    def test_magnitude_column_reads_as_real(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
             "frequency_hz,s21_mag\n1000000000.0,0.9\n1000001000.0,0.8\n"
         )
-        freqs, data, magnitude_only = read_spectrum_csv(path)
-        assert magnitude_only
+        freqs, data = read_spectrum_csv(path)
         assert data.dtype == float
 
     def test_missing_header(self, tmp_path):
@@ -180,8 +179,8 @@ class TestSpectrumCsv:
         path = tmp_path_factory.mktemp("spectrum") / "s.csv"
         with np.errstate(over="ignore"):  # |s21| of the largest doubles is inf
             write_spectrum_csv(path, SimpleNamespace(frequencies=np.array(freqs), s21=s21))
-        got_freqs, data, magnitude_only = read_spectrum_csv(path)
-        assert not magnitude_only
+        got_freqs, data = read_spectrum_csv(path)
+        assert data.dtype == complex
         assert same_doubles(got_freqs, freqs)
         assert same_doubles(data.real, cells[:n]) and same_doubles(data.imag, cells[n:2 * n])
 
@@ -189,8 +188,8 @@ class TestSpectrumCsv:
         path = tmp_path / "q.csv"
         path.write_text('"frequency_hz","s21_re","s21_im"\r\n'
                         '"1000000000.0","0.5",-0.25\r\n1000001000.0,"-0.0"," 1e-310"\r\n')
-        freqs, data, magnitude_only = read_spectrum_csv(path)
-        assert not magnitude_only
+        freqs, data = read_spectrum_csv(path)
+        assert data.dtype == complex
         assert same_doubles(freqs, [1e9, 1.000001e9])
         assert same_doubles(data.real, [0.5, -0.0]) and same_doubles(data.imag, [-0.25, 1e-310])
 
@@ -209,8 +208,8 @@ class TestSpectrumCsv:
         spectrum = tmp_path / "s.csv"
         spectrum.write_text("frequency_hz,s21_re,s21_im,s21_mag,s21_db\n"
                             "1e9,0.5,0.1\n2e9,0.4,0.2,0.45,x,99\n")
-        freqs, data, magnitude_only = read_spectrum_csv(spectrum)
-        assert not magnitude_only and freqs.tolist() == [1e9, 2e9] and data.tolist() == [0.5 + 0.1j, 0.4 + 0.2j]
+        freqs, data = read_spectrum_csv(spectrum)
+        assert data.dtype == complex and freqs.tolist() == [1e9, 2e9] and data.tolist() == [0.5 + 0.1j, 0.4 + 0.2j]
         path = tmp_path / "map.csv"
         path.write_text("sweep_value,frequency_hz,s21_mag,s21_db\n"
                         "0.0,1e9,0.5\n0.0,2e9,0.4,x\n1.0,1e9,0.3,-10.5,7\n1.0,2e9,0.2,-14.0\n")
@@ -336,8 +335,8 @@ class TestBulkParse:
         # loadtxt iterates a bytes path and decompresses a path named *.gz
         path = tmp_path / name
         path.write_text("frequency_hz,s21_mag\r\n1e9,0.9\r\n2e9,0.8\r\n")
-        freqs, data, magnitude_only = read_spectrum_csv(kind(path))
-        assert magnitude_only and same_doubles(freqs, [1e9, 2e9]) and same_doubles(data, [0.9, 0.8])
+        freqs, data = read_spectrum_csv(kind(path))
+        assert data.dtype == float and same_doubles(freqs, [1e9, 2e9]) and same_doubles(data, [0.9, 0.8])
 
 
 def with_bom(path):
@@ -549,7 +548,7 @@ class TestCli:
         cfg = make_config(tmp_path, n_points=4001)
         out = str(tmp_path / "spec.csv")
         assert main(["simulate-single", "--config", cfg, "--output", out]) == 0
-        freqs, data, _ = read_spectrum_csv(out)
+        freqs, data = read_spectrum_csv(out)
         # phi = 0 working point: dip bottom is beta / (4*kappa + beta)
         assert np.min(np.abs(data)) == pytest.approx(0.342, abs=1e-4)
         manifest = json.loads(open(out + ".manifest.json").read())
@@ -610,6 +609,24 @@ class TestCli:
         assert out["converged"]
         assert out["params"]["kappa_g"] == pytest.approx(4 * KAPPA_INNER, rel=0.05)
         assert out["params"]["beta"] == pytest.approx(BETA_INNER, rel=0.05)
+
+    def test_fit_db_reads_the_linear_magnitudes_it_fits(self, tmp_path):
+        # fit --db compared the linear s21_mag column with 20*log10|S21|: on
+        # this noiseless file it reported kappa_g = 0, residual norm 18.75, and
+        # a DegeneracyWarning on f_res and beta
+        truth = {"f_res": 4.35e9, "kappa_g": 1.2e6, "beta": 0.8e6}
+        f = np.linspace(4.33e9, 4.37e9, 401)
+        mag = np.abs(fitting.single_giant_model(f, truth)[0])
+        data = tmp_path / "mag.csv"
+        data.write_text("frequency_hz,s21_mag\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(f.tolist(), mag.tolist())))
+        free = ["--free=f_res=4.3502e9:4.3e9:4.4e9", "--free=kappa_g=1e6:0:2e7", "--free=beta=1e6:0:2e7"]
+        for db in ([], ["--db"]):
+            report = tmp_path / f"fit{len(db)}.json"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["fit", f"--data={data}", "--model=single_giant", *free, *db, f"--output={report}"]) == 0
+            assert not caught, db
+            assert json.loads(report.read_text())["params"] == pytest.approx(truth, rel=1e-6), db
 
     def test_fit_report_is_strict_json(self, tmp_path):
         # a noisy two-mode spectrum with all eight parameters free leaves a
