@@ -156,11 +156,12 @@ def _check_params(expected, free, fixed):
 class FitProblem:
     """One spectrum, one model, and the free-parameter layout.
 
-    freqs is a 1-D grid and data has its shape. The dtype of data says
-    what is fitted: complex data is S21, real data is |S21|. db_scale fits
-    real data on a dB scale; the data stay linear |S21|, as for a
-    magnitude fit. free maps parameter name -> (guess, lower, upper);
-    fixed holds the remaining model parameters.
+    freqs is a 1-D grid and data has its shape, both finite. The dtype of
+    data says what is fitted: complex data is S21, real data is |S21|,
+    so no real value may be below 0 (-0.0 is not). db_scale fits real
+    data on a dB scale; the data stay linear |S21|, as for a magnitude
+    fit. free maps parameter name -> (guess, lower, upper); fixed holds
+    the remaining model parameters.
     """
 
     freqs: np.ndarray = field(repr=False)
@@ -181,6 +182,8 @@ class FitProblem:
             raise ModelError(f"data of shape {self.data.shape} must match 1-D frequencies, got {self.freqs.shape}")
         if not (np.isfinite(self.freqs).all() and np.isfinite(self.data).all()):
             raise ModelError("frequencies and data must be finite")
+        if not np.iscomplexobj(self.data) and np.any(self.data < 0):
+            raise ModelError("real data is |S21| and must be >= 0")
         if np.any(self.freqs[1:] <= self.freqs[:-1]):
             raise ModelError("frequency grid must be strictly increasing")
         if len(self.freqs) < 2 * len(self.free):

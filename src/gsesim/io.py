@@ -102,13 +102,25 @@ def _data_rows(path):
             raise DataFormatError(f"{path}:{rows.line_num + 2 - len(lines)}: {exc}") from None
 
 
-def _read_table(path, pick, coordinates):
-    """Parse a CSV table into an (n_rows, k) array of doubles.
+# the least value a cell of a column may hold, by header name; any other column takes any
+# finite number
+_LEAST = {"s21_mag": 0.0}
+
+
+def _bad_column(table, least):
+    """The index of the first column of table with a cell that is not finite or lies below
+    that column's least value, or None. One column at a time, to keep the peak low."""
+    return next((k for k, low in enumerate(least) if not np.all(np.isfinite(table[:, k]) & (table[:, k] >= low))), None)
+
+
+def _read_table(path, pick):
+    """Parse a CSV table into an (n_rows, k) array of finite doubles.
 
     pick maps the header's stripped, unquoted, lower-cased names to the k
-    column indices to read; the first `coordinates` of them must be finite.
-    Cells in other columns are not read. Blank lines are skipped; a row
-    that lacks a picked cell, or whose picked cell is not a number, raises
+    column indices to read. Cells in other columns are not read. Blank
+    lines are skipped; a row that lacks a picked cell, whose picked cell
+    is not a number, or whose picked cell is not finite or lies below its
+    column's least value in _LEAST (-0.0 is not below 0.0) raises
     DataFormatError with its line number.
     """
     try:
@@ -117,7 +129,9 @@ def _read_table(path, pick, coordinates):
             header = fh.readline()
         if not header:
             raise DataFormatError(f"{path}: empty file")
-        usecols = pick([c.strip().strip('"').lower() for c in header.split(",")])
+        cols = [c.strip().strip('"').lower() for c in header.split(",")]
+        usecols = pick(cols)
+        least = [_LEAST.get(cols[k], -np.inf) for k in usecols]
         # numpy reads a str path in chunks but walks an open file (or a bytes
         # path) line by line; it would also decompress a path by its suffix,
         # so such a name goes in as an open file
@@ -129,9 +143,9 @@ def _read_table(path, pick, coordinates):
                 # a header-only file is reported by the caller, not as a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 table = np.loadtxt(source, skiprows=1, encoding="utf-8", usecols=usecols, **_LOADTXT)
-            if np.all(np.isfinite(table[:, :coordinates])):
+            if _bad_column(table, least) is None:
                 return table
-            error = "non-finite coordinate"
+            error = "cell out of range"
         except ValueError as exc:
             error = exc
         # error path only: loadtxt's row numbers skip blank lines and start at
@@ -141,8 +155,9 @@ def _read_table(path, pick, coordinates):
                 row = np.loadtxt([text], usecols=usecols, **_LOADTXT)
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: malformed row {text.rstrip()!r}") from None
-            if not np.all(np.isfinite(row[:, :coordinates])):
-                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate {text.rstrip()!r}")
+            if (k := _bad_column(row, least)) is not None:
+                rule = "finite" if least[k] == -np.inf else f"finite and >= {least[k]}"
+                raise DataFormatError(f"{path}:{lineno}: {cols[usecols[k]]} must be {rule} {text.rstrip()!r}")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     # a guard: the pass above hands loadtxt the rows it failed on as a whole, and no
@@ -155,11 +170,12 @@ def read_spectrum_csv(path):
 
     Auto-detects a complex pair (s21_re, s21_im) versus a magnitude-only
     column (s21_mag), and the dtype of data tells which: complex S21 from
-    the pair, real linear |S21| from s21_mag. Rejects missing headers,
-    malformed rows (with line numbers), non-finite, unsorted or duplicate
-    frequencies. Only the frequency and the picked S21 columns are
-    checked: a row may carry extra cells, or lack a cell of a column that
-    is not read (s21_db).
+    the pair, real linear |S21| from s21_mag. Rejects missing headers and
+    names the line of a malformed row, a NaN or infinite cell, a negative
+    s21_mag, and a frequency not above the one before it. Only the
+    frequency and the picked S21 columns are checked: a row may carry
+    extra cells, or lack a cell of a column that is not read (s21_db or,
+    when the pair is read, s21_mag).
     """
     def pick(cols):
         if "frequency_hz" not in cols:
@@ -169,12 +185,14 @@ def read_spectrum_csv(path):
                 return [cols.index(c) for c in names]
         raise DataFormatError(f"{path}: need either s21_re/s21_im or s21_mag columns")
 
-    table = _read_table(path, pick, 1)
+    table = _read_table(path, pick)
     freqs = table[:, 0].copy()
     if freqs.size < 2:
         raise DataFormatError(f"{path}: need at least 2 data rows")
     if np.any(freqs[1:] <= freqs[:-1]):
-        raise DataFormatError(f"{path}: frequencies must be strictly increasing")
+        # error path only: name the first row whose frequency is not above the one before it
+        lineno, text = next(itertools.islice(_data_rows(path), np.argmax(freqs[1:] <= freqs[:-1]) + 1, None))
+        raise DataFormatError(f"{path}:{lineno}: frequencies must be strictly increasing {text.rstrip()!r}")
     if table.shape[1] == 2:
         return freqs, table[:, 1].copy()
     # a view keeps -0.0 real parts and infinite imaginary parts, re + 1j*im does not
@@ -196,19 +214,20 @@ def _distinct(column):
 def read_map_csv(path):
     """Parse a map file back into (sweep_values, freqs, |S21| matrix).
 
-    Cells the file does not list read as NaN. An empty or header-only file
-    raises DataFormatError naming the file; a row without its sweep value,
-    frequency or s21_mag, a non-numeric one among those three, a non-finite
-    sweep value or frequency, or a cell listed twice (+0.0 and -0.0 are one
-    value) raises it with the line number. Only those three columns are
-    read: a row may lack its s21_db or carry extra cells.
+    Every listed cell is finite and >= 0, so NaN means only that the file
+    does not list the cell. An empty or header-only file raises
+    DataFormatError naming the file; a row without its sweep value,
+    frequency or s21_mag, a non-numeric one among those three, a NaN or
+    infinite one, a negative s21_mag, or a cell listed twice (+0.0 and
+    -0.0 are one value) raises it with the line number. Only those three
+    columns are read: a row may lack its s21_db or carry extra cells.
     """
     def pick(cols):
         if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
             raise DataFormatError(f"{path}:1: unexpected map header {cols!r}")
         return [0, 1, 2]
 
-    table = _read_table(path, pick, 2)
+    table = _read_table(path, pick)
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
     sweep, freqs = _distinct(table[:, 0]), _distinct(table[:, 1])

@@ -97,6 +97,10 @@ def _inputs():
         f"{f!r},{v.real!r},{v.imag!r}\n" for f, v in zip(freqs.tolist(), s21.tolist()))
     files["mag.csv"] = "frequency_hz,s21_mag\n" + "".join(
         f"{f!r},{abs(v)!r}\n" for f, v in zip(freqs.tolist(), s21.tolist()))
+    # one cell out of its column's range, on line 53: a negative magnitude, a NaN real part
+    f, v = freqs[51].item(), s21[51].item()
+    files["negmag.csv"] = files["mag.csv"].replace(f"\n{f!r},{abs(v)!r}\n", f"\n{f!r},-0.5\n")
+    files["nanre.csv"] = files["synth.csv"].replace(f"\n{f!r},{v.real!r},", f"\n{f!r},nan,")
     return {k: v.encode() if isinstance(v, str) else v for k, v in files.items()}
 
 
@@ -104,7 +108,7 @@ INPUTS = _inputs()
 
 CONFIGS = ["single.json", "nested.json", "braided.json", "frac.json", "huge.json",
            "bad.json", "missing.json", "far.json", "slow.json", "strong.json", "strong_nested.json"]
-DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json"]
+DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json", "negmag.csv", "nanre.csv"]
 # shared by every output flag; single.json is also the most drawn config
 PATHS = ["out.csv", "man.json", "refl.csv", "eigen.csv", "./out.csv", "out.csv.manifest.json",
          "nodir/out.csv", "single.json"]
@@ -126,7 +130,7 @@ FIXED = ["f_res=4.35e9", "kappa_g=1e6", "speed=3.26e7", "length=0.0828", "beta=n
          "length=inf", "speed=0", "kappa=", "speed=x"]
 DATASETS = ["4.2GHz=synth.csv", "4.3GHz=synth.csv", "4.4GHz=synth.csv", "4.5GHz=synth.csv",
             "4.2=synth.csv", "4.2GHz", "4.3GHz=missing.csv", "4.4GHz=bad.csv",
-            "4.5GHz=mag.csv", "infGHz=synth.csv"]
+            "4.5GHz=mag.csv", "infGHz=synth.csv", "4.4GHz=negmag.csv", "4.3GHz=nanre.csv"]
 DETUNINGS = ["-5MHz:5MHz:5", "5MHz:-5MHz:3", "-5MHz:5MHz:0", "0MHz:0MHz:1", "-5:5:3",
              "nanMHz:1MHz:3", "infMHz:1MHz:2", "1MHz:2MHz", "a:b:c"]
 FIELDS = ["0.154:0.156:3", "0.156:0.154:2", "0.155:0.155:1", "-0.1:0.1:3", "0:0:2",
@@ -289,6 +293,10 @@ def run_in_fresh_dir(argv, before=BEFORE):
         return code, files, err.getvalue(), out.getvalue()
 
 
+BAD_CELL_FIT = ["--free=f_res=4.35e9:4.3e9:4.4e9", "--free=kappa_g=2e6:0:2e7", "--free=beta=2e6:0:2e7",
+                "--output=out.json"]
+
+
 # the first mark takes precedence: a RuntimeWarning fails the run, other warnings are ignored
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore")
@@ -310,6 +318,9 @@ def run_in_fresh_dir(argv, before=BEFORE):
 @example(["simulate-single", "--config=huge.json", "--output=out.csv"])
 @example(["fit", "--data=synth.csv", "--model=single_giant", "--free=f_res=4.35e9:4.3e9:4.4e9",
           "--free=kappa_g=1e6:1e6:1e6", "--free=beta=2e6:0:2e7", "--output=out.json"])
+# a cell out of its column's range: exit 4, with its line
+@example(["fit", "--data=negmag.csv", "--model=single_giant", *BAD_CELL_FIT])
+@example(["fit", "--data=nanre.csv", "--model=single_giant", *BAD_CELL_FIT])
 @example(["fit-geometry", "--dataset=4.2GHz=synth.csv", "--dataset=4.3GHz=synth.csv",
           "--dataset=4.4GHz=synth.csv", "--free=kappa=7.6e5:0:1e8", "--free=beta=1.6e6:0:1e8",
           "--free=speed=3e7:1e6:1e9", "--fixed=length=inf", "--output=out.json"])
@@ -377,6 +388,16 @@ def test_cli_main_exits_with_a_documented_code(argv):
         replay = replay_argv(record["config"])
         written = {p: files[p] for p in (*data_outputs, norm(manifest))}
         assert run_in_fresh_dir(replay, inputs)[:2] == (0, {**inputs, **written}), (argv, replay)
+
+
+@pytest.mark.parametrize("name", ["negmag.csv", "nanre.csv"])
+@pytest.mark.parametrize("db", [[], ["--db"]], ids=["linear", "db"])
+def test_a_cell_out_of_range_exits_4_with_its_line(name, db):
+    # a negative s21_mag was fitted as it is (exit 0), and a NaN s21_re
+    # exited 3 naming no line
+    code, files, err, _ = run_in_fresh_dir(["fit", f"--data={name}", "--model=single_giant", *BAD_CELL_FIT, *db])
+    assert code == 4 and err.startswith(f"i/o error: {name}:53: ") and err.count("\n") == 1, err
+    assert files == BEFORE
 
 
 def test_each_pool_draws_every_flag_its_command_declares():

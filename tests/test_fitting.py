@@ -438,6 +438,20 @@ class TestProblemValidation:
         assert np.all(np.isfinite(r)) and np.all(np.isfinite(jac))
         assert r[400] == pytest.approx(model_db[400] + 6000.0, rel=1e-12)
 
+    def test_real_data_is_a_magnitude(self):
+        # a negative value was fitted as it is, or floored to -6000 dB under db_scale
+        f = np.linspace(4.3e9, 4.4e9, 100)
+        free, fixed = {"f_res": (4.35e9, 4.3e9, 4.4e9)}, {"kappa_g": 1e6, "beta": 1e6}
+        data = np.ones(100)
+        data[40] = -1e-3
+        for db_scale in (False, True):
+            with pytest.raises(ModelError, match=r"real data is \|S21\| and must be >= 0"):
+                FitProblem(f, data, "single_giant", free=free, fixed=fixed, db_scale=db_scale)
+        data[40] = -0.0
+        FitProblem(f, data, "single_giant", free=free, fixed=fixed, db_scale=True)
+        # the rule is for real data only: a complex value with a negative real part is S21
+        FitProblem(f, data - 2.0 + 0j, "single_giant", free=free, fixed=fixed)
+
     @pytest.mark.parametrize("freqs_shape, data_shape", [((100,), (50,)), ((100,), (100, 1)), ((100, 1), (100, 1))],
                              ids=["short-data", "column-data", "column-grid"])
     def test_data_must_have_the_shape_of_a_1d_grid(self, freqs_shape, data_shape):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -167,6 +168,41 @@ class TestSpectrumCsv:
         with pytest.raises(DataFormatError):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("rows, where", [
+        ("1e9,0.9\n2e9,0.8\n\n2e9,0.7\n3e9,0.6\n", ":5: frequencies must be strictly increasing '2e9,0.7'$"),
+        ("1e9,0.9\n\n2e9,0.8\n3e9,0.7\n0.5e9,0.6\n", ":6: frequencies must be strictly increasing '0.5e9,0.6'$"),
+    ], ids=["repeated", "decreasing"])
+    def test_unsorted_frequency_names_its_line(self, tmp_path, rows, where):
+        # the error named the file but no line
+        path = tmp_path / "bad.csv"
+        path.write_text("frequency_hz,s21_mag\n" + rows)
+        with pytest.raises(DataFormatError, match=where):
+            read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("header, row, where", [
+        ("frequency_hz,s21_mag", "2e9,-0.5", ":4: s21_mag must be finite and >= 0.0 '2e9,-0.5'$"),
+        ("frequency_hz,s21_mag", "2e9,-5e-324", ":4: s21_mag must be finite and >= 0.0 "),
+        ("frequency_hz,s21_mag", "2e9,nan", ":4: s21_mag must be finite and >= 0.0 "),
+        ("frequency_hz,s21_mag", "2e9,inf", ":4: s21_mag must be finite and >= 0.0 "),
+        ("frequency_hz,s21_re,s21_im", "2e9,nan,0.1", ":4: s21_re must be finite '2e9,nan,0.1'$"),
+        ("frequency_hz,s21_re,s21_im", "2e9,0.5,-inf", ":4: s21_im must be finite "),
+        ("frequency_hz,s21_re,s21_im", "nan,nan,0.1", ":4: frequency_hz must be finite "),
+    ], ids=["negative-magnitude", "negative-subnormal-magnitude", "nan-magnitude", "inf-magnitude",
+            "nan-real-part", "inf-imaginary-part", "nan-frequency-first"])
+    def test_bad_cell_names_its_line(self, tmp_path, header, row, where):
+        # a negative or infinite magnitude and a NaN or infinite S21 part used to read
+        path = tmp_path / "bad.csv"
+        good = "1e9,0.9\n" if header.endswith("s21_mag") else "1e9,0.9,0.1\n"
+        path.write_text(f"{header}\n{good}\n{row}\n" + good.replace("1e9", "3e9"))
+        with pytest.raises(DataFormatError, match=where):
+            read_spectrum_csv(path)
+
+    def test_negative_zero_magnitude_reads(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("frequency_hz,s21_mag\n1e9,-0.0\n2e9,0.0\n")
+        freqs, data = read_spectrum_csv(path)
+        assert same_doubles(data, [-0.0, 0.0])
+
     @settings(max_examples=60, deadline=None)
     @given(freqs=st.lists(FINITE, min_size=2, max_size=12, unique=True).map(sorted),
            cells=st.lists(FINITE, min_size=24, max_size=24))
@@ -204,15 +240,17 @@ class TestSpectrumCsv:
             read_spectrum_csv(path)
 
     def test_readers_check_only_the_columns_they_read(self, tmp_path):
-        # extra cells, a missing s21_db and a non-numeric unread cell all pass
+        # extra cells, a missing s21_db, a non-numeric unread cell, and a
+        # negative or NaN cell in a column that is not read all pass
         spectrum = tmp_path / "s.csv"
         spectrum.write_text("frequency_hz,s21_re,s21_im,s21_mag,s21_db\n"
-                            "1e9,0.5,0.1\n2e9,0.4,0.2,0.45,x,99\n")
+                            "1e9,0.5,0.1\n2e9,0.4,0.2,0.45,x,99\n3e9,0.3,0.3,-0.5,nan\n")
         freqs, data = read_spectrum_csv(spectrum)
-        assert data.dtype == complex and freqs.tolist() == [1e9, 2e9] and data.tolist() == [0.5 + 0.1j, 0.4 + 0.2j]
+        assert data.dtype == complex and freqs.tolist() == [1e9, 2e9, 3e9]
+        assert data.tolist() == [0.5 + 0.1j, 0.4 + 0.2j, 0.3 + 0.3j]
         path = tmp_path / "map.csv"
         path.write_text("sweep_value,frequency_hz,s21_mag,s21_db\n"
-                        "0.0,1e9,0.5\n0.0,2e9,0.4,x\n1.0,1e9,0.3,-10.5,7\n1.0,2e9,0.2,-14.0\n")
+                        "0.0,1e9,0.5\n0.0,2e9,0.4,x\n1.0,1e9,0.3,nan,-7\n1.0,2e9,0.2,-14.0\n")
         sweep, freqs, mag = read_map_csv(path)
         assert sweep.tolist() == [0.0, 1.0] and freqs.tolist() == [1e9, 2e9]
         assert mag.tolist() == [[0.5, 0.4], [0.3, 0.2]]
@@ -245,12 +283,13 @@ class TestSpectrumCsv:
     @example(sweep=[1e300, -0.0, -5e-324], freqs=[1.7976931348623157e308, -2.5e-310, 0.0, -1e-300],
              cells=EDGE)
     def test_map_round_trip_any_finite_double(self, tmp_path_factory, sweep, freqs, cells):
-        mags = np.array(cells[:len(sweep) * len(freqs)]).reshape(len(sweep), len(freqs))
+        # a magnitude is >= 0: a negative cell is flipped, and -0.0 stays covered
+        c = np.array(cells[:len(sweep) * len(freqs)]).reshape(len(sweep), len(freqs))
+        mags = np.where(c < 0, -c, c)
         columns = [(v, SimpleNamespace(frequencies=np.array(freqs), magnitude=m))
                    for v, m in zip(sweep, mags)]
         path = tmp_path_factory.mktemp("map") / "map.csv"
-        with np.errstate(invalid="ignore"):  # the dB of a negative cell is nan
-            write_map_csv(path, columns)
+        write_map_csv(path, columns)
         got_sweep, got_freqs, got_mag = read_map_csv(path)
         i, j = np.argsort(sweep), np.argsort(freqs)
         assert same_doubles(got_sweep, np.array(sweep)[i])
@@ -292,6 +331,16 @@ class TestSpectrumCsv:
         path = tmp_path / "map.csv"
         path.write_text(text)
         with pytest.raises(DataFormatError, match=where):
+            read_map_csv(path)
+
+    @pytest.mark.parametrize("mag", ["nan", "inf", "-0.25"])
+    def test_map_rejects_a_listed_magnitude_out_of_range(self, tmp_path, mag):
+        # the reader returned such a cell as it is, so a NaN in the matrix
+        # did not mean only that the file does not list the cell
+        path = tmp_path / "map.csv"
+        path.write_text("sweep_value,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n\r\n"
+                        f"0.0,2e9,{mag},-6.0\r\n1.0,1e9,0.3,-10.5\r\n")
+        with pytest.raises(DataFormatError, match=f":4: s21_mag must be finite and >= 0.0 '0.0,2e9,{mag},-6.0'$"):
             read_map_csv(path)
 
 
@@ -628,6 +677,36 @@ class TestCli:
             assert not caught, db
             assert json.loads(report.read_text())["params"] == pytest.approx(truth, rel=1e-6), db
 
+    @pytest.mark.parametrize("db", [[], ["--db"]], ids=["linear", "db"])
+    def test_fit_on_a_negative_magnitude_exits_4(self, tmp_path, capsys, db):
+        # the fit ran and exited 0: to kappa_g 1.25 MHz, residual 0.85, or with
+        # --db, the cell floored to -6000 dB, to beta = 0, residual 21.8
+        f = np.linspace(4.33e9, 4.37e9, 401)
+        mag = np.abs(fitting.single_giant_model(f, {"f_res": 4.35e9, "kappa_g": 1.2e6, "beta": 0.8e6})[0])
+        mag[200] = -0.5
+        data = tmp_path / "mag.csv"
+        data.write_text("frequency_hz,s21_mag\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(f.tolist(), mag.tolist())))
+        free = ["--free=f_res=4.3502e9:4.3e9:4.4e9", "--free=kappa_g=1e6:0:2e7", "--free=beta=1e6:0:2e7"]
+        report = tmp_path / "fit.json"
+        assert main(["fit", f"--data={data}", "--model=single_giant", *free, *db, f"--output={report}"]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {data}:202: s21_mag must be finite and >= 0.0 '4350000000.0,-0.5'\n")
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_fit_on_a_nan_real_part_exits_4(self, tmp_path, capsys):
+        # the file read, and the fit exited 3 naming no line:
+        # "numeric failure: frequencies and data must be finite"
+        rows = [b"%d,0.5,0\r\n" % (4300000000 + k) for k in range(101)]
+        rows[50] = b"4300000050,nan,0\r\n"
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"frequency_hz,s21_re,s21_im\r\n" + b"".join(rows))
+        report = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data), "--model", "single_giant",
+                     "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1e6:0:1e8",
+                     "--free", "beta=1e6:0:1e8", "--output", str(report)]) == 4
+        assert capsys.readouterr().err == f"i/o error: {data}:52: s21_re must be finite '4300000050,nan,0'\n"
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_fit_report_is_strict_json(self, tmp_path):
         # a noisy two-mode spectrum with all eight parameters free leaves a
         # flat direction: every sigma is infinite, and the report writes null
@@ -883,7 +962,7 @@ class TestCli:
         assert main(["fit", "--data", str(data), "--model", "single_giant",
                      "--free", "f_res=4.35e9:4.3e9:4.4e9", "--free", "kappa_g=1e6:0:1e8",
                      "--free", "beta=1e6:0:1e8", "--output", str(report)]) == 4
-        assert f"{data}:52: non-finite coordinate" in capsys.readouterr().err
+        assert f"{data}:52: frequency_hz must be finite 'nan,0.5,0'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [data]
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
@@ -1186,6 +1265,11 @@ class TestCli:
 
     def test_fit_model_choices_are_the_fitting_models(self):
         assert cli._FIT_MODELS == tuple(sorted(fitting.MODELS))
+
+    def test_two_mode_flags_are_the_two_mode_model(self):
+        # the detuning sweep sets f_o; a field added to FitFormParams alone
+        # would make `map --sweep detuning` raise a TypeError
+        assert set(cli._TWO_MODE) == {f.name for f in dataclasses.fields(nested.FitFormParams)} - {"f_o"}
 
     @pytest.mark.parametrize("argv", [
         ["pv-check", "--x", "1:2:10000000000000000000"],

@@ -59,3 +59,14 @@ def test_call_times_against_a_second_tree(tmp_path):
             assert 0 <= entry[f"{kind}_wins"] <= 2
     missing = run_script("call_times.py", "--repeats", "1", "--against", str(tmp_path))
     assert missing.returncode == 2 and "no gsesim package" in missing.stderr
+
+
+def test_code_lines(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    # a module docstring, a comment, a blank line and a function docstring around 2 code lines
+    (package / "a.py").write_text('"""Module\ndocstring."""\n# a comment\n\ndef f():\n    """Doc."""\n    return 1\n')
+    (package / "sub" / "b.py").write_text('x = """not a\n\ndocstring"""\n')
+    proc = run_script("code_lines.py", str(package))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["     2  a.py", "     3  sub/b.py", "     5  total", ""]
