@@ -1,9 +1,9 @@
 """Command-line front end: sweep orchestration and deterministic file output.
 
 The only module with side effects. Each command writes its data files;
-`main` derives the run's output paths from the arguments alone, refuses two
-that name the same file or one that names an input, and writes the
-manifest JSON: every parsed argument and the sha256 checksums of the
+`main` derives the run's record from the arguments alone, refuses two
+outputs that name the same file or one that names an input, and writes
+the manifest JSON: every parsed argument and the sha256 checksums of the
 inputs and the outputs. Outputs are written under temporary names and
 renamed into place only after the whole run has succeeded. Identical
 inputs and seed produce identical bytes. gsesim starts no threads of its
@@ -17,12 +17,13 @@ that argparse rejects (a missing or unknown flag, a bad choice, a value
 that is not a number) is a configuration error of the same form, such as
 `config error: argument --h-e0: invalid float value: 'nan'`; only --help
 leaves main through SystemExit. A flag is matched only by its full name:
-`--out` is an unknown flag, not `--output`. A value gsesim parses from a
-flag's text is named with its flag and quoted: `config error: --x
-'0.5:nan:3': 'nan' must be finite, got nan`. A number typed on the command
-line that is not finite, NaN, inf or one that overflows once its unit is
-applied, is a configuration error where it is parsed; 3 is left for a
-finite input the computation cannot handle.
+`--out` is an unknown flag, not `--output`. A flag that takes one value
+is given at most once, and a file flag's path is not empty. A value
+gsesim parses from a flag's text is named with its flag and quoted:
+`config error: --x '0.5:nan:3': 'nan' must be finite, got nan`. A number
+typed on the command line that is not finite, NaN, inf or one that
+overflows once its unit is applied, is a configuration error where it is
+parsed; 3 is left for a finite input the computation cannot handle.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def _cmd_simulate_general(args):
     waveguide, topology, grid = gio.load_config(args.config)
     result = s_matrix(topology, waveguide, grid, convention=args.convention)
     gio.write_spectrum_csv(args.output, result.transmission)
-    if args.reflection_output:
+    if args.reflection_output is not None:
         gio.write_spectrum_csv(args.reflection_output, Spectrum(grid, result.reflection))
 
 
@@ -254,7 +255,7 @@ def _cmd_map(args):
         f_o_values = q.f_i + detunings
         columns = map_nested_vs_detuning(q, f_o_values, grid)
         gio.write_map_csv(args.output, [(d, s) for d, (_, s) in zip(detunings, columns)])
-        if args.eigen_output:
+        if args.eigen_output is not None:
             eigs, _ = eigen_traces(q, f_o_values)
             gio.write_eigen_csv(args.eigen_output, detunings, eigs)
         return
@@ -295,7 +296,7 @@ def _cmd_anisotropy(args):
     from .anisotropy import AnisotropyParams, angle_sweep
 
     thetas = _typed(args, "theta", lambda text: parse_range(text, parse_angle))
-    gamma = _typed(args, "gamma", parse_frequency) if args.gamma else GAMMA_2PI
+    gamma = GAMMA_2PI if args.gamma is None else _typed(args, "gamma", parse_frequency)
     p = AnisotropyParams(args.h_e0, args.h_a, gamma=gamma)
     freqs = angle_sweep(p, thetas, which=args.which)
     gio.write_anisotropy_csv(args.output, thetas, freqs)
@@ -330,16 +331,32 @@ def _cmd_synth(args):
     gio.write_spectrum_csv(args.output, Spectrum(grid, noisy))
 
 
+class _Once(argparse.Action):
+    """The default action of a flag: store its value, and reject a second one.
+
+    It keeps state across one parse: main builds a new parser for each run.
+    """
+
+    given = False
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.given:
+            raise ConfigError(f"{option_string} is given twice")
+        self.given = True
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """The CLI's parsing rules, which add_subparsers gives every subcommand.
 
-    A flag is matched only by its full name, a type=float value is read
-    with _number, and a usage error raises ConfigError, so that main
-    reports it.
+    A flag is matched only by its full name, a single-value flag is given
+    at most once, a type=float value is read with _number, and a usage
+    error raises ConfigError, so that main reports it.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _Once)
         self.register("type", float, _number)
 
     def error(self, message):
@@ -437,6 +454,12 @@ def build_parser():
     return parser
 
 
+# the flags naming the files a command reads, besides each --dataset path, and the data files
+# it writes; main writes the manifest
+_INPUTS = ("config", "data")
+_OUTPUTS = ("output", "eigen_output", "reflection_output")
+
+
 def _temporary(path):
     """A sibling of path in its directory, so that os.replace onto path is a rename."""
     head, tail = os.path.split(path)
@@ -446,28 +469,36 @@ def _temporary(path):
 def main(argv=None):
     """Run one command; a failed run leaves every file as it found it.
 
-    The command writes its data files, and main the manifest, under
-    temporary sibling names; only when all are written do they replace
-    their final names (through symlinks), one os.replace each. Each rename
-    is atomic; the 2-4 renames of a run are not atomic as a group.
+    main fills the run record, a plain dict, once: `config` holds every
+    parsed argument as given; `inputs` names the files the run reads, one
+    per flag of _INPUTS given and each --dataset path, each as itself; and
+    `outputs` maps each data output, one per flag of _OUTPUTS given, to the
+    temporary file that holds its bytes. A flag is given when its value is
+    not None. The command writes its data files, and main the manifest,
+    which serialises the record, under temporary sibling names; only when
+    all are written do they replace their final names (through symlinks),
+    one os.replace each. Each rename is atomic; the 2-4 renames of a run
+    are not atomic as a group.
     """
     real, temporary = {}, {}
     try:
         args = build_parser().parse_args(argv)
-        # the run as given: every parsed argument, the output paths before they turn temporary
-        config = {k: v for k, v in vars(args).items() if k != "run"}
-        # the flags naming data files the command writes, then its manifest; and what it reads
-        flags = [k for k in ("output", "eigen_output", "reflection_output") if getattr(args, k, None)]
-        outputs = [getattr(args, k) for k in flags]
-        manifest = args.manifest or args.output + ".manifest.json"
-        written = outputs + [manifest]
+        # an empty path names no file: an error, not a dropped output
+        for flag in (*_INPUTS, "manifest", *_OUTPUTS):
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"{_flag_names([flag])} '': names no file")
+        # the run as given: every parsed argument, before the outputs turn temporary
+        record = {"config": {k: v for k, v in vars(args).items() if k != "run"}}
         # the manifest keeps the raw items in config; the command gets the parsed pairs
         for flag in _ITEMS:
             if hasattr(args, flag):
                 setattr(args, flag, _parse_items(flag, getattr(args, flag)))
-        inputs = [p for p in (getattr(args, "config", None), getattr(args, "data", None),
-                              *(path for _, path in getattr(args, "dataset", []))) if p]
-        seen = set(map(os.path.realpath, inputs))
+        datasets = [path for _, path in getattr(args, "dataset", [])]
+        record["inputs"] = {p: p for p in (*map(vars(args).get, _INPUTS), *datasets) if p is not None}
+        given = {flag: getattr(args, flag) for flag in _OUTPUTS if getattr(args, flag, None) is not None}
+        manifest = args.output + ".manifest.json" if args.manifest is None else args.manifest
+        written = [*given.values(), manifest]
+        seen = set(map(os.path.realpath, record["inputs"]))
         for path in written:
             real[path] = os.path.realpath(path)
             if real[path] in seen:
@@ -476,11 +507,12 @@ def main(argv=None):
                 raise IsADirectoryError(f"{path}: names a directory")
             seen.add(real[path])
         temporary = {path: _temporary(real[path]) for path in written}
-        for flag in flags:
-            setattr(args, flag, temporary[getattr(args, flag)])
+        record["outputs"] = {path: temporary[path] for path in given.values()}
+        for flag, path in given.items():
+            setattr(args, flag, temporary[path])
         args.run(args)
         # hashed only now, so that a missing input fails with the command's own error
-        gio.write_manifest(temporary[manifest], config, inputs, {p: temporary[p] for p in outputs})
+        gio.write_manifest(temporary[manifest], record)
         for path in written:
             os.replace(temporary[path], real[path])
         return 0

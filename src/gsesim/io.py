@@ -315,22 +315,19 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-def write_manifest(path, config, inputs, outputs):
-    """Record a run next to its artifacts: its arguments and the checksums of its files.
+def write_manifest(path, record):
+    """Serialise a run record next to its artifacts: package, version, then its blocks.
 
-    config maps each parsed argument to its value; inputs lists the files
-    the run read, each hashed under its own name; outputs maps each
-    output's recorded name to the file to hash.
+    record["config"] maps each parsed argument to its value and is written
+    as it is. record["inputs"], the files the run read, and
+    record["outputs"], the files it wrote, each map a recorded name to the
+    file to hash; the manifest gives each name with its file's sha256.
     """
     from . import __version__
 
-    payload = {
-        "package": "gsesim",
-        "version": __version__,
-        "config": config,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
-        "outputs": {str(name): sha256_file(p) for name, p in outputs.items()},
-    }
+    payload = {"package": "gsesim", "version": __version__, "config": record["config"]}
+    for block in ("inputs", "outputs"):
+        payload[block] = {str(name): sha256_file(p) for name, p in record[block].items()}
     _write_json(path, payload)
 
 

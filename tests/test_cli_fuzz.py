@@ -8,10 +8,10 @@ fractional grid sizes, missing paths and non-UTF-8 files, and finite
 configs whose phases or rates overflow (a point at 1e300 m, a speed of
 1e-300 m/s, a rate of 1e300 Hz). The output flags (`--output`,
 `--manifest`, `--reflection-output`, `--eigen-output`) draw from one
-shared pool that also names an input file, so that outputs collide with
-each other and with inputs. Every name of that pool that is not an input
-and whose directory exists holds sentinel bytes before the run. Whatever
-the arguments:
+shared pool that also names an input file and the empty path, so that
+outputs collide with each other and with inputs. Every name of that pool
+that is not an input, not empty and whose directory exists holds sentinel
+bytes before the run. Whatever the arguments:
 
 - main returns 0, 2, 3 or 4 and no exception escapes, numpy's
   RuntimeWarning included: the test turns it into an error, so an overflow
@@ -31,6 +31,9 @@ the arguments:
 - a successful `map` run names no flag that only the other sweep reads;
 - a command line that gives a flag by a proper prefix of its name (drawn
   one time in ten, `--out=out.csv`) exits 2: a prefix is an unknown flag;
+- a command line that gives a single-value flag twice (drawn one time in
+  ten, the way the prefix is) or an empty path to a file flag exits 2; a
+  flag is given when its value is not None, so an empty value is a value;
 - a successful run is reproduced from its manifest alone: the command line
   rebuilt from its `config` block, run in a fresh directory that holds only
   the inputs checked against its `inputs` sha256, writes the same bytes,
@@ -109,11 +112,11 @@ INPUTS = _inputs()
 CONFIGS = ["single.json", "nested.json", "braided.json", "frac.json", "huge.json",
            "bad.json", "missing.json", "far.json", "slow.json", "strong.json", "strong_nested.json"]
 DATA = ["synth.csv", "mag.csv", "bad.csv", "missing.csv", "single.json", "negmag.csv", "nanre.csv"]
-# shared by every output flag; single.json is also the most drawn config
+# shared by every output flag; single.json is also the most drawn config, and "" names no file
 PATHS = ["out.csv", "man.json", "refl.csv", "eigen.csv", "./out.csv", "out.csv.manifest.json",
-         "nodir/out.csv", "single.json"]
-# pre-written at every pool name it can be: nodir/ does not exist
-SENTINELS = {p: f"sentinel {p}\n".encode() for p in map(os.path.normpath, PATHS)
+         "nodir/out.csv", "single.json", ""]
+# pre-written at every pool name it can be: nodir/ does not exist, and normpath("") is "."
+SENTINELS = {p: f"sentinel {p}\n".encode() for p in map(os.path.normpath, filter(None, PATHS))
              if p not in INPUTS and os.path.dirname(p) == ""}
 BEFORE = {**INPUTS, **SENTINELS}
 FREQS = ["1.15MHz", "0.000126MHz", "0Hz", "-1MHz", "1.15", "nanMHz", "infMHz", "4.35GHz"]
@@ -186,6 +189,9 @@ GOOD_TWO_MODE = [("--f-i", "4.35GHz"), ("--kappa-i-g", "1.15MHz"), ("--kappa-o-g
 TWO_MODE = [_arg(flag, [good, *FREQS], required=True) for flag, good in GOOD_TWO_MODE]
 DETUNING_ONLY = {"--grid", "--eigen-output", *(flag for flag, _ in GOOD_TWO_MODE)}
 FIELD_ONLY = {"--config", "--h-a"}
+# the flags that may be given more than once; every other flag with a value takes one
+REPEATABLE = {"--free", "--fixed", "--dataset"}
+FILE_FLAGS = ("--config", "--data", "--output", "--manifest", "--eigen-output", "--reflection-output")
 
 # each command's pool: its flags, each with the strategy of its arguments (the helpers above
 # return such (flag, strategy) pairs)
@@ -230,6 +236,17 @@ def prefixed(argv):
     return cut
 
 
+def repeated(argv):
+    """The arguments of argv[1:] that give a single-value flag, `--output=out.csv`."""
+    return [arg for arg in argv[1:] if "=" in arg and arg.partition("=")[0] not in REPEATABLE]
+
+
+def given_twice(argv):
+    """Whether argv gives a single-value flag more than once."""
+    flags = [arg.partition("=")[0] for arg in repeated(argv)]
+    return len(set(flags)) < len(flags)
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
@@ -241,6 +258,9 @@ def argvs(draw):
     elif draw(st.integers(0, 9)) == 0 and prefixed(argv):
         # a prefix of a flag is an unknown flag, not that flag
         argv.append(draw(st.sampled_from(prefixed(argv))))
+    elif draw(st.integers(0, 9)) == 0 and repeated(argv):
+        # a single-value flag given twice is an error, not its last value
+        argv.append(draw(st.sampled_from(repeated(argv))))
     return argv
 
 
@@ -347,23 +367,30 @@ BAD_CELL_FIT = ["--free=f_res=4.35e9:4.3e9:4.4e9", "--free=kappa_g=2e6:0:2e7", "
 @example(["simulate-nested", "--config=nested.json", "--lamb-sign=x", "--output=out.csv"])
 # a flag is matched only by its full name: `--thr` is not `--threads`
 @example(["pv-check", "--x=0.5:20:5", "--output=out.csv", "--thr=2"])
+# a single-value flag given twice, and an empty path: exit 2, nothing written
+@example(["simulate-single", "--config=single.json", "--output=out.csv", "--output=refl.csv"])
+@example(["simulate-general", "--config=braided.json", "--output=out.csv", "--reflection-output="])
+@example(["anisotropy", "--output=out.csv", "--manifest=", "--h-e0=0.155", "--h-a=0.0035",
+          "--theta=0deg:180deg:13"])
 def test_cli_main_exits_with_a_documented_code(argv):
     code, files, err, _ = run_in_fresh_dir(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     if code != 0:
         prefix = {2: "config error: ", 3: "numeric failure: ", 4: "i/o error: "}[code]
         assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), (argv, code, err)
+    opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value of each flag
     if "--help" not in argv and not {a.partition("=")[0] for a in argv[1:]} <= set(SUBCOMMANDS[argv[0]]):
         assert code == 2, (argv, code)  # a flag given by a prefix only
+    if "--help" not in argv and (given_twice(argv) or "" in map(opts.get, FILE_FLAGS)):
+        assert code == 2, (argv, code)
     norm = os.path.normpath
-    opts = dict(a.partition("=")[::2] for a in argv if "=" in a)  # the last value wins
     if argv[0] == "map" and code == 0 and "--help" not in argv:
         # each sweep rejects the flags that only the other one reads
         other = FIELD_ONLY if opts["--sweep"] == "detuning" else DETUNING_ONLY
         assert not other & set(opts), (argv, code)
     data_outputs = [norm(opts[f]) for f in ("--output", "--eigen-output", "--reflection-output")
-                    if opts.get(f)]
-    manifest = opts.get("--manifest") or opts.get("--output", "") + ".manifest.json"
+                    if opts.get(f) is not None]
+    manifest = opts["--manifest"] if "--manifest" in opts else opts.get("--output", "") + ".manifest.json"
     reads = {norm(opts[f]) for f in ("--config", "--data") if f in opts}
     reads |= {norm(a.split("=", 2)[-1]) for a in argv if a.startswith("--dataset=")}
     for name, data in BEFORE.items():
@@ -450,3 +477,15 @@ def test_flag_prefix_is_an_unknown_flag(name, flag):
         code, files, err, out = run_in_fresh_dir(argv + [cut])
         assert (code, out, err) == (2, "", f"config error: unrecognized arguments: {cut}\n"), cut
         assert files == BEFORE, cut
+
+
+# each single-value flag of each valid line, with the argument that gives it
+ONCE = {(name, arg.partition("=")[0]): arg for name, argv in VALID.items() for arg in repeated(argv)}
+
+
+@pytest.mark.parametrize("name, flag", sorted(ONCE))
+def test_single_value_flag_given_twice_exits_2(name, flag):
+    # the last value won without a word: `--output=a.csv --output=b.csv` wrote only b.csv
+    code, files, err, out = run_in_fresh_dir(VALID[name] + [ONCE[name, flag]])
+    assert (code, out, err) == (2, "", f"config error: {flag} is given twice\n")
+    assert files == BEFORE

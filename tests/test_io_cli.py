@@ -1061,6 +1061,47 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate-general", "--config=config.json", "--output=g.csv", "--reflection-output="],
+         "--reflection-output '': names no file"),
+        (["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz:21", *TWO_MODE,
+          "--output=m.csv", "--eigen-output="], "--eigen-output '': names no file"),
+        (["simulate-single", "--config=config.json", "--output=x.csv", "--manifest="], "--manifest '': names no file"),
+        (["simulate-single", "--config=config.json", "--output="], "--output '': names no file"),
+        (["simulate-single", "--config=", "--output=x.csv"], "--config '': names no file"),
+        (["fit", "--data=", "--model=single", "--free=beta=1e6", "--output=r.json"], "--data '': names no file"),
+        (["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:7", "--gamma=", "--output=a.csv"],
+         "--gamma '': cannot parse frequency '': need a Hz/kHz/MHz/GHz suffix"),
+    ], ids=["reflection-output", "eigen-output", "manifest", "output", "config", "data", "gamma"])
+    def test_empty_value_exits_2_and_names_its_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        # an empty --reflection-output or --eigen-output exited 0 without its file, and its
+        # manifest recorded the empty name; --manifest= wrote OUTPUT.manifest.json, --gamma= ran
+        # with the default, and --output=, --config= and --data= exited 4 naming no flag
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate-single", "--config=config.json", "--output=a.csv", "--output=b.csv"], "--output"),
+        (["synth", "--config=config.json", "--output=a.csv", "--seed=1", "--seed=2"], "--seed"),
+    ], ids=["output", "seed"])
+    def test_single_value_flag_given_twice_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # the last value won without a word: the first wrote only b.csv, the
+        # second recorded seed 2
+        monkeypatch.chdir(tmp_path)
+        make_config(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {flag} is given twice\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_output_table_is_every_output_flag(self):
+        # a --x-output declared in a parser alone would be written in place,
+        # without a temporary, and left out of the manifest
+        declared = {flag for flags in cli_flags().values() for flag in flags if flag.endswith("-output")}
+        assert declared == {cli._flag_names([flag]) for flag in cli._OUTPUTS}
+
     def test_output_through_a_symlink_writes_its_target(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         make_config(tmp_path)
@@ -1378,7 +1419,8 @@ class TestCli:
         "field-stop": ["map", "--sweep=field", "--config=config.json", "--values=0.1:{x}:3"],
         "field-h-a": ["map", "--sweep=field", "--config=config.json", "--values=0.1:0.2:3", "--h-a={x}"],
         **{f"rate-{flag[2:]}": ["map", "--sweep=detuning", "--values=-5MHz:5MHz:3", "--grid=4.34GHz:4.36GHz:21",
-                                *TWO_MODE, f"{flag}={{x}}MHz"] for flag in TWO_MODE[::2]},
+                                *(f"{f}={{x}}MHz" if f == flag else f"{f}={v}"
+                                  for f, v in zip(TWO_MODE[::2], TWO_MODE[1::2]))] for flag in TWO_MODE[::2]},
         "theta-start": ["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta={x}deg:180deg:7"],
         "gamma": ["anisotropy", "--h-e0=0.155", "--h-a=0.0035", "--theta=0deg:180deg:7", "--gamma={x}GHz"],
         "h-e0": ["anisotropy", "--h-e0={x}", "--h-a=0.0035", "--theta=0deg:180deg:7"],
