@@ -34,35 +34,194 @@ def _db(mag):
         return 20.0 * np.log10(mag)
 
 
+# the longest repr of a double, '-2.2250738585072014e-308', has 24 characters
+_WIDTH = 24
+# rows formatted at a time, so a long spectrum is never held as text in full
+_ROWS = 2048
+# 10**s, exact for s <= 22, and its Veltkamp split into two halves of at most 26 bits
+_POW10 = np.array([float(10**s) for s in range(23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digits8(v):
+    """The eight decimal digits of each uint64 below 10**8 as bytes, the first in the lowest.
+
+    The value splits into two lanes of four digits, each of those into two
+    of two digits, and each of those into two digits. A multiply and a shift
+    divide every lane at once, exactly for lanes below 10**4 and 10**2.
+    """
+    hi = v // 10000
+    v = hi | (v - hi * 10000) << 32
+    hi = v * 5243 >> 19 & 0x0000007F0000007F
+    v = hi | (v - hi * 100) << 16
+    hi = v * 103 >> 10 & 0x000F000F000F000F
+    return hi | (v - hi * 10) << 8
+
+
+def _scaled(a):
+    """(E, p, e, h) for doubles 1e-4 <= a < 1e16: E estimates the decimal exponent of a
+    from np.log10, y = a * 10**(16 - E) = p + e exactly, and h = spacing(a) / 2 *
+    10**(16 - E), which is exact.
+
+    e comes from Dekker's product of the two halves of a and of 10**(16 - E)
+    (Veltkamp's split), by separate multiplies and adds: an FMA would change it.
+    """
+    E = np.floor(np.log10(a)).astype(np.int64)  # in [-5, 16]: 10**(16 - E) is exact
+    t = _POW10[16 - E]
+    h = ((a.view(np.uint64) & 0x7FF0000000000000) - (53 << 52)).view(float) * t
+    p = a * t
+    a_hi = a * 134217729.0
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    t_hi, t_lo = _POW10_HI[16 - E], _POW10_LO[16 - E]
+    e = a_hi * t_hi - p
+    e += a_hi * t_lo
+    e += a_lo * t_hi
+    e += a_lo * t_lo
+    return E, p, e, h
+
+
+def _shortest(a):
+    """(E, digits, ok) for doubles 1e-4 <= a < 1e16: with y, h and the estimate E as
+    _scaled gives them, digits are the shortest digits within h of y, as a
+    17-digit integer (zeros appended), and ok says where they hold: where
+    1e16 <= y < 1e17, so that E was right, and no distance from y lies within
+    1e-9 * h of h, where the parser's ties would decide.
+
+    The 17-, 16- and 15-digit candidates are y rounded half to even to a
+    multiple of 1, 10 and 100; the first is always within h > 0.55.
+    """
+    E, p, e, h = _scaled(a)
+    ok = ((p - 1e16) + e >= 0) & (p < 1e17)  # a rounded sum keeps the sign of the exact one
+    p = p.astype(np.uint64)  # an even integer where ok: p >= 2**53
+    digits = p + np.rint(e).astype(np.int64).view(np.uint64)
+    # y modulo 10 and modulo 100 are exact where ok: e is a multiple of 2**-46
+    q = p // 10
+    r = (p - q * 10).astype(float) + e
+    k = np.floor((r + 5.0) / 10.0)
+    r -= 10.0 * k
+    q += k.astype(np.int64).view(np.uint64)
+    q -= (r == -5.0) & (q % 2 == 1)  # a tie goes to the even candidate
+    r = np.abs(r)
+    ok &= np.abs(r - h) > 1e-9 * h
+    digits = np.where(r < h, q * 10, digits)
+    q = p // 100
+    r = (p - q * 100).astype(float) + e
+    k = r >= 50.0  # no tie counts: h < 12
+    r = np.abs(r - 100.0 * k)
+    ok &= np.abs(r - h) > 1e-9 * h
+    digits = np.where(r < h, (q + k) * 100, digits)
+    return E, digits, ok & (digits < 10**17)
+
+
+def _text(digits, key):
+    """Lay out 17-digit integers as repr text, an (n, _WIDTH) uint8 array padded with NUL.
+
+    key, sorted, is E + 5 + 32 * (1 if negative) for the decimal exponent E
+    in [-4, 15], or -1 for a row left blank. Trailing zeros are dropped, but
+    not those before the point or the first after it.
+    """
+    top = digits // 10**16
+    rest = digits - top * 10**16
+    hi = rest // 10**8
+    # the digits are bytes 7 to 23 of three little-endian words (on any host), and a
+    # trailing zero is NUL: the high bit of each nonzero digit's byte, spread to every
+    # byte before it, marks the bytes to keep, all of the middle word's if the last keeps any
+    words = np.empty((digits.size, 3), "<u8")
+    words[:, 0] = (top + ord("0")) << 56
+    keep = 0
+    for column, d in ((2, _digits8(rest - hi * 10**8)), (1, _digits8(hi))):
+        flags = (d + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080 | (keep & 0x80) << 56
+        for m in (8, 16, 32):
+            flags |= flags >> m
+        keep = (flags >> 7) * 0xFF
+        words[:, column] = (d + 0x3030303030303030) & keep
+    dig = words.view(np.uint8)[:, 7:]
+    text = np.zeros((digits.size, _WIDTH), np.uint8)
+    # each group of rows with one sign and exponent is laid out by slicing
+    for i, j in itertools.pairwise([0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), key.size]):
+        if i == j or key[i] < 0:
+            continue
+        exp, sign = int(key[i]) % 32 - 5, int(key[i]) // 32
+        block, cells = text[i:j], dig[i:j]
+        if sign:
+            block[:, 0] = ord("-")
+        if exp >= 0:
+            np.bitwise_or(cells[:, :exp + 1], ord("0"), out=block[:, sign:sign + exp + 1])
+            block[:, sign + exp + 1] = ord(".")
+            block[:, sign + exp + 2:sign + 18] = cells[:, exp + 1:]
+            block[:, sign + exp + 2] |= ord("0")
+        else:
+            block[:, sign:sign + 1 - exp] = np.frombuffer(b"0.000", np.uint8)[:1 - exp]
+            block[:, sign + 1 - exp:sign + 18 - exp] = cells
+    return text
+
+
+def _repr_bytes(x):
+    """The bytes of repr(float(v)) for each v of a column, an (n, _WIDTH) uint8 array padded with NUL.
+
+    The fast path takes a finite v with 1e-4 <= |v| < 1e16 whose mantissa is
+    not a power of two: repr writes it positionally, with the fewest digits
+    that read back as v, the closest to v among those. For E the decimal
+    exponent of v, they are the shortest of y = |v| * 10**(16 - E) rounded to
+    17, 16 and 15 digits that lies within half the spacing of v (scaled as y)
+    of y. Every other value takes repr() itself, as does one whose E, from
+    np.log10, proves wrong, or one too near a tie to tell.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    a = np.abs(x)
+    # the mantissa bits are those left after shifting out the sign and the exponent
+    fast = (a >= 1e-4) & (a < 1e16) & (x.view(np.uint64) << 12 != 0)
+    rows = np.flatnonzero(fast)
+    E, digits, ok = _shortest(a[rows])
+    key = np.where(ok, E + 5 + 32 * (x[rows] < 0), -1).astype(np.int8)
+    if key.size and (key != key[0]).any():
+        order = np.argsort(key, kind="stable")
+        key, digits, rows = key[order], digits[order], rows[order]
+    out = np.zeros((x.size, _WIDTH), np.uint8)
+    out.view(f"V{_WIDTH}")[rows] = _text(digits, key).view(f"V{_WIDTH}")
+    bad = np.concatenate((np.flatnonzero(~fast), rows[key < 0]))
+    if bad.size:
+        out[bad] = np.array([repr(v) for v in x[bad].tolist()], dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return out
+
+
 def _write_table(path, header, blocks):
     """Write a CSV table block by block; each block is a sequence of columns.
 
     A cell is the repr of a Python float, the shortest string that
     round-trips the double; a scalar column repeats one value down the
-    block, and a block of scalars alone is one row. Lines end with CRLF,
-    as csv.writer's default dialect does. Only one block is formatted at
-    a time, so a map is never held as text in full, and a column bitwise
-    equal to the same column of the previous block reuses that block's
-    text.
+    block, a block of scalars alone is one row, and the shortest column
+    sets a block's row count. Lines end with CRLF, as csv.writer's default
+    dialect does. At most _ROWS rows are formatted at a time, all of their
+    cells in one _repr_bytes call; a column of a block that fits in one
+    such piece reuses the text of the previous block's column if the two
+    are bitwise equal.
     """
-    comma, crlf = itertools.repeat(","), itertools.repeat("\r\n")
     previous = {}
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for columns in blocks:
             columns = [np.asarray(column, dtype=float) for column in columns]
-            if all(values.ndim == 0 for values in columns):
-                columns = [values.reshape(1) for values in columns]  # one row
-            cells = []
-            for k, values in enumerate(columns):
-                key = values.shape, values.tobytes()
-                if k not in previous or previous[k][0] != key:
-                    text = (itertools.repeat(repr(float(values))) if values.ndim == 0
-                            else list(map(repr, values.tolist())))
-                    previous[k] = key, text
-                cells += previous[k][1], comma
-            cells[-1] = crlf
-            fh.write("".join(itertools.chain.from_iterable(zip(*cells))))
+            n = min((values.size for values in columns if values.ndim), default=1)
+            for start in range(0, n, _ROWS):
+                stop = min(start + _ROWS, n)
+                cells = [values[start:stop] if values.ndim else values.reshape(1) for values in columns]
+                keys = [(c.shape, c.tobytes()) if n <= _ROWS else None for c in cells]
+                fresh = [k for k, key in enumerate(keys) if key is None or previous.get(k, (None,))[0] != key]
+                if fresh:
+                    text = _repr_bytes(np.concatenate([cells[k] for k in fresh]))
+                    ends = np.cumsum([cells[k].size for k in fresh]).tolist()
+                    for k, i, j in zip(fresh, [0, *ends], ends):
+                        previous[k] = keys[k], text[i:j]
+                # each cell takes _WIDTH bytes and a comma, the last a CRLF; NUL padding is dropped
+                table = np.zeros((stop - start, (_WIDTH + 1) * len(cells) + 1), np.uint8)
+                for k in range(len(cells)):
+                    table[:, (_WIDTH + 1) * k:(_WIDTH + 1) * k + _WIDTH] = previous[k][1]
+                table[:, _WIDTH::_WIDTH + 1] = ord(",")
+                table[:, -2:] = (ord("\r"), ord("\n"))
+                fh.write(table.tobytes().translate(None, b"\0"))
 
 
 def write_spectrum_csv(path, spectrum):
@@ -275,7 +434,7 @@ def write_pv_csv(path, rows):
 
 def _write_json(path, payload):
     """Write payload as JSON with sorted keys, two-space indents and a final newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -197,6 +197,17 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert digests == GOLDEN, f"{differing} differ on this host class: {_host_class()}"
 
 
+def test_a_golden_run_names_the_encoding_of_every_text_file(tmp_path):
+    """No file is opened in the locale's encoding: the golden anisotropy run, in a child
+    that makes EncodingWarning an error, exits 0 and writes the golden bytes."""
+    argv = next(argv for argv in RUNS if argv[0] == "anisotropy")
+    proc = fresh_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+                        "import sys; from gsesim.cli import main; sys.exit(main(sys.argv[1:]))", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("anisotropy.csv", "anisotropy.csv.manifest.json"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN[name], name
+
+
 # host classes emulated through the child process's environment alone
 HOST_CLASSES = {
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},

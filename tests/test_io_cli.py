@@ -4,6 +4,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import sys
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ from gsesim import cli, core, fitting, multipoint, nested
 from gsesim.cli import main, parse_angle, parse_frequency, parse_range
 from gsesim.core import FrequencyGrid, ModelError, Spectrum, classify_topology
 from gsesim.io import (
+    _repr_bytes,
     _write_table,
     ConfigError,
     DataFormatError,
@@ -428,6 +430,37 @@ class TestWriteTable:
         write_table_per_row(directory / "reference.csv", header, blocks)
         assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
+    def test_blocks_longer_than_one_piece(self, tmp_path):
+        # 5000 rows are three pieces of _ROWS rows; the longer column is cut at the shorter
+        rng = np.random.default_rng(3)
+        freqs = np.linspace(4.3e9, 4.4e9, 5001)
+        blocks = [[0.5, freqs, rng.uniform(size=5000)], [1.5, freqs, rng.uniform(size=5001)]]
+        _write_table(tmp_path / "new.csv", ["a", "b", "c"], blocks)
+        write_table_per_row(tmp_path / "reference.csv", ["a", "b", "c"], blocks)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # a 200 001-point spectrum and an 81 x 2001 map; every cell as a Python str, the
+        # spectrum alone peaked at 118 MiB. Of the bound, 4.6 MiB are the spectrum's
+        # frequency, magnitude and dB columns, which write_spectrum_csv computes
+        rng = np.random.default_rng(5)
+        n = 200_001
+        spectrum = Spectrum(FrequencyGrid(4.2e9, 4.4e9, n), rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        freqs = np.linspace(4.3e9, 4.4e9, 2001)
+        columns = [(v, SimpleNamespace(frequencies=freqs, magnitude=m))
+                   for v, m in zip(np.linspace(-2e6, 2e6, 81), rng.uniform(size=(81, freqs.size)))]
+        # the first call imports modules that numpy loads lazily
+        write_spectrum_csv(tmp_path / "first.csv", Spectrum(FrequencyGrid(1.0, 2.0, 3), np.ones(3)))
+        for write in (lambda: write_spectrum_csv(tmp_path / "spectrum.csv", spectrum),
+                      lambda: write_map_csv(tmp_path / "map.csv", columns)):
+            tracemalloc.start()
+            try:
+                write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, peak
+
     def test_block_of_scalars_is_one_row(self, tmp_path):
         # in a child whose address space is capped 512 MB above its size after
         # import: a writer that repeats the scalars without end fails there
@@ -443,6 +476,72 @@ class TestWriteTable:
         ), str(path))
         assert proc.returncode == 0, proc.stderr
         assert path.read_bytes() == b"theta_rad,frequency_hz\r\n0.5,4000000000.0\r\n"
+
+
+def repr_mismatches(values):
+    """The values whose _repr_bytes row is not the bytes of repr(float(value)), NUL-padded to 24."""
+    rows = _repr_bytes(np.array(values, dtype=float))
+    assert rows.shape == (len(values), 24) and rows.dtype == np.uint8
+    return [v for v, row in zip(values, rows) if row.tobytes() != repr(float(v)).encode().ljust(24, b"\0")]
+
+
+def double_of_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+class TestReprBytes:
+    """_repr_bytes writes the bytes of repr for every double, the fast path's and the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1).map(double_of_bits) | st.floats(), min_size=1, max_size=64))
+    # the neighbours of 10**k, where np.log10 may misjudge the exponent
+    @example(values=[math.nextafter(float(f"1e{k}"), to) for k in range(-5, 17) for to in (0.0, math.inf)]
+             + [float(f"1e{k}") for k in range(-5, 17)])
+    # exact powers of two, whose lower neighbour is nearer than the upper one
+    @example(values=[2.0**k for k in range(-16, 60)] + [-(2.0**k) for k in range(-16, 60)])
+    # ties between two candidates of one length: 17 digits, then 16 with both in range
+    @example(values=[1234567890123456.25, 1234567890123456.75, 562949953421312.25, 562949953421312.75,
+                     -562949953421312.25, 4503599627370495.5, 999999999999999.5])
+    # the ends of the positional range
+    @example(values=[1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4, 1e16,
+                     math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -9999999999999998.0])
+    # values the fast path leaves to repr
+    @example(values=[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e300, 1.5e-5])
+    # integer-valued doubles
+    @example(values=[3.0, -7.0, 100000.0, 4.2e9, 4.29e9, 123456789012345.0, 9007199254740994.0, 1e15, -1e15 - 2.0])
+    def test_each_row_is_repr(self, values):
+        assert repr_mismatches(values) == []
+
+    @pytest.mark.parametrize("family", ["uniform", "db", "log-uniform", "ghz-grid"])
+    def test_seeded_families_match_repr(self, family):
+        rng, n = np.random.default_rng(44), 10**5
+        values = {
+            "uniform": lambda: rng.uniform(0.0, 1.0, n),
+            "db": lambda: 20.0 * np.log10(rng.uniform(1e-3, 1.2, n)),
+            "log-uniform": lambda: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 18.0, n),
+            "ghz-grid": lambda: np.linspace(4.29e9, 4.33e9, n),
+        }[family]()
+        assert repr_mismatches(values.tolist()) == []
+
+    @golden.X86_64
+    def test_rows_do_not_follow_numpy_simd_targets(self):
+        """Without numpy's AVX-512 loops np.log10 gives other bits for some of these
+        values; it only estimates the exponent, so the rows stay repr's."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from gsesim.io import _repr_bytes\n"
+            "rng = np.random.default_rng(7)\n"
+            "x = rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-8.0, 18.0, 10**5)\n"
+            "bad = sum(row.tobytes() != repr(v).encode().ljust(24, b'\\0') for row, v in zip(_repr_bytes(x), x.tolist()))\n"
+            "print(bad, hashlib.sha256(np.log10(np.abs(x)).tobytes()).hexdigest())\n"
+        )
+        runs = [fresh_python("-c", script, env=env) for env in ({}, golden.HOST_CLASSES["numpy-without-x86-v4"])]
+        assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+        (native_bad, native_log10), (other_bad, other_log10) = (run.stdout.split() for run in runs)
+        assert (native_bad, other_bad) == ("0", "0")
+        if "AVX512_SKX" in golden._host_class():
+            assert native_log10 != other_log10
 
 
 class TestConfig:
