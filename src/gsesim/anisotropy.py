@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GAMMA_2PI, ModelError, _require_finite
+from .core import GAMMA_2PI, GsesimWarning, ModelError, _require_finite
 
 ANGULAR_FACTOR_MAX = 2.0  # g(0)
 ANGULAR_FACTOR_MIN = -4.0 / 3.0  # g at cos(2*theta) = -1/3
 ANGULAR_FACTOR_SPAN = ANGULAR_FACTOR_MAX - ANGULAR_FACTOR_MIN
 
 
-class AnisotropyRegimeWarning(UserWarning):
+class AnisotropyRegimeWarning(GsesimWarning):
     """H_A is not small against the bias field; the simple law degrades."""
 
 

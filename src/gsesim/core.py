@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,10 @@ class ParameterNameError(ModelError):
     both free and fixed; or a free guess is not finite or not inside bounds
     lo < hi, or a fixed value is not finite.
     """
+
+
+class GsesimWarning(UserWarning):
+    """Base of every warning gsesim emits."""
 
 
 def _require_finite(name, *values):
@@ -132,7 +137,12 @@ class Topology:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform probe-frequency grid in Hz."""
+    """Uniform probe-frequency grid in Hz.
+
+    `frequencies` forms the points once, np.linspace(f_start, f_stop,
+    n_points), on first use, and returns that one read-only array on every
+    access: every spectrum on the grid shares it. Copy it to modify it.
+    """
 
     f_start: float
     f_stop: float
@@ -147,17 +157,22 @@ class FrequencyGrid:
         if self.n_points > MAX_POINTS:
             raise ModelError(f"grid requires n_points <= {MAX_POINTS}")
 
-    @property
+    @cached_property
     def frequencies(self):
         # near the largest float the last point can round past it before
         # linspace sets it to f_stop: the result is finite, the warning spurious
         with np.errstate(over="ignore"):
-            return np.linspace(self.f_start, self.f_stop, self.n_points)
+            f = np.linspace(self.f_start, self.f_stop, self.n_points)
+        f.flags.writeable = False
+        return f
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex transmission values on a frequency grid."""
+    """Complex transmission values on a frequency grid.
+
+    `frequencies` is the grid's own read-only array, not a copy.
+    """
 
     grid: FrequencyGrid
     s21: np.ndarray = field(repr=False)

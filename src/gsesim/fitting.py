@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ModelError, ParameterNameError, TWO_PI, _finite_phase
+from .core import GsesimWarning, ModelError, ParameterNameError, TWO_PI, _finite_phase
 from .nested import FitFormParams, _fitform_terms
 from .single import giant_decay
 
@@ -27,7 +27,7 @@ class FitError(ModelError):
     """The optimizer failed or the problem is structurally unidentifiable."""
 
 
-class DegeneracyWarning(UserWarning):
+class DegeneracyWarning(GsesimWarning):
     """The datasets cannot separate the requested parameters."""
 
 

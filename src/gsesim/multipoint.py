@@ -46,8 +46,8 @@ order with an owner index:
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   the phasors sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on every grid frequency
   f_m = f_0 + m*df. With b = isqrt(nf) and m = a*b + c each is a coarse
-  factor at f_0 + a*b*df, which carries the weight sqrt(kappa_p), times a
-  fine one at c*df: about 2*sqrt(nf) exponentials per point instead of nf,
+  factor at the grid point f_(a*b), which carries the weight sqrt(kappa_p),
+  times a fine one at c*df: about 2*sqrt(nf) exponentials per point instead of nf,
   formed once per call as one row per point, and one complex product per
   entry, as accurate as one exponential per entry. Under 'probe' each
   block forms its columns of that table, P rows along its frequencies, and
@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ModelError, Spectrum, TWO_PI, _finite_phase
+from .core import GsesimWarning, ModelError, Spectrum, TWO_PI, _finite_phase
 
 # The pole-residue expansion is used only when every eigenvector r_k of H
 # (unit 2-norm) has |r_k^T r_k| >= _MIN_PAIRING and the bilinear Gram
@@ -131,11 +131,11 @@ _MAX_ELIMINATION_N = 4
 _PASSIVITY_TOL = 1e-10
 
 
-class MarkovWarning(UserWarning):
+class MarkovWarning(GsesimWarning):
     """Propagation delay is not negligible against the linewidths."""
 
 
-class PassivityWarning(UserWarning):
+class PassivityWarning(GsesimWarning):
     """A lossy layout scatters more power than it receives somewhere on the grid."""
 
 
@@ -222,14 +222,13 @@ def _phase_factors(grid, d, weights, speed):
     """Factors of weights*exp(-i*2*pi*f_m*d/v) on a uniform grid, one row per distance.
 
     Column m = a*b + c of the grid, b = isqrt(nf), is coarse[:, a] * fine[:, c]:
-    coarse holds weights times ceil(nf/b) columns at f_0 + (a*b)*df, formed
-    as np.linspace forms the grid, and fine b columns at c*df.
+    coarse holds weights times the ceil(nf/b) grid points f_(a*b), taken from
+    grid.frequencies, and fine b columns at c*df.
     """
     nf = grid.n_points
     b = math.isqrt(nf)
     df = (grid.f_stop - grid.f_start) / (nf - 1)
-    a = np.arange(-(-nf // b))
-    coarse = _finite_phase(TWO_PI * (d[:, None] * ((a * b) * df + grid.f_start)) / speed)
+    coarse = _finite_phase(TWO_PI * (d[:, None] * grid.frequencies[::b]) / speed)
     fine = _finite_phase(TWO_PI * (d[:, None] * (np.arange(b) * df)) / speed)
     return np.exp(-1j * coarse) * weights[:, None], np.exp(-1j * fine)
 

@@ -183,9 +183,6 @@ class FitFormParams:
             if getattr(self, name) < 0:
                 raise ModelError(f"{name} must be >= 0")
 
-    def detuned(self, f_o):
-        return replace(self, f_o=f_o)
-
 
 def _fitform_terms(f, f_i, f_o, kappa_i_g, kappa_o_g, beta_i, beta_o, j, gamma):
     """(d_o, d_i, c, root, num, den) of the two-mode fit form S21 = 1 - num/den
@@ -255,7 +252,7 @@ def eigen_traces(q, f_o_sweep):
 
 def map_nested_vs_detuning(q, f_o_values, grid):
     """Detuning map: one fit-form spectrum column per outer frequency."""
-    return [(f_o, s21_nested_fitform(q.detuned(f_o), grid)) for f_o in f_o_values]
+    return [(f_o, s21_nested_fitform(replace(q, f_o=f_o), grid)) for f_o in f_o_values]
 
 
 def strong_coupling(kappa_i, kappa_o, kappa_i_g, beta_i, beta_o):

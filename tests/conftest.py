@@ -52,9 +52,7 @@ def pytest_configure(config):
     # an unasserted gsesim warning fails the test. This sits here, not in
     # pyproject's filterwarnings, which also governs perfbench/selftest.py:
     # its fixtures run the benchmark's non-passive layouts without asserting it
-    for warning in ("multipoint.PassivityWarning", "multipoint.MarkovWarning", "fitting.DegeneracyWarning",
-                    "anisotropy.AnisotropyRegimeWarning"):
-        config.addinivalue_line("filterwarnings", f"error::gsesim.{warning}")
+    config.addinivalue_line("filterwarnings", "error::gsesim.core.GsesimWarning")
 
 
 @pytest.fixture(scope="session")

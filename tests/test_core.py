@@ -140,3 +140,20 @@ class TestValidation:
             Spectrum(grid, np.array([1, 2, 3, np.inf], dtype=complex))
         s = Spectrum(grid, np.full(4, 0.5 + 0.5j))
         assert s.magnitude == pytest.approx(np.full(4, abs(0.5 + 0.5j)))
+
+
+def test_every_gsesim_warning_derives_from_one_base():
+    import importlib
+    import pkgutil
+
+    import gsesim
+    from gsesim.core import GsesimWarning
+
+    found = {}
+    for info in pkgutil.iter_modules(gsesim.__path__):
+        module = importlib.import_module(f"gsesim.{info.name}")
+        found.update({name: cls for name, cls in vars(module).items()
+                      if isinstance(cls, type) and issubclass(cls, Warning) and cls.__module__ == module.__name__})
+    assert {"GsesimWarning", "MarkovWarning", "PassivityWarning", "DegeneracyWarning",
+            "AnisotropyRegimeWarning"} <= set(found)
+    assert all(issubclass(cls, GsesimWarning) for cls in found.values())

@@ -478,6 +478,48 @@ class TestWriteTable:
         assert path.read_bytes() == b"theta_rad,frequency_hz\r\n0.5,4000000000.0\r\n"
 
 
+class TestGridPoints:
+    """A grid forms its points once; every spectrum on it and every writer reads that one array."""
+
+    Q = nested.FitFormParams(4.35e9, 4.35e9, 1.15e6, 1.26e2, 1.54e6, 0.86e6, 1.01e6, 3.28e2)
+    F_O = 4.35e9 + np.linspace(-10e6, 10e6, 81)
+
+    def detuning_map(self, grid):
+        return nested.map_nested_vs_detuning(self.Q, self.F_O, grid)
+
+    def test_a_map_built_and_written_forms_the_grid_once(self, tmp_path, monkeypatch):
+        grid = FrequencyGrid(4.33e9, 4.37e9, 2001)
+        calls = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(args) or linspace(*args, **kwargs))
+        write_map_csv(tmp_path / "map.csv", self.detuning_map(grid))
+        assert calls == [(grid.f_start, grid.f_stop, grid.n_points)]
+
+    def test_one_read_only_array_per_grid(self, nested_topology, waveguide):
+        grid = FrequencyGrid(4.33e9, 4.37e9, 2001)
+        f = grid.frequencies
+        assert f is grid.frequencies and not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+        assert f.tobytes() == np.linspace(grid.f_start, grid.f_stop, grid.n_points).tobytes()
+        assert all(s.frequencies is f for _, s in self.detuning_map(grid))
+        assert multipoint.s_matrix(nested_topology, waveguide, grid, convention="probe").transmission.frequencies is f
+        # the formed points are no field: equality and hash are those of the three numbers
+        fresh = FrequencyGrid(4.33e9, 4.37e9, 2001)
+        assert fresh == grid and hash(fresh) == hash(grid)
+        assert dataclasses.replace(grid, n_points=11).frequencies.size == 11
+
+    def test_the_shared_frequency_column_is_formatted_once(self, tmp_path, monkeypatch):
+        import gsesim.io as io
+
+        sizes = []
+        repr_bytes = io._repr_bytes
+        monkeypatch.setattr(io, "_repr_bytes", lambda x: sizes.append(np.size(x)) or repr_bytes(x))
+        write_map_csv(tmp_path / "map.csv", self.detuning_map(FrequencyGrid(4.33e9, 4.37e9, 2001)))
+        # per column its sweep value, magnitudes and dB values; the frequencies once
+        assert sum(sizes) == 81 * (1 + 2 * 2001) + 2001
+
+
 def repr_mismatches(values):
     """The values whose _repr_bytes row is not the bytes of repr(float(value)), NUL-padded to 24."""
     rows = _repr_bytes(np.array(values, dtype=float))
