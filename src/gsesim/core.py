@@ -141,7 +141,8 @@ class FrequencyGrid:
 
     `frequencies` forms the points once, np.linspace(f_start, f_stop,
     n_points), on first use, and returns that one read-only array on every
-    access: every spectrum on the grid shares it. Copy it to modify it.
+    access: every spectrum on the grid shares it. Copy it to modify it. A
+    pickled or copied grid forms its own.
     """
 
     f_start: float
@@ -165,6 +166,13 @@ class FrequencyGrid:
             f = np.linspace(self.f_start, self.f_stop, self.n_points)
         f.flags.writeable = False
         return f
+
+    def __getstate__(self):
+        # a pickled or copied grid forms its own read-only points on first use
+        # instead of carrying a writeable copy of these
+        state = self.__dict__.copy()
+        state.pop("frequencies", None)
+        return state
 
 
 @dataclass(frozen=True)

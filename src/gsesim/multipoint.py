@@ -32,17 +32,20 @@ order with an owner index:
   prefix sums that start at -u_l/2 give J itself in one pass along the
   guide, vectorized over frequency and emitters, O(P*N) per frequency
   instead of O(P^2) of trigonometry. -J, Gamma + beta and the detuning go
-  straight into a buffer holding f - H for one block of frequencies (Gamma
-  the products of the drives' real and imaginary parts, two entry by entry
-  up to _MAX_ELIMINATION_N, one (N x 2)(2 x N) product per frequency
-  above), which one batched call solves and turns into S21 and reflection
-  before the next block is assembled. _BLOCK_BYTES is the one memory
-  budget: s_matrix sizes the blocks from it once per call (_block_rows
-  counts what a block holds per frequency), so no buffer grows with the
-  grid, and no frequency's arithmetic depends on the blocking. The f - H
-  and prefix-sum buffers are allocated once per call and refilled block by
-  block, so their pages fault in once per call, not once per block: the
-  allocator unmaps arrays this large when freed.
+  straight into a buffer holding f - H (Gamma the products of the drives'
+  real and imaginary parts, two entry by entry up to _MAX_ELIMINATION_N,
+  one (N x 2)(2 x N) product per frequency above), which batched calls
+  solve; the block is turned into S21 and reflection before the next is
+  assembled. Up to the limit the buffer holds the whole block; above it a
+  sub-block, filled from the block's prefix sums and solved in turn, so f - H
+  is never held for the block beside them. _BLOCK_BYTES is the one memory
+  budget: s_matrix sizes the blocks from it once per call, for every path
+  (_block_rows counts what a block holds per frequency), so no buffer
+  grows with the grid, and no 'probe' frequency's arithmetic depends on
+  the blocking. The f - H and prefix-sum buffers are one workspace,
+  allocated once per call and refilled block by block, so its pages fault
+  in once per call, not once per block: the allocator unmaps arrays this
+  large when freed.
 - Under 'probe' and 'mixed' the drives, and under 'probe' the a_p, need
   the phasors sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on every grid frequency
   f_m = f_0 + m*df. With b = isqrt(nf) and m = a*b + c each is a coarse
@@ -57,21 +60,24 @@ order with an owner index:
   rows add in point order, one vectorized add per point rank over the
   emitters that have a point of that rank, entry by entry, so frequency m's
   drives depend on m alone, not on the blocking; no array spans the grid
-  and the points or emitters. 'mixed' needs the drives on the whole grid
-  for its pole residues, as N rows, and never forms the P x nf table:
+  and the points or emitters. 'mixed' forms the drives of each block of
+  its pole residues, as N rows, and never forms the P x nf table:
   u[j, a*b + c] = sum_{p in j} coarse[p, a] * fine[p, c] is one
-  (n_a x M) by (M x b) matrix product per emitter, batched over the
-  emitters with the same number M of points.
+  (n_a x M) by (M x b) matrix product per emitter over the block's coarse
+  columns, batched over the emitters with the same number M of points;
+  each entry has the bits it has in the product over the whole grid.
 - A frequency-independent H is complex symmetric, so its eigenvectors r_k
   satisfy r_k^T r_l = 0 for k != l and
   (f - H)^-1 = sum_k r_k r_k^T / ((f - lambda_k) * r_k^T r_k).
   `s_matrix` diagonalizes H - f0 (f0 the mean resonance, which keeps
   detuning coordinates) once and sums the pole residues: O(N^3 + nf*N^2)
   instead of O(nf*N^3), plus one step of iterative refinement that keeps
-  the error at the level of the solve. It works in eigen-coordinates on N
-  rows along the grid, so each product is one N x N matrix times an
-  N x nf array and S21 and the reflection contract there, with no
-  solution transformed back. Near an exceptional point
+  the error at the level of the solve. The eig runs once; the expansion
+  works in eigen-coordinates on N rows along each block of frequencies, so
+  each product is one N x N matrix times an N x nb array and S21 and the
+  reflection contract there, with no solution transformed back. The BLAS
+  kernel treats the last columns of a product apart, so these bits follow
+  the block size, by rounding alone. Near an exceptional point
   r_k^T r_k -> 0 and the residues lose their accuracy; there, and whenever
   the eigenvectors are not mutually orthogonal in this sense (a
   degenerate eigenvalue), it falls back to the batched solve, in the same
@@ -106,15 +112,21 @@ from .core import GsesimWarning, ModelError, Spectrum, TWO_PI, _finite_phase
 _MIN_PAIRING = 1e-2
 _MAX_CROSS_PAIRING = 1e-10
 
-# The module's one memory budget: s_matrix sizes every block of the batched
-# solve from it (_block_rows). Per frequency a block counts f - H, 16*N^2
-# bytes, and up to _MAX_ELIMINATION_N the whole probe assembly too: prefix
-# sums and Gamma's temporary, 8*N^2 each, and the rows of the drives and
-# points, which at N <= 4 outweigh f - H; at 2001 points every block of
-# N <= 4 emitters with up to 8 points each is the whole grid. Above the
-# limit it counts f - H alone: a 'probe' block also holds prefix sums
-# (8*N^2 bytes per frequency) and phasor, a_p and drive rows, uncounted,
-# 8.0 MiB traced at N = 32 x 4 on 2001 points for 4 MiB counted.
+# The module's one memory budget: s_matrix sizes every block of frequencies
+# from it once per call (_block_rows), for the 'probe' solve, the pole
+# residues of 'resonance' and 'mixed' and their fallback alike. Per
+# frequency a block counts the rows of the drives and of the coupling points
+# (phasors and a_p under 'probe'), which also cover the N rows of the pole
+# residues and of the 'mixed' drives, and the prefix sums; up to
+# _MAX_ELIMINATION_N also f - H and Gamma's temporary, so that at 2001 points
+# every block of N <= 4 emitters with up to 8 points each is the whole grid.
+# Above the limit _solve fills f - H and hands it to LAPACK in sub-blocks of
+# a quarter of the budget, and a block counts no fewer bytes per frequency
+# than f - H, 16*N^2, which keeps the prefix-sum loop at the block size its
+# speed was measured at (smaller blocks were slower). So a call holds about
+# 1.25 budgets at most besides its grid-length arrays: traced,
+# 4.6 MiB for 'probe' at N = 32 x 4 on 2001 points, and under 'resonance'
+# and 'mixed' 1.6 and 2.4 MiB at N = 32 x 4 on 20 001 points.
 _BLOCK_BYTES = 4 << 20
 
 # _solve eliminates along the frequency axis up to this many emitters and
@@ -242,22 +254,29 @@ def _phasors(coarse, fine, start, stop):
     return table[:, start - first * b : stop - first * b]
 
 
-def _grid_drives(pts, coarse, fine, nf):
-    """Drives u[j, m] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid (N, nf),
-    for the pole residues under 'mixed'.
+def _grid_drives(pts, coarse, fine, start, stop):
+    """Drives u[j, m] = sum_{p in j} sqrt(kappa_p)*exp(-i*2*pi*f_m*d_p/v) on the grid
+    columns start:stop (N, stop - start), for 'mixed'.
 
     With the factors of _phase_factors weighted by sqrt(kappa_p), u[j, a*b + c]
     is the (a, c) entry of the product of coarse[p, a] and fine[p, c] over
-    j's points: one batched matmul per point count, no P x nf table.
+    j's points: one batched matmul per point count over the coarse columns
+    the block spans, no P x nf table. It takes two columns at least: numpy
+    hands a one-row product to gemv, whose bits differ from gemm's, and
+    with two or more each entry then has the bits of the whole-grid product.
     """
-    u = np.empty((pts.sizes.size, nf), dtype=complex)
+    b = fine.shape[1]
+    first = min(start // b, coarse.shape[1] - 2)
+    coarse = coarse[:, first : max((stop - 1) // b + 1, first + 2)]
+    lo = start - first * b
+    u = np.empty((pts.sizes.size, stop - start), dtype=complex)
     for m in set(pts.sizes.tolist()):  # np.unique would import numpy.ma, 1.6 MB of RSS
         js = np.flatnonzero(pts.sizes == m)
         idx = pts.starts[js, None] + np.arange(m)  # points of each emitter with m of them
         prod = np.matmul(coarse[idx].transpose(0, 2, 1), fine[idx])
         # a slice scatters three times faster than an index array
         cols = js if js.size < pts.sizes.size else slice(None)
-        u[cols] = prod.reshape(js.size, -1)[:, :nf]
+        u[cols] = prod.reshape(js.size, -1)[:, lo : lo + stop - start]
     return u
 
 
@@ -320,9 +339,10 @@ class SMatrixResult:
     min_pairing: float | None
 
 
-def _probe_resolvent(pts, f, factors, step):
-    """resolvent(sl, a) for _solve: writes f*I - H at the grid rows sl into a,
-    given as (N, N, nb), and returns the drives u there, (N, nb).
+def _probe_resolvent(pts, f, factors, step, sub):
+    """resolvent(sl) for _solve: the drives u at the grid rows sl, (N, nb),
+    and fill(ss), which writes f*I - H at the rows ss of that block, at most
+    sub of them, into the call's buffer and returns it (_f_minus_h).
 
     Each block forms its table of sqrt(kappa_p)*exp(-i*k*d_p) once, one row
     along its frequencies per point, from factors, the _phase_factors of the
@@ -338,11 +358,15 @@ def _probe_resolvent(pts, f, factors, step):
     keeps the anti-Hermitian part exactly consistent with the in/out
     coupling, so lossless topologies scatter unitarily to machine precision
     even near decoupling points where the resolvent amplifies rounding.
-    step is the block size the caller took from _block_rows and passes to
-    _solve too: the prefix-sum buffers hold step frequencies and are
+    step and sub are the block and sub-block sizes the caller took from
+    _block_rows and passes to _solve too: the prefix-sum buffers hold step
+    frequencies, the f - H buffer sub, and they are
     refilled block by block in the memory order of a, each entry one row
-    along the frequencies up to the limit, frequency-major above, where
-    _block_rows leaves them and the rows of the block uncounted.
+    along the frequencies up to the limit, frequency-major above. There the
+    drives are copied once per block into one contiguous (N x 2) matrix of
+    real and imaginary parts per frequency, which starts the prefix sums
+    and feeds Gamma's products without a strided read, and fill writes -J
+    from the prefix sums one sub-block at a time.
     """
     n = pts.f_res.size
     rows_major = n <= _MAX_ELIMINATION_N
@@ -352,11 +376,19 @@ def _probe_resolvent(pts, f, factors, step):
     low = pts.sizes.min()
     ranks = [(js, pts.starts[js] + k) for k in range(1, pts.sizes.max())
              for js in [slice(None) if k < low else np.flatnonzero(pts.sizes > k)]]
-    sums_buf = np.empty(n * step * n)
-    left_buf = np.empty(2 * step * n)
+    # one workspace per call: f - H for sub frequencies, then the prefix sums
+    # and their state for step. As one allocation it is the largest chunk
+    # glibc unmaps, and glibc then keeps up to twice its size of free heap:
+    # as three buffers, it returned the heap after each 'probe' call of the
+    # multipoint-scatter benchmark, the calls after it faulted their pages in
+    # again, and the median task ran 11 % slower
+    work = np.empty(2 * n * n * sub + n * n * step + 2 * n * step)
+    fh = work[: 2 * n * n * sub].view(complex)
+    sums_buf = work[2 * n * n * sub : 2 * n * n * sub + n * n * step]
+    left_buf = work[2 * n * n * sub + n * n * step :]
 
-    def resolvent(sl, a):
-        nb = a.shape[2]
+    def resolvent(sl):
+        nb = sl.stop - sl.start
         ph = _phasors(*factors, sl.start, sl.stop)
         u = ph[pts.starts]
         for js, idx in ranks:  # each emitter's rows added to its first in point order, rank by rank
@@ -374,26 +406,37 @@ def _probe_resolvent(pts, f, factors, step):
         shape = (n, nb) if rows_major else (nb, n)
         left = left_buf[: 2 * n * nb].reshape(2, *shape)
         sums = sums_buf[: n * n * nb].reshape(n, *shape)
+        # (Re, Im) of the drives in left's memory order: rows along the
+        # frequencies up to the limit, one contiguous (N x 2) matrix per
+        # frequency above it, from which Gamma's products read too
+        uf = u.view(float).reshape(n, nb, 2)
+        if not rows_major:
+            uf = np.ascontiguousarray(uf.transpose(1, 0, 2))
+        np.multiply(uf[..., 1], -0.5, out=left[0])
+        np.multiply(uf[..., 0], -0.5, out=left[1])
         if not rows_major:
             left, sums = left.transpose(0, 2, 1), sums.transpose(0, 2, 1)
-        np.multiply(u.imag, -0.5, out=left[0])
-        np.multiply(u.real, -0.5, out=left[1])
         sums.fill(0.0)
         for a_p, j in zip(a_pts, pts.owner[order]):
             sums[j] += np.einsum("kf,klf->lf", a_p, left)
             left[0, j] -= a_p[1]
             left[1, j] += a_p[0]
 
-        # -J, Gamma and the detuning, each ufunc call in a's memory order
-        np.negative(sums.transpose(2, 0, 1), out=a.transpose(2, 0, 1).real)
-        if rows_major:
-            np.multiply(u.real[:, None], u.real, out=a.imag)
-            a.imag += u.imag[:, None] * u.imag
-        else:
-            uf = u.view(float).reshape(n, nb, 2).transpose(1, 0, 2)
-            np.matmul(uf, uf.transpose(0, 2, 1), out=a.transpose(2, 0, 1).imag)
-        np.einsum("iif->if", a)[...] += (f[sl] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
-        return u
+        def fill(ss):
+            # -J, Gamma and the detuning at the block's frequencies ss, each
+            # ufunc call in a's memory order
+            a = _f_minus_h(fh, n, ss.stop - ss.start)
+            np.negative(sums[..., ss].transpose(2, 0, 1), out=a.transpose(2, 0, 1).real)
+            if rows_major:
+                re, im = u.real[:, ss], u.imag[:, ss]
+                np.multiply(re[:, None], re, out=a.imag)
+                a.imag += im[:, None] * im
+            else:
+                np.matmul(uf[ss], uf[ss].transpose(0, 2, 1), out=a.transpose(2, 0, 1).imag)
+            np.einsum("iif->if", a)[...] += (f[sl][ss] - pts.f_res[:, None]) + 1j * pts.beta[:, None]
+            return a
+
+        return u, fill
 
     return resolvent
 
@@ -407,33 +450,51 @@ def _scattering(u, w, gw):
     return s21, refl
 
 
-def _fixed_resolvent(hrel, f, f_res, u):
-    """resolvent(sl, a) for _solve with a frequency-independent hrel = H - diag(f_res).
+def _fixed_resolvent(hrel, f, f_res, drives, sub):
+    """resolvent(sl) for _solve with a frequency-independent hrel = H - diag(f_res).
 
-    It writes f*I - H at the grid rows sl into a, (N, N, nb), and returns
-    the rows sl of the drives u, given as (N,) or on the whole grid (N, nf).
+    drives(sl) gives the drives at the grid rows sl, (N, 1) or (N, nb).
     """
-    u = np.broadcast_to(u.reshape(f_res.size, -1), (f_res.size, f.size))
+    n = f_res.size
+    buf = np.empty(n * n * sub, dtype=complex)
 
-    def resolvent(sl, a):
-        a[...] = -hrel[:, :, None]
-        np.einsum("iif->if", a)[...] += f[sl] - f_res[:, None]
-        return u[:, sl]
+    def resolvent(sl):
+        def fill(ss):
+            a = _f_minus_h(buf, n, ss.stop - ss.start)
+            a[...] = -hrel[:, :, None]
+            np.einsum("iif->if", a)[...] += f[sl][ss] - f_res[:, None]
+            return a
+
+        return np.broadcast_to(drives(sl), (n, sl.stop - sl.start)), fill
 
     return resolvent
 
 
-def _block_rows(nf, n, points=0):
-    """Frequencies per block of the batched solve, so that the bytes per
-    frequency it counts fill at most _BLOCK_BYTES (see there): f - H,
-    16*N^2, and up to _MAX_ELIMINATION_N also the prefix sums and the
-    Gamma temporary, 8*N^2 each, and the rows of the drives and of the
-    `points` coupling points under 'probe', 32*(N + points); above it f - H
-    alone. s_matrix calls it once per evaluation, for every block."""
-    per_frequency = 16 * n * n
+def _f_minus_h(buf, n, nb):
+    """f - H for nb frequencies in buf as (N, N, nb): each entry one
+    contiguous row up to _MAX_ELIMINATION_N, as _eliminate reads it, and
+    frequency-major above, the layout LAPACK takes."""
     if n <= _MAX_ELIMINATION_N:
-        per_frequency += 16 * n * n + 32 * (n + points)
-    return min(nf, max(1, _BLOCK_BYTES // per_frequency))
+        return buf[: n * n * nb].reshape(n, n, nb)
+    return buf[: n * n * nb].reshape(nb, n, n).transpose(1, 2, 0)
+
+
+def _block_rows(nf, n, points=0):
+    """Frequencies per block and per sub-block of f - H, so that the bytes
+    per frequency a block counts fill at most _BLOCK_BYTES (see there): the
+    rows of the drives and of the `points` coupling points, 32*(N + points),
+    which also cover the (N,) rows of the pole residues, and the prefix
+    sums, 8*N^2; up to _MAX_ELIMINATION_N also f - H and Gamma's temporary,
+    24*N^2, and a sub-block is the block. Above it a block counts no fewer
+    than 16*N^2 bytes, which keeps the prefix-sum loop, whose block size
+    sets its speed, where it was measured, and a sub-block of f - H fills a
+    quarter of the budget. s_matrix calls it once per evaluation, for every
+    block."""
+    per_frequency = 8 * n * n + 32 * (n + points)
+    if n <= _MAX_ELIMINATION_N:
+        per_frequency += 24 * n * n
+    step = min(nf, max(1, _BLOCK_BYTES // max(per_frequency, 16 * n * n)))
+    return step, step if n <= _MAX_ELIMINATION_N else min(step, max(1, _BLOCK_BYTES // (64 * n * n)))
 
 
 def _eliminate(a, w):
@@ -474,53 +535,67 @@ def _eliminate(a, w):
     return np.stack(x)
 
 
-def _solve(resolvent, nf, n, step):
-    """Scattering on nf frequencies by batched solves, in blocks of step.
-
-    resolvent(sl, a) writes f*I - H at the frequencies sl of the grid into
-    a, (N, N, nb), and returns the drives u there, (N, nb); w = conj(u).
-    One buffer of one block holds f - H, and each block is solved and
-    scattered before the next: by _eliminate up to _MAX_ELIMINATION_N
-    emitters, with each entry one contiguous row, and by LAPACK above, on
-    the same buffer frequency-major.
-    """
-    eliminate = n <= _MAX_ELIMINATION_N
-    buf = np.empty(step * n * n, dtype=complex)
+def _blocks(nf, step, scatter):
+    """S21 and reflection on nf frequencies from scatter(sl), the pair on the
+    grid rows sl, called block by block of step; one block is returned as is."""
+    if step >= nf:
+        return scatter(slice(0, nf))
     s21, refl = np.empty(nf, dtype=complex), np.empty(nf, dtype=complex)
     for start in range(0, nf, step):
         sl = slice(start, min(start + step, nf))
-        nb = sl.stop - start
-        a = buf[: n * n * nb].reshape((n, n, nb) if eliminate else (nb, n, n))
-        if not eliminate:
-            a = a.transpose(1, 2, 0)
-        u = resolvent(sl, a)
-        w = np.conj(u)
-        if eliminate:
-            gw = _eliminate(a, w)
-        else:
-            try:
-                gw = np.linalg.solve(a.transpose(2, 0, 1), w.T[..., None])[..., 0].T
-            except np.linalg.LinAlgError as exc:
-                raise ModelError("singular resolvent on the frequency grid") from exc
-        s21[sl], refl[sl] = _scattering(u, w, gw)
+        s21[sl], refl[sl] = scatter(sl)
     return s21, refl
 
 
-def _pole_residues(hrel, detuning, z, u):
+def _solve(resolvent, nf, step, sub):
+    """Scattering on nf frequencies by batched solves, in blocks of step.
+
+    resolvent(sl) returns the drives u at the frequencies sl of the grid,
+    (N, nb), and fill(ss), which writes f*I - H at the frequencies ss of
+    that block, at most sub of them, and returns it (_f_minus_h);
+    w = conj(u). Each block is solved and scattered before the next: by
+    _eliminate up to _MAX_ELIMINATION_N emitters, where a sub-block is the
+    whole block, and by LAPACK above, sub-block by sub-block. LAPACK solves
+    each matrix on its own, so the sub-blocks leave every bit as one call
+    on the block would.
+    """
+    def scatter(sl):
+        nb = sl.stop - sl.start
+        u, fill = resolvent(sl)
+        w = np.conj(u)
+        n = u.shape[0]
+        if n <= _MAX_ELIMINATION_N:
+            return _scattering(u, w, _eliminate(fill(slice(0, nb)), w))
+        gw = np.empty((nb, n), dtype=complex)
+        for start in range(0, nb, sub):
+            ss = slice(start, min(start + sub, nb))
+            try:
+                gw[ss] = np.linalg.solve(fill(ss).transpose(2, 0, 1), w[:, ss].T[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise ModelError("singular resolvent on the frequency grid") from exc
+        return _scattering(u, w, gw.T)
+
+    return _blocks(nf, step, scatter)
+
+
+def _pole_residues(hrel, detuning, z, drives, step):
     """Scattering from the eigenexpansion of H - f0 = hrel + diag(detuning).
 
-    z = f - f0 on the grid, detuning = f_res - f0 and u the drives, (N,) or
-    (N, nf). With the unit eigenvectors as the columns of R, (f - H)^-1 w =
-    R q with q = R^T w / den, den_k = (z - lambda_k) * r_k^T r_k. The
-    eigendecomposition is accurate relative to the norm of H, which the
-    spread of the resonances dominates; one step of iterative refinement in
-    exact detuning coordinates (z - detuning is f - f_res to the last bit)
-    adds t = R^T (w - (z - detuning)*(R q) + hrel R q) / den, which brings
-    the error down to the solve's. S21 = 1 - i (R^T u).(q + t) and the
-    reflection is -i (R^T w).(q + t). Returns the minimum |r_k^T r_k| and
-    the scattering, or None in its place when the expansion is not
-    accurate (see _MIN_PAIRING). A pole on the grid leaves non-finite
-    values under the caller's np.errstate, which _scattering rejects.
+    z = f - f0 on the grid, detuning = f_res - f0 and drives(sl) the drives
+    u at the grid rows sl, (N, 1) or (N, nb). With the unit eigenvectors as
+    the columns of R, (f - H)^-1 w = R q with q = R^T w / den,
+    den_k = (z - lambda_k) * r_k^T r_k. The eigendecomposition is accurate
+    relative to the norm of H, which the spread of the resonances
+    dominates; one step of iterative refinement in exact detuning
+    coordinates (z - detuning is f - f_res to the last bit) adds
+    t = R^T (w - (z - detuning)*(R q) + hrel R q) / den, which brings the
+    error down to the solve's. S21 = 1 - i (R^T u).(q + t) and the
+    reflection is -i (R^T w).(q + t). The eig and the pairing check run
+    once; the expansion runs in blocks of step frequencies, each array of
+    it N rows along the block. Returns the minimum |r_k^T r_k| and the
+    scattering, or None in its place when the expansion is not accurate
+    (see _MIN_PAIRING). A pole on the grid leaves non-finite values under
+    the caller's np.errstate, which _scattering rejects.
     """
     n = detuning.size
     h = hrel.copy()
@@ -532,23 +607,25 @@ def _pole_residues(hrel, detuning, z, u):
     min_pairing = float(np.abs(pairing).min())
     if min_pairing < _MIN_PAIRING or np.abs(gram).max() > _MAX_CROSS_PAIRING:
         return min_pairing, None
-    # every (N, nf) array is freed as soon as it is spent: at N = 32 on
-    # 2001 points each is a fifth of the traced peak
-    u = u.reshape(n, -1)
-    den = z - lam[:, None]
-    den *= pairing[:, None]
-    rw = r.T @ np.conj(u)
-    gw = r @ (rw / den)
-    res = hrel @ gw
-    gw *= z - detuning[:, None]
-    res -= gw
-    del gw
-    res += np.conj(u)  # the residual w - (f - H) R q
-    qt = r.T @ res  # q + t = R^T (w + residual) / den
-    del res
-    qt += rw
-    qt /= den
-    return min_pairing, _scattering(r.T @ u, rw, qt)
+
+    def scatter(sl):
+        u = drives(sl)
+        den = z[sl] - lam[:, None]
+        den *= pairing[:, None]
+        rw = r.T @ np.conj(u)
+        gw = r @ (rw / den)
+        res = hrel @ gw
+        gw *= z[sl] - detuning[:, None]
+        res -= gw
+        del gw
+        res += np.conj(u)  # the residual w - (f - H) R q
+        qt = r.T @ res  # q + t = R^T (w + residual) / den
+        del res
+        qt += rw
+        qt /= den
+        return _scattering(r.T @ u, rw, qt)
+
+    return min_pairing, _blocks(z.size, step, scatter)
 
 
 def s_matrix(t, waveguide, grid, convention="resonance"):
@@ -591,7 +668,8 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
     # through ends in one of the ModelError checks
     with np.errstate(all="ignore"):
         if convention == "resonance":
-            hrel, u = _assemble(pts, v, 1), pts.drives(v)
+            hrel, u = _assemble(pts, v, 1), pts.drives(v).reshape(-1, 1)
+            drives = lambda sl: u
         else:
             # one phase common to every drive cancels from S21 and enters the
             # reflection twice: drives taken from the first point keep the
@@ -601,20 +679,21 @@ def s_matrix(t, waveguide, grid, convention="resonance"):
             refl_phase = _finite_phase(2 * (TWO_PI * (f * x0) / v))
             factors = _phase_factors(grid, pts.x - x0, np.sqrt(pts.kappa), v)
             if convention == "mixed":
-                hrel, u = _assemble(pts, v, -1), _grid_drives(pts, *factors, f.size)
+                hrel = _assemble(pts, v, -1)
+                drives = lambda sl: _grid_drives(pts, *factors, sl.start, sl.stop)
         # only once the model is formed: a run that cannot form it fails with one message
         _check_markov(pts, v)
 
+        step, sub = _block_rows(f.size, n, pts.x.size)
         if convention == "probe":
-            step = _block_rows(f.size, n, pts.x.size)
-            s21, refl = _solve(_probe_resolvent(pts, f, factors, step), f.size, n, step)
+            s21, refl = _solve(_probe_resolvent(pts, f, factors, step, sub), f.size, step, sub)
         else:
             # detuning coordinates: f - f0 and f_res - f0 are exact, so nothing
             # rounds against the GHz scale
             f0 = pts.f_res.mean()
-            min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, u)
+            min_pairing, result = _pole_residues(hrel, pts.f_res - f0, f - f0, drives, step)
             if result is None:
-                result = _solve(_fixed_resolvent(hrel, f, pts.f_res, u), f.size, n, _block_rows(f.size, n))
+                result = _solve(_fixed_resolvent(hrel, f, pts.f_res, drives, sub), f.size, step, sub)
             else:
                 path = "pole-residues"
             s21, refl = result

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -140,6 +142,18 @@ class TestValidation:
             Spectrum(grid, np.array([1, 2, 3, np.inf], dtype=complex))
         s = Spectrum(grid, np.full(4, 0.5 + 0.5j))
         assert s.magnitude == pytest.approx(np.full(4, abs(0.5 + 0.5j)))
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_a_copied_grid_forms_its_own_read_only_points(duplicate):
+    grid = FrequencyGrid(4.3e9, 4.4e9, 2001)
+    f = grid.frequencies
+    dup = duplicate(grid)
+    assert dup == grid
+    assert not dup.frequencies.flags.writeable
+    assert dup.frequencies is dup.frequencies is not f
+    assert np.array_equal(dup.frequencies, f)
+    assert grid.frequencies is f
 
 
 def test_every_gsesim_warning_derives_from_one_base():
