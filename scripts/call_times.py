@@ -25,8 +25,10 @@ repeats of this tree's time over the other's in the same repeat, minus 1)
 and in how many repeats this tree's cold and warm times were the lower.
 Run one after the other in two processes, the trees see different host
 speeds on a shared machine; alternating in one process, and compared
-repeat by repeat, they see the same. For example, from the root of one
-tree:
+repeat by repeat, they see the same. But they also share one allocator
+heap, so a change in allocation pattern biases the per-call readings: a
+per-call result that may come from allocation must be confirmed by timing
+each tree in a separate process. For example, from the root of one tree:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src taskset -c 1 python scripts/call_times.py --repeats 21 --against ../parent
 

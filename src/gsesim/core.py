@@ -139,10 +139,11 @@ class Topology:
 class FrequencyGrid:
     """Uniform probe-frequency grid in Hz.
 
-    `frequencies` forms the points once, np.linspace(f_start, f_stop,
-    n_points), on first use, and returns that one read-only array on every
-    access: every spectrum on the grid shares it. Copy it to modify it. A
-    pickled or copied grid forms its own.
+    n_points is an int, a numpy integer or an integral float (as JSON's
+    101.0), and is stored as an int. `frequencies` forms the points once,
+    np.linspace(f_start, f_stop, n_points), on first use, and returns that
+    one read-only array on every access: every spectrum on the grid shares
+    it. Copy it to modify it. A pickled or copied grid forms its own.
     """
 
     f_start: float
@@ -153,6 +154,11 @@ class FrequencyGrid:
         _require_finite("grid", self.f_start, self.f_stop)
         if not (self.f_stop > self.f_start > 0):
             raise ModelError("grid requires f_stop > f_start > 0")
+        n = self.n_points
+        # a bool is an int but not a count, and a float is one only if integral
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) or isinstance(n, float) and n.is_integer()):
+            raise ModelError(f"grid requires an integer n_points, got {n!r}")
+        object.__setattr__(self, "n_points", int(n))
         if self.n_points < 2:
             raise ModelError("grid requires n_points >= 2")
         if self.n_points > MAX_POINTS:

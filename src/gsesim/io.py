@@ -224,12 +224,17 @@ def _write_table(path, header, blocks):
                 fh.write(table.tobytes().translate(None, b"\0"))
 
 
+# the columns of each data format, as its writer emits them and its reader names them
+_SPECTRUM = ("frequency_hz", "s21_re", "s21_im", "s21_mag", "s21_db")
+_MAP = ("sweep_value", "frequency_hz", "s21_mag", "s21_db")
+
+
 def write_spectrum_csv(path, spectrum):
     """Emit `frequency_hz,s21_re,s21_im,s21_mag,s21_db` rows."""
     s = spectrum.s21
     mag = np.abs(s)
     _write_table(
-        path, ["frequency_hz", "s21_re", "s21_im", "s21_mag", "s21_db"],
+        path, _SPECTRUM,
         [(spectrum.frequencies, s.real, s.imag, mag, _db(mag))],
     )
 
@@ -272,15 +277,17 @@ def _bad_column(table, least):
     return next((k for k, low in enumerate(least) if not np.all(np.isfinite(table[:, k]) & (table[:, k] >= low))), None)
 
 
-def _read_table(path, pick):
+def _read_table(path, *choices):
     """Parse a CSV table into an (n_rows, k) array of finite doubles.
 
-    pick maps the header's stripped, unquoted, lower-cased names to the k
-    column indices to read. Cells in other columns are not read. Blank
-    lines are skipped; a row that lacks a picked cell, whose picked cell
-    is not a number, or whose picked cell is not finite or lies below its
-    column's least value in _LEAST (-0.0 is not below 0.0) raises
-    DataFormatError with its line number.
+    choices are tuples of column names; the first whose k names all appear
+    among the header's stripped, unquoted, lower-cased names, in any order,
+    picks the columns to read, in its order. A header with none of them
+    raises DataFormatError naming line 1. Cells in other columns are not
+    read. Blank lines are skipped; a row that lacks a picked cell, whose
+    picked cell is not a number, or whose picked cell is not finite or lies
+    below its column's least value in _LEAST (-0.0 is not below 0.0)
+    raises DataFormatError with its line number.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports put first
@@ -289,7 +296,10 @@ def _read_table(path, pick):
         if not header:
             raise DataFormatError(f"{path}: empty file")
         cols = [c.strip().strip('"').lower() for c in header.split(",")]
-        usecols = pick(cols)
+        names = next((names for names in choices if set(names) <= set(cols)), None)
+        if names is None:
+            raise DataFormatError(f"{path}:1: need the header columns {' or '.join(map(','.join, choices))}")
+        usecols = [cols.index(c) for c in names]
         least = [_LEAST.get(cols[k], -np.inf) for k in usecols]
         # numpy reads a str path in chunks but walks an open file (or a bytes
         # path) line by line; it would also decompress a path by its suffix,
@@ -331,20 +341,13 @@ def read_spectrum_csv(path):
     column (s21_mag), and the dtype of data tells which: complex S21 from
     the pair, real linear |S21| from s21_mag. Rejects missing headers and
     names the line of a malformed row, a NaN or infinite cell, a negative
-    s21_mag, and a frequency not above the one before it. Only the
-    frequency and the picked S21 columns are checked: a row may carry
-    extra cells, or lack a cell of a column that is not read (s21_db or,
-    when the pair is read, s21_mag).
+    s21_mag, and a frequency not above the one before it. Columns are
+    found by header name, in any order. Only the frequency and the picked
+    S21 columns are checked: a row may carry extra cells, or lack a cell
+    of a column that is not read (s21_db or, when the pair is read,
+    s21_mag).
     """
-    def pick(cols):
-        if "frequency_hz" not in cols:
-            raise DataFormatError(f"{path}: missing header with a frequency_hz column")
-        for names in (("frequency_hz", "s21_re", "s21_im"), ("frequency_hz", "s21_mag")):
-            if set(names) <= set(cols):
-                return [cols.index(c) for c in names]
-        raise DataFormatError(f"{path}: need either s21_re/s21_im or s21_mag columns")
-
-    table = _read_table(path, pick)
+    table = _read_table(path, _SPECTRUM[:3], (_SPECTRUM[0], _SPECTRUM[3]))
     freqs = table[:, 0].copy()
     if freqs.size < 2:
         raise DataFormatError(f"{path}: need at least 2 data rows")
@@ -361,7 +364,7 @@ def read_spectrum_csv(path):
 def write_map_csv(path, columns):
     """Emit `sweep_value,frequency_hz,s21_mag,s21_db` for (value, Spectrum) columns."""
     blocks = ((v, s.frequencies, (mag := s.magnitude), _db(mag)) for v, s in columns)
-    _write_table(path, ["sweep_value", "frequency_hz", "s21_mag", "s21_db"], blocks)
+    _write_table(path, _MAP, blocks)
 
 
 def _distinct(column):
@@ -379,14 +382,10 @@ def read_map_csv(path):
     frequency or s21_mag, a non-numeric one among those three, a NaN or
     infinite one, a negative s21_mag, or a cell listed twice (+0.0 and
     -0.0 are one value) raises it with the line number. Only those three
-    columns are read: a row may lack its s21_db or carry extra cells.
+    columns are read, found by header name in any order: a row may lack
+    its s21_db or carry extra cells.
     """
-    def pick(cols):
-        if cols[:3] != ["sweep_value", "frequency_hz", "s21_mag"]:
-            raise DataFormatError(f"{path}:1: unexpected map header {cols!r}")
-        return [0, 1, 2]
-
-    table = _read_table(path, pick)
+    table = _read_table(path, _MAP[:3])
     if table.size == 0:
         raise DataFormatError(f"{path}: no data rows")
     sweep, freqs = _distinct(table[:, 0]), _distinct(table[:, 1])
@@ -490,12 +489,12 @@ def write_manifest(path, record):
     _write_json(path, payload)
 
 
-def _get(node, key, pointer, kind=None):
+def _get(node, key, pointer, kind):
     if not isinstance(node, dict) or key not in node:
         raise ConfigError(f"missing key at {pointer}/{key}")
     value = node[key]
     # a JSON true or false is a Python int, but never a valid value here
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"wrong type at {pointer}/{key}: expected {kind}")
     return value
 
@@ -526,8 +525,6 @@ def parse_config(doc):
         waveguide = Waveguide(float(_get(wg_node, "speed_mps", "/waveguide", _NUM)))
 
     em_node = _get(doc, "emitters", "", list)
-    if not em_node:
-        raise ConfigError("/emitters: must list at least one emitter")
     emitters = []
     for i, em in enumerate(em_node):
         ptr = f"/emitters/{i}"
@@ -554,10 +551,8 @@ def parse_config(doc):
     f_start = float(_get(pr, "f_start_hz", "/probe", _NUM))
     f_stop = float(_get(pr, "f_stop_hz", "/probe", _NUM))
     n_points = _get(pr, "n_points", "/probe", _NUM)
-    if isinstance(n_points, float) and not n_points.is_integer():
-        raise ConfigError(f"/probe/n_points: expected an integer, got {n_points!r}")
     with _at("/probe"):
-        grid = FrequencyGrid(f_start, f_stop, int(n_points))
+        grid = FrequencyGrid(f_start, f_stop, n_points)
     return waveguide, topology, grid
 
 

@@ -42,7 +42,9 @@ order with an owner index:
   budget: s_matrix sizes the blocks from it once per call, for every path
   (_block_rows counts what a block holds per frequency), so no buffer
   grows with the grid, and no 'probe' frequency's arithmetic depends on
-  the blocking. The f - H and prefix-sum buffers are one workspace,
+  the blocking. The P x P arrays of the reference-frequency assembly
+  (_assemble, under 'resonance' and 'mixed' and in build_effective) lie
+  outside the budget: they grow as P^2, not with the grid. The f - H and prefix-sum buffers are one workspace,
   allocated once per call and refilled block by block, so its pages fault
   in once per call, not once per block: the allocator unmaps arrays this
   large when freed.
@@ -123,10 +125,14 @@ _MAX_CROSS_PAIRING = 1e-10
 # Above the limit _solve fills f - H and hands it to LAPACK in sub-blocks of
 # a quarter of the budget, and a block counts no fewer bytes per frequency
 # than f - H, 16*N^2, which keeps the prefix-sum loop at the block size its
-# speed was measured at (smaller blocks were slower). So a call holds about
-# 1.25 budgets at most besides its grid-length arrays: traced,
-# 4.6 MiB for 'probe' at N = 32 x 4 on 2001 points, and under 'resonance'
-# and 'mixed' 1.6 and 2.4 MiB at N = 32 x 4 on 20 001 points.
+# speed was measured at (smaller blocks were slower). So the blocks hold
+# about 1.25 budgets at most. Outside the budget a call also holds its
+# grid-length arrays and, under 'resonance' and 'mixed' as in
+# build_effective, _assemble's P x P arrays, which grow as P^2 and dominate
+# at large P. Traced: 'probe' 4.6 MiB at N = 32 x 4 on 2001 points;
+# build_effective / 'resonance' / 'mixed' 0.64 / 0.71 / 1.15 MiB there,
+# 8.33 / 8.33 / 10.70 MiB at N = 64 x 8 on 20 001 points and
+# 33.3 / 33.3 / 34.7 MiB at N = 128 x 8 on 2001 points.
 _BLOCK_BYTES = 4 << 20
 
 # _solve eliminates along the frequency axis up to this many emitters and

@@ -134,6 +134,19 @@ class TestValidation:
         with pytest.raises(ModelError):
             FrequencyGrid(1e9, 2e9, 1)
 
+    @pytest.mark.parametrize("n_points", [2.5, math.nan, math.inf, -math.inf, "5", True, 10**400],
+                             ids=["fraction", "nan", "inf", "-inf", "string", "bool", "huge"])
+    def test_grid_rejects_a_count_that_is_not_an_integer(self, n_points):
+        # a fractional count used to build, then fail on first use with numpy's TypeError
+        with pytest.raises(ModelError, match="grid requires"):
+            FrequencyGrid(1e9, 2e9, n_points)
+
+    @pytest.mark.parametrize("n_points", [5.0, np.int64(5)], ids=["float", "int64"])
+    def test_grid_stores_an_integral_count_as_an_int(self, n_points):
+        grid = FrequencyGrid(1e9, 2e9, n_points)
+        assert type(grid.n_points) is int and grid.n_points == 5
+        assert grid.frequencies.size == 5
+
     def test_spectrum_shape_and_finiteness(self):
         grid = FrequencyGrid(1e9, 2e9, 4)
         with pytest.raises(ModelError):

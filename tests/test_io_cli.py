@@ -154,6 +154,15 @@ class TestSpectrumCsv:
         with pytest.raises(DataFormatError):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize("header", ["f_hz,s21_re,s21_im,s21_mag", "frequency_hz,s21_re,s21_db"],
+                             ids=["no-frequency", "no-s21"])
+    def test_header_without_its_columns_names_line_1(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1e9,0.5,0.1,0.6\n2e9,0.6,0.1,0.7\n")
+        with pytest.raises(DataFormatError, match=r"bad.csv:1: need the header columns "
+                           r"frequency_hz,s21_re,s21_im or frequency_hz,s21_mag$"):
+            read_spectrum_csv(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -314,7 +323,7 @@ class TestSpectrumCsv:
             # the reader used to return three empty arrays
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n", "map.csv: no data rows"),
             ("sweep,frequency_hz,s21_mag,s21_db\r\n0.0,1e9,0.5,-6.0\r\n",
-             r"map.csv:1: unexpected map header \['sweep', 'frequency_hz', 's21_mag', 's21_db'\]"),
+             r"map.csv:1: need the header columns sweep_value,frequency_hz,s21_mag$"),
             # a quoted cell that spans two lines is one row to loadtxt; the error
             # passes walked lines, and named line 2 for the bad row on line 6
             ("sweep_value,frequency_hz,s21_mag,s21_db\r\n1,\"0.5\r\n\",0.1,0.5,-6\r\n1,1.5,0.5,-6\r\n"
@@ -334,6 +343,23 @@ class TestSpectrumCsv:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=where):
             read_map_csv(path)
+
+    @pytest.mark.parametrize("layout", [
+        lambda i, cells: [cells[2], cells[0], cells[3], cells[1]],
+        lambda i, cells: [str(i) if i else "index", *cells],
+    ], ids=["reordered", "index-first"])
+    def test_map_columns_are_found_by_header_name(self, tmp_path, layout):
+        # the reader used to require sweep_value, frequency_hz and s21_mag first and in that order
+        grid = FrequencyGrid(4.3e9, 4.4e9, 7)
+        rng = np.random.default_rng(3)
+        canonical = tmp_path / "map.csv"
+        write_map_csv(canonical, [(v, Spectrum(grid, rng.normal(size=7) + 1j * rng.normal(size=7)))
+                                  for v in (-0.5, 0.0, 1.5)])
+        lines = canonical.read_text().splitlines()
+        moved = tmp_path / "moved.csv"
+        moved.write_text("".join(",".join(layout(i, line.split(","))) + "\r\n" for i, line in enumerate(lines)))
+        got, want = read_map_csv(moved), read_map_csv(canonical)
+        assert all(same_doubles(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("mag", ["nan", "inf", "-0.25"])
     def test_map_rejects_a_listed_magnitude_out_of_range(self, tmp_path, mag):
@@ -623,8 +649,10 @@ class TestConfig:
         (["emitters", 0], "f_res_hz", 0.0, "/emitters/0: emitter 'e0': f_res must be > 0"),
         (["emitters", 1, "points", 0], "position_m", 0.0,
          "/emitters: coupling point 0.0 m shared by 'e0' and 'e1'"),
+        ([], "emitters", [], "/emitters: topology needs at least one emitter"),
         (["probe"], "n_points", 1, "/probe: grid requires n_points >= 2"),
-    ], ids=["waveguide", "emitter", "topology", "probe"])
+        (["probe"], "n_points", 2.7, "/probe: grid requires an integer n_points, got 2.7"),
+    ], ids=["waveguide", "emitter", "topology", "no-emitters", "probe", "fractional-probe"])
     def test_model_faults_carry_the_pointer_of_their_node(self, tmp_path, capsys, path, key, value, message):
         config = tmp_path / "bad.json"
         emitters_config(config, [(0.0, KAPPA_INNER), (0.1, KAPPA_INNER)], [(0.05, KAPPA_INNER)])
@@ -650,7 +678,7 @@ class TestConfig:
     def test_non_integral_n_points_rejected(self, tmp_path, n_points):
         doc = json.loads(open(make_config(tmp_path)).read())
         doc["probe"]["n_points"] = n_points
-        with pytest.raises(ConfigError, match="/probe/n_points"):
+        with pytest.raises(ConfigError, match=f"^/probe: grid requires an integer n_points, got {n_points!r}$"):
             parse_config(doc)
 
     def test_integral_float_n_points_accepted(self, tmp_path):
@@ -1258,7 +1286,7 @@ class TestCli:
         cfg.write_text(cfg.read_text().replace('"n_points": 801', '"n_points": 2.7'))
         out = tmp_path / "spec.csv"
         assert main(["simulate-single", "--config", str(cfg), "--output", str(out)]) == 2
-        assert "/probe/n_points" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: /probe: grid requires an integer n_points, got 2.7\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("command", ["simulate-single", "simulate-general", "synth"])
@@ -1596,8 +1624,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, code, message", [
         (["fit", "--data=db.csv", "--model=single", "--free=f_res=4.3e9"], 4,
-         "i/o error: db.csv: need either s21_re/s21_im or s21_mag columns"),
-        (["simulate-single", "--config=none.json"], 2, "config error: /emitters: must list at least one emitter"),
+         "i/o error: db.csv:1: need the header columns frequency_hz,s21_re,s21_im or frequency_hz,s21_mag"),
+        (["simulate-single", "--config=none.json"], 2, "config error: /emitters: topology needs at least one emitter"),
         (["simulate-general", "--config=shared.json"], 2,
          "config error: /emitters: coupling point 0.05 m shared by 'e0' and 'e1'"),
         (["simulate-general", "--config=reversed.json"], 2,
